@@ -243,8 +243,12 @@ impl Calibrator {
         v
     }
 
-    /// Rank a fused batch of `fanout` same-pattern jobs (the corrected
-    /// sibling of `Predictor::rank_fused`).
+    /// Rank schemes for a *fused batch* of `fanout` same-pattern jobs
+    /// executed as one traversal (see `smartapps_reductions::fused`).  The
+    /// best scheme for one job is not always the best for K fused jobs:
+    /// K-fold private storage pushes replicating schemes out of cache
+    /// while traversal-bound schemes amortize, so the decision must be
+    /// re-ranked at the batch's actual fanout.
     pub fn rank_fused(
         &self,
         input: &ModelInput,

@@ -182,35 +182,6 @@ impl Predictor {
         v
     }
 
-    /// Rank schemes for a *fused batch* of `fanout` same-pattern jobs
-    /// executed as one traversal (see `smartapps_reductions::fused`).  The
-    /// best scheme for one job is not always the best for K fused jobs:
-    /// K-fold private storage pushes replicating schemes out of cache
-    /// while traversal-bound schemes amortize, so the decision must be
-    /// re-ranked at the batch's actual fanout.
-    ///
-    /// ```
-    /// use smartapps_core::toolbox::Predictor;
-    /// use smartapps_reductions::{Inspector, ModelInput};
-    /// use smartapps_workloads::{Distribution, PatternSpec};
-    ///
-    /// let pat = PatternSpec {
-    ///     num_elements: 4096, iterations: 8192, refs_per_iter: 2,
-    ///     coverage: 1.0, dist: Distribution::Uniform, seed: 3,
-    /// }.generate();
-    /// let input = ModelInput::from_inspection(&Inspector::analyze(&pat, 4), false);
-    /// let p = Predictor::default();
-    /// // At fanout 1 the fused ranking is exactly the plain ranking ...
-    /// assert_eq!(p.rank_fused(&input, 1), p.rank(&input));
-    /// // ... and a fused batch costs more than one job, less than K jobs.
-    /// let (best, one) = p.rank(&input)[0];
-    /// let (_, fused) = *p.rank_fused(&input, 4).iter().find(|(s, _)| *s == best).unwrap();
-    /// assert!(fused > one && fused < 4.0 * one);
-    /// ```
-    pub fn rank_fused(&self, input: &ModelInput, fanout: usize) -> Vec<(Scheme, f64)> {
-        self.rank(&input.clone().with_fanout(fanout))
-    }
-
     /// Learn from a measurement: fold `measured_units / predicted` into the
     /// scheme's correction factor.  `measured_units` must be in the same
     /// abstract scale as predictions — callers normalize wall time by a
@@ -454,7 +425,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_fused_is_rank_at_fanout() {
+    fn rank_at_fanout_prices_a_fused_batch() {
         use smartapps_reductions::{Inspector, ModelInput};
         let pat = PatternSpec {
             num_elements: 4096,
@@ -469,12 +440,12 @@ mod tests {
         let input = ModelInput::from_inspection(&insp, false);
         let p = Predictor::default();
         // fanout == 1 must agree with the plain ranking...
-        assert_eq!(p.rank_fused(&input, 1), p.rank(&input));
+        assert_eq!(p.rank(&input.clone().with_fanout(1)), p.rank(&input));
         // ...and a fused batch must cost more in absolute units but less
         // than K independent runs for the winning scheme.
         let (best, one_cost) = p.rank(&input)[0];
         let fused_cost = p
-            .rank_fused(&input, 6)
+            .rank(&input.clone().with_fanout(6))
             .iter()
             .find(|(s, _)| *s == best)
             .map(|(_, c)| *c)

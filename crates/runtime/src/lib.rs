@@ -13,8 +13,10 @@
 //!   threads, parked on condvars when idle, implementing the
 //!   `SpmdExecutor` seam from `smartapps-reductions`.  Reduction
 //!   invocations pay zero thread-creation cost on the hot path.
-//! * [`runtime`] + [`job`] — a **sharded job queue served by N
-//!   shard-affine dispatchers**: [`Runtime::submit`] /
+//! * [`runtime`] + [`job`] (+ the crate-private `dispatch` module, the
+//!   batch pipeline each dispatcher runs and the single exit —
+//!   `dispatch::finish` — every job leaves by) — a **sharded job queue
+//!   served by N shard-affine dispatchers**: [`Runtime::submit`] /
 //!   [`Runtime::submit_batch`] accept jobs from any number of client
 //!   threads and shard them by [`PatternSignature`]; each dispatcher owns
 //!   a subset of shards and steals batches from overloaded peers when its
@@ -75,6 +77,7 @@
 
 pub mod backend;
 pub mod completion;
+pub(crate) mod dispatch;
 pub mod error;
 pub mod intern;
 pub mod job;

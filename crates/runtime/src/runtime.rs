@@ -1,58 +1,42 @@
-//! The long-lived reduction service: submission API, shard-affine
-//! dispatchers, and the glue between queue, pool, and profile store.
+//! The long-lived reduction service: configuration, submission API, and
+//! the state shared between queue, pool, profile store, and dispatchers.
 //!
 //! N dispatcher threads own scheme decisions, each for its own subset of
 //! signature shards (the `queue` module documents the affinity and
-//! stealing protocol).  A dispatcher pops coalesced batches from its
-//! shards, consults the [`ProfileStore`] (hit → no inspection), otherwise
-//! pays one [`Inspector`] pass and asks the decision model, then executes
-//! the batch on the persistent [`WorkerPool`] and folds the measurements
-//! back into the store.  When a batch contains several jobs reducing over
-//! the *same* pattern, they run as one **fused sweep** — one traversal
-//! producing every output (see `smartapps_reductions::fused`) — instead of
-//! merely sharing the decision.  The worker pool does the heavy lifting;
-//! each dispatcher participates as `tid 0` of its own SPMD regions, so no
-//! core idles while it "waits".
+//! stealing protocol) and each running the batch pipeline of the
+//! `dispatch` module: pop a coalesced batch, consult the [`ProfileStore`]
+//! (hit → no inspection) or pay one inspector pass and ask the decision
+//! model, execute on the persistent [`WorkerPool`], fold the measurements
+//! back into the store.  Several jobs of a batch reducing over the *same*
+//! pattern run as one **fused sweep** — one traversal producing every
+//! output (see `smartapps_reductions::fused`) — instead of merely sharing
+//! the decision.  The worker pool does the heavy lifting; each dispatcher
+//! participates as `tid 0` of its own SPMD regions, so no core idles
+//! while it "waits".
 
-use crate::backend::{Backend, ExecRequest, PclrBackend, PclrConfig, SimdBackend, SoftwareBackend};
+use crate::backend::{PclrBackend, PclrConfig, SimdBackend, SoftwareBackend};
 use crate::completion::{Completion, CompletionSet, CompletionSink};
+use crate::dispatch::{dispatcher_loop, finish, Exit};
 use crate::error::JobError;
 use crate::intern::PatternInterner;
-use crate::job::{JobBody, JobHandle, JobOutput, JobResult, JobSpec, JobState, PatternSignature};
+use crate::job::{JobHandle, JobResult, JobSpec, JobState, PatternSignature};
 use crate::pool::WorkerPool;
-use crate::profile::{ProfileEntry, ProfileStore};
+use crate::profile::ProfileStore;
 use crate::queue::{QueuedJob, ShardedQueue};
 use crate::stats::{RuntimeStats, StatsSnapshot};
-use crate::telemetry::{domain_label, scheme_code, RuntimeTelemetry, SlowJob};
+use crate::telemetry::{RuntimeTelemetry, SlowJob};
 use smartapps_core::adaptive::AdaptiveReduction;
 use smartapps_core::calibrate::Calibrator;
 use smartapps_core::toolbox::DomainKey;
-use smartapps_core::{DecisionRecord, GateVerdict};
-use smartapps_reductions::{
-    probe_uniform, recognize, run_fused_on, run_scan_group, simd_feasible, CostGuard,
-    DecisionModel, FusedBody, Inspection, Inspector, ModelInput, ScanMatch, Scheme, SpmdExecutor,
-};
-use smartapps_telemetry::{Exemplar, TraceBackend, TraceError, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use smartapps_core::DecisionRecord;
+use smartapps_reductions::{simd_feasible, DecisionModel, ModelInput, Scheme, SpmdExecutor};
+use smartapps_telemetry::Exemplar;
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Measured-over-predicted ratio beyond which a profile entry is treated
-/// as stale (phase change) and evicted.
-const DRIFT_EVICT_RATIO: f64 = 4.0;
-
-/// Profile entries younger than this many runs are never drift-evicted
-/// (their calibration is still settling).
-const DRIFT_MIN_RUNS: u64 = 3;
-
-/// Consecutive over-ratio samples required before the phase-change guard
-/// evicts.  One wild sample is timing noise (a scheduler hiccup, a
-/// cache-cold run — common on sub-millisecond jobs); a run of them is a
-/// phase change.
-const DRIFT_EVICT_STRIKES: u8 = 2;
 
 /// Widest SPMD region a job may request (the inspector's supported limit);
 /// `JobSpec::with_threads` beyond this is clamped at submission.
@@ -62,11 +46,6 @@ const MAX_SPMD_THREADS: usize = 250;
 /// simulated cycles for classes seen on both backends); the table resets
 /// when it fills — pairing is opportunistic, not an index.
 const MAX_CYCLE_PAIRS: usize = 1024;
-
-/// Hysteresis of the calibration recheck: a profiled scheme is displaced
-/// only when the corrected challenger undercuts it by at least this
-/// factor, so photo-finish classes do not flip-flop between rechecks.
-const RECHECK_MARGIN: f64 = 0.85;
 
 /// Knobs of the online calibration loop (`docs/MODEL.md`).
 ///
@@ -216,26 +195,27 @@ impl Default for RuntimeConfig {
     }
 }
 
-struct Shared {
-    pool: Arc<WorkerPool>,
-    queue: ShardedQueue,
+/// Everything the submission API and the dispatcher threads share.
+pub(crate) struct Shared {
+    pub(crate) pool: Arc<WorkerPool>,
+    pub(crate) queue: ShardedQueue,
     profile: Mutex<ProfileStore>,
-    stats: RuntimeStats,
+    pub(crate) stats: RuntimeStats,
     calibrator: Mutex<Calibrator>,
-    software: SoftwareBackend,
-    simd: Option<SimdBackend>,
-    pclr: Option<PclrBackend>,
-    max_batch: usize,
-    max_fuse: usize,
+    pub(crate) software: SoftwareBackend,
+    pub(crate) simd: Option<SimdBackend>,
+    pub(crate) pclr: Option<PclrBackend>,
+    pub(crate) max_batch: usize,
+    pub(crate) max_fuse: usize,
     sample_iters: usize,
     profile_path: Option<PathBuf>,
-    explore_every: usize,
-    recheck_every: usize,
-    probe_fused_every: usize,
+    pub(crate) explore_every: usize,
+    pub(crate) recheck_every: usize,
+    pub(crate) probe_fused_every: usize,
     /// Dispatch batches seen (drives the deterministic exploration cadence).
-    explore_ticks: AtomicU64,
+    pub(crate) explore_ticks: AtomicU64,
     /// Fusable groups the gate declined (drives the fused-probe cadence).
-    declined_fuses: AtomicU64,
+    pub(crate) declined_fuses: AtomicU64,
     /// Per-signature (software wall-ns/ref, simulated cycles/ref) halves;
     /// a completed pair yields one cycle→ns fitting sample.
     cycle_pairs: Mutex<HashMap<u64, CyclePair>>,
@@ -248,13 +228,13 @@ struct Shared {
     quarantine: Mutex<HashMap<u64, ClassHealth>>,
     /// Latency histograms + job-lifecycle trace ring (see the
     /// [`telemetry`](crate::telemetry) module).
-    telemetry: RuntimeTelemetry,
+    pub(crate) telemetry: RuntimeTelemetry,
     /// Uploaded-pattern registry (CSR upload handles, see
     /// [`intern`](crate::intern)).
     interner: PatternInterner,
     /// Whether the pre-scheduling simplification pass runs
     /// ([`RuntimeConfig::simplify`]).
-    simplify: bool,
+    pub(crate) simplify: bool,
 }
 
 /// Panic health of one workload class: how many of its most recent bodies
@@ -273,19 +253,25 @@ type CyclePair = (Option<f64>, Option<f64>);
 
 impl Shared {
     /// Whether the PCLR backend exists and admits a job over `pat`.
-    fn pclr_admits(&self, pat: &smartapps_workloads::AccessPattern) -> bool {
+    pub(crate) fn pclr_admits(&self, pat: &smartapps_workloads::AccessPattern) -> bool {
         self.pclr.as_ref().is_some_and(|b| b.admits(pat))
     }
 
     /// Whether the SIMD backend exists and the class's measured
     /// characteristics admit the lane-striped kernel (dense/privatizing
     /// regime — see [`simd_feasible`]).
-    fn simd_admits(&self, chars: &smartapps_workloads::PatternChars) -> bool {
+    pub(crate) fn simd_admits(&self, chars: &smartapps_workloads::PatternChars) -> bool {
         self.simd.is_some() && simd_feasible(chars)
     }
 
+    /// Lock the profile store.  Poison-tolerant: every store update
+    /// leaves it valid, so a panic elsewhere under the lock loses nothing.
+    pub(crate) fn profile(&self) -> MutexGuard<'_, ProfileStore> {
+        self.profile.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// Lock the calibrator (poison-tolerant like the profile store).
-    fn calibrator(&self) -> std::sync::MutexGuard<'_, Calibrator> {
+    pub(crate) fn calibrator(&self) -> MutexGuard<'_, Calibrator> {
         self.calibrator.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -294,7 +280,7 @@ impl Shared {
     /// lock.  `predicted_units` is the raw analytic cost — computed here
     /// from `input` when the caller does not already hold one (the
     /// per-job path), so the hot path locks once, not twice.
-    fn learn(
+    pub(crate) fn learn(
         &self,
         scheme: Scheme,
         domain: DomainKey,
@@ -322,7 +308,13 @@ impl Shared {
     /// half (wall ns per reference) or the simulated half (cycles per
     /// reference).  When a signature has both halves, their ratio is one
     /// fitting sample for the PCLR backend's conversion.
-    fn pair_cycle_sample(&self, sig: PatternSignature, refs: usize, ns: f64, cycles: Option<u64>) {
+    pub(crate) fn pair_cycle_sample(
+        &self,
+        sig: PatternSignature,
+        refs: usize,
+        ns: f64,
+        cycles: Option<u64>,
+    ) {
         let Some(pclr) = &self.pclr else { return };
         if refs == 0 {
             return;
@@ -343,7 +335,7 @@ impl Shared {
         }
     }
 
-    fn quarantine_map(&self) -> std::sync::MutexGuard<'_, HashMap<u64, ClassHealth>> {
+    fn quarantine_map(&self) -> MutexGuard<'_, HashMap<u64, ClassHealth>> {
         self.quarantine.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -351,7 +343,7 @@ impl Shared {
     /// consecutive-panic count for the error message.  An expired TTL
     /// clears the ledger entirely — the class restarts with a clean
     /// record and gets `quarantine_after` fresh chances.
-    fn quarantine_blocked(&self, sig: PatternSignature) -> Option<usize> {
+    pub(crate) fn quarantine_blocked(&self, sig: PatternSignature) -> Option<usize> {
         if self.quarantine_after == 0 {
             return None;
         }
@@ -369,7 +361,7 @@ impl Shared {
 
     /// Record one panicking body of class `sig`; crossing the threshold
     /// starts the quarantine clock.
-    fn note_panic(&self, sig: PatternSignature) {
+    pub(crate) fn note_panic(&self, sig: PatternSignature) {
         if self.quarantine_after == 0 {
             return;
         }
@@ -385,7 +377,7 @@ impl Shared {
     }
 
     /// A clean execution of class `sig` resets its panic streak.
-    fn note_clean(&self, sig: PatternSignature) {
+    pub(crate) fn note_clean(&self, sig: PatternSignature) {
         if self.quarantine_after == 0 {
             return;
         }
@@ -578,23 +570,16 @@ impl Runtime {
         spec.threads = Some(threads);
         RuntimeStats::add(&self.shared.stats.submitted, 1);
         if let Err(e) = spec.pattern.validate() {
-            RuntimeStats::add(&self.shared.stats.completed, 1);
-            // Inline delivery (never blocks on the completion bound: the
-            // submitting thread may be the set's only consumer).
-            sink.complete_inline(
-                PatternSignature(0),
-                JobResult {
-                    output: empty_output(&spec.body),
-                    scheme: Scheme::Seq,
-                    elapsed: std::time::Duration::ZERO,
-                    sim_cycles: None,
-                    profile_hit: false,
-                    batched_with: 0,
-                    fused_with: 0,
-                    error: Some(JobError::rejected(format!("invalid access pattern: {e}"))),
-                },
+            let error = JobError::rejected(format!("invalid access pattern: {e}"));
+            let sig = PatternSignature(0);
+            finish(
+                &self.shared,
+                sig,
+                sink,
+                Exit::failed(&spec.body, error),
+                None,
             );
-            return PatternSignature(0);
+            return sig;
         }
         let sig = PatternSignature::of(&spec.pattern, self.shared.sample_iters, threads);
         if let Err(job) = self.shared.queue.push(QueuedJob {
@@ -603,20 +588,8 @@ impl Runtime {
             sink,
             submitted_at: Instant::now(),
         }) {
-            RuntimeStats::add(&self.shared.stats.completed, 1);
-            job.sink.complete_inline(
-                sig,
-                JobResult {
-                    output: empty_output(&job.spec.body),
-                    scheme: Scheme::Seq,
-                    elapsed: std::time::Duration::ZERO,
-                    sim_cycles: None,
-                    profile_hit: false,
-                    batched_with: 0,
-                    fused_with: 0,
-                    error: Some(JobError::shutdown()),
-                },
-            );
+            let exit = Exit::failed(&job.spec.body, JobError::shutdown());
+            finish(&self.shared, sig, job.sink, exit, None);
         }
         sig
     }
@@ -644,9 +617,7 @@ impl Runtime {
         let shared = self.shared.clone();
         adaptive.set_scheme_prior(move |domain| {
             shared
-                .profile
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
+                .profile()
                 .get(PatternSignature::of_domain(loop_id, &domain))
                 .map(|e| e.scheme)
                 // The adaptive loop executes schemes through the software
@@ -660,29 +631,17 @@ impl Runtime {
     /// Fold what an adaptive loop's `PerformanceDb` learned into the
     /// profile store, so it survives restarts alongside service profiles.
     pub fn persist_adaptive(&self, adaptive: &AdaptiveReduction) {
-        self.shared
-            .profile
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .absorb_performance_db(&adaptive.db);
+        self.shared.profile().absorb_performance_db(&adaptive.db);
     }
 
     /// Merge pre-learned profiles into the live store.
     pub fn seed_profile(&self, store: &ProfileStore) {
-        self.shared
-            .profile
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .merge(store);
+        self.shared.profile().merge(store);
     }
 
     /// A copy of the live profile store.
     pub fn profile_snapshot(&self) -> ProfileStore {
-        self.shared
-            .profile
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        self.shared.profile().clone()
     }
 
     /// Service counters.
@@ -822,11 +781,7 @@ impl Runtime {
             let _ = d.join();
         }
         if let Some(path) = &self.shared.profile_path {
-            let mut store = self
-                .shared
-                .profile
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
+            let mut store = self.shared.profile();
             // Calibration rides along with the profiles: the learned
             // corrections (and the fitted cycle conversion) survive the
             // restart as `corr`/`cyc` records.
@@ -850,1255 +805,18 @@ impl Drop for Runtime {
     }
 }
 
-fn dispatcher_loop(shared: &Shared, id: usize) {
-    let mut cache = InspectionCache::new(64);
-    let mut scans = ScanCache::new(32);
-    while let Some(pop) = shared.queue.pop_batch_for(id, shared.max_batch) {
-        if pop.stolen {
-            RuntimeStats::add(&shared.stats.steals, 1);
-        }
-        process_batch(shared, &mut cache, &mut scans, pop.jobs);
-    }
-}
-
-/// Key for inspection reuse: (pattern allocation address, SPMD width).
-type InspKey = (usize, usize);
-
-/// A small FIFO cache of inspector analyses, living across batches in each
-/// dispatcher, so a profiled `sel`/`lw` class does not pay a fresh
-/// inspection on every invocation of the same pattern.  Shard affinity
-/// keeps a workload class on one dispatcher, which is what keeps this
-/// per-dispatcher cache warm.
-///
-/// Entries are validated through a [`Weak`] handle before reuse: a cache
-/// key is the pattern's allocation address, and an address can be reused
-/// after the original `Arc` dies, so an entry only hits when its stored
-/// `Weak` still upgrades to *the same allocation* the job carries.
-struct InspectionCache {
-    entries: HashMap<InspKey, (Weak<smartapps_workloads::AccessPattern>, Inspection)>,
-    order: VecDeque<InspKey>,
-    cap: usize,
-}
-
-impl InspectionCache {
-    fn new(cap: usize) -> Self {
-        InspectionCache {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// A cached inspection for this exact pattern allocation, if one is
-    /// already present — **without** paying a fresh inspector pass on a
-    /// miss.  The calibration loop uses this on profile-hit executions:
-    /// learning is worth a map lookup, not a full pattern walk (a
-    /// restarted service keeps its zero-inspection steady state).
-    fn peek(
-        &self,
-        pat: &Arc<smartapps_workloads::AccessPattern>,
-        threads: usize,
-    ) -> Option<Inspection> {
-        let key: InspKey = (Arc::as_ptr(pat) as usize, threads);
-        let (weak, insp) = self.entries.get(&key)?;
-        weak.upgrade()
-            .is_some_and(|live| Arc::ptr_eq(&live, pat))
-            .then(|| insp.clone())
-    }
-
-    fn analyze(
-        &mut self,
-        pat: &Arc<smartapps_workloads::AccessPattern>,
-        threads: usize,
-        stats: &RuntimeStats,
-    ) -> Inspection {
-        let key: InspKey = (Arc::as_ptr(pat) as usize, threads);
-        if let Some((weak, insp)) = self.entries.get(&key) {
-            if weak.upgrade().is_some_and(|live| Arc::ptr_eq(&live, pat)) {
-                return insp.clone();
-            }
-            self.entries.remove(&key);
-            self.order.retain(|k| *k != key);
-        }
-        RuntimeStats::add(&stats.inspections, 1);
-        let insp = Inspector::analyze(pat, threads);
-        if self.order.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        self.order.push_back(key);
-        self.entries
-            .insert(key, (Arc::downgrade(pat), insp.clone()));
-        insp
-    }
-}
-
-/// A small FIFO cache of *positive* recognizer walks, per dispatcher —
-/// the simplification pass's analogue of [`InspectionCache`].  A
-/// recognized class floods the service with the same pattern allocation
-/// over and over; caching the [`ScanMatch`] keeps the structural walk
-/// (O(R)) off the steady-state path.  Entries are keyed by the pattern's
-/// allocation address and validated through a [`Weak`] handle exactly
-/// like the inspection cache, so a recycled address can never serve a
-/// stale match.  Negative outcomes are *not* cached here — they are
-/// persisted per signature in the [`ProfileStore`] (`simp` records) and
-/// short-circuit before the walk.
-struct ScanCache {
-    entries: HashMap<usize, (Weak<smartapps_workloads::AccessPattern>, ScanMatch)>,
-    order: VecDeque<usize>,
-    cap: usize,
-}
-
-impl ScanCache {
-    fn new(cap: usize) -> Self {
-        ScanCache {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    fn lookup(&self, pat: &Arc<smartapps_workloads::AccessPattern>) -> Option<ScanMatch> {
-        let key = Arc::as_ptr(pat) as usize;
-        let (weak, m) = self.entries.get(&key)?;
-        weak.upgrade()
-            .is_some_and(|live| Arc::ptr_eq(&live, pat))
-            .then_some(*m)
-    }
-
-    fn insert(&mut self, pat: &Arc<smartapps_workloads::AccessPattern>, m: ScanMatch) {
-        let key = Arc::as_ptr(pat) as usize;
-        if self.entries.contains_key(&key) {
-            self.order.retain(|k| *k != key);
-        } else if self.order.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        self.order.push_back(key);
-        self.entries.insert(key, (Arc::downgrade(pat), m));
-    }
-}
-
-/// Render a panic payload into a job error message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "job panicked".into())
-}
-
-/// The empty output matching a body's flavor (for failed jobs).
-fn empty_output(body: &JobBody) -> JobOutput {
-    match body {
-        JobBody::F64(_) => JobOutput::F64(Vec::new()),
-        JobBody::I64(_) => JobOutput::I64(Vec::new()),
-    }
-}
-
-/// Per-batch bookkeeping shared by the per-job and fused execution paths.
-struct BatchCtx {
-    sig: PatternSignature,
-    batched_with: usize,
-    profile_hit: bool,
-    profiled: Option<ProfileEntry>,
-    /// When the dispatcher popped this batch and when its scheme decision
-    /// landed — the `queued`/`decided` timestamps of every member's trace
-    /// event.
-    dequeued_at: Instant,
-    decided_at: Instant,
-    /// Once one job of the batch detects drift and evicts the entry, no
-    /// later batch-mate may resurrect it (their measurements rode the same
-    /// stale decision) and the logical eviction is counted once.
-    evicted_this_batch: bool,
-    /// The batch scheme is an exploration pick (runner-up executed to
-    /// gather a calibration sample): feed the calibrator, never the
-    /// profile store.
-    explored: bool,
-    /// Wall time the simplification gate spent on the current group
-    /// before handing it back (recognizer walk, uniformity probe, an
-    /// abandoned scan) — attributed to the group members' `simplify`
-    /// stage instead of inflating `exec`.  Reset per group by
-    /// [`try_simplify`]; 0 when the gate never ran.
-    simplify_probe_ns: u64,
-}
-
-/// The outcome of [`decide_batch`]: which scheme the batch runs, and
-/// whether the pick was an exploration sample or a calibration recheck
-/// that evicted the profile entry.
-struct BatchDecision {
-    scheme: Scheme,
-    explored: bool,
-    rechecked: bool,
-}
-
-/// One scheme decision for a coalesced batch.
-///
-/// The fast path is unchanged from the uncalibrated service: a profile
-/// hit runs the stored scheme with no inspection, a miss pays one
-/// inspection and takes the (corrected) ranking's best.  Two
-/// calibration-driven detours, both off by default
-/// ([`CalibrationConfig`]):
-///
-/// * **Exploration** — every `explore_every`-th batch executes the
-///   best-ranked feasible software scheme that still lacks measured
-///   evidence in this functioning domain (never the scheme that would
-///   run anyway), so corrections get the cross-scheme samples they need;
-///   self-terminating once the domain is calibrated.
-/// * **Recheck** — every `recheck_every`-th profile hit re-ranks under
-///   the corrected model; when a measured-confident scheme now beats the
-///   stored one, the entry is evicted (the caller records fresh truth) —
-///   the paper's "Redecide" adaptation driven by calibration.
-fn decide_batch(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    first: &QueuedJob,
-    profiled: Option<&ProfileEntry>,
-    default_threads: usize,
-) -> BatchDecision {
-    let keep = |scheme: Scheme| BatchDecision {
-        scheme,
-        explored: false,
-        rechecked: false,
-    };
-    let explore_now = shared.explore_every > 0 && {
-        let n = shared.explore_ticks.fetch_add(1, Ordering::Relaxed);
-        (n + 1).is_multiple_of(shared.explore_every as u64)
-    };
-    // Recheck cadence is per-entry (keyed on its recorded-run count):
-    // interleaved classes recheck independently instead of aliasing
-    // against a global counter.
-    let recheck_now = shared.recheck_every > 0
-        && profiled.is_some_and(|e| e.runs.is_multiple_of(shared.recheck_every as u64));
-    if !explore_now && !recheck_now {
-        if let Some(e) = profiled {
-            return keep(e.scheme);
-        }
-    }
-    let threads = first.spec.threads.unwrap_or(default_threads).max(1);
-    let insp = cache.analyze(&first.spec.pattern, threads, &shared.stats);
-    let domain = DomainKey::of(&insp.chars);
-    let input = ModelInput::from_inspection(&insp, first.spec.lw_feasible)
-        .with_pclr(shared.pclr_admits(&first.spec.pattern))
-        .with_simd(shared.simd_admits(&insp.chars));
-    let cal = shared.calibrator();
-    let ranking = cal.rank(&input, domain);
-    let decision = (|| {
-        if explore_now {
-            let would_run = profiled.map_or(ranking[0].0, |e| e.scheme);
-            // Class-level confidence gates the slot: a scheme measured in
-            // *other* domains still lacks samples here, and corrections do
-            // not transfer across domains without them.
-            let target = ranking.iter().find(|(s, c)| {
-                c.is_finite()
-                    && s.is_software()
-                    && *s != would_run
-                    && cal.class_confidence(*s, domain, false) < 0.5
-            });
-            if let Some(&(target, _)) = target {
-                RuntimeStats::add(&shared.stats.explored, 1);
-                return BatchDecision {
-                    scheme: target,
-                    explored: true,
-                    rechecked: false,
-                };
-            }
-        }
-        match profiled {
-            Some(e) => {
-                let (best, best_cost) = ranking[0];
-                let entry_cost = ranking
-                    .iter()
-                    .find(|(s, _)| *s == e.scheme)
-                    .map_or(f64::INFINITY, |(_, c)| *c);
-                if recheck_now
-                    && best != e.scheme
-                    && cal.evidence(best, domain, false)
-                    && best_cost < RECHECK_MARGIN * entry_cost
-                {
-                    return BatchDecision {
-                        scheme: best,
-                        explored: false,
-                        rechecked: true,
-                    };
-                }
-                keep(e.scheme)
-            }
-            None => keep(ranking[0].0),
-        }
-    })();
-    // Every fresh ranking leaves its uncollapsed provenance in the
-    // ledger: the winner is the scheme the batch actually runs (which an
-    // exploration slot or a kept profile entry may pull away from the
-    // table's top row), and quarantine is stamped `clear` because a
-    // blocked class would have failed fast before reaching the decision.
-    let mut record = cal.explain(&input, domain);
-    drop(cal);
-    record.winner = decision.scheme;
-    record.explored = decision.explored;
-    record.rechecked = decision.rechecked;
-    record.quarantine = GateVerdict::declined("clear");
-    shared.telemetry.record_decision(first.sig.0, record);
-    decision
-}
-
-/// A fusion decision for one fusable group: which scheme sweeps, in which
-/// functioning domain, at what raw (uncorrected) predicted cost — the
-/// calibration sample the sweep's measurement is compared against.
-struct FusePlan {
-    scheme: Scheme,
-    domain: DomainKey,
-    predicted_units: f64,
-    /// The fanout-K model input the prediction was made from (kept for
-    /// the post-sweep calibration sample).
-    input: ModelInput,
-}
-
-/// The calibrated fusion gate.  A group of K ≥ 2 same-pattern jobs fuses
-/// when the corrected fanout-K model picks `hash` (the analytically
-/// validated regime of PR 2 — one table probe feeds all K outputs), **or**
-/// when it picks another software scheme *and* measured fused-side
-/// evidence backs that prediction and the corrected fused cost beats K
-/// split traversals.  Declined groups occasionally run fused anyway as
-/// probes (`CalibrationConfig::probe_fused_every`) so the fused side of
-/// the `ll`/`rep` regimes can be measured at all.
-fn plan_fusion(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    group: &[QueuedJob],
-    default_threads: usize,
-) -> Option<FusePlan> {
-    // Each branch stamps its verdict on the class's decision record
-    // (`docs/OBSERVABILITY.md` lists the reason vocabulary).
-    let verdict = |v: GateVerdict| {
-        shared
-            .telemetry
-            .amend_decision(group[0].sig.0, move |r| r.fusion = v);
-    };
-    if group.len() < 2 {
-        verdict(GateVerdict::declined("group-of-one"));
-        return None;
-    }
-    let k = group.len();
-    let threads = group[0].spec.threads.unwrap_or(default_threads).max(1);
-    let insp = cache.analyze(&group[0].spec.pattern, threads, &shared.stats);
-    let domain = DomainKey::of(&insp.chars);
-    let input = ModelInput::from_inspection(&insp, group[0].spec.lw_feasible);
-    let cal = shared.calibrator();
-    let fused_rank = cal.rank_fused(&input, k, domain);
-    let Some(&(scheme, fused_cost)) = fused_rank
-        .iter()
-        .find(|(s, c)| s.is_software() && c.is_finite())
-    else {
-        drop(cal);
-        verdict(GateVerdict::declined("no-feasible-scheme"));
-        return None;
-    };
-    let fused_input = input.clone().with_fanout(k);
-    let predicted_units = cal.model.predict(scheme, &fused_input);
-    let fuse_reason = if scheme == Scheme::Hash {
-        Some("hash-trusted")
-    } else {
-        let split_best = cal
-            .rank(&input, domain)
-            .first()
-            .map_or(f64::INFINITY, |r| r.1);
-        (cal.fused_evidence(scheme, domain) && fused_cost < k as f64 * split_best)
-            .then_some("measured-evidence")
-    };
-    drop(cal);
-    if let Some(reason) = fuse_reason {
-        verdict(GateVerdict::fired(reason));
-        return Some(FusePlan {
-            scheme,
-            domain,
-            predicted_units,
-            input: fused_input,
-        });
-    }
-    if shared.probe_fused_every > 0 {
-        let n = shared.declined_fuses.fetch_add(1, Ordering::Relaxed);
-        if (n + 1).is_multiple_of(shared.probe_fused_every as u64) {
-            RuntimeStats::add(&shared.stats.fuse_probes, 1);
-            verdict(GateVerdict::fired("probe"));
-            return Some(FusePlan {
-                scheme,
-                domain,
-                predicted_units,
-                input: fused_input,
-            });
-        }
-    }
-    verdict(GateVerdict::declined("no-fused-evidence"));
-    None
-}
-
-/// Partition a same-signature batch into fusable groups: members of one
-/// group reduce over the *same* pattern allocation with the same element
-/// flavor, SPMD width, `lw` feasibility, and uniform-body declaration,
-/// so they can legally share one traversal (and one simplification
-/// verdict).  Groups are capped at `max_fuse`; first-seen order is
-/// preserved, so `batch[0]` leads the first group.
-fn fuse_groups(
-    batch: Vec<QueuedJob>,
-    max_fuse: usize,
-    default_threads: usize,
-) -> Vec<Vec<QueuedJob>> {
-    type FuseKey = (usize, bool, usize, bool, bool);
-    let mut keyed: Vec<(FuseKey, Vec<QueuedJob>)> = Vec::new();
-    for job in batch {
-        let key: FuseKey = (
-            Arc::as_ptr(&job.spec.pattern) as usize,
-            matches!(job.spec.body, JobBody::F64(_)),
-            job.spec.threads.unwrap_or(default_threads).max(1),
-            job.spec.lw_feasible,
-            job.spec.uniform_body,
-        );
-        match keyed.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, group)) => group.push(job),
-            None => keyed.push((key, vec![job])),
-        }
-    }
-    let cap = max_fuse.max(1);
-    let mut groups = Vec::new();
-    for (_, mut jobs) in keyed {
-        while jobs.len() > cap {
-            let rest = jobs.split_off(cap);
-            groups.push(std::mem::replace(&mut jobs, rest));
-        }
-        groups.push(jobs);
-    }
-    groups
-}
-
-/// The pre-scheduling simplification pass, run per fusable group before
-/// the fusion gate.  Returns `None` when the group executed through the
-/// rewritten plan (outputs delivered, nothing left to do) and
-/// `Some(group)` to pass it through to the normal fusion/per-job
-/// pipeline untouched.
-///
-/// Eligibility is opt-in: only jobs *declaring* an iteration-uniform
-/// body ([`JobSpec::with_uniform_body`]) are considered; everything
-/// else bypasses the pass without touching its counters.  The pipeline:
-///
-/// 1. A persisted negative verdict (a `simp <sig> 0` record in the
-///    profile store) short-circuits the structural walk — structurally
-///    rejected classes stay rejected across restarts.  Positive or
-///    absent verdicts never skip the walk: signatures can collide, so a
-///    stale `1` may cost a wasted walk but can never mis-rewrite.
-/// 2. The recognizer walks the CSR pattern (positive walks cached per
-///    allocation in [`ScanCache`]); a match means every iteration's
-///    references form one ascending contiguous run and the cost guard
-///    accepted the original-vs-rewritten work ratio.
-/// 3. The uniform-body declaration is probed ([`probe_uniform`],
-///    defense in depth): sampled rows are evaluated across *all* their
-///    slots; a refuted declaration loses the rewrite, never the answer.
-/// 4. The whole group runs as K difference arrays over one row walk
-///    plus one prefix scan per output ([`run_scan_group`]) under
-///    `catch_unwind`; a panic falls back to the normal path, whose own
-///    fences report it as the job's error.
-///
-/// A simplified execution reports [`Scheme::Seq`] (sequential
-/// semantics, deterministic order), feeds the calibrator a sample
-/// priced in *rewritten-plan* units, and never feeds the profile store:
-/// the store holds scheme-sweep truth, and the rewritten plan is a
-/// different operating point.
-fn try_simplify(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    scans: &mut ScanCache,
-    ctx: &mut BatchCtx,
-    group: Vec<QueuedJob>,
-) -> Option<Vec<QueuedJob>> {
-    // Time this gate spends before handing the group back (recognizer
-    // walk, uniformity probe, an abandoned scan) is charged to the
-    // group's `simplify` stage, not buried in `exec`.
-    ctx.simplify_probe_ns = 0;
-    if !shared.simplify || !group[0].spec.uniform_body {
-        return Some(group);
-    }
-    let sig = ctx.sig;
-    let verdict = move |v: GateVerdict| {
-        shared
-            .telemetry
-            .amend_decision(sig.0, move |r| r.simplify = v);
-    };
-    let k = group.len();
-    let reject = |n: usize| RuntimeStats::add(&shared.stats.simplify_rejects, n as u64);
-    {
-        let store = shared.profile.lock().unwrap_or_else(|p| p.into_inner());
-        if store.scan_verdict(ctx.sig) == Some(false) {
-            drop(store);
-            verdict(GateVerdict::declined("persisted-negative"));
-            reject(k);
-            return Some(group);
-        }
-    }
-    let gate_t0 = Instant::now();
-    let pat = group[0].spec.pattern.clone();
-    let m = match scans.lookup(&pat) {
-        Some(m) => m,
-        None => match recognize(&pat, &CostGuard::default()) {
-            Ok(m) => {
-                scans.insert(&pat, m);
-                shared
-                    .profile
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .set_scan_verdict(ctx.sig, true);
-                m
-            }
-            Err(_) => {
-                // Every `Reject` variant is structural (pattern-only),
-                // so the verdict is safe to persist per signature.
-                shared
-                    .profile
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .set_scan_verdict(ctx.sig, false);
-                ctx.simplify_probe_ns = gate_t0.elapsed().as_nanos() as u64;
-                verdict(GateVerdict::declined("recognizer-miss"));
-                reject(k);
-                return Some(group);
-            }
-        },
-    };
-    let recognize_ns = gate_t0.elapsed().as_nanos() as u64;
-    let t0 = Instant::now();
-    let work =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &group[0].spec.body {
-            JobBody::F64(_) => {
-                let bodies: Vec<FusedBody<'_, f64>> = group
-                    .iter()
-                    .map(|j| match &j.spec.body {
-                        JobBody::F64(f) => &**f as FusedBody<'_, f64>,
-                        JobBody::I64(_) => unreachable!("fuse group mixes flavors"),
-                    })
-                    .collect();
-                let probe_t0 = Instant::now();
-                if bodies.iter().any(|b| !probe_uniform(&pat, *b)) {
-                    return None;
-                }
-                let probe_ns = probe_t0.elapsed().as_nanos() as u64;
-                Some((
-                    run_scan_group(&pat, &bodies)
-                        .into_iter()
-                        .map(JobOutput::F64)
-                        .collect::<Vec<_>>(),
-                    probe_ns,
-                ))
-            }
-            JobBody::I64(_) => {
-                let bodies: Vec<FusedBody<'_, i64>> = group
-                    .iter()
-                    .map(|j| match &j.spec.body {
-                        JobBody::I64(f) => &**f as FusedBody<'_, i64>,
-                        JobBody::F64(_) => unreachable!("fuse group mixes flavors"),
-                    })
-                    .collect();
-                let probe_t0 = Instant::now();
-                if bodies.iter().any(|b| !probe_uniform(&pat, *b)) {
-                    return None;
-                }
-                let probe_ns = probe_t0.elapsed().as_nanos() as u64;
-                Some((
-                    run_scan_group(&pat, &bodies)
-                        .into_iter()
-                        .map(JobOutput::I64)
-                        .collect::<Vec<_>>(),
-                    probe_ns,
-                ))
-            }
-        }));
-    let elapsed = t0.elapsed();
-    let executed_at = Instant::now();
-    // A panicking body — or one refuting its uniformity declaration —
-    // loses the rewrite, never the answer: the group re-runs through
-    // the normal path, whose own catch_unwind reports any panic as the
-    // job's error.  Body-specific outcomes are never persisted (only
-    // structural walks are).
-    let (outputs, probe_ns) = match work {
-        Err(_) => {
-            ctx.simplify_probe_ns = recognize_ns + elapsed.as_nanos() as u64;
-            verdict(GateVerdict::declined("panicked"));
-            reject(k);
-            return Some(group);
-        }
-        Ok(None) => {
-            ctx.simplify_probe_ns = recognize_ns + elapsed.as_nanos() as u64;
-            verdict(GateVerdict::declined("probe-refuted"));
-            reject(k);
-            return Some(group);
-        }
-        Ok(Some(out)) => out,
-    };
-    debug_assert_eq!(outputs.len(), k);
-    RuntimeStats::add(&shared.stats.simplified_jobs, k as u64);
-    shared
-        .telemetry
-        .record_simplify(m.shape.label(), elapsed.as_nanos() as u64);
-    // Calibrator sample priced against the *rewritten* plan (one
-    // difference-array post per iteration plus one scan, per member) —
-    // learning never pays a fresh inspection, mirroring the per-job
-    // path.
-    let threads = group[0].spec.threads.unwrap_or(shared.pool.width()).max(1);
-    if let Some(insp) = cache.peek(&pat, threads) {
-        let domain = DomainKey::of(&insp.chars);
-        let input = ModelInput::from_inspection(&insp, group[0].spec.lw_feasible);
-        shared.learn(
-            Scheme::Seq,
-            domain,
-            false,
-            Some((m.rewritten_ops * k) as f64),
-            &input,
-            elapsed,
-        );
-    }
-    // A clean scan means every body in the group ran clean.
-    shared.note_clean(ctx.sig);
-    // Provenance: the gate fired under the recognized shape, and the
-    // scan backend (not any scheme sweep) ran the group.  The recognizer
-    // walk plus the uniformity probe is the `simplify` stage; the scan
-    // itself stays in `exec`.
-    shared.telemetry.amend_decision(ctx.sig.0, |r| {
-        r.simplify = GateVerdict::fired(m.shape.label());
-        r.backend = "scan";
-    });
-    let simplify_ns = recognize_ns + probe_ns;
-    for (job, output) in group.into_iter().zip(outputs) {
-        RuntimeStats::add(&shared.stats.completed, 1);
-        let tel = &shared.telemetry;
-        let record = tel.decision(job.sig.0);
-        tel.record_lifecycle(
-            &TraceEvent {
-                signature: job.sig.0,
-                submitted_ns: tel.instant_ns(job.submitted_at),
-                queued_ns: tel.instant_ns(ctx.dequeued_at),
-                decided_ns: tel.instant_ns(ctx.decided_at),
-                executed_ns: tel.instant_ns(executed_at),
-                completed_ns: tel.now_ns(),
-                scheme: scheme_code(Scheme::Seq),
-                backend: TraceBackend::Scan,
-                error: TraceError::None,
-                fused: k.min(u16::MAX as usize) as u16,
-                simplify_ns,
-            },
-            record,
-        );
-        job.sink.complete(
-            job.sig,
-            JobResult {
-                output,
-                scheme: Scheme::Seq,
-                elapsed,
-                sim_cycles: None,
-                // The rewrite came from the recognizer, not the store.
-                profile_hit: false,
-                batched_with: ctx.batched_with,
-                fused_with: k - 1,
-                error: None,
-            },
-        );
-    }
-    None
-}
-
-fn process_batch(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    scans: &mut ScanCache,
-    batch: Vec<QueuedJob>,
-) {
-    let sig = batch[0].sig;
-    let dequeued_at = Instant::now();
-    let batched_with = batch.len() - 1;
-    RuntimeStats::add(&shared.stats.batches, 1);
-    RuntimeStats::add(&shared.stats.coalesced, batched_with as u64);
-
-    // Poisoned-class quarantine: a class whose bodies panicked
-    // `quarantine_after` times in a row fails fast — no inspection, no
-    // decision, no worker sweep — until unquarantined or TTL-expired.
-    if let Some(count) = shared.quarantine_blocked(sig) {
-        for job in batch {
-            RuntimeStats::add(&shared.stats.quarantined, 1);
-            RuntimeStats::add(&shared.stats.completed, 1);
-            trace_unexecuted(shared, &job, dequeued_at, TraceError::Quarantined);
-            job.sink.complete(
-                sig,
-                JobResult {
-                    output: empty_output(&job.spec.body),
-                    scheme: Scheme::Seq,
-                    elapsed: std::time::Duration::ZERO,
-                    sim_cycles: None,
-                    profile_hit: false,
-                    batched_with,
-                    fused_with: 0,
-                    error: Some(JobError::quarantined(count)),
-                },
-            );
-        }
-        return;
-    }
-
-    // One scheme decision per batch: profile hit, or inspect + model.
-    let profiled = shared
-        .profile
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .get(sig)
-        .cloned();
-    let profile_hit = profiled.is_some();
-    if profile_hit {
-        RuntimeStats::add(&shared.stats.profile_hits, 1);
-    }
-
-    let default_threads = shared.pool.width();
-    let groups = fuse_groups(batch, shared.max_fuse, default_threads);
-
-    // Nothing job-derived may unwind the dispatcher (that would hang every
-    // pending handle): the decision — which may run the inspector over an
-    // arbitrary client pattern — is fenced just like execution below.
-    let batch_scheme = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        decide_batch(
-            shared,
-            cache,
-            &groups[0][0],
-            profiled.as_ref(),
-            default_threads,
-        )
-    }));
-    let decided_at = Instant::now();
-    let decision = match batch_scheme {
-        Ok(s) => s,
-        Err(payload) => {
-            // The whole batch shares the poisoned decision input; fail it
-            // (one poisoned decision = one strike against the class).
-            shared.note_panic(sig);
-            let msg = format!("scheme decision panicked: {}", panic_message(&*payload));
-            for job in groups.into_iter().flatten() {
-                RuntimeStats::add(&shared.stats.completed, 1);
-                trace_unexecuted(shared, &job, dequeued_at, TraceError::Panicked);
-                job.sink.complete(
-                    sig,
-                    JobResult {
-                        output: empty_output(&job.spec.body),
-                        scheme: Scheme::Seq,
-                        elapsed: std::time::Duration::ZERO,
-                        sim_cycles: None,
-                        profile_hit: false,
-                        batched_with,
-                        fused_with: 0,
-                        error: Some(JobError::panic(msg.clone())),
-                    },
-                );
-            }
-            return;
-        }
-    };
-
-    // The decision latency belongs to the scheme it picked; every member
-    // waited from its own submission until this pop.
-    let tel = &shared.telemetry;
-    tel.record_decide(
-        decision.scheme,
-        decided_at.duration_since(dequeued_at).as_nanos() as u64,
-    );
-    for job in groups.iter().flatten() {
-        tel.record_queue_wait(
-            decision.scheme,
-            dequeued_at
-                .saturating_duration_since(job.submitted_at)
-                .as_nanos() as u64,
-        );
-    }
-
-    let mut ctx = BatchCtx {
-        sig,
-        batched_with,
-        dequeued_at,
-        decided_at,
-        // A recheck that evicted the entry turns this batch back into a
-        // model decision (its executions record fresh profile truth);
-        // an exploration pick likewise did not come from the store, so
-        // neither may report `profile_hit` to clients.
-        profile_hit: profile_hit && !decision.rechecked && !decision.explored,
-        profiled: if decision.rechecked || decision.explored {
-            None
-        } else {
-            profiled
-        },
-        evicted_this_batch: false,
-        explored: decision.explored,
-        simplify_probe_ns: 0,
-    };
-    if decision.rechecked {
-        let mut store = shared.profile.lock().unwrap_or_else(|p| p.into_inner());
-        store.evict(sig);
-        RuntimeStats::add(&shared.stats.evictions, 1);
-    }
-    let batch_scheme = decision.scheme;
-    for group in groups {
-        // Simplification pass (see `try_simplify`): a declared-uniform
-        // group whose pattern is a recognized scan/window family runs the
-        // rewritten difference-array plan instead of any scheme sweep.
-        let group = match try_simplify(shared, cache, scans, &mut ctx, group) {
-            None => continue,
-            Some(group) => group,
-        };
-        // Fusion gate (see `plan_fusion`): calibrated fused-vs-split
-        // comparison, `hash` analytically trusted, other schemes only on
-        // measured fused-side evidence, occasional probes when declined.
-        let plan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan_fusion(shared, cache, &group, default_threads)
-        }))
-        .ok()
-        .flatten();
-        match plan {
-            Some(plan) => execute_fused(shared, cache, &mut ctx, batch_scheme, group, &plan),
-            None => {
-                for job in group {
-                    execute_single(shared, cache, &mut ctx, batch_scheme, job);
-                }
-            }
-        }
-    }
-}
-
-/// Trace a job that failed fast before any scheme ran (quarantine
-/// rejection, poisoned decision): the lifecycle stops at `queued`, the
-/// scheme tag is the "none chosen" code, and the error tag says why.
-fn trace_unexecuted(shared: &Shared, job: &QueuedJob, dequeued_at: Instant, error: TraceError) {
-    let tel = &shared.telemetry;
-    if error == TraceError::Quarantined {
-        tel.amend_decision(job.sig.0, |r| {
-            r.quarantine = GateVerdict::fired("panic-streak");
-        });
-    }
-    tel.record_lifecycle(
-        &TraceEvent {
-            signature: job.sig.0,
-            submitted_ns: tel.instant_ns(job.submitted_at),
-            queued_ns: tel.instant_ns(dequeued_at),
-            decided_ns: 0,
-            executed_ns: 0,
-            completed_ns: tel.now_ns(),
-            scheme: u8::MAX,
-            backend: TraceBackend::Software,
-            error,
-            fused: 0,
-            simplify_ns: 0,
-        },
-        tel.decision(job.sig.0),
-    );
-}
-
-/// Execute one job on its own traversal (the non-fused path), routing it
-/// to the scalar software backend, the vectorized SIMD backend (for
-/// [`Scheme::Simd`] decisions), or — for [`Scheme::Pclr`] decisions —
-/// the simulated hardware backend.
-fn execute_single(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    ctx: &mut BatchCtx,
-    batch_scheme: Scheme,
-    job: QueuedJob,
-) {
-    // The quarantine is re-checked per job, not only per batch: a class
-    // can cross the panic threshold *mid-batch* (or in a batch racing on
-    // a stolen shard), and every job dispatched after that must fail
-    // fast rather than re-run a body the ledger already condemned.
-    if let Some(count) = shared.quarantine_blocked(job.sig) {
-        RuntimeStats::add(&shared.stats.quarantined, 1);
-        RuntimeStats::add(&shared.stats.completed, 1);
-        trace_unexecuted(shared, &job, ctx.dequeued_at, TraceError::Quarantined);
-        job.sink.complete(
-            job.sig,
-            JobResult {
-                output: empty_output(&job.spec.body),
-                scheme: Scheme::Seq,
-                elapsed: Duration::ZERO,
-                sim_cycles: None,
-                profile_hit: false,
-                batched_with: ctx.batched_with,
-                fused_with: 0,
-                error: Some(JobError::quarantined(count)),
-            },
-        );
-        return;
-    }
-    let threads = job.spec.threads.unwrap_or(shared.pool.width()).max(1);
-    // A batch-mate (or stale profile) may have chosen a scheme this job
-    // cannot run: owner-computes where it is illegal, or the hardware
-    // scheme with the backend disabled or the job over its admission
-    // cap.  Such jobs re-decide with the offending scheme masked off.
-    let masked_lw = batch_scheme == Scheme::Lw && !job.spec.lw_feasible;
-    let masked_pclr = batch_scheme == Scheme::Pclr && !shared.pclr_admits(&job.spec.pattern);
-    let masked_simd = batch_scheme == Scheme::Simd && shared.simd.is_none();
-
-    // A *persisted* decision this service cannot execute (a hardware
-    // entry with the backend disabled, or a `simd` entry on a
-    // scalar-only service) is dead weight: re-decided executions never
-    // feed the store, so the entry would mask (and re-run the model)
-    // forever.  Evict it — the next batch misses the profile and
-    // records an executable scheme.
-    if (masked_pclr || masked_simd) && ctx.profile_hit && !ctx.evicted_this_batch {
-        let mut store = shared.profile.lock().unwrap_or_else(|p| p.into_inner());
-        store.evict(ctx.sig);
-        RuntimeStats::add(&shared.stats.evictions, 1);
-        ctx.evicted_this_batch = true;
-    }
-
-    // A panicking user body (or an inspector tripping over a malformed
-    // pattern) must not take the dispatcher down with it; the panic
-    // becomes the job's error and the service keeps draining.
-    let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let redecided = masked_lw || masked_pclr || masked_simd;
-        let scheme = if redecided {
-            let insp = cache.analyze(&job.spec.pattern, threads, &shared.stats);
-            let domain = DomainKey::of(&insp.chars);
-            let input = ModelInput::from_inspection(&insp, !masked_lw && job.spec.lw_feasible)
-                .with_pclr(!masked_pclr && shared.pclr_admits(&job.spec.pattern))
-                .with_simd(!masked_simd && shared.simd_admits(&insp.chars));
-            let cal = shared.calibrator();
-            let scheme = cal.rank(&input, domain)[0].0;
-            // A re-decide under a feasibility mask is a real ranking: it
-            // replaces the class's ledger record (whose candidate table
-            // shows the offending scheme as infeasible).
-            let mut record = cal.explain(&input, domain);
-            drop(cal);
-            record.winner = scheme;
-            record.quarantine = GateVerdict::declined("clear");
-            shared.telemetry.record_decision(job.sig.0, record);
-            scheme
-        } else {
-            batch_scheme
-        };
-        let insp = matches!(scheme, Scheme::Sel | Scheme::Lw)
-            .then(|| cache.analyze(&job.spec.pattern, threads, &shared.stats));
-        let req = ExecRequest {
-            pattern: &job.spec.pattern,
-            body: &job.spec.body,
-            threads,
-            scheme,
-            inspection: insp.as_ref(),
-        };
-        let backend: &dyn Backend = match (scheme, &shared.pclr, &shared.simd) {
-            (Scheme::Pclr, Some(pclr), _) => pclr,
-            (Scheme::Simd, _, Some(simd)) => simd,
-            _ => &shared.software,
-        };
-        debug_assert!(backend.supports(scheme), "{} vs {scheme}", backend.name());
-        let backend_t0 = Instant::now();
-        let outcome = backend.execute(&req);
-        (
-            outcome,
-            scheme,
-            redecided,
-            backend_t0.elapsed(),
-            backend.name(),
-        )
-    }));
-    let executed_at = Instant::now();
-
-    let (outcome, scheme, redecided, backend_wall, backend_name, error) = match work {
-        Ok((outcome, scheme, redecided, wall, name)) => {
-            (Some(outcome), scheme, redecided, wall, name, None)
-        }
-        Err(payload) => (
-            None,
-            batch_scheme,
-            false,
-            Duration::ZERO,
-            "software",
-            Some(JobError::panic(panic_message(&*payload))),
-        ),
-    };
-    // The cost sample the profile calibrates on: backend-reported
-    // (simulated time for pclr, wall time otherwise).
-    let elapsed = outcome.as_ref().map_or(Duration::ZERO, |o| o.cost);
-    let sim_cycles = outcome.as_ref().and_then(|o| o.sim_cycles);
-    let output = match outcome {
-        Some(o) => o.output,
-        None => empty_output(&job.spec.body),
-    };
-    if let Some(cycles) = sim_cycles {
-        RuntimeStats::add(&shared.stats.pclr_offloads, 1);
-        RuntimeStats::add(&shared.stats.sim_cycles, cycles);
-    }
-    if error.is_none() && scheme == Scheme::Simd {
-        RuntimeStats::add(&shared.stats.simd_offloads, 1);
-    }
-
-    // Quarantine ledger: a panicking body extends the class's streak; a
-    // clean execution wipes it.
-    match &error {
-        Some(e) if e.kind == crate::JobErrorKind::Panic => shared.note_panic(ctx.sig),
-        Some(_) => {}
-        None => shared.note_clean(ctx.sig),
-    }
-
-    // Close the measure→correct loop: every clean execution whose
-    // characterization is at hand (already cached — learning never pays a
-    // fresh inspection) reports a predicted-vs-measured sample to the
-    // calibrator, and software/simulated cost halves pair up to fit the
-    // PCLR cycle→ns conversion.
-    let mut class_label = None;
-    if error.is_none() {
-        if let Some(insp) = cache.peek(&job.spec.pattern, threads) {
-            let domain = DomainKey::of(&insp.chars);
-            class_label = Some(domain_label(&domain));
-            let input = ModelInput::from_inspection(&insp, job.spec.lw_feasible)
-                .with_pclr(scheme == Scheme::Pclr || shared.pclr_admits(&job.spec.pattern))
-                .with_simd(scheme == Scheme::Simd || shared.simd_admits(&insp.chars));
-            shared.learn(scheme, domain, false, None, &input, elapsed);
-        }
-        shared.pair_cycle_sample(
-            ctx.sig,
-            job.spec.pattern.num_references(),
-            elapsed.as_nanos() as f64,
-            sim_cycles,
-        );
-        shared
-            .telemetry
-            .record_exec(scheme, class_label.as_deref(), elapsed.as_nanos() as u64);
-        shared
-            .telemetry
-            .record_backend(backend_name, backend_wall.as_nanos() as u64, sim_cycles);
-    }
-
-    // Feed the profile only from clean, non-substituted, non-exploration
-    // executions (an exploration pick is a calibration sample, not the
-    // class's best-known scheme).
-    if error.is_none() && !redecided && !ctx.explored {
-        let refs = job.spec.pattern.num_references();
-        let mut store = shared.profile.lock().unwrap_or_else(|p| p.into_inner());
-        // Phase-change guard: a profiled class now running far slower
-        // than its calibration predicts is suspect.  A suspect sample is
-        // never recorded (keeping the calibration EMA clean), but a
-        // single one is treated as timing noise — only
-        // DRIFT_EVICT_STRIKES *consecutive* over-ratio samples read as a
-        // phase change, evicting the entry so the next batch misses the
-        // profile and re-inspects instead of trusting stale history.
-        let suspect = !ctx.evicted_this_batch
-            && ctx.profiled.as_ref().is_some_and(|entry| {
-                entry.runs >= DRIFT_MIN_RUNS
-                    && elapsed.as_secs_f64() > DRIFT_EVICT_RATIO * entry.predict(refs).as_secs_f64()
-            });
-        if suspect {
-            if store.drift_strike(ctx.sig) >= DRIFT_EVICT_STRIKES {
-                store.evict(ctx.sig);
-                RuntimeStats::add(&shared.stats.evictions, 1);
-                ctx.evicted_this_batch = true;
-            }
-        } else if !ctx.evicted_this_batch {
-            store.clear_drift(ctx.sig);
-            store.record(ctx.sig, scheme, threads, refs, elapsed);
-        }
-    }
-
-    let tel = &shared.telemetry;
-    tel.amend_decision(job.sig.0, |r| r.backend = backend_name);
-    tel.record_lifecycle(
-        &TraceEvent {
-            signature: job.sig.0,
-            submitted_ns: tel.instant_ns(job.submitted_at),
-            queued_ns: tel.instant_ns(ctx.dequeued_at),
-            decided_ns: tel.instant_ns(ctx.decided_at),
-            executed_ns: tel.instant_ns(executed_at),
-            completed_ns: tel.now_ns(),
-            scheme: scheme_code(scheme),
-            // Tagged from the backend that actually ran the job, so simd
-            // executions are distinguishable from software in ring dumps.
-            backend: match backend_name {
-                "pclr" => TraceBackend::Pclr,
-                "simd" => TraceBackend::Simd,
-                _ => TraceBackend::Software,
-            },
-            error: if error.is_some() {
-                TraceError::Panicked
-            } else {
-                TraceError::None
-            },
-            fused: 1,
-            simplify_ns: ctx.simplify_probe_ns,
-        },
-        tel.decision(job.sig.0),
-    );
-
-    // Bump counters before waking the sink so a client that reads
-    // stats right after `wait()` never sees its own job missing.
-    RuntimeStats::add(&shared.stats.completed, 1);
-    job.sink.complete(
-        job.sig,
-        JobResult {
-            output,
-            scheme,
-            elapsed,
-            sim_cycles,
-            // This job's decision came from the store only if it was not
-            // re-decided under a feasibility mask.
-            profile_hit: ctx.profile_hit && !redecided,
-            batched_with: ctx.batched_with,
-            fused_with: 0,
-            error,
-        },
-    );
-}
-
-/// Execute a fusable group (same pattern, flavor, width, `lw` mask) as one
-/// fused sweep: one traversal of the pattern accumulating every member's
-/// output through stride-K private storage — the gate in [`plan_fusion`]
-/// picked the sweeping scheme (the analytically validated `hash`, or
-/// another software scheme backed by measured fused-side evidence, or a
-/// calibration probe).  The sweep feeds the *calibrator* (a fused
-/// predicted-vs-measured sample) but not the profile store: the store
-/// holds single-job truth, and a fanout-K decision belongs to a different
-/// operating point.  If any body panics the sweep is abandoned and the
-/// group falls back to isolated per-job execution, so a poisoned body
-/// fails alone instead of taking its group-mates' results with it.
-fn execute_fused(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    ctx: &mut BatchCtx,
-    batch_scheme: Scheme,
-    group: Vec<QueuedJob>,
-    plan: &FusePlan,
-) {
-    let k = group.len();
-    let threads = group[0].spec.threads.unwrap_or(shared.pool.width()).max(1);
-    let pat = group[0].spec.pattern.clone();
-    let pool: &WorkerPool = &shared.pool;
-    let scheme = plan.scheme;
-    let t0 = Instant::now();
-    let work = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // `sel`/`lw` sweeps need the inspector's analysis; it is already
-        // cached from the gate's own pass.
-        let insp = matches!(scheme, Scheme::Sel | Scheme::Lw)
-            .then(|| cache.analyze(&pat, threads, &shared.stats));
-        let outputs: Vec<JobOutput> = match &group[0].spec.body {
-            JobBody::F64(_) => {
-                let bodies: Vec<FusedBody<'_, f64>> = group
-                    .iter()
-                    .map(|j| match &j.spec.body {
-                        JobBody::F64(f) => &**f as FusedBody<'_, f64>,
-                        JobBody::I64(_) => unreachable!("fuse group mixes flavors"),
-                    })
-                    .collect();
-                run_fused_on(scheme, &pat, &bodies, threads, insp.as_ref(), pool)
-                    .into_iter()
-                    .map(JobOutput::F64)
-                    .collect()
-            }
-            JobBody::I64(_) => {
-                let bodies: Vec<FusedBody<'_, i64>> = group
-                    .iter()
-                    .map(|j| match &j.spec.body {
-                        JobBody::I64(f) => &**f as FusedBody<'_, i64>,
-                        JobBody::F64(_) => unreachable!("fuse group mixes flavors"),
-                    })
-                    .collect();
-                run_fused_on(scheme, &pat, &bodies, threads, insp.as_ref(), pool)
-                    .into_iter()
-                    .map(JobOutput::I64)
-                    .collect()
-            }
-        };
-        outputs
-    }));
-    let elapsed = t0.elapsed();
-    let executed_at = Instant::now();
-
-    match work {
-        Ok(outputs) => {
-            debug_assert_eq!(outputs.len(), k, "fused sweep lost outputs");
-            RuntimeStats::add(&shared.stats.fused_sweeps, 1);
-            // One sweep = one execution sample (the sweep's wall time,
-            // under the class of the gate's own characterization).
-            shared.telemetry.record_exec(
-                scheme,
-                Some(&domain_label(&plan.domain)),
-                elapsed.as_nanos() as u64,
-            );
-            // The fused-side calibration sample: what the fusion gate's
-            // fused-vs-split comparison learns from.
-            shared.learn(
-                scheme,
-                plan.domain,
-                true,
-                Some(plan.predicted_units),
-                &plan.input,
-                elapsed,
-            );
-            // A clean sweep means every body in the group ran clean.
-            shared.note_clean(ctx.sig);
-            shared
-                .telemetry
-                .amend_decision(ctx.sig.0, |r| r.backend = "software");
-            for (job, output) in group.into_iter().zip(outputs) {
-                // Counted per *completed* member, not `+= k` up front:
-                // the isolation fallback below re-runs members through
-                // `execute_single` (which never touches fused counters),
-                // so `fused_jobs` is exactly the jobs whose result
-                // reports `fused_with > 0` — a sweep abandoned by a
-                // panic contributes nothing.
-                RuntimeStats::add(&shared.stats.fused_jobs, 1);
-                RuntimeStats::add(&shared.stats.completed, 1);
-                let tel = &shared.telemetry;
-                tel.record_lifecycle(
-                    &TraceEvent {
-                        signature: job.sig.0,
-                        submitted_ns: tel.instant_ns(job.submitted_at),
-                        queued_ns: tel.instant_ns(ctx.dequeued_at),
-                        decided_ns: tel.instant_ns(ctx.decided_at),
-                        executed_ns: tel.instant_ns(executed_at),
-                        completed_ns: tel.now_ns(),
-                        scheme: scheme_code(scheme),
-                        backend: TraceBackend::Software,
-                        error: TraceError::None,
-                        fused: k.min(u16::MAX as usize) as u16,
-                        simplify_ns: ctx.simplify_probe_ns,
-                    },
-                    tel.decision(job.sig.0),
-                );
-                job.sink.complete(
-                    job.sig,
-                    JobResult {
-                        output,
-                        scheme,
-                        elapsed,
-                        sim_cycles: None,
-                        // The fused scheme came from the fanout-aware model,
-                        // not the store.
-                        profile_hit: false,
-                        batched_with: ctx.batched_with,
-                        fused_with: k - 1,
-                        error: None,
-                    },
-                );
-            }
-        }
-        Err(_) => {
-            // Isolation fallback: re-run each member alone (behind the
-            // batch's own per-job decision) so only the panicking body
-            // reports an error.
-            for job in group {
-                execute_single(shared, cache, ctx, batch_scheme, job);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::dispatch::DRIFT_MIN_RUNS;
     use crate::error::JobErrorKind;
+    use smartapps_core::GateVerdict;
+    use smartapps_reductions::Inspector;
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
     use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
     use std::time::Duration;
 
-    fn pattern(seed: u64) -> Arc<smartapps_workloads::AccessPattern> {
+    pub(crate) fn pattern(seed: u64) -> Arc<smartapps_workloads::AccessPattern> {
         Arc::new(
             PatternSpec {
                 num_elements: 1500,
@@ -2213,7 +931,7 @@ mod tests {
 
     /// A class sparse enough that the fanout-aware model sends fused
     /// groups (K >= 5, any width) to the hash kernel.
-    fn sparse_pattern(seed: u64) -> Arc<smartapps_workloads::AccessPattern> {
+    pub(crate) fn sparse_pattern(seed: u64) -> Arc<smartapps_workloads::AccessPattern> {
         Arc::new(
             PatternSpec {
                 num_elements: 400_000,
@@ -2225,107 +943,6 @@ mod tests {
             }
             .generate(),
         )
-    }
-
-    #[test]
-    fn fused_group_outputs_match_per_body_oracles() {
-        // One dispatcher, deterministic fusing: occupy it with a large
-        // warm-up job, then queue K same-pattern sparse jobs with K
-        // different bodies — they must coalesce into one batch and pass
-        // the fusion gate (sparse + fanout => hash) as one sweep.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 3,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let big = Arc::new(
-            PatternSpec {
-                num_elements: 60_000,
-                iterations: 1_200_000,
-                refs_per_iter: 2,
-                coverage: 1.0,
-                dist: Distribution::Uniform,
-                seed: 91,
-            }
-            .generate(),
-        );
-        let warm = rt.submit(JobSpec::i64(big, |_i, r| contribution_i64(r)));
-        let pat = sparse_pattern(61);
-        let handles: Vec<JobHandle> = (0..6)
-            .map(|kk| {
-                let scale = kk as i64 + 1;
-                rt.submit(JobSpec::i64(pat.clone(), move |_i, r| {
-                    contribution_i64(r).wrapping_mul(scale)
-                }))
-            })
-            .collect();
-        warm.wait();
-        let base = sequential_reduce_i64(&pat);
-        for (kk, h) in handles.into_iter().enumerate() {
-            let r = h.wait();
-            assert!(r.error.is_none());
-            let scale = kk as i64 + 1;
-            let expect: Vec<i64> = base.iter().map(|v| v.wrapping_mul(scale)).collect();
-            assert_eq!(r.output.as_i64().unwrap(), expect, "fused output {kk}");
-            assert_eq!(r.fused_with, 5, "all six must share one sweep");
-            assert_eq!(r.batched_with, 5);
-            assert_eq!(r.scheme, Scheme::Hash, "fusion gate only admits hash");
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.fused_sweeps, 1);
-        assert_eq!(stats.fused_jobs, 6);
-    }
-
-    #[test]
-    fn max_fuse_one_disables_fusion() {
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            max_fuse: 1,
-            ..RuntimeConfig::default()
-        });
-        let pat = sparse_pattern(63);
-        let handles = rt.submit_batch(
-            (0..6)
-                .map(|_| JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)))
-                .collect(),
-        );
-        let oracle = sequential_reduce_i64(&pat);
-        for h in handles {
-            let r = h.wait();
-            assert_eq!(r.output.as_i64().unwrap(), oracle);
-            assert_eq!(r.fused_with, 0, "max_fuse 1 must never fuse");
-        }
-        assert_eq!(rt.stats().fused_sweeps, 0);
-    }
-
-    #[test]
-    fn dense_groups_do_not_pass_the_fusion_gate() {
-        // Dense cache-resident classes lose by fusing (K-fold private
-        // footprints); the gate must route them per-job even when the
-        // batch coalesces.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let pat = pattern(63);
-        let handles = rt.submit_batch(
-            (0..6)
-                .map(|_| JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)))
-                .collect(),
-        );
-        let oracle = sequential_reduce_i64(&pat);
-        for h in handles {
-            let r = h.wait();
-            assert_eq!(r.output.as_i64().unwrap(), oracle);
-            assert_eq!(r.fused_with, 0, "dense class must not fuse");
-        }
-        assert_eq!(rt.stats().fused_sweeps, 0);
     }
 
     #[test]
@@ -2600,33 +1217,6 @@ mod tests {
     }
 
     #[test]
-    fn inspection_cache_reuses_and_revalidates() {
-        let stats = RuntimeStats::default();
-        let mut cache = InspectionCache::new(4);
-        let pat = pattern(31);
-        cache.analyze(&pat, 3, &stats);
-        cache.analyze(&pat, 3, &stats);
-        cache.analyze(&pat, 3, &stats);
-        assert_eq!(stats.snapshot().inspections, 1, "same Arc + width must hit");
-        cache.analyze(&pat, 2, &stats);
-        assert_eq!(stats.snapshot().inspections, 2, "new width must analyze");
-        // A dead Arc whose address gets reused must not serve a stale
-        // inspection: the Weak upgrade guard forces a fresh analysis.
-        let addr = Arc::as_ptr(&pat) as usize;
-        drop(pat);
-        let mut fresh = pattern(32);
-        for _ in 0..64 {
-            if Arc::as_ptr(&fresh) as usize == addr {
-                break;
-            }
-            fresh = pattern(32);
-        }
-        let before = stats.snapshot().inspections;
-        cache.analyze(&fresh, 3, &stats);
-        assert_eq!(stats.snapshot().inspections, before + 1);
-    }
-
-    #[test]
     fn telemetry_records_lifecycle_and_exec_histograms() {
         let rt = Runtime::with_workers(2);
         let pat = pattern(91);
@@ -2653,38 +1243,6 @@ mod tests {
             assert!(e.fused >= 1);
         }
         rt.shutdown();
-    }
-
-    #[test]
-    fn fuse_groups_split_by_pattern_flavor_and_cap() {
-        let pat_a = pattern(71);
-        let pat_b = pattern(72);
-        let mk = |spec: JobSpec| QueuedJob {
-            sig: PatternSignature(1),
-            sink: CompletionSink::Handle(JobState::new()),
-            spec,
-            submitted_at: Instant::now(),
-        };
-        let batch = vec![
-            mk(JobSpec::i64(pat_a.clone(), |_i, r| contribution_i64(r))),
-            mk(JobSpec::i64(pat_a.clone(), |_i, r| contribution_i64(r))),
-            mk(JobSpec::f64(pat_a.clone(), |_i, r| contribution(r))),
-            mk(JobSpec::i64(pat_b.clone(), |_i, r| contribution_i64(r))),
-            mk(JobSpec::i64(pat_a.clone(), |_i, r| contribution_i64(r))),
-        ];
-        let groups = fuse_groups(batch, 8, 4);
-        // i64-on-A x3, f64-on-A x1, i64-on-B x1.
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].len(), 3);
-        assert_eq!(groups[1].len(), 1);
-        assert_eq!(groups[2].len(), 1);
-        // The cap splits oversized groups.
-        let batch: Vec<QueuedJob> = (0..7)
-            .map(|_| mk(JobSpec::i64(pat_a.clone(), |_i, r| contribution_i64(r))))
-            .collect();
-        let groups = fuse_groups(batch, 3, 4);
-        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
-        assert_eq!(sizes, vec![3, 3, 1]);
     }
 
     /// A model whose PCLR formula is free: every admitted class decides
@@ -3279,59 +1837,343 @@ mod tests {
         assert!(rt.quarantined_with_ttl().is_empty());
     }
 
+    /// The exit a token is expected to leave by (`docs/ARCHITECTURE.md`,
+    /// "Job exits").
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Via {
+        Rejected,
+        Shutdown,
+        Quarantined,
+        DecisionPanicked,
+        BodyPanicked,
+        /// Member of a scan-rewritten group of K.
+        Scan(usize),
+        /// Member of a fused sweep of K.
+        Fused(usize),
+        Single,
+    }
+
+    /// Drain `set`: every token completes exactly once, and the moment a
+    /// completion is observed `completed` already counts it.
+    fn drain(
+        rt: &Runtime,
+        set: &CompletionSet,
+        seen: &mut std::collections::HashMap<u64, Completion>,
+    ) {
+        while let Some(c) = set.wait_any() {
+            let token = c.token;
+            assert!(
+                seen.insert(token, c).is_none(),
+                "token {token} delivered twice"
+            );
+            assert!(
+                rt.stats().completed >= seen.len() as u64,
+                "token {token} observed before it was counted"
+            );
+        }
+        assert_eq!(set.in_flight(), 0);
+    }
+
+    /// Check every token's `JobResult` against the conventions of its
+    /// exit, and the trace ring against exactly one event per dispatched
+    /// job carrying that exit's scheme/backend/error/fused tags.
+    fn check_exits(
+        rt: &Runtime,
+        seen: &std::collections::HashMap<u64, Completion>,
+        expect: &[(u64, Via)],
+    ) {
+        use crate::telemetry::scheme_code;
+        use smartapps_telemetry::{TraceBackend, TraceError};
+        assert_eq!(seen.len(), expect.len(), "exactly one completion per token");
+        let mut traced = Vec::new();
+        for &(token, via) in expect {
+            let c = &seen[&token];
+            let r = &c.result;
+            let kind = r.error.as_ref().map(|e| e.kind);
+            let ctx = format!("token {token} via {via:?}: {r:?}");
+            assert!(r.fused_with <= r.batched_with, "{ctx}");
+            assert_eq!(c.signature == PatternSignature(0), via == Via::Rejected);
+            if kind.is_some() {
+                assert!(r.output.is_empty(), "{ctx}");
+                assert_eq!(r.elapsed, Duration::ZERO, "{ctx}");
+                assert_eq!(r.fused_with, 0, "{ctx}");
+            }
+            // Fail-fast exits never reach a kernel: `Seq`, no profile hit.
+            if !matches!(
+                via,
+                Via::BodyPanicked | Via::Scan(_) | Via::Fused(_) | Via::Single
+            ) {
+                assert_eq!(r.scheme, Scheme::Seq, "{ctx}");
+                assert!(!r.profile_hit, "{ctx}");
+            }
+            let ran = |backend, error, fused: usize| {
+                (
+                    c.signature.0,
+                    scheme_code(r.scheme),
+                    backend,
+                    error,
+                    fused as u16,
+                )
+            };
+            let unexecuted = |error| (c.signature.0, u8::MAX, TraceBackend::Software, error, 0);
+            match via {
+                Via::Rejected | Via::Shutdown => {
+                    let want = if via == Via::Rejected {
+                        JobErrorKind::Rejected
+                    } else {
+                        JobErrorKind::Shutdown
+                    };
+                    assert_eq!(kind, Some(want), "{ctx}");
+                    assert_eq!(r.batched_with, 0, "{ctx}");
+                }
+                Via::Quarantined => {
+                    assert_eq!(kind, Some(JobErrorKind::Quarantined), "{ctx}");
+                    traced.push(unexecuted(TraceError::Quarantined));
+                }
+                Via::DecisionPanicked => {
+                    assert_eq!(kind, Some(JobErrorKind::Panic), "{ctx}");
+                    assert!(r.error_message().unwrap().starts_with("scheme decision"));
+                    traced.push(unexecuted(TraceError::Panicked));
+                }
+                Via::BodyPanicked => {
+                    assert_eq!(kind, Some(JobErrorKind::Panic), "{ctx}");
+                    traced.push(ran(TraceBackend::Software, TraceError::Panicked, 1));
+                }
+                Via::Scan(k) => {
+                    assert_eq!(kind, None, "{ctx}");
+                    assert_eq!(r.scheme, Scheme::Seq, "{ctx}");
+                    assert!(!r.profile_hit, "{ctx}");
+                    assert_eq!(r.fused_with, k - 1, "{ctx}");
+                    traced.push(ran(TraceBackend::Scan, TraceError::None, k));
+                }
+                Via::Fused(k) => {
+                    assert_eq!(kind, None, "{ctx}");
+                    assert!(!r.profile_hit, "{ctx}");
+                    assert_eq!(r.fused_with, k - 1, "{ctx}");
+                    traced.push(ran(TraceBackend::Software, TraceError::None, k));
+                }
+                Via::Single => {
+                    assert_eq!(kind, None, "{ctx}");
+                    assert_eq!(r.fused_with, 0, "{ctx}");
+                    let backend = match r.scheme {
+                        Scheme::Simd => TraceBackend::Simd,
+                        _ => TraceBackend::Software,
+                    };
+                    traced.push(ran(backend, TraceError::None, 1));
+                }
+            }
+        }
+        let events = rt.telemetry().trace().snapshot();
+        for e in &events {
+            if e.fused == 0 {
+                assert_eq!((e.decided_ns, e.executed_ns, e.simplify_ns), (0, 0, 0));
+            } else {
+                assert!(e.queued_ns <= e.decided_ns && e.decided_ns <= e.executed_ns);
+            }
+            assert!(e.submitted_ns <= e.queued_ns && e.executed_ns <= e.completed_ns);
+        }
+        let mut ring: Vec<_> = events
+            .iter()
+            .map(|e| (e.signature, e.scheme, e.backend, e.error, e.fused))
+            .collect();
+        let key =
+            |t: &(u64, u8, TraceBackend, TraceError, u16)| (t.0, t.1, t.2 as u8, t.3 as u8, t.4);
+        ring.sort_by_key(key);
+        traced.sort_by_key(key);
+        assert_eq!(ring, traced, "one trace event per dispatched job");
+        let stats = rt.stats();
+        let fused_results = expect
+            .iter()
+            .filter(|(t, via)| !matches!(via, Via::Scan(_)) && seen[t].result.fused_with > 0)
+            .count();
+        assert_eq!(stats.fused_jobs, fused_results as u64);
+        let count = |pred: fn(&Via) -> bool| expect.iter().filter(|(_, v)| pred(v)).count() as u64;
+        assert_eq!(stats.simplified_jobs, count(|v| matches!(v, Via::Scan(_))));
+        assert_eq!(stats.quarantined, count(|v| *v == Via::Quarantined));
+        assert_eq!(stats.completed, expect.len() as u64);
+    }
+
+    /// A job big enough to keep a lone dispatcher busy while the jobs
+    /// behind it queue up and coalesce into one batch.
+    fn warm_up_spec(seed: u64) -> JobSpec {
+        let big = PatternSpec {
+            num_elements: 60_000,
+            iterations: 1_200_000,
+            refs_per_iter: 2,
+            coverage: 1.0,
+            dist: Distribution::Uniform,
+            seed,
+        };
+        JobSpec::i64(Arc::new(big.generate()), |_i, r| contribution_i64(r))
+    }
+
     #[test]
     fn submit_tagged_delivers_every_outcome_on_the_set() {
-        use crate::completion::CompletionSet;
         use std::collections::HashMap;
-
-        let rt = Runtime::with_workers(2);
-        let set = CompletionSet::with_capacity(64);
-        let pat = pattern(207);
+        let clean = |pat: &Arc<smartapps_workloads::AccessPattern>| {
+            JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r))
+        };
+        let poisoned = |pat: &Arc<smartapps_workloads::AccessPattern>| {
+            JobSpec::i64(pat.clone(), |_i, _r| panic!("bad"))
+        };
         let broken = Arc::new(smartapps_workloads::AccessPattern {
             num_elements: 2,
             iter_ptr: vec![0, 1],
             indices: vec![7],
         });
-        rt.submit_tagged(
-            JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)),
-            1,
-            &set,
-        );
-        rt.submit_tagged(JobSpec::i64(broken, |_i, _r| 1), 2, &set);
-        rt.submit_tagged(JobSpec::i64(pat.clone(), |_i, _r| panic!("bad")), 3, &set);
-        rt.submit_batch_tagged(
-            vec![
-                (4, JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r))),
-                (5, JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r))),
+
+        // Scalar-only service: single (software), rejected, body-panicked,
+        // a coalescing pair, a poisoned decision, and — last — the
+        // shutdown race.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            simd: false,
+            ..RuntimeConfig::default()
+        });
+        let set = CompletionSet::with_capacity(64);
+        let pat = pattern(207);
+        rt.submit_tagged(clean(&pat), 1, &set);
+        rt.submit_tagged(JobSpec::i64(broken.clone(), |_i, _r| 1), 2, &set);
+        rt.submit_tagged(poisoned(&pat), 3, &set);
+        rt.submit_batch_tagged(vec![(4, clean(&pat)), (5, clean(&pat))], &set);
+        // `validate()` keeps malformed patterns off the queue, so the
+        // only deterministic way to poison a *decision* (the inspector
+        // indexing out of bounds) is to queue one behind its back.
+        let queue = set.queue();
+        queue.register();
+        let smuggled = rt.shared.queue.push(QueuedJob {
+            spec: JobSpec::i64(broken, |_i, _r| 1),
+            sig: PatternSignature(0xbad),
+            sink: CompletionSink::Queue { token: 6, queue },
+            submitted_at: Instant::now(),
+        });
+        assert!(smuggled.is_ok());
+        let mut seen = HashMap::new();
+        drain(&rt, &set, &mut seen);
+        rt.begin_shutdown();
+        rt.submit_tagged(clean(&pat), 7, &set);
+        drain(&rt, &set, &mut seen);
+        check_exits(
+            &rt,
+            &seen,
+            &[
+                (1, Via::Single),
+                (2, Via::Rejected),
+                (3, Via::BodyPanicked),
+                (4, Via::Single),
+                (5, Via::Single),
+                (6, Via::DecisionPanicked),
+                (7, Via::Shutdown),
             ],
-            &set,
         );
-        let mut seen: HashMap<u64, Completion> = HashMap::new();
-        while let Some(c) = set.wait_any() {
-            assert!(
-                seen.insert(c.token, c.clone()).is_none(),
-                "token {} delivered twice",
-                c.token
-            );
-        }
-        assert_eq!(set.in_flight(), 0);
-        assert_eq!(seen.len(), 5, "exactly one completion per token");
         let oracle = sequential_reduce_i64(&pat);
         for t in [1u64, 4, 5] {
-            let c = &seen[&t];
-            assert!(c.result.error.is_none(), "token {t}: {:?}", c.result.error);
-            assert_eq!(c.result.output.as_i64().unwrap(), oracle);
-            assert_ne!(c.signature, PatternSignature(0));
+            assert_eq!(seen[&t].result.output.as_i64().unwrap(), oracle);
+            assert_ne!(seen[&t].result.scheme, Scheme::Simd, "scalar-only service");
+        }
+
+        // Quarantine: the first strike poisons the class mid-batch (its
+        // two batch-mates fail fast per job), the next batch fails whole.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            dispatchers: 1,
+            simd: false,
+            quarantine_after: 1,
+            quarantine_ttl: Duration::from_secs(3600),
+            ..RuntimeConfig::default()
+        });
+        let set = CompletionSet::with_capacity(64);
+        rt.submit_tagged(warm_up_spec(95), 10, &set);
+        rt.submit_tagged(poisoned(&pat), 11, &set);
+        rt.submit_batch_tagged(vec![(12, clean(&pat)), (13, clean(&pat))], &set);
+        let mut seen = HashMap::new();
+        drain(&rt, &set, &mut seen);
+        rt.submit_tagged(clean(&pat), 14, &set);
+        drain(&rt, &set, &mut seen);
+        check_exits(
+            &rt,
+            &seen,
+            &[
+                (10, Via::Single),
+                (11, Via::BodyPanicked),
+                (12, Via::Quarantined),
+                (13, Via::Quarantined),
+                (14, Via::Quarantined),
+            ],
+        );
+        for t in [11u64, 12, 13] {
+            assert_eq!(seen[&t].result.batched_with, 2, "one batch of three");
+        }
+        assert_eq!(seen[&14].result.batched_with, 0);
+
+        // Groups: a scan-rewritten group, a fused sweep, and a sweep
+        // abandoned to the isolation fallback by one panicking member.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 3,
+            dispatchers: 1,
+            ..RuntimeConfig::default()
+        });
+        let set = CompletionSet::with_capacity(64);
+        rt.submit_tagged(warm_up_spec(97), 20, &set);
+        let win = window_pattern(2048, 4096, 16, 3);
+        for t in 21..25 {
+            let spec = JobSpec::i64(win.clone(), move |i, _r| (i as i64).wrapping_mul(t as i64));
+            rt.submit_tagged(spec.with_uniform_body(true), t, &set);
+        }
+        let sparse = sparse_pattern(69);
+        for t in 30..36 {
+            rt.submit_tagged(clean(&sparse), t, &set);
+        }
+        let sparse_b = sparse_pattern(70);
+        for t in 40..46u64 {
+            let spec = JobSpec::i64(sparse_b.clone(), move |i, r| {
+                if t == 43 && i == 0 {
+                    panic!("poisoned member")
+                }
+                contribution_i64(r)
+            });
+            rt.submit_tagged(spec, t, &set);
+        }
+        let mut seen = HashMap::new();
+        drain(&rt, &set, &mut seen);
+        let mut expect = vec![(20, Via::Single)];
+        expect.extend((21..25).map(|t| (t, Via::Scan(4))));
+        expect.extend((30..36).map(|t| (t, Via::Fused(6))));
+        expect.extend((40..46).map(|t| {
+            (
+                t,
+                if t == 43 {
+                    Via::BodyPanicked
+                } else {
+                    Via::Single
+                },
+            )
+        }));
+        check_exits(&rt, &seen, &expect);
+        for t in 21..25u64 {
+            let want = direct_uniform_i64(&win, |i| (i as i64).wrapping_mul(t as i64));
+            assert_eq!(seen[&t].result.output.as_i64().unwrap(), want);
         }
         assert_eq!(
-            seen[&2].result.error.as_ref().unwrap().kind,
-            JobErrorKind::Rejected
+            rt.stats().fused_sweeps,
+            1,
+            "the abandoned sweep is not counted"
         );
-        assert_eq!(seen[&2].signature, PatternSignature(0));
-        assert_eq!(
-            seen[&3].result.error.as_ref().unwrap().kind,
-            JobErrorKind::Panic
-        );
+
+        // Single on the SIMD backend.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            dispatchers: 1,
+            model: free_simd_model(),
+            ..RuntimeConfig::default()
+        });
+        let set = CompletionSet::with_capacity(8);
+        rt.submit_tagged(clean(&sim_pattern(123)), 50, &set);
+        let mut seen = HashMap::new();
+        drain(&rt, &set, &mut seen);
+        check_exits(&rt, &seen, &[(50, Via::Single)]);
+        assert_eq!(seen[&50].result.scheme, Scheme::Simd);
+        assert_eq!(rt.stats().simd_offloads, 1);
     }
 
     #[test]
@@ -3427,7 +2269,7 @@ mod tests {
     /// An overlapping sliding-window pattern the simplification
     /// recognizer accepts: row `i` reads the `width` consecutive
     /// elements starting at `(i * stride) % (n - width + 1)`.
-    fn window_pattern(
+    pub(crate) fn window_pattern(
         n: usize,
         iters: usize,
         width: usize,
@@ -3444,7 +2286,7 @@ mod tests {
 
     /// Direct per-element oracle for an iteration-uniform i64 body:
     /// every reference of iteration `i` posts `f(i)`.
-    fn direct_uniform_i64(
+    pub(crate) fn direct_uniform_i64(
         pat: &smartapps_workloads::AccessPattern,
         f: impl Fn(usize) -> i64,
     ) -> Vec<i64> {
@@ -3457,253 +2299,5 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn declared_uniform_window_flood_runs_simplified() {
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let pat = window_pattern(2048, 4096, 16, 3);
-        let handles: Vec<JobHandle> = (0..8)
-            .map(|kk| {
-                let scale = kk as i64 + 1;
-                rt.submit(
-                    JobSpec::i64(pat.clone(), move |i, _r| (i as i64 + 1).wrapping_mul(scale))
-                        .with_uniform_body(true),
-                )
-            })
-            .collect();
-        for (kk, h) in handles.into_iter().enumerate() {
-            let r = h.wait();
-            assert!(r.error.is_none(), "simplified job {kk}: {:?}", r.error);
-            let scale = kk as i64 + 1;
-            let expect = direct_uniform_i64(&pat, |i| (i as i64 + 1).wrapping_mul(scale));
-            assert_eq!(r.output.as_i64().unwrap(), expect, "simplified output {kk}");
-            assert_eq!(r.scheme, Scheme::Seq, "the rewritten plan reports seq");
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.simplified_jobs, 8, "every declared job must rewrite");
-        assert_eq!(stats.simplify_rejects, 0);
-        assert_eq!(
-            stats.fused_sweeps, 0,
-            "the rewrite preempts the fusion gate"
-        );
-        assert_eq!(stats.fused_jobs, 0);
-        let text = rt.telemetry().registry().render_prometheus();
-        assert!(
-            text.contains("smartapps_simplify_ns_count{shape=\"window\"}"),
-            "missing simplify series: {text}"
-        );
-        let snap = rt.profile_snapshot();
-        assert_eq!(snap.scan_verdict_len(), 1, "positive verdict must persist");
-    }
-
-    #[test]
-    fn simplify_off_runs_the_normal_pipeline() {
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            simplify: false,
-            ..RuntimeConfig::default()
-        });
-        let pat = window_pattern(1024, 2048, 16, 5);
-        let r = rt.run(JobSpec::i64(pat.clone(), |i, _r| i as i64 + 1).with_uniform_body(true));
-        assert!(r.error.is_none());
-        assert_eq!(
-            r.output.as_i64().unwrap(),
-            direct_uniform_i64(&pat, |i| i as i64 + 1)
-        );
-        let stats = rt.stats();
-        assert_eq!(stats.simplified_jobs, 0);
-        assert_eq!(
-            stats.simplify_rejects, 0,
-            "config-off traffic is not a reject"
-        );
-    }
-
-    #[test]
-    fn refuted_uniform_declaration_loses_the_rewrite_not_the_answer() {
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            ..RuntimeConfig::default()
-        });
-        let pat = window_pattern(1024, 2048, 16, 5);
-        // The declaration lies: the body reads the reduction slot.  The
-        // probe must refute it and the job must run unsimplified with
-        // the exact slot-dependent answer.
-        let r =
-            rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)).with_uniform_body(true));
-        assert!(r.error.is_none());
-        assert_eq!(r.output.as_i64().unwrap(), sequential_reduce_i64(&pat));
-        let stats = rt.stats();
-        assert_eq!(
-            stats.simplified_jobs, 0,
-            "a refuted declaration must not rewrite"
-        );
-        assert!(stats.simplify_rejects >= 1);
-        // The refutation is body-specific and never persisted: the
-        // pattern's structural verdict stays positive.
-        assert_eq!(rt.profile_snapshot().scan_verdict_len(), 1);
-    }
-
-    #[test]
-    fn scan_verdicts_survive_restart_via_disk() {
-        let dir = std::env::temp_dir().join("smartapps-runtime-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("simplify-{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let cfg = RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            profile_path: Some(path.clone()),
-            ..RuntimeConfig::default()
-        };
-        let win = window_pattern(1024, 2048, 16, 5);
-        let ragged = pattern(71);
-        {
-            let rt = Runtime::new(cfg.clone());
-            rt.run(JobSpec::i64(win.clone(), |i, _r| i as i64).with_uniform_body(true));
-            rt.run(JobSpec::i64(ragged.clone(), |i, _r| i as i64).with_uniform_body(true));
-            assert_eq!(rt.profile_snapshot().scan_verdict_len(), 2);
-            rt.shutdown();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.lines()
-                .any(|l| l.starts_with("simp ") && l.ends_with(" 1")),
-            "positive verdict must be saved: {text}"
-        );
-        assert!(
-            text.lines()
-                .any(|l| l.starts_with("simp ") && l.ends_with(" 0")),
-            "negative verdict must be saved: {text}"
-        );
-        {
-            let rt = Runtime::new(cfg);
-            assert_eq!(
-                rt.profile_snapshot().scan_verdict_len(),
-                2,
-                "verdicts reload"
-            );
-            let r = rt.run(JobSpec::i64(win.clone(), |i, _r| i as i64).with_uniform_body(true));
-            assert_eq!(
-                r.output.as_i64().unwrap(),
-                direct_uniform_i64(&win, |i| i as i64)
-            );
-            assert_eq!(
-                rt.stats().simplified_jobs,
-                1,
-                "rewrite survives the restart"
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fused_panic_fallback_accounting_is_exact() {
-        // Regression: `fused_jobs` was bumped per *sweep* (`+= k`)
-        // before any member completed; it is now counted per member
-        // actually completed through a shared sweep, so an abandoned
-        // sweep — one poisoned body sends the whole group to the
-        // isolated fallback — contributes nothing, and the invariant
-        // `fused_jobs == |results with fused_with > 0|` is structural.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 3,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let big = Arc::new(
-            PatternSpec {
-                num_elements: 60_000,
-                iterations: 1_200_000,
-                refs_per_iter: 2,
-                coverage: 1.0,
-                dist: Distribution::Uniform,
-                seed: 93,
-            }
-            .generate(),
-        );
-        let warm = rt.submit(JobSpec::i64(big, |_i, r| contribution_i64(r)));
-        let pat = sparse_pattern(67);
-        let handles: Vec<JobHandle> = (0..6)
-            .map(|kk| {
-                rt.submit(JobSpec::i64(pat.clone(), move |i, r| {
-                    if kk == 3 && i == 0 {
-                        panic!("poisoned member")
-                    }
-                    contribution_i64(r)
-                }))
-            })
-            .collect();
-        warm.wait();
-        let results: Vec<JobResult> = handles.into_iter().map(|h| h.wait()).collect();
-        let oracle = sequential_reduce_i64(&pat);
-        let poisoned = &results[3];
-        let err = poisoned.error.as_ref().expect("poisoned member must fail");
-        assert_eq!(err.kind, JobErrorKind::Panic);
-        assert_eq!(poisoned.fused_with, 0, "a failed member is re-run isolated");
-        for (kk, r) in results.iter().enumerate() {
-            if kk == 3 {
-                continue;
-            }
-            assert!(
-                r.error.is_none(),
-                "group-mate {kk} must survive the fallback"
-            );
-            assert_eq!(r.output.as_i64().unwrap(), oracle, "fallback output {kk}");
-        }
-        let fused_members = results.iter().filter(|r| r.fused_with > 0).count() as u64;
-        let stats = rt.stats();
-        assert_eq!(
-            stats.fused_jobs, fused_members,
-            "fused_jobs must count members"
-        );
-        assert_eq!(stats.completed, 7, "every job completes exactly once");
-        if fused_members == 0 {
-            // The usual timing: all six coalesced into the poisoned
-            // sweep, which was abandoned without touching the counters.
-            assert_eq!(stats.fused_sweeps, 0);
-        }
-    }
-
-    #[test]
-    fn dense_f64_groups_decline_fusion_without_fused_evidence() {
-        // The non-hash fused regimes need measured fused-side evidence
-        // before the gate admits them (probes are off by default), so a
-        // coalesced dense f64 group must route per-job with exact
-        // bookkeeping and per-member answers.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let pat = pattern(83);
-        let handles = rt.submit_batch(
-            (0..6)
-                .map(|_| JobSpec::f64(pat.clone(), |_i, r| contribution(r)))
-                .collect(),
-        );
-        let oracle = sequential_reduce(&pat);
-        for h in handles {
-            let r = h.wait();
-            assert!(r.error.is_none());
-            assert_eq!(r.fused_with, 0, "dense f64 class must not fuse");
-            for (a, b) in oracle.iter().zip(r.output.as_f64().unwrap()) {
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
-            }
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.fused_sweeps, 0);
-        assert_eq!(stats.fused_jobs, 0);
     }
 }

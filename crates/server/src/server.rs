@@ -800,7 +800,8 @@ fn reactor_loop(shared: &Arc<ServerShared>, r: usize) {
 
 /// Try to flush one connection's outbound buffer.  Returns whether the
 /// buffer is now empty; on drain, the accumulated stall time is charged
-/// to the connection's debt and telemetry.
+/// to the connection's debt and telemetry — and so is the terminal stall
+/// of a connection the budget fails, which never drains.
 fn flush_conn(conn: &Conn, cfg: &ServerConfig) -> bool {
     let mut out = conn.out.lock().unwrap_or_else(|p| p.into_inner());
     let mut written = 0usize;
@@ -838,6 +839,7 @@ fn flush_conn(conn: &Conn, cfg: &ServerConfig) -> bool {
         let debt = conn.stall_debt_micros.load(Ordering::Relaxed);
         let budget = cfg.write_stall_budget.as_micros().min(u64::MAX as u128) as u64;
         if debt.saturating_add(current) > budget {
+            conn.stall_us.fetch_add(current, Ordering::Relaxed);
             conn.mark_dead();
         }
     }
@@ -1357,40 +1359,32 @@ fn deliver(shared: &ServerShared, completion: Completion) {
             signature: completion.signature.0,
             message: e.message,
         },
-        None if f64body => {
-            let values = r.output.as_f64().map(<[f64]>::to_vec).unwrap_or_default();
-            DoneOutcome::Ok {
-                scheme: r.scheme.abbrev().to_string(),
-                elapsed_ns: r.elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                profile_hit: r.profile_hit,
-                fused_with: r.fused_with,
-                batched_with: r.batched_with,
-                payload: match reply {
+        None => DoneOutcome::Ok {
+            scheme: r.scheme.abbrev().to_string(),
+            elapsed_ns: r.elapsed.as_nanos().min(u64::MAX as u128) as u64,
+            profile_hit: r.profile_hit,
+            fused_with: r.fused_with,
+            batched_with: r.batched_with,
+            payload: if f64body {
+                let values = r.output.as_f64().map(<[f64]>::to_vec).unwrap_or_default();
+                match reply {
                     ReplyMode::Ack => Payload::ChecksumF64 {
                         len: values.len(),
                         sum: checksum_f64(&values),
                     },
                     ReplyMode::Full => Payload::FullF64(values),
-                },
-            }
-        }
-        None => {
-            let values = r.output.as_i64().map(<[i64]>::to_vec).unwrap_or_default();
-            DoneOutcome::Ok {
-                scheme: r.scheme.abbrev().to_string(),
-                elapsed_ns: r.elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                profile_hit: r.profile_hit,
-                fused_with: r.fused_with,
-                batched_with: r.batched_with,
-                payload: match reply {
+                }
+            } else {
+                let values = r.output.as_i64().map(<[i64]>::to_vec).unwrap_or_default();
+                match reply {
                     ReplyMode::Ack => Payload::Checksum {
                         len: values.len(),
                         sum: checksum(&values),
                     },
                     ReplyMode::Full => Payload::Full(values),
-                },
-            }
-        }
+                }
+            },
+        },
     };
     if !conn.is_dead() {
         // The server-side tail the runtime's trace cannot see: completion

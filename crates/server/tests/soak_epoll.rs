@@ -135,27 +135,39 @@ fn idle_connections_produce_no_wakeups_while_active_ones_are_served() {
 
 #[test]
 fn stuck_reader_is_disconnected_by_the_stall_budget() {
+    // Tight budget so the test is quick; the default is 5s.
+    let budget = Duration::from_millis(300);
     let rt = Arc::new(Runtime::with_workers(3));
     let server = Server::start(
         rt,
         ServerConfig {
             reactors: 2,
-            // Tight budget so the test is quick; the default is 5s.
-            write_stall_budget: Duration::from_millis(300),
+            write_stall_budget: budget,
             ..ServerConfig::default()
         },
     )
     .expect("start");
     let addr = server.local_addr();
 
-    // A client that requests megabytes of Full payloads and never reads
-    // a byte: the socket fills, responses pile into the outbound
-    // buffer, and the stall clock starts.
+    // A client that requests Full payloads and never reads a byte: the
+    // socket fills, responses pile into the outbound buffer, and the
+    // stall clock starts.
     let mut stuck = TcpStream::connect(addr).expect("connect");
     stuck.set_nodelay(true).expect("nodelay");
-    // ~half a megabyte of text per response, ~14 MB across the flood —
-    // far past anything the kernel's socket buffers could absorb for an
-    // unread connection, so the outbound buffer must stall.
+    // Sample `connections()` only once the acceptor has registered the
+    // connection — before that, 0 reads as "already reaped".
+    let handover = Instant::now();
+    while server.connections() != 1 && handover.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.connections(), 1, "stuck client never registered");
+
+    // ~120 KB of text per response, ~3.6 MB per round.  How much a
+    // loopback socket pair absorbs unread is the kernel's business
+    // (several MB here), so no fixed volume is assumed: keep flooding in
+    // rounds until the server drops the connection.  It must do so
+    // within the budget of the socket filling (plus compute and
+    // reactor-tick slack) — not wedge a reactor in a write.
     let wide = WireSpec {
         elements: 60_000,
         iterations: 32,
@@ -164,31 +176,43 @@ fn stuck_reader_is_disconnected_by_the_stall_budget() {
         dist: WireDist::Uniform,
         seed: 7,
     };
-    let mut script = String::new();
-    for t in 0..30u64 {
-        let mut line = smartapps_server::Request::Submit(SubmitArgs {
-            token: t,
-            reply: ReplyMode::Full,
-            body: WireBody::Sum,
-            source: WireSource::Gen(wide),
-        })
-        .encode();
-        line.push('\n');
-        script.push_str(&line);
-    }
-    stuck.write_all(script.as_bytes()).expect("submit flood");
-    stuck.flush().expect("flush");
-
-    // The server must disconnect and reap it within the budget (plus
-    // compute and reactor-tick slack) — not wedge a reactor in a write.
     let t0 = Instant::now();
-    while server.connections() > 0 && t0.elapsed() < Duration::from_secs(20) {
+    let deadline = t0 + Duration::from_secs(20);
+    let mut token = 0u64;
+    while server.connections() > 0 && Instant::now() < deadline {
+        let mut script = String::new();
+        for _ in 0..30 {
+            script.push_str(
+                &smartapps_server::Request::Submit(SubmitArgs {
+                    token,
+                    reply: ReplyMode::Full,
+                    body: WireBody::Sum,
+                    source: WireSource::Gen(wide),
+                })
+                .encode(),
+            );
+            script.push('\n');
+            token += 1;
+        }
+        // A failed write means the server already hung up on us.
+        if stuck.write_all(script.as_bytes()).is_err() {
+            break;
+        }
+        // Let the round compute and the stall clock run before adding more.
+        let round = Instant::now();
+        while server.connections() > 0 && round.elapsed() < 2 * budget {
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    }
+    // The hang-up a failed write saw can precede the reap by a tick.
+    let reaped = Instant::now();
+    while server.connections() > 0 && reaped.elapsed() < Duration::from_secs(2) {
         std::thread::sleep(Duration::from_millis(25));
     }
     assert_eq!(
         server.connections(),
         0,
-        "stuck reader still connected after {:?}",
+        "stuck reader still connected after {:?} and {token} requests",
         t0.elapsed()
     );
 
@@ -204,6 +228,21 @@ fn stuck_reader_is_disconnected_by_the_stall_budget() {
         .expect("submit");
     let d = probe.next_done().expect("done");
     assert!(matches!(d.outcome, DoneOutcome::Ok { .. }));
+
+    // The stall that killed the connection (the first this server
+    // accepted, hence `conn="0"`) is on its books: a connection failed
+    // by the budget never drains, so this is the terminal charge.
+    let metrics = probe.metrics().expect("metrics");
+    let stall_us: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("smartapps_conn_stall_us{conn=\"0\"} "))
+        .expect("stall series of the reaped connection")
+        .parse()
+        .expect("stall counter value");
+    assert!(
+        u128::from(stall_us) >= budget.as_micros(),
+        "terminal stall not charged: {stall_us}us < {budget:?}"
+    );
 
     drop(stuck);
     server.shutdown();
