@@ -11,8 +11,12 @@
 //! | `fig7_scalability` | Figure 7 (harmonic-mean speedups at 4/8/16 procs) |
 //! | `ablation`         | design-choice ablations called out in DESIGN.md |
 //!
-//! The library part holds the shared runners so integration tests can
-//! assert on the same numbers the binaries print.
+//! plus `doc_links`, the CI check that every relative markdown link
+//! resolves.  These reproduce the paper's figures; they are not the
+//! service's performance driver — that is `smartbench`
+//! (`benchmark/README.md`).
+//!
+//! The library part holds the runners the binaries share.
 
 #![warn(missing_docs)]
 

@@ -18,8 +18,8 @@
 //! remains queued elsewhere, it steals one batch from the *longest*
 //! foreign shard — the overloaded-peer heuristic — so a single flooded
 //! class cannot leave N-1 dispatchers idle.  With `owners == 1` every
-//! shard is owned and stealing never happens, which is exactly the
-//! single-dispatcher configuration the throughput bench compares against.
+//! shard is owned and stealing never happens: the single-dispatcher
+//! configuration.
 
 use crate::completion::CompletionSink;
 use crate::job::{JobSpec, PatternSignature};

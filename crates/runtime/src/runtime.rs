@@ -1437,6 +1437,30 @@ pub(crate) mod tests {
         for (a, b) in oracle.iter().zip(f.output.as_f64().unwrap()) {
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
         }
+        // With the calibration loop on (exploration slots and profile
+        // rechecks), the free-SIMD model still selects the vectorized
+        // backend, and every answer, explored or not, stays oracle-exact.
+        let calibrated = Runtime::new(RuntimeConfig {
+            workers: 2,
+            dispatchers: 1,
+            model: free_simd_model(),
+            calibration: CalibrationConfig {
+                explore_every: 2,
+                recheck_every: 2,
+                ..CalibrationConfig::default()
+            },
+            ..RuntimeConfig::default()
+        });
+        let oracle = sequential_reduce_i64(&pat);
+        for _ in 0..16 {
+            let r = calibrated.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
+            assert!(r.error.is_none(), "{:?}", r.error);
+            assert_eq!(r.output.as_i64().unwrap(), oracle);
+        }
+        assert!(
+            calibrated.stats().simd_offloads > 0,
+            "calibration on must still select simd"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The client side of the wire protocol: a thin blocking library over
-//! one TCP connection, used by `examples/network_service.rs` and the
-//! `netload` loadgen.  A connection starts in the text protocol;
+//! one TCP connection, used by `examples/network_service.rs` and
+//! `smartbench`'s wire workloads.  A connection starts in the text protocol;
 //! [`upgrade_binary`](Client::upgrade_binary) negotiates binary wire v2
 //! and every later request and response rides length-prefixed frames
 //! with exact i64/f64 bodies.

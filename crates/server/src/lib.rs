@@ -29,8 +29,8 @@
 //!   writable, and completion-wake events; no sleep-polling), buffered
 //!   nonblocking writes under a write-stall budget, and the pending
 //!   table demultiplexing completions back to sockets.
-//! * [`client`] — the blocking [`Client`] library the `netload` loadgen
-//!   and the examples drive, speaking either protocol.
+//! * [`client`] — the blocking [`Client`] library the examples, the
+//!   tests and `smartbench` drive, speaking either protocol.
 //!
 //! ## Example
 //!

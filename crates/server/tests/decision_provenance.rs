@@ -287,7 +287,7 @@ fn explain_and_slowlog_over_text_and_binary_wire() {
         .filter(|h| h.name == "smartapps_stage_ns")
         .map(|h| (h.label_value.as_str(), h.count))
         .collect();
-    for stage in ["queue", "decide", "exec", "simplify", "write"] {
+    for stage in ["queue", "decide", "exec", "simplify", "completion", "write"] {
         assert!(
             stage_counts.get(stage).copied().unwrap_or(0) > 0,
             "stage series {stage} must be populated, got {stage_counts:?}"

@@ -424,8 +424,8 @@ fn shutdown_with_jobs_in_flight_still_answers_them() {
 }
 
 /// Nearest-rank quantile recovered from exposition `_bucket` lines the
-/// way `netload` does it: smallest `le` whose cumulative count covers
-/// the rank.
+/// way an external scraper would: smallest `le` whose cumulative count
+/// covers the rank.
 fn quantile_from_exposition(text: &str, series_prefix: &str, q: f64) -> Option<u64> {
     let mut buckets: Vec<(f64, u64)> = Vec::new();
     for line in text.lines() {

@@ -16,7 +16,7 @@ use smartapps_server::{
     WireBody, WireDist, WireSource, WireSpec,
 };
 use smartapps_workloads::{sequential_reduce, sequential_reduce_i64};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 const CASES: u64 = 24;
@@ -91,6 +91,7 @@ fn uploaded_handle_matches_inline_spec_everywhere() {
 
     let strat = arb_case();
     let mut rng = TestRng::deterministic(0xC5A_CA5E);
+    let mut handles = HashSet::new();
     for case in 0..CASES {
         let spec = strat.sample(&mut rng);
         let pattern = spec.to_pattern_spec().generate();
@@ -116,6 +117,7 @@ fn uploaded_handle_matches_inline_spec_everywhere() {
             handle, again,
             "identical structure must dedup (case {case})"
         );
+        handles.insert(handle);
 
         // Inline spec vs uploaded handle, i64 and f64 bodies.
         for (t, body, source) in [
@@ -207,6 +209,19 @@ fn uploaded_handle_matches_inline_spec_everywhere() {
         // Connection still alive.
         let _ = client.stats().expect("stats after rejected handle");
     }
+
+    // The server's interning counters agree: one fresh intern per
+    // distinct structure, every other upload a dedup.
+    let metrics = text.metrics().expect("metrics");
+    let uploads = |outcome: &str| -> usize {
+        let prefix = format!("smartapps_uploads{{outcome=\"{outcome}\"}} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix)?.trim().parse().ok())
+            .unwrap_or(0)
+    };
+    assert_eq!(uploads("fresh"), handles.len());
+    assert_eq!(uploads("dedup"), 2 * CASES as usize - handles.len());
 
     server.shutdown();
 }

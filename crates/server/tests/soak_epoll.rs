@@ -120,13 +120,17 @@ fn idle_connections_produce_no_wakeups_while_active_ones_are_served() {
         "{idle_delta} idle wakeups during an idle half-second"
     );
 
-    // The whole run — accept storm, 384 jobs, drain barriers — should
-    // produce almost no *fruitless* wakeups either; anything near a
-    // busy-loop would be tens of thousands.
+    // Over the whole run (accept storm, 384 jobs, drain barriers) only a
+    // small share of wakeups may be fruitless.  The count scales with the
+    // work the run did, so the bound is a share of all wakeups, not a
+    // fixed number: 250 runs (150 release, 40 debug, 60 release beside a
+    // CPU hog) saw 5-65 idle of 121-594 wakeups, at most 13.6 %.  A busy
+    // loop makes nearly every wakeup idle, tens of thousands of them.
     let idle_total = server.reactor_idle_wakeups();
+    let wakeups_total = server.reactor_wakeups();
     assert!(
-        idle_total <= 64,
-        "{idle_total} idle wakeups across the soak (near-zero expected)"
+        idle_total * 4 <= wakeups_total,
+        "{idle_total} of {wakeups_total} wakeups across the soak were idle (at most 1/4 expected)"
     );
 
     drop(idle);

@@ -129,11 +129,11 @@ impl FgbsScheduler {
         F: Fn(usize) + Sync,
     {
         let mut times = vec![0.0f64; self.blocks.len()];
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for (b, slot) in self.blocks.iter().zip(times.iter_mut()) {
                 let b = b.clone();
                 let body = &body;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let t0 = std::time::Instant::now();
                     for i in b {
                         body(i);

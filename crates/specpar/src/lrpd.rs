@@ -159,10 +159,10 @@ impl Speculator {
                 lo..hi
             })
             .collect();
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for (shadow, chunk) in self.shadows.iter_mut().zip(chunks.iter()) {
                 let chunk = chunk.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     shadow.reset();
                     for i in chunk {
                         let mut ctx = SpecCtx {

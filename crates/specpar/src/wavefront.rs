@@ -136,12 +136,12 @@ where
     let view = WfData { cells };
     let view = &view;
     for level in &wf.levels {
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let chunk: Range<usize> =
                     level.len() * t / threads..level.len() * (t + 1) / threads;
                 let level = &level[chunk];
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &i in level {
                         body(i as usize, view);
                     }

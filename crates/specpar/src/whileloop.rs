@@ -72,13 +72,13 @@ where
     assert!(threads >= 1);
     let mut out = vec![0.0; order.len()];
     let body = &body;
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         for (t, chunk) in out
             .chunks_mut(order.len().div_ceil(threads).max(1))
             .enumerate()
         {
             let base = t * order.len().div_ceil(threads).max(1);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (k, slot) in chunk.iter_mut().enumerate() {
                     let pos = base + k;
                     *slot = body(pos, order[pos], list);
@@ -132,13 +132,13 @@ where
         // first exit it observes.
         let mut bufs: Vec<(usize, Vec<f64>, Option<usize>)> =
             (0..threads).map(|_| (0, Vec::new(), None)).collect();
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for (t, slot) in bufs.iter_mut().enumerate() {
                 let lo = start + round_len * t / threads;
                 let hi = start + round_len * (t + 1) / threads;
                 let body = &body;
                 let exit = &exit;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut buf = Vec::with_capacity(hi - lo);
                     let mut exit_at = None;
                     for i in lo..hi {

@@ -42,8 +42,7 @@ pub enum TraceBackend {
 }
 
 impl TraceBackend {
-    /// The stable wire/dump label (`software` / `pclr` / `scan` /
-    /// `simd`).
+    /// The stable wire label (`software` / `pclr` / `scan` / `simd`).
     pub fn label(self) -> &'static str {
         match self {
             TraceBackend::Software => "software",
@@ -77,24 +76,13 @@ pub enum TraceError {
 }
 
 impl TraceError {
-    /// The stable wire/dump label (`none` / `panicked` /
-    /// `quarantined`).
+    /// The stable wire label (`none` / `panicked` / `quarantined`).
     pub fn label(self) -> &'static str {
         match self {
             TraceError::None => "none",
             TraceError::Panicked => "panicked",
             TraceError::Quarantined => "quarantined",
         }
-    }
-
-    /// Inverse of [`TraceError::label`].
-    pub fn from_label(s: &str) -> Option<TraceError> {
-        Some(match s {
-            "none" => TraceError::None,
-            "panicked" => TraceError::Panicked,
-            "quarantined" => TraceError::Quarantined,
-            _ => return None,
-        })
     }
 }
 
@@ -171,85 +159,6 @@ impl TraceEvent {
     /// End-to-end latency: submission to completion.
     pub fn end_to_end(&self) -> u64 {
         self.completed_ns.saturating_sub(self.submitted_ns)
-    }
-
-    /// Serialize the event as one line of the trace-dump format: eleven
-    /// space-separated fields — hex signature, the five timestamps, the
-    /// scheme code, the backend and error labels, the fused count, and
-    /// the simplify-probe duration.  `trace_attr` replays files of these
-    /// lines offline; [`TraceEvent::parse_line`] is the inverse.
-    pub fn to_line(&self) -> String {
-        format!(
-            "{:016x} {} {} {} {} {} {} {} {} {} {}",
-            self.signature,
-            self.submitted_ns,
-            self.queued_ns,
-            self.decided_ns,
-            self.executed_ns,
-            self.completed_ns,
-            self.scheme,
-            self.backend.label(),
-            self.error.label(),
-            self.fused,
-            self.simplify_ns,
-        )
-    }
-
-    /// Parse one [`TraceEvent::to_line`] line.  Comment lines (leading
-    /// `#`) and blank lines are the caller's to skip; anything else that
-    /// is not exactly eleven well-formed fields is an error naming the
-    /// offending field.
-    pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
-        let mut fields = line.split_ascii_whitespace();
-        let mut next = |name: &str| fields.next().ok_or_else(|| format!("missing {name}"));
-        let u64_field = |name: &str, s: &str| {
-            s.parse::<u64>()
-                .map_err(|_| format!("bad {name} {s:?} (expected decimal u64)"))
-        };
-        let signature = {
-            let s = next("signature")?;
-            u64::from_str_radix(s, 16).map_err(|_| format!("bad signature {s:?} (expected hex)"))?
-        };
-        let submitted_ns = u64_field("submitted_ns", next("submitted_ns")?)?;
-        let queued_ns = u64_field("queued_ns", next("queued_ns")?)?;
-        let decided_ns = u64_field("decided_ns", next("decided_ns")?)?;
-        let executed_ns = u64_field("executed_ns", next("executed_ns")?)?;
-        let completed_ns = u64_field("completed_ns", next("completed_ns")?)?;
-        let scheme = {
-            let s = next("scheme")?;
-            s.parse::<u8>()
-                .map_err(|_| format!("bad scheme {s:?} (expected u8 code)"))?
-        };
-        let backend = {
-            let s = next("backend")?;
-            TraceBackend::from_label(s).ok_or_else(|| format!("bad backend {s:?}"))?
-        };
-        let error = {
-            let s = next("error")?;
-            TraceError::from_label(s).ok_or_else(|| format!("bad error {s:?}"))?
-        };
-        let fused = {
-            let s = next("fused")?;
-            s.parse::<u16>()
-                .map_err(|_| format!("bad fused {s:?} (expected u16)"))?
-        };
-        let simplify_ns = u64_field("simplify_ns", next("simplify_ns")?)?;
-        if let Some(extra) = fields.next() {
-            return Err(format!("trailing field {extra:?}"));
-        }
-        Ok(TraceEvent {
-            signature,
-            submitted_ns,
-            queued_ns,
-            decided_ns,
-            executed_ns,
-            completed_ns,
-            scheme,
-            backend,
-            error,
-            fused,
-            simplify_ns,
-        })
     }
 
     fn pack(&self) -> [u64; EVENT_WORDS] {
@@ -445,37 +354,6 @@ mod tests {
             e.simplify_ns = u64::MAX;
             assert_eq!(TraceEvent::unpack(&e.pack()), e);
         }
-    }
-
-    #[test]
-    fn dump_line_round_trips() {
-        for sig in [0u64, 1, 2, 3, 41, u32::MAX as u64] {
-            let mut e = ev(sig);
-            e.error = TraceError::Panicked;
-            e.scheme = u8::MAX;
-            e.fused = u16::MAX;
-            e.simplify_ns = u64::MAX;
-            assert_eq!(TraceEvent::parse_line(&e.to_line()), Ok(e));
-        }
-    }
-
-    #[test]
-    fn dump_line_rejects_malformed_input() {
-        let good = ev(41).to_line();
-        // Each field mutated into garbage must fail with a named error.
-        for bad in [
-            "",
-            "zz 1 2 3 4 5 0 software none 1 0",
-            "0029 x 2 3 4 5 0 software none 1 0",
-            "0029 1 2 3 4 5 300 software none 1 0",
-            "0029 1 2 3 4 5 0 gpu none 1 0",
-            "0029 1 2 3 4 5 0 software maybe 1 0",
-            "0029 1 2 3 4 5 0 software none 99999 0",
-            "0029 1 2 3 4 5 0 software none 1",
-        ] {
-            assert!(TraceEvent::parse_line(bad).is_err(), "accepted {bad:?}");
-        }
-        assert!(TraceEvent::parse_line(&format!("{good} extra")).is_err());
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //!   onto one consumer thread, which [`server`] (`smartapps-server`)
 //!   turns into a TCP network service: an acceptor plus a fixed reactor
 //!   set serve any number of clients — no thread per client anywhere
-//!   (see `docs/SERVER.md` and the `netload` loadgen).
+//!   (see `docs/SERVER.md`; `smartbench` in `benchmark/` measures it).
 //!
 //! ```
 //! use smartapps::prelude::*;

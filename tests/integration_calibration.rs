@@ -4,9 +4,9 @@
 //! the re-routing survives a process restart because the corrections
 //! persist through the profile store's `corr` records.
 //!
-//! The scenario mirrors the throughput bench's cold-vs-calibrated matrix:
-//! the model under-costs `hash` so badly that a dense, cache-resident
-//! class — honest `rep`/`ll` territory — decides onto `hash` when cold.
+//! The scenario is a cold-vs-calibrated decision matrix: the model
+//! under-costs `hash` so badly that a dense, cache-resident class —
+//! honest `rep`/`ll` territory — decides onto `hash` when cold.
 //! Exploration slots measure the schemes the model mis-ranks, profile
 //! rechecks re-run the decision under the accumulated corrections (the
 //! paper's "Redecide" adaptation), the class flips off `hash`, and a
