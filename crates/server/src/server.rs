@@ -1017,13 +1017,7 @@ fn handle_request(shared: &ServerShared, conn: &Arc<Conn>, request: Request) {
             if conn.binary() {
                 write_raw(shared, conn, &wire2::encode_metrics_frame(body.as_bytes()));
             } else {
-                // The exposition is multi-line, so it rides a
-                // length-prefixed frame (`metrics <len>\n` + raw bytes)
-                // rather than a `Response` line — the text protocol's
-                // one framed reply.
-                let mut frame = format!("metrics {}\n", body.len()).into_bytes();
-                frame.extend_from_slice(body.as_bytes());
-                write_raw(shared, conn, &frame);
+                write_raw(shared, conn, &crate::wire::metrics_frame(body.as_bytes()));
             }
         }
         Request::Drain => {

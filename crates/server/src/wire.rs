@@ -589,6 +589,15 @@ pub fn checksum_f64(values: &[f64]) -> f64 {
     values.iter().sum()
 }
 
+/// The text protocol's one framed reply: the exposition is multi-line,
+/// so it rides `metrics <len>\n` followed by exactly `len` raw bytes
+/// rather than a [`Response`] line.
+pub(crate) fn metrics_frame(exposition: &[u8]) -> Vec<u8> {
+    let mut frame = format!("metrics {}\n", exposition.len()).into_bytes();
+    frame.extend_from_slice(exposition);
+    frame
+}
+
 /// One finished job, as reported on the wire.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DoneMsg {
@@ -1637,6 +1646,404 @@ mod tests {
         ] {
             let line = resp.encode();
             assert_eq!(Response::parse(&line).as_ref(), Ok(&resp), "line: {line}");
+        }
+    }
+
+    mod golden {
+        //! The wire formats pinned byte for byte: every message of a fixed
+        //! corpus with its exact text line and binary frame (hex).  Both
+        //! codecs must produce exactly these bytes and decode them back to
+        //! the same value; the accept cases pin what the text parser takes
+        //! beyond the canonical form.
+
+        use super::*;
+        use crate::wire2::{self, BinMsg, FrameBuf, FrameStep, DEFAULT_MAX_FRAME_BYTES};
+
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+
+        fn split(frame: &[u8]) -> (u8, Vec<u8>) {
+            let mut fb = FrameBuf::new();
+            fb.extend(frame);
+            match fb.next_frame(DEFAULT_MAX_FRAME_BYTES) {
+                Ok(FrameStep::Frame { kind, body }) if fb.pending() == 0 => (kind, body),
+                other => panic!("not exactly one frame: {other:?}"),
+            }
+        }
+
+        fn zipf_spec() -> WireSpec {
+            spec()
+        }
+
+        fn submit(token: u64, reply: ReplyMode, body: WireBody, source: WireSource) -> SubmitArgs {
+            SubmitArgs {
+                token,
+                reply,
+                body,
+                source,
+            }
+        }
+
+        fn ok(
+            token: u64,
+            scheme: &str,
+            elapsed_ns: u64,
+            hit: bool,
+            fused: usize,
+            batched: usize,
+            payload: Payload,
+        ) -> Response {
+            Response::Done(DoneMsg {
+                token,
+                outcome: DoneOutcome::Ok {
+                    scheme: scheme.into(),
+                    elapsed_ns,
+                    profile_hit: hit,
+                    fused_with: fused,
+                    batched_with: batched,
+                    payload,
+                },
+            })
+        }
+
+        fn failed(token: u64, kind: &str, signature: u64, message: &str) -> Response {
+            Response::Done(DoneMsg {
+                token,
+                outcome: DoneOutcome::Err {
+                    kind: kind.into(),
+                    signature,
+                    message: message.into(),
+                },
+            })
+        }
+
+        fn explain_simd() -> ExplainInfo {
+            ExplainInfo {
+                backend: "simd".into(),
+                explored: true,
+                rechecked: false,
+                flips: 2,
+                fusion: WireGate {
+                    fired: false,
+                    reason: "group-of-one".into(),
+                },
+                simplify: WireGate {
+                    fired: true,
+                    reason: "prefix".into(),
+                },
+                features: vec![("references".into(), 1800.0), ("sp".into(), 0.734)],
+                candidates: vec![
+                    WireCandidate {
+                        scheme: "hash".into(),
+                        analytic: 1234.5,
+                        corrected: 987.25,
+                        feasible: true,
+                    },
+                    WireCandidate {
+                        scheme: "pclr".into(),
+                        analytic: f64::INFINITY,
+                        corrected: f64::INFINITY,
+                        feasible: false,
+                    },
+                ],
+                ..explain_info()
+            }
+        }
+
+        fn requests() -> Vec<(Request, &'static str, &'static str)> {
+            let args = submit(
+                41,
+                ReplyMode::Full,
+                WireBody::Mul(-3),
+                WireSource::Gen(zipf_spec()),
+            );
+            let by_handle = submit(43, ReplyMode::Ack, WireBody::FSum, WireSource::Handle(0x1f));
+            vec![
+                (Request::Submit(args), "submit 41 full mul:-3 512 900 2 0.75 zipf:1.1 7", "450000000129000000000000000101fdffffffffffffff00000200000000000084030000000000000200000000000000000000000000e83f019a9999999999f13f0700000000000000"),
+                (Request::Submit(by_handle), "submit 43 ack fsum pat:000000000000001f", "14000000012b000000000000000003011f00000000000000"),
+                (Request::Submit(submit(44, ReplyMode::Ack, WireBody::Usum, WireSource::Handle(0x20))), "submit 44 ack usum pat:0000000000000020", "14000000012c000000000000000004012000000000000000"),
+                (Request::Submit(submit(45, ReplyMode::Full, WireBody::Fusum, WireSource::Gen(zipf_spec()))), "submit 45 full fusum 512 900 2 0.75 zipf:1.1 7", "3d000000012d00000000000000010500000200000000000084030000000000000200000000000000000000000000e83f019a9999999999f13f0700000000000000"),
+                (
+                    Request::Submit(submit(
+                        u64::MAX,
+                        ReplyMode::Ack,
+                        WireBody::Panic,
+                        WireSource::Gen(WireSpec {
+                            elements: 1,
+                            iterations: usize::MAX,
+                            refs_per_iter: 3,
+                            coverage: 1e-9,
+                            dist: WireDist::Uniform,
+                            seed: u64::MAX,
+                        }),
+                    )),
+                    "submit 18446744073709551615 ack panic 1 18446744073709551615 3 0.000000001 uniform 18446744073709551615", "3500000001ffffffffffffffff0002000100000000000000ffffffffffffffff030000000000000095d626e80b2e113e00ffffffffffffffff",
+                ),
+                (Request::Submit(submit(0, ReplyMode::Ack, WireBody::Mul(i64::MIN), WireSource::Handle(u64::MAX))), "submit 0 ack mul:-9223372036854775808 pat:ffffffffffffffff", "1c0000000100000000000000000001000000000000008001ffffffffffffffff"),
+                (
+                    Request::Batch(vec![
+                        args,
+                        by_handle,
+                        submit(
+                            42,
+                            ReplyMode::Ack,
+                            WireBody::Sum,
+                            WireSource::Gen(WireSpec {
+                                dist: WireDist::Clustered(16),
+                                ..spec()
+                            }),
+                        ),
+                    ]),
+                    "batch 3 41 full mul:-3 512 900 2 0.75 zipf:1.1 7 43 ack fsum pat:000000000000001f 42 ack sum 512 900 2 0.75 clustered:16 7", "94000000020300000029000000000000000101fdffffffffffffff00000200000000000084030000000000000200000000000000000000000000e83f019a9999999999f13f07000000000000002b000000000000000003011f000000000000002a00000000000000000000000200000000000084030000000000000200000000000000000000000000e83f02100000000700000000000000",
+                ),
+                (
+                    Request::Batch(vec![
+                        submit(77, ReplyMode::Full, WireBody::FSum, WireSource::Gen(zipf_spec())),
+                        submit(78, ReplyMode::Ack, WireBody::Mul(-3), WireSource::Handle(0x2a)),
+                        submit(79, ReplyMode::Ack, WireBody::Usum, WireSource::Handle(0x2b)),
+                        submit(80, ReplyMode::Full, WireBody::Fusum, WireSource::Handle(0x2c)),
+                    ]),
+                    "batch 4 77 full fsum 512 900 2 0.75 zipf:1.1 7 78 ack mul:-3 pat:000000000000002a 79 ack usum pat:000000000000002b 80 full fusum pat:000000000000002c", "8200000002040000004d00000000000000010300000200000000000084030000000000000200000000000000000000000000e83f019a9999999999f13f07000000000000004e000000000000000001fdffffffffffffff012a000000000000004f000000000000000004012b0000000000000050000000000000000105012c00000000000000",
+                ),
+                (Request::Stats, "stats", "0100000003"),
+                (Request::StatsV2, "stats v2", "0100000004"),
+                (Request::Metrics, "metrics", "0100000005"),
+                (Request::Drain, "drain", "0100000006"),
+                (Request::Unquarantine(0xdead_beef_0042), "unquarantine 0000deadbeef0042", "09000000074200efbeadde0000"),
+                (Request::Unquarantine(0), "unquarantine 0000000000000000", "09000000070000000000000000"),
+                (
+                    Request::Upload(UploadArgs {
+                        token: 5,
+                        num_elements: 4,
+                        iter_ptr: vec![0, 2, 2, 3],
+                        indices: vec![1, 3, 0],
+                    }),
+                    "upload 5 4 4 3 0 2 2 3 1 3 0", "350000000805000000000000000400000000000000040000000000000002000000020000000300000003000000010000000300000000000000",
+                ),
+                (
+                    Request::Upload(UploadArgs {
+                        token: 6,
+                        num_elements: 0,
+                        iter_ptr: vec![],
+                        indices: vec![],
+                    }),
+                    "upload 6 0 0 0", "1900000008060000000000000000000000000000000000000000000000",
+                ),
+                (Request::Explain(ExplainTarget::Signature(0xabc_0042)), "explain 000000000abc0042", "0a0000000a004200bc0a00000000"),
+                (Request::Explain(ExplainTarget::Handle(0x2a)), "explain pat:000000000000002a", "0a0000000a012a00000000000000"),
+                (Request::Slowlog(17), "slowlog 17", "090000000b1100000000000000"),
+                (Request::Slowlog(0), "slowlog 0", "090000000b0000000000000000"),
+                (Request::UpgradeBin, "upgrade bin", "0100000009"),
+            ]
+        }
+
+        fn responses() -> Vec<(Response, &'static str, &'static str)> {
+            vec![
+                (ok(9, "hash", 123_456, true, 5, 7, Payload::Checksum { len: 512, sum: -17 }), "done 9 ok hash 123456 1 5 7 sum 512 -17", "3400000081090000000000000000040000006861736840e2010000000000010500000007000000000002000000000000efffffffffffffff"),
+                (ok(10, "rep", 1, false, 0, 0, Payload::Full(vec![1, -2, 3])), "done 10 ok rep 1 0 0 0 full 3 1 -2 3", "3f000000810a000000000000000003000000726570010000000000000000000000000000000001030000000100000000000000feffffffffffffff0300000000000000"),
+                (ok(14, "seq", 0, false, 0, 0, Payload::Full(vec![])), "done 14 ok seq 0 0 0 0 full 0", "27000000810e00000000000000000300000073657100000000000000000000000000000000000100000000"),
+                (ok(15, "lw", 2, false, 0, 0, Payload::Checksum { len: 0, sum: i64::MIN }), "done 15 ok lw 2 0 0 0 sum 0 -9223372036854775808", "32000000810f0000000000000000020000006c7702000000000000000000000000000000000000000000000000000000000000000080"),
+                (ok(12, "rep", 77, false, 0, 1, Payload::ChecksumF64 { len: 3, sum: -0.125 }), "done 12 ok rep 77 0 0 1 fsum 3 -0.125", "33000000810c0000000000000000030000007265704d00000000000000000000000001000000020300000000000000000000000000c0bf"),
+                (ok(16, "simd", 3, true, 2, 2, Payload::ChecksumF64 { len: 1, sum: -0.0 }), "done 16 ok simd 3 1 2 2 fsum 1 -0", "34000000811000000000000000000400000073696d6403000000000000000102000000020000000201000000000000000000000000000080"),
+                (
+                    ok(13, "pclr", 78, true, 1, 1, Payload::FullF64(vec![1.5, -2.25, 1e-9, std::f64::consts::PI])),
+                    "done 13 ok pclr 78 1 1 1 ffull 4 1.5 -2.25 0.000000001 3.141592653589793", "48000000810d00000000000000000400000070636c724e000000000000000101000000010000000304000000000000000000f83f00000000000002c095d626e80b2e113e182d4454fb210940",
+                ),
+                (
+                    ok(u64::MAX, "hash", u64::MAX, true, 5, 7, Payload::FullF64(vec![-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE])),
+                    "done 18446744073709551615 ok hash 18446744073709551615 1 5 7 ffull 4 -0 inf -inf 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014", "4800000081ffffffffffffffff000400000068617368ffffffffffffffff01050000000700000003040000000000000000000080000000000000f07f000000000000f0ff0000000000001000",
+                ),
+                (ok(17, "seq", 0, false, 0, 0, Payload::FullF64(vec![])), "done 17 ok seq 0 0 0 0 ffull 0", "27000000811100000000000000000300000073657100000000000000000000000000000000000300000000"),
+                (failed(11, "panic", 0xabc, "bad row 7 of 9"), "done 11 err panic 0000000000000abc bad row 7 of 9", "2d000000810b00000000000000010500000070616e6963bc0a0000000000000e00000062616420726f772037206f662039"),
+                (failed(18, "rejected", 0, ""), "done 18 err rejected 0000000000000000 ", "22000000811200000000000000010800000072656a6563746564000000000000000000000000"),
+                (Response::Stats(vec![("submitted".into(), 12), ("completed".into(), u64::MAX)]), "stats submitted=12 completed=18446744073709551615", "2f0000008202000000090000007375626d69747465640c0000000000000009000000636f6d706c65746564ffffffffffffffff"),
+                (Response::Stats(vec![]), "stats", "050000008200000000"),
+                (
+                    Response::StatsV2(StatsV2 {
+                        counters: vec![("completed".into(), 12), ("submitted".into(), 12)],
+                        hists: vec![HistSummary {
+                            name: "smartapps_exec_ns".into(),
+                            label_key: "scheme".into(),
+                            label_value: "hash".into(),
+                            count: 40,
+                            p50: 1023,
+                            p95: 8191,
+                            p99: 16383,
+                            max: 12345,
+                        }],
+                        quarantined: vec![(0xabc, 17), (0xdef, 0)],
+                    }),
+                    "stats2 counters 2 completed=12 submitted=12 hists 1 smartapps_exec_ns:scheme:hash:40:1023:8191:16383:12345 quarantine 2 0000000000000abc:17 0000000000000def:0", "a6000000830200000009000000636f6d706c657465640c00000000000000090000007375626d69747465640c000000000000000100000011000000736d617274617070735f657865635f6e7306000000736368656d6504000000686173682800000000000000ff03000000000000ff1f000000000000ff3f000000000000393000000000000002000000bc0a0000000000001100000000000000ef0d0000000000000000000000000000",
+                ),
+                (Response::StatsV2(StatsV2::default()), "stats2 counters 0 hists 0 quarantine 0", "0d00000083000000000000000000000000"),
+                (Response::Explained(None), "explained none", "020000008a00"),
+                (Response::Explained(Some(explain_info())), "explained 00000000feed0007 d11r2s10m2 hash software 01 3 1:hash-trusted 0:recognizer-miss 0:clear features 3 references=1800 elements=512 sp=0.734 candidates 2 hash:1234.5:987.25:1 lw:inf:inf:0", "d50000008a010700edfe000000000a00000064313172327331306d32040000006861736808000000736f66747761726500010300000000000000010c000000686173682d74727573746564000f0000007265636f676e697a65722d6d6973730005000000636c656172030000000a0000007265666572656e6365730000000000209c4008000000656c656d656e74730000000000008040020000007370b0726891ed7ce73f02000000040000006861736800000000004a93400000000000da8e4001020000006c77000000000000f07f000000000000f07f00"),
+                (Response::Explained(Some(explain_simd())), "explained 00000000feed0007 d11r2s10m2 hash simd 10 2 0:group-of-one 1:prefix 0:clear features 2 references=1800 sp=0.734 candidates 2 hash:1234.5:987.25:1 pclr:inf:inf:0", "b60000008a010700edfe000000000a00000064313172327331306d3204000000686173680400000073696d6401000200000000000000000c00000067726f75702d6f662d6f6e6501060000007072656669780005000000636c656172020000000a0000007265666572656e6365730000000000209c40020000007370b0726891ed7ce73f02000000040000006861736800000000004a93400000000000da8e40010400000070636c72000000000000f07f000000000000f07f00"),
+                (Response::Slowlog(vec![]), "slowlog 0", "050000008b00000000"),
+                (
+                    Response::Slowlog(vec![
+                        slowlog_entry(),
+                        SlowlogEntry {
+                            scheme: "-".into(),
+                            winner: "-".into(),
+                            error: "quarantined".into(),
+                            fused: u16::MAX,
+                            queue_ns: 0,
+                            decide_ns: 0,
+                            exec_ns: 0,
+                            completion_ns: 0,
+                            ..slowlog_entry()
+                        },
+                    ]),
+                    "slowlog 2 00000000feed0007:1250000:hash:simd:none:4:10000:40000:0:1100000:100000:hash 00000000feed0007:1250000:-:simd:quarantined:65535:0:0:0:0:0:-", "be0000008b020000000700edfe00000000d01213000000000004000000686173680400000073696d64040000006e6f6e65040000001027000000000000409c0000000000000000000000000000e0c8100000000000a08601000000000004000000686173680700edfe00000000d012130000000000010000002d0400000073696d640b00000071756172616e74696e6564ffff000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000002d",
+                ),
+                (Response::Drained(40), "drained 40", "09000000842800000000000000"),
+                (Response::Unquarantined(true), "unquarantined 1", "020000008501"),
+                (Response::Unquarantined(false), "unquarantined 0", "020000008500"),
+                (Response::Uploaded { token: 12, handle: 0x2a }, "uploaded 12 000000000000002a", "11000000880c000000000000002a00000000000000"),
+                (Response::Upgraded, "upgraded bin", "0100000089"),
+                (Response::Error("line too long".into()), "err line too long", "12000000860d0000006c696e6520746f6f206c6f6e67"),
+                (Response::Error(String::new()), "err ", "050000008600000000"),
+            ]
+        }
+
+        /// Lines the text parser accepts beyond the canonical form, with
+        /// what they mean: runs of spaces and tabs between request fields,
+        /// leading and trailing blanks, short and upper-case hex, a
+        /// default count, and a trailing `\r` on a response.
+        fn accepted_requests() -> Vec<(&'static str, Request)> {
+            let args = submit(
+                41,
+                ReplyMode::Full,
+                WireBody::Mul(-3),
+                WireSource::Gen(zipf_spec()),
+            );
+            vec![
+                ("slowlog", Request::Slowlog(DEFAULT_SLOWLOG)),
+                (
+                    "submit  41\tfull mul:-3 512  900 2 0.75 zipf:1.1 7",
+                    Request::Submit(args),
+                ),
+                (
+                    "\tbatch 1  43 ack\tfsum pat:1f  ",
+                    Request::Batch(vec![submit(
+                        43,
+                        ReplyMode::Ack,
+                        WireBody::FSum,
+                        WireSource::Handle(0x1f),
+                    )]),
+                ),
+                (
+                    "submit +41 full mul:-3 512 900 2 7.5e-1 zipf:1.1 +7",
+                    Request::Submit(args),
+                ),
+                ("stats\tv2", Request::StatsV2),
+                (
+                    "unquarantine deadbeef0042",
+                    Request::Unquarantine(0xdead_beef_0042),
+                ),
+                (
+                    "explain pat:2A",
+                    Request::Explain(ExplainTarget::Handle(0x2a)),
+                ),
+                ("  drain ", Request::Drain),
+            ]
+        }
+
+        fn accepted_responses() -> Vec<(&'static str, Response)> {
+            vec![
+                (
+                    "done 9 ok hash 123456 1 5 7 sum 512 -17\r\n",
+                    ok(
+                        9,
+                        "hash",
+                        123_456,
+                        true,
+                        5,
+                        7,
+                        Payload::Checksum { len: 512, sum: -17 },
+                    ),
+                ),
+                (
+                    "done 9 ok hash 123456 1 5 7  sum\t512 -17",
+                    ok(
+                        9,
+                        "hash",
+                        123_456,
+                        true,
+                        5,
+                        7,
+                        Payload::Checksum { len: 512, sum: -17 },
+                    ),
+                ),
+                (
+                    "done 11 err panic 0000000000000abc bad row 7 of 9\r\n",
+                    failed(11, "panic", 0xabc, "bad row 7 of 9"),
+                ),
+                (
+                    "done 11 err panic abc  two spaces\r",
+                    failed(11, "panic", 0xabc, " two spaces"),
+                ),
+                (
+                    "stats  submitted=12\tcompleted=1\r",
+                    Response::Stats(vec![("submitted".into(), 12), ("completed".into(), 1)]),
+                ),
+                (
+                    "err line too long\r\n",
+                    Response::Error("line too long".into()),
+                ),
+                ("err", Response::Error(String::new())),
+                ("explained none\r\n", Response::Explained(None)),
+                ("drained 40 ", Response::Drained(40)),
+                ("upgraded bin\n", Response::Upgraded),
+            ]
+        }
+
+        const METRICS: &[u8] = b"# TYPE smartapps_request_ns histogram\n...";
+
+        #[test]
+        fn golden_corpus_pins_text_and_binary_bytes() {
+            for (req, line, frame) in requests() {
+                assert_eq!(req.encode(), line, "text of {req:?}");
+                assert_eq!(Request::parse(line), Ok(req.clone()), "line: {line}");
+                let bytes = wire2::encode_request(&req);
+                assert_eq!(hex(&bytes), frame, "frame of {req:?}");
+                let (kind, body) = split(&bytes);
+                assert_eq!(wire2::decode_request(kind, &body), Ok(req));
+            }
+            for (resp, line, frame) in responses() {
+                assert_eq!(resp.encode(), line, "text of {resp:?}");
+                assert_eq!(Response::parse(line), Ok(resp.clone()), "line: {line}");
+                let bytes = wire2::encode_response(&resp);
+                assert_eq!(hex(&bytes), frame, "frame of {resp:?}");
+                let (kind, body) = split(&bytes);
+                assert_eq!(
+                    wire2::decode_response(kind, &body),
+                    Ok(BinMsg::Response(Box::new(resp)))
+                );
+            }
+            // The metrics reply, outside both enums, in both protocols.
+            assert_eq!(
+                metrics_frame(METRICS),
+                b"metrics 41\n# TYPE smartapps_request_ns histogram\n...".to_vec()
+            );
+            let bytes = wire2::encode_metrics_frame(METRICS);
+            assert_eq!(
+                hex(&bytes),
+                "2a0000008723205459504520736d617274617070735f726571756573745f6e7320686973746f6772616d0a2e2e2e"
+            );
+            let (kind, body) = split(&bytes);
+            assert_eq!(
+                wire2::decode_response(kind, &body),
+                Ok(BinMsg::Metrics(METRICS.to_vec()))
+            );
+            for (line, req) in accepted_requests() {
+                assert_eq!(Request::parse(line), Ok(req), "line: {line:?}");
+            }
+            for (line, resp) in accepted_responses() {
+                assert_eq!(Response::parse(line), Ok(resp), "line: {line:?}");
+            }
         }
     }
 
