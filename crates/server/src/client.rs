@@ -6,13 +6,15 @@
 //! with exact i64/f64 bodies.
 //!
 //! Responses to control requests (`stats`, `stats v2`, `metrics`,
-//! `drain`, `unquarantine`, `upload`) interleave with asynchronous
-//! `done` messages on the same socket; the client stashes `done`
-//! messages it reads while waiting for a control response, and
+//! `drain`, `unquarantine`, `upload`, `explain`, `slowlog`, `upgrade
+//! bin`) interleave with asynchronous `done` messages on the same
+//! socket; every control call goes through one helper that stashes the
+//! `done` messages it reads while waiting, and
 //! [`next_done`](Client::next_done) consumes the stash before touching
 //! the socket — no message is ever dropped or reordered within its
 //! kind.
 
+use crate::codec::Proto;
 use crate::wire::{
     DoneMsg, DoneOutcome, ExplainInfo, ExplainTarget, Request, Response, SlowlogEntry, StatsV2,
     SubmitArgs, UploadArgs,
@@ -20,6 +22,7 @@ use crate::wire::{
 use crate::wire2::{self, BinMsg};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::mem::take;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// A blocking client for one `smartapps-server` connection.
@@ -28,6 +31,23 @@ pub struct Client {
     writer: TcpStream,
     stashed: VecDeque<DoneMsg>,
     binary: bool,
+}
+
+/// A `call` picker taking the one response variant the call waits for.
+macro_rules! want {
+    ($pat:pat => $out:expr) => {
+        |m: &mut BinMsg| match m {
+            BinMsg::Response(r) => match &mut **r {
+                $pat => Some(Ok($out)),
+                _ => None,
+            },
+            BinMsg::Metrics(_) => None,
+        }
+    };
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl Client {
@@ -51,64 +71,77 @@ impl Client {
     }
 
     fn send(&mut self, request: &Request) -> io::Result<()> {
-        if self.binary {
-            self.writer.write_all(&wire2::encode_request(request))
-        } else {
-            let mut line = request.encode();
-            line.push('\n');
-            self.writer.write_all(line.as_bytes())
-        }
+        let proto = if self.binary { Proto::Bin } else { Proto::Text };
+        self.writer.write_all(&proto.encode(request))
     }
 
-    /// Read one binary frame off the socket (blocking).
-    fn read_frame(&mut self) -> io::Result<BinMsg> {
-        let mut head = [0u8; wire2::FRAME_HEADER_BYTES];
-        self.reader.read_exact(&mut head)?;
-        let len = u32::from_le_bytes(head);
-        if len == 0 || len > wire2::DEFAULT_MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad frame length {len}"),
-            ));
-        }
-        let mut frame = vec![0u8; len as usize];
-        self.reader.read_exact(&mut frame)?;
-        wire2::decode_response(frame[0], &frame[1..]).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("unparsable frame: {e}"))
-        })
-    }
-
-    fn read_response(&mut self) -> io::Result<Response> {
-        let response = if self.binary {
-            loop {
-                match self.read_frame()? {
-                    BinMsg::Response(r) => break *r,
-                    // An unsolicited metrics frame nobody is waiting for.
-                    BinMsg::Metrics(_) => continue,
-                }
+    /// Read one message in the connection's protocol (blocking): a
+    /// response, or the metrics reply.  A protocol error from the server
+    /// and an unparsable message are both `InvalidData`.
+    fn read(&mut self) -> io::Result<BinMsg> {
+        let msg = if self.binary {
+            let mut head = [0u8; wire2::FRAME_HEADER_BYTES];
+            self.reader.read_exact(&mut head)?;
+            let len = u32::from_le_bytes(head);
+            if len == 0 || len > wire2::DEFAULT_MAX_FRAME_BYTES {
+                return Err(invalid(format!("bad frame length {len}")));
             }
+            let mut frame = vec![0u8; len as usize];
+            self.reader.read_exact(&mut frame)?;
+            wire2::decode_response(frame[0], &frame[1..])
+                .map_err(|e| invalid(format!("unparsable frame: {e}")))?
         } else {
             let mut line = String::new();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
+            if self.reader.read_line(&mut line)? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ));
             }
-            Response::parse(&line).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unparsable response: {e} (line: {})", line.trim_end()),
-                )
-            })?
+            if let Some(len) = line.trim_end().strip_prefix("metrics ") {
+                let len: usize = len
+                    .parse()
+                    .map_err(|e| invalid(format!("bad metrics frame length: {e}")))?;
+                let mut body = vec![0u8; len];
+                self.reader.read_exact(&mut body)?;
+                return Ok(BinMsg::Metrics(body));
+            }
+            let r = Response::parse(&line).map_err(|e| {
+                invalid(format!(
+                    "unparsable response: {e} (line: {})",
+                    line.trim_end()
+                ))
+            })?;
+            BinMsg::Response(Box::new(r))
         };
-        match response {
-            Response::Error(msg) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server protocol error: {msg}"),
-            )),
-            r => Ok(r),
+        if let BinMsg::Response(r) = &msg {
+            if let Response::Error(e) = &**r {
+                return Err(invalid(format!("server protocol error: {e}")));
+            }
+        }
+        Ok(msg)
+    }
+
+    /// Send a control request, then read until `pick` takes a reply.
+    /// Every `done` read meanwhile is stashed for
+    /// [`next_done`](Client::next_done); other unwanted replies are
+    /// dropped.
+    fn call<T>(
+        &mut self,
+        request: &Request,
+        mut pick: impl FnMut(&mut BinMsg) -> Option<io::Result<T>>,
+    ) -> io::Result<T> {
+        self.send(request)?;
+        loop {
+            let mut msg = self.read()?;
+            if let Some(result) = pick(&mut msg) {
+                return result;
+            }
+            if let BinMsg::Response(r) = msg {
+                if let Response::Done(d) = *r {
+                    self.stashed.push_back(d);
+                }
+            }
         }
     }
 
@@ -122,17 +155,9 @@ impl Client {
         if self.binary {
             return Ok(());
         }
-        self.send(&Request::UpgradeBin)?;
-        loop {
-            match self.read_response()? {
-                Response::Upgraded => {
-                    self.binary = true;
-                    return Ok(());
-                }
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(&Request::UpgradeBin, want!(Response::Upgraded => ()))?;
+        self.binary = true;
+        Ok(())
     }
 
     /// Upload a CSR access pattern; returns the server's handle for it,
@@ -147,24 +172,17 @@ impl Client {
     /// rejection reply is a `done … err` for that token.
     pub fn upload(&mut self, args: UploadArgs) -> io::Result<u64> {
         let token = args.token;
-        self.send(&Request::Upload(args))?;
-        loop {
-            match self.read_response()? {
-                Response::Uploaded { token: t, handle } if t == token => return Ok(handle),
-                Response::Done(d) => {
-                    if d.token == token {
-                        if let DoneOutcome::Err { message, .. } = d.outcome {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("upload rejected: {message}"),
-                            ));
-                        }
-                    }
-                    self.stashed.push_back(d);
-                }
-                _ => continue,
-            }
-        }
+        self.call(&Request::Upload(args), |m| match m {
+            BinMsg::Response(r) => match &**r {
+                Response::Uploaded { token: t, handle } if *t == token => Some(Ok(*handle)),
+                Response::Done(DoneMsg {
+                    token: t,
+                    outcome: DoneOutcome::Err { message, .. },
+                }) if *t == token => Some(Err(invalid(format!("upload rejected: {message}")))),
+                _ => None,
+            },
+            BinMsg::Metrics(_) => None,
+        })
     }
 
     /// Submit one job; its `done` arrives asynchronously via
@@ -185,12 +203,13 @@ impl Client {
             return Ok(d);
         }
         loop {
-            match self.read_response()? {
-                Response::Done(d) => return Ok(d),
-                // A control response nobody is waiting for (e.g. a
-                // drained barrier read late) is dropped; done messages
-                // are never dropped.
-                _ => continue,
+            // A control response nobody is waiting for (e.g. a drained
+            // barrier read late) is dropped; done messages are never
+            // dropped.
+            if let BinMsg::Response(r) = self.read()? {
+                if let Response::Done(d) = *r {
+                    return Ok(d);
+                }
             }
         }
     }
@@ -198,28 +217,17 @@ impl Client {
     /// Request and return the runtime's service counters as ordered
     /// `(name, value)` pairs.
     pub fn stats(&mut self) -> io::Result<Vec<(String, u64)>> {
-        self.send(&Request::Stats)?;
-        loop {
-            match self.read_response()? {
-                Response::Stats(pairs) => return Ok(pairs),
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(
+            &Request::Stats,
+            want!(Response::Stats(pairs) => take(pairs)),
+        )
     }
 
     /// Request the richer `stats v2` snapshot: sorted service counters,
     /// per-series latency-histogram digests, and quarantined workload
     /// classes with their remaining TTLs.
     pub fn stats_v2(&mut self) -> io::Result<StatsV2> {
-        self.send(&Request::StatsV2)?;
-        loop {
-            match self.read_response()? {
-                Response::StatsV2(v2) => return Ok(v2),
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(&Request::StatsV2, want!(Response::StatsV2(v2) => take(v2)))
     }
 
     /// Request the Prometheus-style text exposition of every histogram
@@ -231,67 +239,13 @@ impl Client {
     /// waiting are stashed for [`next_done`](Client::next_done) as
     /// usual.
     pub fn metrics(&mut self) -> io::Result<String> {
-        self.send(&Request::Metrics)?;
-        if self.binary {
-            loop {
-                match self.read_frame()? {
-                    BinMsg::Metrics(body) => {
-                        return String::from_utf8(body).map_err(|e| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("metrics body is not UTF-8: {e}"),
-                            )
-                        })
-                    }
-                    BinMsg::Response(r) => match *r {
-                        Response::Done(d) => self.stashed.push_back(d),
-                        Response::Error(msg) => {
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("server protocol error: {msg}"),
-                            ))
-                        }
-                        _ => continue,
-                    },
-                }
-            }
-        }
-        loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            if let Some(len) = line.trim_end().strip_prefix("metrics ") {
-                let len: usize = len.trim().parse().map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad metrics frame length: {e}"),
-                    )
-                })?;
-                let mut body = vec![0u8; len];
-                self.reader.read_exact(&mut body)?;
-                return String::from_utf8(body).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("metrics body is not UTF-8: {e}"),
-                    )
-                });
-            }
-            match Response::parse(&line) {
-                Ok(Response::Done(d)) => self.stashed.push_back(d),
-                Ok(Response::Error(msg)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("server protocol error: {msg}"),
-                    ))
-                }
-                _ => continue,
-            }
-        }
+        self.call(&Request::Metrics, |m| match m {
+            BinMsg::Metrics(body) => Some(
+                String::from_utf8(take(body))
+                    .map_err(|e| invalid(format!("metrics body is not UTF-8: {e}"))),
+            ),
+            BinMsg::Response(_) => None,
+        })
     }
 
     /// Flush barrier: block until every job submitted on this connection
@@ -299,28 +253,17 @@ impl Client {
     /// [`next_done`](Client::next_done)); returns the connection's total
     /// completed-job count.
     pub fn drain(&mut self) -> io::Result<u64> {
-        self.send(&Request::Drain)?;
-        loop {
-            match self.read_response()? {
-                Response::Drained(n) => return Ok(n),
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(&Request::Drain, want!(Response::Drained(n) => *n))
     }
 
     /// Lift the quarantine of a workload class (the signature reported on
     /// `quarantined` error responses).  Returns whether the server found
     /// ledger state to clear.
     pub fn unquarantine(&mut self, signature: u64) -> io::Result<bool> {
-        self.send(&Request::Unquarantine(signature))?;
-        loop {
-            match self.read_response()? {
-                Response::Unquarantined(found) => return Ok(found),
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(
+            &Request::Unquarantine(signature),
+            want!(Response::Unquarantined(found) => *found),
+        )
     }
 
     /// Fetch the latest decision record for a workload class — the full
@@ -332,14 +275,10 @@ impl Client {
     /// quarantine rows) or by an uploaded pattern's handle
     /// ([`ExplainTarget::Handle`]).
     pub fn explain(&mut self, target: ExplainTarget) -> io::Result<Option<ExplainInfo>> {
-        self.send(&Request::Explain(target))?;
-        loop {
-            match self.read_response()? {
-                Response::Explained(info) => return Ok(info),
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(
+            &Request::Explain(target),
+            want!(Response::Explained(info) => info.take()),
+        )
     }
 
     /// Fetch the server's slowest retained jobs, slowest first — at most
@@ -348,14 +287,10 @@ impl Client {
     /// exec / completion) and the decision winner in force when the job
     /// completed.
     pub fn slowlog(&mut self, n: usize) -> io::Result<Vec<SlowlogEntry>> {
-        self.send(&Request::Slowlog(n))?;
-        loop {
-            match self.read_response()? {
-                Response::Slowlog(entries) => return Ok(entries),
-                Response::Done(d) => self.stashed.push_back(d),
-                _ => continue,
-            }
-        }
+        self.call(
+            &Request::Slowlog(n),
+            want!(Response::Slowlog(entries) => take(entries)),
+        )
     }
 
     /// Finished jobs read ahead of schedule while waiting for a control

@@ -67,6 +67,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod codec;
 pub mod server;
 pub mod wire;
 pub mod wire2;

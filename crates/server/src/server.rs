@@ -49,6 +49,7 @@
 //! through the pending table, so two clients reusing the same token can
 //! never collide.
 
+use crate::codec::Proto;
 use crate::wire::{
     checksum, checksum_f64, DoneMsg, DoneOutcome, ExplainInfo, ExplainTarget, Payload, ReplyMode,
     Request, Response, SlowlogEntry, StatsV2, SubmitArgs, UploadArgs, WireCandidate, WireGate,
@@ -245,6 +246,14 @@ impl Conn {
 
     fn binary(&self) -> bool {
         self.mode.load(Ordering::Acquire) == MODE_BIN
+    }
+
+    fn proto(&self) -> Proto {
+        if self.binary() {
+            Proto::Bin
+        } else {
+            Proto::Text
+        }
     }
 }
 
@@ -1014,11 +1023,7 @@ fn handle_request(shared: &ServerShared, conn: &Arc<Conn>, request: Request) {
         }
         Request::Metrics => {
             let body = shared.rt.telemetry().registry().render_prometheus();
-            if conn.binary() {
-                write_raw(shared, conn, &wire2::encode_metrics_frame(body.as_bytes()));
-            } else {
-                write_raw(shared, conn, &crate::wire::metrics_frame(body.as_bytes()));
-            }
+            write_raw(shared, conn, &conn.proto().metrics(body.as_bytes()));
         }
         Request::Drain => {
             // The barrier closes when in_flight hits zero.  Order
@@ -1417,13 +1422,7 @@ fn protocol_error(shared: &ServerShared, conn: &Arc<Conn>, message: &str) {
 /// Encode one response in the connection's negotiated protocol and hand
 /// it to [`write_raw`].
 fn write_response(shared: &ServerShared, conn: &Conn, response: &Response) {
-    if conn.binary() {
-        write_raw(shared, conn, &wire2::encode_response(response));
-    } else {
-        let mut line = response.encode();
-        line.push('\n');
-        write_raw(shared, conn, line.as_bytes());
-    }
+    write_raw(shared, conn, &conn.proto().encode(response));
 }
 
 /// Write one outbound message, never blocking the calling reactor: as

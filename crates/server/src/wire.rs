@@ -1,14 +1,23 @@
-//! The wire protocol: line-oriented request/response grammar spoken
-//! between [`Client`](crate::Client) and [`Server`](crate::Server).
+//! The wire protocol's messages, each described once.
 //!
-//! Every message is one UTF-8 line (`\n`-terminated, space-separated
-//! fields) — human-readable, `nc`-debuggable, and stateless per line
-//! (a `batch` request carries its jobs inline rather than spanning
-//! lines).  The one exception is the reply to a [`Request::Metrics`]:
-//! Prometheus text exposition is inherently multi-line, so it travels
-//! as a length-prefixed frame (`metrics <len>\n` + `len` raw bytes)
-//! outside the [`Response`] enum.  The full grammar is specified in
-//! `docs/SERVER.md` and `docs/OBSERVABILITY.md`.
+//! Every request and response type here implements
+//! [`Field`](crate::codec::Field): one walk over its fields that both
+//! formats run — the line-oriented **text** protocol and the
+//! length-prefixed **binary wire v2** ([`wire2`](crate::wire2)).  The
+//! [`Request`] and [`Response`] tables map every variant to its text
+//! verb and its binary kind byte.  A format implements only primitives
+//! (see `codec.rs`), so the field order and the shape of each message
+//! live in this file alone.  The full grammar is in `docs/SERVER.md` and
+//! `docs/OBSERVABILITY.md`.
+//!
+//! In text, every message is one UTF-8 line (`\n`-terminated,
+//! blank-separated fields) — human-readable, `nc`-debuggable, and
+//! stateless per line (a `batch` request carries its jobs inline).  The
+//! one exception is the reply to a [`Request::Metrics`]: Prometheus text
+//! exposition is multi-line, so it travels as a length-prefixed frame
+//! (`metrics <len>\n` + `len` raw bytes) outside the [`Response`] enum.
+//! A connection starts in text and may switch to binary with `upgrade
+//! bin` → [`Response::Upgraded`].
 //!
 //! Job *bodies* cannot cross a network boundary as closures, so the
 //! protocol describes jobs declaratively: a [`WireSource`] either names
@@ -21,18 +30,11 @@
 //! server-side pattern allocation, which is what lets their jobs
 //! coalesce — and fuse — exactly like in-process submissions.
 //!
-//! This module is the *text* protocol.  A connection can negotiate the
-//! length-prefixed **binary wire v2** (`upgrade bin` →
-//! [`Response::Upgraded`], then both directions switch to framed
-//! encoding) — same request/response types, binary codec in
-//! [`wire2`](crate::wire2).
-//!
 //! The types carry `serde` derives for source-compatibility with the
 //! real crates; in this offline build the vendored stand-in expands
-//! them to nothing, so encoding/decoding is explicit (`encode`/`parse`
-//! pairs, round-trip tested below) just like the runtime's
-//! `ProfileStore` text format.
+//! them to nothing.
 
+use crate::codec::{self, get_vec, put_vec, record, variants, Count, Field, Message, Sink, Source};
 use serde::{Deserialize, Serialize};
 use smartapps_telemetry::HistSummary;
 use smartapps_workloads::{Distribution, PatternSpec};
@@ -102,6 +104,35 @@ impl WireSpec {
     }
 }
 
+/// Text: `<elements> <iterations> <refs> <coverage> <dist> <seed>`.
+impl Field for WireSpec {
+    const MIN_BIN: usize = 41;
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.field(&self.elements);
+        s.field(&self.iterations);
+        s.field(&self.refs_per_iter);
+        s.num(&self.coverage);
+        s.field(&self.dist);
+        s.num(&self.seed);
+    }
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        let spec = WireSpec {
+            elements: r.field()?,
+            iterations: r.field()?,
+            refs_per_iter: r.field()?,
+            coverage: r.num()?,
+            dist: r.field()?,
+            seed: r.num()?,
+        };
+        // The text grammar refuses these at parse time; binary carries
+        // any bit pattern and leaves them to `validate`.
+        if R::TEXT && !spec.coverage.is_finite() {
+            return Err("coverage must be finite".into());
+        }
+        Ok(spec)
+    }
+}
+
 /// Wire form of the pattern generator's contention shape.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum WireDist {
@@ -113,34 +144,13 @@ pub enum WireDist {
     Clustered(u32),
 }
 
-impl WireDist {
-    fn encode(self) -> String {
-        match self {
-            WireDist::Uniform => "uniform".into(),
-            WireDist::Zipf(s) => format!("zipf:{s}"),
-            WireDist::Clustered(w) => format!("clustered:{w}"),
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        if s == "uniform" {
-            return Ok(WireDist::Uniform);
-        }
-        if let Some(rest) = s.strip_prefix("zipf:") {
-            let v: f64 = rest
-                .parse()
-                .map_err(|_| format!("bad zipf exponent {rest}"))?;
-            return Ok(WireDist::Zipf(v));
-        }
-        if let Some(rest) = s.strip_prefix("clustered:") {
-            let v: u32 = rest
-                .parse()
-                .map_err(|_| format!("bad clustered window {rest}"))?;
-            return Ok(WireDist::Clustered(v));
-        }
-        Err(format!("unknown distribution {s}"))
-    }
-}
+variants!(
+    WireDist,
+    "distribution",
+    Uniform = "uniform",
+    Zipf(num) = "zipf:",
+    Clustered(num) = "clustered:"
+);
 
 /// Which built-in contribution function the job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -180,35 +190,18 @@ impl WireBody {
     pub fn is_uniform(self) -> bool {
         matches!(self, WireBody::Usum | WireBody::Fusum)
     }
-
-    fn encode(self) -> String {
-        match self {
-            WireBody::Sum => "sum".into(),
-            WireBody::Mul(k) => format!("mul:{k}"),
-            WireBody::FSum => "fsum".into(),
-            WireBody::Panic => "panic".into(),
-            WireBody::Usum => "usum".into(),
-            WireBody::Fusum => "fusum".into(),
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "sum" => Ok(WireBody::Sum),
-            "fsum" => Ok(WireBody::FSum),
-            "panic" => Ok(WireBody::Panic),
-            "usum" => Ok(WireBody::Usum),
-            "fusum" => Ok(WireBody::Fusum),
-            _ => match s.strip_prefix("mul:") {
-                Some(rest) => rest
-                    .parse()
-                    .map(WireBody::Mul)
-                    .map_err(|_| format!("bad mul factor {rest}")),
-                None => Err(format!("unknown body {s}")),
-            },
-        }
-    }
 }
+
+variants!(
+    WireBody,
+    "body",
+    Sum = "sum",
+    Mul(num) = "mul:",
+    Panic = "panic",
+    FSum = "fsum",
+    Usum = "usum",
+    Fusum = "fusum"
+);
 
 /// Where a submitted job's access pattern comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -223,6 +216,9 @@ pub enum WireSource {
     Handle(u64),
 }
 
+// An inline spec has no text tag; a handle is `pat:<hex16>`.
+variants!(WireSource, "source", Gen(field) = "", Handle(hex) = "pat:");
+
 /// How much of the result the `done` response carries back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplyMode {
@@ -233,22 +229,7 @@ pub enum ReplyMode {
     Full,
 }
 
-impl ReplyMode {
-    fn encode(self) -> &'static str {
-        match self {
-            ReplyMode::Ack => "ack",
-            ReplyMode::Full => "full",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "ack" => Ok(ReplyMode::Ack),
-            "full" => Ok(ReplyMode::Full),
-            _ => Err(format!("unknown reply mode {s}")),
-        }
-    }
-}
+variants!(ReplyMode, "reply mode", Ack = "ack", Full = "full");
 
 /// One job submission: the client-chosen token echoed on the `done`
 /// response, the reply mode, the body, and the pattern source.
@@ -267,91 +248,8 @@ pub struct SubmitArgs {
     pub source: WireSource,
 }
 
-impl SubmitArgs {
-    fn encode_fields(&self) -> String {
-        let head = format!(
-            "{} {} {}",
-            self.token,
-            self.reply.encode(),
-            self.body.encode()
-        );
-        match self.source {
-            WireSource::Gen(spec) => format!(
-                "{head} {} {} {} {} {} {}",
-                spec.elements,
-                spec.iterations,
-                spec.refs_per_iter,
-                spec.coverage,
-                spec.dist.encode(),
-                spec.seed
-            ),
-            WireSource::Handle(h) => format!("{head} pat:{h:016x}"),
-        }
-    }
-
-    /// Parse one submission from the front of a token-first field slice;
-    /// returns the args and how many fields were consumed (4 for the
-    /// `pat:<hex>` handle form, 9 for an inline spec) so a `batch` line
-    /// can mix both forms.
-    fn parse_seq(f: &[&str]) -> Result<(SubmitArgs, usize), String> {
-        if f.len() < 4 {
-            return Err(format!("submit takes at least 4 fields, got {}", f.len()));
-        }
-        let token = f[0].parse().map_err(|_| format!("bad token {}", f[0]))?;
-        let reply = ReplyMode::parse(f[1])?;
-        let body = WireBody::parse(f[2])?;
-        if let Some(hex) = f[3].strip_prefix("pat:") {
-            let handle =
-                u64::from_str_radix(hex, 16).map_err(|_| format!("bad pattern handle {}", f[3]))?;
-            return Ok((
-                SubmitArgs {
-                    token,
-                    reply,
-                    body,
-                    source: WireSource::Handle(handle),
-                },
-                4,
-            ));
-        }
-        if f.len() < 9 {
-            return Err(format!(
-                "submit takes 9 fields (or 4 with pat:<hex>), got {}",
-                f.len()
-            ));
-        }
-        let spec = WireSpec {
-            elements: f[3].parse().map_err(|_| format!("bad elements {}", f[3]))?,
-            iterations: f[4]
-                .parse()
-                .map_err(|_| format!("bad iterations {}", f[4]))?,
-            refs_per_iter: f[5].parse().map_err(|_| format!("bad refs {}", f[5]))?,
-            coverage: f[6].parse().map_err(|_| format!("bad coverage {}", f[6]))?,
-            dist: WireDist::parse(f[7])?,
-            seed: f[8].parse().map_err(|_| format!("bad seed {}", f[8]))?,
-        };
-        if !spec.coverage.is_finite() {
-            return Err("coverage must be finite".into());
-        }
-        Ok((
-            SubmitArgs {
-                token,
-                reply,
-                body,
-                source: WireSource::Gen(spec),
-            },
-            9,
-        ))
-    }
-
-    /// Parse exactly one submission covering the whole field slice.
-    fn parse_fields(f: &[&str]) -> Result<SubmitArgs, String> {
-        let (args, used) = SubmitArgs::parse_seq(f)?;
-        if used != f.len() {
-            return Err(format!("submit has {} trailing fields", f.len() - used));
-        }
-        Ok(args)
-    }
-}
+// Binary: a token, three tags and at least a handle.
+record!(SubmitArgs, min 19, " ", token: num, reply: field, body: field, source: field);
 
 /// One CSR structure upload: the raw row-pointer and index arrays of an
 /// [`AccessPattern`](smartapps_workloads::AccessPattern).  The server
@@ -372,50 +270,35 @@ pub struct UploadArgs {
     pub indices: Vec<u32>,
 }
 
-impl UploadArgs {
-    fn encode_fields(&self) -> String {
-        let mut s = format!(
-            "{} {} {} {}",
-            self.token,
-            self.num_elements,
-            self.iter_ptr.len(),
-            self.indices.len()
-        );
-        for v in &self.iter_ptr {
-            s.push(' ');
-            s.push_str(&v.to_string());
+/// Text puts both counts before both arrays; binary puts each count
+/// right before its array.
+impl Field for UploadArgs {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.num(&self.token);
+        s.field(&self.num_elements);
+        if S::TEXT {
+            s.count(Count::Bare, self.iter_ptr.len());
+            s.count(Count::Bare, self.indices.len());
+            self.iter_ptr
+                .iter()
+                .chain(&self.indices)
+                .for_each(|v| s.num(v));
+        } else {
+            put_vec(s, Count::Bare, &self.iter_ptr);
+            put_vec(s, Count::Bare, &self.indices);
         }
-        for v in &self.indices {
-            s.push(' ');
-            s.push_str(&v.to_string());
-        }
-        s
     }
-
-    fn parse_fields(f: &[&str]) -> Result<UploadArgs, String> {
-        if f.len() < 4 {
-            return Err(format!("upload takes at least 4 fields, got {}", f.len()));
-        }
-        let token = f[0].parse().map_err(|_| format!("bad token {}", f[0]))?;
-        let num_elements = f[1].parse().map_err(|_| format!("bad elements {}", f[1]))?;
-        let np: usize = f[2]
-            .parse()
-            .map_err(|_| format!("bad iter_ptr length {}", f[2]))?;
-        let ni: usize = f[3]
-            .parse()
-            .map_err(|_| format!("bad indices length {}", f[3]))?;
-        let need = 4usize
-            .checked_add(np)
-            .and_then(|n| n.checked_add(ni))
-            .ok_or("upload lengths overflow")?;
-        if f.len() != need {
-            return Err(format!("upload declares {need} fields, got {}", f.len()));
-        }
-        let num = |s: &&str| -> Result<u32, String> {
-            s.parse().map_err(|_| format!("bad csr value {s}"))
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        let token = r.num()?;
+        let num_elements = r.field()?;
+        let (iter_ptr, indices) = if R::TEXT {
+            let (np, ni) = (r.count(Count::Bare, 4)?, r.count(Count::Bare, 4)?);
+            let iter_ptr = (0..np).map(|_| r.num()).collect::<Result<_, _>>()?;
+            let indices = (0..ni).map(|_| r.num()).collect::<Result<_, _>>()?;
+            (iter_ptr, indices)
+        } else {
+            (get_vec(r, Count::Bare)?, get_vec(r, Count::Bare)?)
         };
-        let iter_ptr = f[4..4 + np].iter().map(num).collect::<Result<_, _>>()?;
-        let indices = f[4 + np..].iter().map(num).collect::<Result<_, _>>()?;
         Ok(UploadArgs {
             token,
             num_elements,
@@ -476,79 +359,85 @@ pub enum Request {
 impl Request {
     /// Render the request as its wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
-            Request::Submit(a) => format!("submit {}", a.encode_fields()),
-            Request::Batch(jobs) => {
-                let mut s = format!("batch {}", jobs.len());
-                for j in jobs {
-                    s.push(' ');
-                    s.push_str(&j.encode_fields());
-                }
-                s
-            }
-            Request::Stats => "stats".into(),
-            Request::StatsV2 => "stats v2".into(),
-            Request::Metrics => "metrics".into(),
-            Request::Drain => "drain".into(),
-            Request::Unquarantine(sig) => format!("unquarantine {sig:016x}"),
-            Request::Upload(a) => format!("upload {}", a.encode_fields()),
-            Request::Explain(ExplainTarget::Signature(sig)) => format!("explain {sig:016x}"),
-            Request::Explain(ExplainTarget::Handle(h)) => format!("explain pat:{h:016x}"),
-            Request::Slowlog(n) => format!("slowlog {n}"),
-            Request::UpgradeBin => "upgrade bin".into(),
-        }
+        codec::to_text(self)
     }
 
     /// Parse one request line.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let f: Vec<&str> = line.split_ascii_whitespace().collect();
-        match f.split_first() {
-            Some((&"submit", rest)) => SubmitArgs::parse_fields(rest).map(Request::Submit),
-            Some((&"batch", rest)) => {
-                let (&count, rest) = rest.split_first().ok_or("batch needs a count")?;
-                let n: usize = count
-                    .parse()
-                    .map_err(|_| format!("bad batch count {count}"))?;
-                if n == 0 {
+        codec::from_text(line)
+    }
+}
+
+impl Message for Request {
+    const NAME: &'static str = "request";
+    const KINDS: &'static [(u8, &'static str)] = &[
+        (0x01, "submit"),
+        (0x02, "batch"),
+        (0x03, "stats"),
+        (0x04, "stats v2"),
+        (0x05, "metrics"),
+        (0x06, "drain"),
+        (0x07, "unquarantine"),
+        (0x08, "upload"),
+        (0x09, "upgrade bin"),
+        (0x0a, "explain"),
+        (0x0b, "slowlog"),
+    ];
+
+    fn row(&self) -> usize {
+        match self {
+            Request::Submit(_) => 0,
+            Request::Batch(_) => 1,
+            Request::Stats => 2,
+            Request::StatsV2 => 3,
+            Request::Metrics => 4,
+            Request::Drain => 5,
+            Request::Unquarantine(_) => 6,
+            Request::Upload(_) => 7,
+            Request::UpgradeBin => 8,
+            Request::Explain(_) => 9,
+            Request::Slowlog(_) => 10,
+        }
+    }
+
+    fn put_fields<S: Sink>(&self, s: &mut S) {
+        match self {
+            Request::Submit(a) => s.field(a),
+            Request::Batch(jobs) => put_vec(s, Count::Bare, jobs),
+            Request::Unquarantine(sig) => s.hex(sig),
+            Request::Upload(u) => s.field(u),
+            Request::Explain(t) => s.field(t),
+            Request::Slowlog(n) => s.field(n),
+            Request::Stats
+            | Request::StatsV2
+            | Request::Metrics
+            | Request::Drain
+            | Request::UpgradeBin => {}
+        }
+    }
+
+    fn get_fields<R: Source>(row: usize, r: &mut R) -> Result<Self, String> {
+        Ok(match row {
+            0 => Request::Submit(r.field()?),
+            1 => {
+                let jobs = get_vec(r, Count::Bare)?;
+                if jobs.is_empty() {
                     return Err("batch count must be >= 1".into());
                 }
-                let mut jobs = Vec::with_capacity(n.min(1024));
-                let mut rest = rest;
-                for _ in 0..n {
-                    let (args, used) = SubmitArgs::parse_seq(rest)?;
-                    jobs.push(args);
-                    rest = &rest[used..];
-                }
-                if !rest.is_empty() {
-                    return Err(format!("batch {n} has {} trailing fields", rest.len()));
-                }
-                Ok(Request::Batch(jobs))
+                Request::Batch(jobs)
             }
-            Some((&"stats", [])) => Ok(Request::Stats),
-            Some((&"stats", ["v2"])) => Ok(Request::StatsV2),
-            Some((&"metrics", [])) => Ok(Request::Metrics),
-            Some((&"drain", [])) => Ok(Request::Drain),
-            Some((&"unquarantine", [sig])) => u64::from_str_radix(sig, 16)
-                .map(Request::Unquarantine)
-                .map_err(|_| format!("bad signature {sig}")),
-            Some((&"upload", rest)) => UploadArgs::parse_fields(rest).map(Request::Upload),
-            Some((&"explain", [target])) => match target.strip_prefix("pat:") {
-                Some(hex) => u64::from_str_radix(hex, 16)
-                    .map(|h| Request::Explain(ExplainTarget::Handle(h)))
-                    .map_err(|_| format!("bad pattern handle {target}")),
-                None => u64::from_str_radix(target, 16)
-                    .map(|sig| Request::Explain(ExplainTarget::Signature(sig)))
-                    .map_err(|_| format!("bad signature {target}")),
-            },
-            Some((&"slowlog", [])) => Ok(Request::Slowlog(DEFAULT_SLOWLOG)),
-            Some((&"slowlog", [n])) => n
-                .parse::<usize>()
-                .map(Request::Slowlog)
-                .map_err(|_| format!("bad slowlog count {n}")),
-            Some((&"upgrade", ["bin"])) => Ok(Request::UpgradeBin),
-            Some((verb, _)) => Err(format!("unknown or malformed request {verb}")),
-            None => Err("empty request".into()),
-        }
+            2 => Request::Stats,
+            3 => Request::StatsV2,
+            4 => Request::Metrics,
+            5 => Request::Drain,
+            6 => Request::Unquarantine(r.hex()?),
+            7 => Request::Upload(r.field()?),
+            8 => Request::UpgradeBin,
+            9 => Request::Explain(r.field()?),
+            // A bare text `slowlog` asks for the default count.
+            _ if R::TEXT && r.at_end() => Request::Slowlog(DEFAULT_SLOWLOG),
+            _ => Request::Slowlog(r.field()?),
+        })
     }
 }
 
@@ -575,6 +464,47 @@ pub enum Payload {
     },
     /// The full f64 output array ([`ReplyMode::Full`], f64 bodies).
     FullF64(Vec<f64>),
+}
+
+const PAYLOADS: &[&str] = &["sum", "full", "fsum", "ffull"];
+
+impl Field for Payload {
+    fn put<S: Sink>(&self, s: &mut S) {
+        match self {
+            Payload::Checksum { len, sum } => {
+                s.tag(PAYLOADS, 0);
+                s.field(len);
+                s.num(sum);
+            }
+            Payload::Full(values) => {
+                s.tag(PAYLOADS, 1);
+                put_vec(s, Count::Bare, values);
+            }
+            Payload::ChecksumF64 { len, sum } => {
+                s.tag(PAYLOADS, 2);
+                s.field(len);
+                s.num(sum);
+            }
+            Payload::FullF64(values) => {
+                s.tag(PAYLOADS, 3);
+                put_vec(s, Count::Bare, values);
+            }
+        }
+    }
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        Ok(match r.tag("payload", PAYLOADS)? {
+            0 => Payload::Checksum {
+                len: r.field()?,
+                sum: r.num()?,
+            },
+            1 => Payload::Full(get_vec(r, Count::Bare)?),
+            2 => Payload::ChecksumF64 {
+                len: r.field()?,
+                sum: r.num()?,
+            },
+            _ => Payload::FullF64(get_vec(r, Count::Bare)?),
+        })
+    }
 }
 
 /// Wrapping-sum checksum of an output array (what
@@ -638,6 +568,62 @@ pub enum DoneOutcome {
     },
 }
 
+const OUTCOMES: &[&str] = &["ok", "err"];
+
+/// `fused_with` and `batched_with` travel as `u32` in binary.
+impl Field for DoneMsg {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.num(&self.token);
+        match &self.outcome {
+            DoneOutcome::Ok {
+                scheme,
+                elapsed_ns,
+                profile_hit,
+                fused_with,
+                batched_with,
+                payload,
+            } => {
+                s.tag(OUTCOMES, 0);
+                s.word(scheme);
+                s.num(elapsed_ns);
+                s.bool(profile_hit);
+                s.num(&(*fused_with as u32));
+                s.num(&(*batched_with as u32));
+                s.field(payload);
+            }
+            DoneOutcome::Err {
+                kind,
+                signature,
+                message,
+            } => {
+                s.tag(OUTCOMES, 1);
+                s.word(kind);
+                s.hex(signature);
+                s.rest(message);
+            }
+        }
+    }
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        let token = r.num()?;
+        let outcome = match r.tag("done status", OUTCOMES)? {
+            0 => DoneOutcome::Ok {
+                scheme: r.word()?,
+                elapsed_ns: r.num()?,
+                profile_hit: r.bool()?,
+                fused_with: r.num::<u32>()? as usize,
+                batched_with: r.num::<u32>()? as usize,
+                payload: r.field()?,
+            },
+            _ => DoneOutcome::Err {
+                kind: r.word()?,
+                signature: r.hex()?,
+                message: r.rest()?,
+            },
+        };
+        Ok(DoneMsg { token, outcome })
+    }
+}
+
 /// The `stats v2` payload: counters, latency-histogram digests, and the
 /// quarantine ledger — everything `stats` reports plus the distribution
 /// and health state the counters cannot express.
@@ -656,6 +642,38 @@ pub struct StatsV2 {
     /// Quarantined class signatures with the whole seconds remaining
     /// until each TTL expires, sorted by signature.
     pub quarantined: Vec<(u64, u64)>,
+}
+
+impl Field for StatsV2 {
+    fn put<S: Sink>(&self, s: &mut S) {
+        put_vec(s, Count::Section("counters"), &self.counters);
+        put_vec(s, Count::Section("hists"), &self.hists);
+        put_vec(s, Count::Section("quarantine"), &self.quarantined);
+    }
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        Ok(StatsV2 {
+            counters: get_vec(r, Count::Section("counters"))?,
+            hists: get_vec(r, Count::Section("hists"))?,
+            quarantined: get_vec(r, Count::Section("quarantine"))?,
+        })
+    }
+}
+
+record!(HistSummary, min 52, ":", name: word, label_key: word, label_value: word,
+    count: num, p50: num, p95: num, p99: num, max: num);
+
+/// A quarantine entry, text `<signature hex16>:<ttl secs>`.
+impl Field for (u64, u64) {
+    const MIN_BIN: usize = 16;
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.joined(":", |s| {
+            s.hex(&self.0);
+            s.num(&self.1);
+        });
+    }
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        r.joined(":", |r| Ok((r.hex()?, r.num()?)))
+    }
 }
 
 /// Exemplars a bare `slowlog` request (no count) asks for.
@@ -677,6 +695,13 @@ pub enum ExplainTarget {
     Handle(u64),
 }
 
+variants!(
+    ExplainTarget,
+    "explain target",
+    Signature(hex) = "",
+    Handle(hex) = "pat:"
+);
+
 /// A gate verdict as reported on the wire: whether the gate took its
 /// action, and the single-token reason (`docs/OBSERVABILITY.md` lists
 /// the vocabulary per gate).
@@ -688,27 +713,7 @@ pub struct WireGate {
     pub reason: String,
 }
 
-impl WireGate {
-    fn encode(&self) -> String {
-        format!("{}:{}", u8::from(self.fired), self.reason)
-    }
-
-    fn parse(s: &str) -> Result<WireGate, String> {
-        let (fired, reason) = s.split_once(':').ok_or(format!("bad gate verdict {s}"))?;
-        let fired = match fired {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("bad gate flag {other}")),
-        };
-        if reason.is_empty() {
-            return Err(format!("empty gate reason in {s}"));
-        }
-        Ok(WireGate {
-            fired,
-            reason: reason.to_string(),
-        })
-    }
-}
+record!(WireGate, min 5, ":", fired: bool, reason: word);
 
 /// One row of the `explain` candidate cost table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -723,38 +728,7 @@ pub struct WireCandidate {
     pub feasible: bool,
 }
 
-impl WireCandidate {
-    fn encode(&self) -> String {
-        format!(
-            "{}:{}:{}:{}",
-            self.scheme,
-            self.analytic,
-            self.corrected,
-            u8::from(self.feasible)
-        )
-    }
-
-    fn parse(s: &str) -> Result<WireCandidate, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let [scheme, analytic, corrected, feasible] = parts[..] else {
-            return Err(format!("bad candidate row {s}"));
-        };
-        let num = |v: &str| -> Result<f64, String> {
-            v.parse().map_err(|_| format!("bad candidate cost {v}"))
-        };
-        let feasible = match feasible {
-            "0" => false,
-            "1" => true,
-            other => return Err(format!("bad feasible flag {other}")),
-        };
-        Ok(WireCandidate {
-            scheme: scheme.to_string(),
-            analytic: num(analytic)?,
-            corrected: num(corrected)?,
-            feasible,
-        })
-    }
-}
+record!(WireCandidate, min 21, ":", scheme: word, analytic: num, corrected: num, feasible: bool);
 
 /// The `explain` payload: the wire form of the runtime's per-class
 /// decision record — feature vector, full candidate cost table
@@ -794,110 +768,44 @@ pub struct ExplainInfo {
     pub candidates: Vec<WireCandidate>,
 }
 
-impl ExplainInfo {
-    fn encode_fields(&self) -> String {
-        let mut s = format!(
-            "{:016x} {} {} {} {}{} {} {} {} {}",
-            self.signature,
-            self.domain,
-            self.winner,
-            self.backend,
-            u8::from(self.explored),
-            u8::from(self.rechecked),
-            self.flips,
-            self.fusion.encode(),
-            self.simplify.encode(),
-            self.quarantine.encode(),
-        );
-        s.push_str(&format!(" features {}", self.features.len()));
-        for (name, value) in &self.features {
-            s.push_str(&format!(" {name}={value}"));
-        }
-        s.push_str(&format!(" candidates {}", self.candidates.len()));
-        for c in &self.candidates {
-            s.push(' ');
-            s.push_str(&c.encode());
-        }
-        s
+/// Text: `<sig> <domain> <winner> <backend> <explored><rechecked>
+/// <flips> <gate> <gate> <gate> features n … candidates m …`.
+impl Field for ExplainInfo {
+    fn put<S: Sink>(&self, s: &mut S) {
+        s.hex(&self.signature);
+        s.word(&self.domain);
+        s.word(&self.winner);
+        s.word(&self.backend);
+        s.joined("", |s| {
+            s.bool(&self.explored);
+            s.bool(&self.rechecked);
+        });
+        s.num(&self.flips);
+        s.field(&self.fusion);
+        s.field(&self.simplify);
+        s.field(&self.quarantine);
+        put_vec(s, Count::Section("features"), &self.features);
+        put_vec(s, Count::Section("candidates"), &self.candidates);
     }
-
-    fn parse_fields(f: &[&str]) -> Result<ExplainInfo, String> {
-        if f.len() < 9 {
-            return Err(format!(
-                "explained takes at least 9 fields, got {}",
-                f.len()
-            ));
-        }
-        let signature = u64::from_str_radix(f[0], 16)
-            .map_err(|_| format!("bad explained signature {}", f[0]))?;
-        let flags = f[4].as_bytes();
-        let flag = |b: u8| match b {
-            b'0' => Ok(false),
-            b'1' => Ok(true),
-            _ => Err(format!("bad explained flags {}", f[4])),
-        };
-        let [explored, rechecked] = flags[..] else {
-            return Err(format!("bad explained flags {}", f[4]));
-        };
-        let flips: u64 = f[5].parse().map_err(|_| format!("bad flips {}", f[5]))?;
-        let fusion = WireGate::parse(f[6])?;
-        let simplify = WireGate::parse(f[7])?;
-        let quarantine = WireGate::parse(f[8])?;
-        let mut i = 9usize;
-        let section = |name: &'static str, i: &mut usize| -> Result<usize, String> {
-            if f.get(*i).copied() != Some(name) {
-                return Err(format!("explained expects a {name} section at field {i}"));
-            }
-            let n: usize = f
-                .get(*i + 1)
-                .ok_or(format!("explained {name} needs a count"))?
-                .parse()
-                .map_err(|_| format!("bad {name} count"))?;
-            *i += 2;
-            if f.len() < *i + n {
-                return Err(format!(
-                    "explained {name} declares {n} entries, line ends early"
-                ));
-            }
-            Ok(n)
-        };
-        let n = section("features", &mut i)?;
-        let features = f[i..i + n]
-            .iter()
-            .map(|pair| {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or(format!("bad feature pair {pair}"))?;
-                let v: f64 = v.parse().map_err(|_| format!("bad feature value {pair}"))?;
-                Ok((k.to_string(), v))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        i += n;
-        let m = section("candidates", &mut i)?;
-        let candidates = f[i..i + m]
-            .iter()
-            .map(|s| WireCandidate::parse(s))
-            .collect::<Result<Vec<_>, String>>()?;
-        i += m;
-        if i != f.len() {
-            return Err(format!(
-                "explained line has {} trailing fields",
-                f.len() - i
-            ));
-        }
+    fn get<R: Source>(r: &mut R) -> Result<Self, String> {
+        let signature = r.hex()?;
+        let domain = r.word()?;
+        let winner = r.word()?;
+        let backend = r.word()?;
+        let (explored, rechecked) = r.joined("", |r| Ok((r.bool()?, r.bool()?)))?;
         Ok(ExplainInfo {
             signature,
-            domain: f[1].to_string(),
-            winner: f[2].to_string(),
-            backend: f[3].to_string(),
-            explored: flag(explored)?,
-            rechecked: flag(rechecked)?,
-            flips,
-            fusion,
-            simplify,
-            quarantine,
-            features,
-            candidates,
+            domain,
+            winner,
+            backend,
+            explored,
+            rechecked,
+            flips: r.num()?,
+            fusion: r.field()?,
+            simplify: r.field()?,
+            quarantine: r.field()?,
+            features: get_vec(r, Count::Section("features"))?,
+            candidates: get_vec(r, Count::Section("candidates"))?,
         })
     }
 }
@@ -937,54 +845,10 @@ pub struct SlowlogEntry {
     pub winner: String,
 }
 
-impl SlowlogEntry {
-    fn encode(&self) -> String {
-        format!(
-            "{:016x}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-            self.class,
-            self.latency_ns,
-            self.scheme,
-            self.backend,
-            self.error,
-            self.fused,
-            self.queue_ns,
-            self.decide_ns,
-            self.simplify_ns,
-            self.exec_ns,
-            self.completion_ns,
-            self.winner
-        )
-    }
-
-    fn parse(s: &str) -> Result<SlowlogEntry, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        let [class, latency, scheme, backend, error, fused, queue, decide, simplify, exec, completion, winner] =
-            parts[..]
-        else {
-            return Err(format!("bad slowlog entry {s}"));
-        };
-        let num = |v: &str| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("bad slowlog field {v}"))
-        };
-        Ok(SlowlogEntry {
-            class: u64::from_str_radix(class, 16)
-                .map_err(|_| format!("bad slowlog class {class}"))?,
-            latency_ns: num(latency)?,
-            scheme: scheme.to_string(),
-            backend: backend.to_string(),
-            error: error.to_string(),
-            fused: fused
-                .parse()
-                .map_err(|_| format!("bad fused count {fused}"))?,
-            queue_ns: num(queue)?,
-            decide_ns: num(decide)?,
-            simplify_ns: num(simplify)?,
-            exec_ns: num(exec)?,
-            completion_ns: num(completion)?,
-            winner: winner.to_string(),
-        })
-    }
-}
+// `fused` travels as a `u32` in binary.
+record!(SlowlogEntry, min 76, ":", class: hex, latency_ns: num, scheme: word, backend: word,
+    error: word, fused: field, queue_ns: num, decide_ns: num, simplify_ns: num, exec_ns: num,
+    completion_ns: num, winner: word);
 
 /// A server→client response (one line each).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1028,356 +892,91 @@ pub enum Response {
 impl Response {
     /// Render the response as its wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        match self {
-            Response::Done(DoneMsg { token, outcome }) => match outcome {
-                DoneOutcome::Ok {
-                    scheme,
-                    elapsed_ns,
-                    profile_hit,
-                    fused_with,
-                    batched_with,
-                    payload,
-                } => {
-                    let head = format!(
-                        "done {token} ok {scheme} {elapsed_ns} {} {fused_with} {batched_with}",
-                        u8::from(*profile_hit)
-                    );
-                    match payload {
-                        Payload::Checksum { len, sum } => format!("{head} sum {len} {sum}"),
-                        Payload::Full(values) => {
-                            let mut s = format!("{head} full {}", values.len());
-                            for v in values {
-                                s.push(' ');
-                                s.push_str(&v.to_string());
-                            }
-                            s
-                        }
-                        Payload::ChecksumF64 { len, sum } => format!("{head} fsum {len} {sum}"),
-                        Payload::FullF64(values) => {
-                            let mut s = format!("{head} ffull {}", values.len());
-                            for v in values {
-                                s.push(' ');
-                                s.push_str(&v.to_string());
-                            }
-                            s
-                        }
-                    }
-                }
-                DoneOutcome::Err {
-                    kind,
-                    signature,
-                    message,
-                } => format!("done {token} err {kind} {signature:016x} {message}"),
-            },
-            Response::Stats(pairs) => {
-                let mut s = "stats".to_string();
-                for (k, v) in pairs {
-                    s.push(' ');
-                    s.push_str(k);
-                    s.push('=');
-                    s.push_str(&v.to_string());
-                }
-                s
-            }
-            Response::StatsV2(v2) => {
-                let mut s = format!("stats2 counters {}", v2.counters.len());
-                for (k, v) in &v2.counters {
-                    s.push(' ');
-                    s.push_str(k);
-                    s.push('=');
-                    s.push_str(&v.to_string());
-                }
-                s.push_str(&format!(" hists {}", v2.hists.len()));
-                for h in &v2.hists {
-                    s.push_str(&format!(
-                        " {}:{}:{}:{}:{}:{}:{}:{}",
-                        h.name, h.label_key, h.label_value, h.count, h.p50, h.p95, h.p99, h.max
-                    ));
-                }
-                s.push_str(&format!(" quarantine {}", v2.quarantined.len()));
-                for (sig, ttl) in &v2.quarantined {
-                    s.push_str(&format!(" {sig:016x}:{ttl}"));
-                }
-                s
-            }
-            Response::Explained(None) => "explained none".into(),
-            Response::Explained(Some(info)) => format!("explained {}", info.encode_fields()),
-            Response::Slowlog(entries) => {
-                let mut s = format!("slowlog {}", entries.len());
-                for e in entries {
-                    s.push(' ');
-                    s.push_str(&e.encode());
-                }
-                s
-            }
-            Response::Drained(n) => format!("drained {n}"),
-            Response::Unquarantined(found) => format!("unquarantined {}", u8::from(*found)),
-            Response::Uploaded { token, handle } => format!("uploaded {token} {handle:016x}"),
-            Response::Upgraded => "upgraded bin".into(),
-            Response::Error(msg) => format!("err {msg}"),
-        }
+        codec::to_text(self)
     }
 
     /// Parse one response line.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match verb {
-            "done" => Self::parse_done(rest).map(Response::Done),
-            "stats" => rest
-                .split_ascii_whitespace()
-                .map(|pair| {
-                    let (k, v) = pair
-                        .split_once('=')
-                        .ok_or(format!("bad stat pair {pair}"))?;
-                    let v: u64 = v.parse().map_err(|_| format!("bad stat value {pair}"))?;
-                    Ok((k.to_string(), v))
-                })
-                .collect::<Result<Vec<_>, String>>()
-                .map(Response::Stats),
-            "stats2" => Self::parse_stats_v2(rest).map(Response::StatsV2),
-            "explained" => {
-                if rest.trim() == "none" {
-                    return Ok(Response::Explained(None));
-                }
-                let f: Vec<&str> = rest.split_ascii_whitespace().collect();
-                ExplainInfo::parse_fields(&f).map(|info| Response::Explained(Some(info)))
-            }
-            "slowlog" => {
-                let f: Vec<&str> = rest.split_ascii_whitespace().collect();
-                let (count, entries) = f.split_first().ok_or("slowlog needs a count")?;
-                let n: usize = count
-                    .parse()
-                    .map_err(|_| format!("bad slowlog count {count}"))?;
-                if entries.len() != n {
-                    return Err(format!(
-                        "slowlog declares {n} entries, got {}",
-                        entries.len()
-                    ));
-                }
-                entries
-                    .iter()
-                    .map(|s| SlowlogEntry::parse(s))
-                    .collect::<Result<Vec<_>, String>>()
-                    .map(Response::Slowlog)
-            }
-            "drained" => rest
-                .trim()
-                .parse()
-                .map(Response::Drained)
-                .map_err(|_| format!("bad drained count {rest}")),
-            "unquarantined" => match rest.trim() {
-                "0" => Ok(Response::Unquarantined(false)),
-                "1" => Ok(Response::Unquarantined(true)),
-                other => Err(format!("bad unquarantined flag {other}")),
-            },
-            "uploaded" => {
-                let (token, handle) = rest
-                    .trim()
-                    .split_once(' ')
-                    .ok_or(format!("truncated uploaded line: {rest}"))?;
-                let token: u64 = token.parse().map_err(|_| format!("bad token {token}"))?;
-                let handle =
-                    u64::from_str_radix(handle, 16).map_err(|_| format!("bad handle {handle}"))?;
-                Ok(Response::Uploaded { token, handle })
-            }
-            "upgraded" => match rest.trim() {
-                "bin" => Ok(Response::Upgraded),
-                other => Err(format!("bad upgraded mode {other}")),
-            },
-            "err" => Ok(Response::Error(rest.to_string())),
-            other => Err(format!("unknown response {other}")),
+        codec::from_text(line.trim_end_matches(['\r', '\n']))
+    }
+}
+
+/// `explained none` / `explained <record>`.
+const PRESENCE: &[&str] = &["none", ""];
+
+impl Message for Response {
+    const NAME: &'static str = "response";
+    /// `0x87` is the metrics frame, which is not a `Response`.
+    const KINDS: &'static [(u8, &'static str)] = &[
+        (0x81, "done"),
+        (0x82, "stats"),
+        (0x83, "stats2"),
+        (0x84, "drained"),
+        (0x85, "unquarantined"),
+        (0x86, "err"),
+        (0x88, "uploaded"),
+        (0x89, "upgraded bin"),
+        (0x8a, "explained"),
+        (0x8b, "slowlog"),
+    ];
+
+    fn row(&self) -> usize {
+        match self {
+            Response::Done(_) => 0,
+            Response::Stats(_) => 1,
+            Response::StatsV2(_) => 2,
+            Response::Drained(_) => 3,
+            Response::Unquarantined(_) => 4,
+            Response::Error(_) => 5,
+            Response::Uploaded { .. } => 6,
+            Response::Upgraded => 7,
+            Response::Explained(_) => 8,
+            Response::Slowlog(_) => 9,
         }
     }
 
-    fn parse_stats_v2(rest: &str) -> Result<StatsV2, String> {
-        let f: Vec<&str> = rest.split_ascii_whitespace().collect();
-        let mut i = 0usize;
-        // Each section is `<name> <count>` followed by `count` entries.
-        let section = |name: &'static str, i: &mut usize| -> Result<usize, String> {
-            if f.get(*i).copied() != Some(name) {
-                return Err(format!("stats2 expects a {name} section at field {i}"));
+    fn put_fields<S: Sink>(&self, s: &mut S) {
+        match self {
+            Response::Done(d) => s.field(d),
+            Response::Stats(pairs) => put_vec(s, Count::ToEnd, pairs),
+            Response::StatsV2(v2) => s.field(v2),
+            Response::Drained(n) => s.num(n),
+            Response::Unquarantined(found) => s.bool(found),
+            Response::Error(msg) => s.rest(msg),
+            Response::Uploaded { token, handle } => {
+                s.num(token);
+                s.hex(handle);
             }
-            let n: usize = f
-                .get(*i + 1)
-                .ok_or(format!("stats2 {name} needs a count"))?
-                .parse()
-                .map_err(|_| format!("bad {name} count"))?;
-            *i += 2;
-            if f.len() < *i + n {
-                return Err(format!(
-                    "stats2 {name} declares {n} entries, line ends early"
-                ));
+            Response::Upgraded => {}
+            Response::Explained(info) => {
+                s.tag(PRESENCE, u8::from(info.is_some()));
+                if let Some(info) = info {
+                    s.field(info);
+                }
             }
-            Ok(n)
-        };
-        let n = section("counters", &mut i)?;
-        let counters = f[i..i + n]
-            .iter()
-            .map(|pair| {
-                let (k, v) = pair
-                    .split_once('=')
-                    .ok_or(format!("bad stat pair {pair}"))?;
-                let v: u64 = v.parse().map_err(|_| format!("bad stat value {pair}"))?;
-                Ok((k.to_string(), v))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        i += n;
-        let m = section("hists", &mut i)?;
-        let hists = f[i..i + m]
-            .iter()
-            .map(|entry| {
-                let parts: Vec<&str> = entry.split(':').collect();
-                let [name, label_key, label_value, count, p50, p95, p99, max] = parts[..] else {
-                    return Err(format!("bad hist digest {entry}"));
-                };
-                let num = |s: &str| -> Result<u64, String> {
-                    s.parse().map_err(|_| format!("bad hist field {s}"))
-                };
-                Ok(HistSummary {
-                    name: name.to_string(),
-                    label_key: label_key.to_string(),
-                    label_value: label_value.to_string(),
-                    count: num(count)?,
-                    p50: num(p50)?,
-                    p95: num(p95)?,
-                    p99: num(p99)?,
-                    max: num(max)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        i += m;
-        let q = section("quarantine", &mut i)?;
-        let quarantined = f[i..i + q]
-            .iter()
-            .map(|entry| {
-                let (sig, ttl) = entry
-                    .split_once(':')
-                    .ok_or(format!("bad quarantine entry {entry}"))?;
-                let sig = u64::from_str_radix(sig, 16)
-                    .map_err(|_| format!("bad quarantine signature {sig}"))?;
-                let ttl: u64 = ttl
-                    .parse()
-                    .map_err(|_| format!("bad quarantine ttl {ttl}"))?;
-                Ok((sig, ttl))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        i += q;
-        if i != f.len() {
-            return Err(format!("stats2 line has {} trailing fields", f.len() - i));
+            Response::Slowlog(entries) => put_vec(s, Count::Bare, entries),
         }
-        Ok(StatsV2 {
-            counters,
-            hists,
-            quarantined,
+    }
+
+    fn get_fields<R: Source>(row: usize, r: &mut R) -> Result<Self, String> {
+        Ok(match row {
+            0 => Response::Done(r.field()?),
+            1 => Response::Stats(get_vec(r, Count::ToEnd)?),
+            2 => Response::StatsV2(r.field()?),
+            3 => Response::Drained(r.num()?),
+            4 => Response::Unquarantined(r.bool()?),
+            5 => Response::Error(r.rest()?),
+            6 => Response::Uploaded {
+                token: r.num()?,
+                handle: r.hex()?,
+            },
+            7 => Response::Upgraded,
+            8 => Response::Explained(match r.tag("explained presence", PRESENCE)? {
+                0 => None,
+                _ => Some(r.field()?),
+            }),
+            _ => Response::Slowlog(get_vec(r, Count::Bare)?),
         })
-    }
-
-    fn parse_done(rest: &str) -> Result<DoneMsg, String> {
-        let f: Vec<&str> = rest.splitn(3, ' ').collect();
-        let [token, status, tail] = f[..] else {
-            return Err(format!("truncated done line: {rest}"));
-        };
-        let token: u64 = token.parse().map_err(|_| format!("bad token {token}"))?;
-        match status {
-            "ok" => {
-                let f: Vec<&str> = tail.split_ascii_whitespace().collect();
-                if f.len() < 7 {
-                    return Err(format!("truncated done-ok line: {tail}"));
-                }
-                let scheme = f[0].to_string();
-                let elapsed_ns: u64 = f[1].parse().map_err(|_| format!("bad elapsed {}", f[1]))?;
-                let profile_hit = match f[2] {
-                    "0" => false,
-                    "1" => true,
-                    other => return Err(format!("bad profile_hit {other}")),
-                };
-                let fused_with: usize = f[3]
-                    .parse()
-                    .map_err(|_| format!("bad fused_with {}", f[3]))?;
-                let batched_with: usize = f[4]
-                    .parse()
-                    .map_err(|_| format!("bad batched_with {}", f[4]))?;
-                let len: usize = f[6].parse().map_err(|_| format!("bad length {}", f[6]))?;
-                let payload = match f[5] {
-                    "sum" => {
-                        if f.len() != 8 {
-                            return Err("sum payload takes len + checksum".into());
-                        }
-                        Payload::Checksum {
-                            len,
-                            sum: f[7].parse().map_err(|_| format!("bad checksum {}", f[7]))?,
-                        }
-                    }
-                    "full" => {
-                        if f.len() != 7 + len {
-                            return Err(format!(
-                                "full payload declares {len} values, got {}",
-                                f.len() - 7
-                            ));
-                        }
-                        Payload::Full(
-                            f[7..]
-                                .iter()
-                                .map(|v| v.parse().map_err(|_| format!("bad value {v}")))
-                                .collect::<Result<Vec<i64>, String>>()?,
-                        )
-                    }
-                    "fsum" => {
-                        if f.len() != 8 {
-                            return Err("fsum payload takes len + checksum".into());
-                        }
-                        Payload::ChecksumF64 {
-                            len,
-                            sum: f[7].parse().map_err(|_| format!("bad checksum {}", f[7]))?,
-                        }
-                    }
-                    "ffull" => {
-                        if f.len() != 7 + len {
-                            return Err(format!(
-                                "ffull payload declares {len} values, got {}",
-                                f.len() - 7
-                            ));
-                        }
-                        Payload::FullF64(
-                            f[7..]
-                                .iter()
-                                .map(|v| v.parse().map_err(|_| format!("bad value {v}")))
-                                .collect::<Result<Vec<f64>, String>>()?,
-                        )
-                    }
-                    other => return Err(format!("unknown payload kind {other}")),
-                };
-                Ok(DoneMsg {
-                    token,
-                    outcome: DoneOutcome::Ok {
-                        scheme,
-                        elapsed_ns,
-                        profile_hit,
-                        fused_with,
-                        batched_with,
-                        payload,
-                    },
-                })
-            }
-            "err" => {
-                let f: Vec<&str> = tail.splitn(3, ' ').collect();
-                let [kind, signature, message] = f[..] else {
-                    return Err(format!("truncated done-err line: {tail}"));
-                };
-                let signature = u64::from_str_radix(signature, 16)
-                    .map_err(|_| format!("bad signature {signature}"))?;
-                Ok(DoneMsg {
-                    token,
-                    outcome: DoneOutcome::Err {
-                        kind: kind.to_string(),
-                        signature,
-                        message: message.to_string(),
-                    },
-                })
-            }
-            other => Err(format!("unknown done status {other}")),
-        }
     }
 }
 
@@ -1394,76 +993,6 @@ mod tests {
             dist: WireDist::Zipf(1.1),
             seed: 7,
         }
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        let args = SubmitArgs {
-            token: 41,
-            reply: ReplyMode::Full,
-            body: WireBody::Mul(-3),
-            source: WireSource::Gen(spec()),
-        };
-        let by_handle = SubmitArgs {
-            token: 43,
-            reply: ReplyMode::Ack,
-            body: WireBody::FSum,
-            source: WireSource::Handle(0x1f),
-        };
-        for req in [
-            Request::Submit(args),
-            Request::Submit(by_handle),
-            Request::Submit(SubmitArgs {
-                token: 44,
-                reply: ReplyMode::Ack,
-                body: WireBody::Usum,
-                source: WireSource::Handle(0x20),
-            }),
-            Request::Submit(SubmitArgs {
-                token: 45,
-                reply: ReplyMode::Full,
-                body: WireBody::Fusum,
-                source: WireSource::Gen(spec()),
-            }),
-            Request::Batch(vec![
-                args,
-                // A batch may mix handle-form (4 fields) and spec-form
-                // (9 fields) submissions.
-                by_handle,
-                SubmitArgs {
-                    token: 42,
-                    reply: ReplyMode::Ack,
-                    body: WireBody::Sum,
-                    source: WireSource::Gen(WireSpec {
-                        dist: WireDist::Clustered(16),
-                        ..spec()
-                    }),
-                },
-            ]),
-            Request::Stats,
-            Request::StatsV2,
-            Request::Metrics,
-            Request::Drain,
-            Request::Unquarantine(0xdead_beef_0042),
-            Request::Upload(UploadArgs {
-                token: 5,
-                num_elements: 4,
-                iter_ptr: vec![0, 2, 2, 3],
-                indices: vec![1, 3, 0],
-            }),
-            Request::Explain(ExplainTarget::Signature(0xabc_0042)),
-            Request::Explain(ExplainTarget::Handle(0x2a)),
-            Request::Slowlog(17),
-            Request::UpgradeBin,
-        ] {
-            let line = req.encode();
-            assert_eq!(Request::parse(&line).as_ref(), Ok(&req), "line: {line}");
-        }
-        // A bare `slowlog` asks for the default count.
-        assert_eq!(
-            Request::parse("slowlog"),
-            Ok(Request::Slowlog(DEFAULT_SLOWLOG))
-        );
     }
 
     #[test]
@@ -1541,111 +1070,6 @@ mod tests {
             exec_ns: 1_100_000,
             completion_ns: 100_000,
             winner: "hash".into(),
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        for resp in [
-            Response::Done(DoneMsg {
-                token: 9,
-                outcome: DoneOutcome::Ok {
-                    scheme: "hash".into(),
-                    elapsed_ns: 123_456,
-                    profile_hit: true,
-                    fused_with: 5,
-                    batched_with: 7,
-                    payload: Payload::Checksum { len: 512, sum: -17 },
-                },
-            }),
-            Response::Done(DoneMsg {
-                token: 10,
-                outcome: DoneOutcome::Ok {
-                    scheme: "rep".into(),
-                    elapsed_ns: 1,
-                    profile_hit: false,
-                    fused_with: 0,
-                    batched_with: 0,
-                    payload: Payload::Full(vec![1, -2, 3]),
-                },
-            }),
-            Response::Done(DoneMsg {
-                token: 11,
-                outcome: DoneOutcome::Err {
-                    kind: "panic".into(),
-                    signature: 0xabc,
-                    message: "bad row 7 of 9".into(),
-                },
-            }),
-            Response::Stats(vec![("submitted".into(), 12), ("completed".into(), 12)]),
-            Response::StatsV2(StatsV2 {
-                counters: vec![("completed".into(), 12), ("submitted".into(), 12)],
-                hists: vec![HistSummary {
-                    name: "smartapps_exec_ns".into(),
-                    label_key: "scheme".into(),
-                    label_value: "hash".into(),
-                    count: 40,
-                    p50: 1023,
-                    p95: 8191,
-                    p99: 16383,
-                    max: 12345,
-                }],
-                quarantined: vec![(0xabc, 17), (0xdef, 0)],
-            }),
-            Response::StatsV2(StatsV2::default()),
-            Response::Explained(None),
-            Response::Explained(Some(explain_info())),
-            Response::Slowlog(vec![]),
-            Response::Slowlog(vec![
-                slowlog_entry(),
-                SlowlogEntry {
-                    scheme: "-".into(),
-                    winner: "-".into(),
-                    error: "quarantined".into(),
-                    fused: 0,
-                    queue_ns: 0,
-                    decide_ns: 0,
-                    exec_ns: 0,
-                    completion_ns: 0,
-                    ..slowlog_entry()
-                },
-            ]),
-            Response::Drained(40),
-            Response::Unquarantined(true),
-            Response::Uploaded {
-                token: 12,
-                handle: 0x2a,
-            },
-            Response::Upgraded,
-            Response::Done(DoneMsg {
-                token: 12,
-                outcome: DoneOutcome::Ok {
-                    scheme: "rep".into(),
-                    elapsed_ns: 77,
-                    profile_hit: false,
-                    fused_with: 0,
-                    batched_with: 1,
-                    payload: Payload::ChecksumF64 {
-                        len: 3,
-                        sum: -0.125,
-                    },
-                },
-            }),
-            Response::Done(DoneMsg {
-                token: 13,
-                outcome: DoneOutcome::Ok {
-                    scheme: "pclr".into(),
-                    elapsed_ns: 78,
-                    profile_hit: true,
-                    fused_with: 1,
-                    batched_with: 1,
-                    payload: Payload::FullF64(vec![1.5, -2.25, 1e-9, std::f64::consts::PI]),
-                },
-            }),
-            Response::Error("line too long".into()),
-        ] {
-            let line = resp.encode();
-            assert_eq!(Response::parse(&line).as_ref(), Ok(&resp), "line: {line}");
         }
     }
 
@@ -2166,222 +1590,5 @@ mod tests {
         assert_eq!(checksum(&[1, 2, 3]), 6);
         assert_eq!(checksum(&[i64::MAX, 1]), i64::MIN);
         assert_eq!(checksum(&[]), 0);
-    }
-
-    mod props {
-        //! Round-trip properties of the `stats`/`stats2` encodings over
-        //! arbitrary (wire-safe) keys, digests, and quarantine entries.
-
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Strategy: strings over the registry's sanitized label charset
-        /// (the only values that ever reach a `stats2` line).
-        fn arb_ident() -> impl Strategy<Value = String> {
-            const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789._-";
-            proptest::collection::vec(0usize..CHARS.len(), 1..12)
-                .prop_map(|ix| ix.into_iter().map(|i| CHARS[i] as char).collect())
-        }
-
-        fn arb_summary() -> impl Strategy<Value = HistSummary> {
-            (
-                (arb_ident(), arb_ident(), arb_ident()),
-                (
-                    any::<u64>(),
-                    any::<u64>(),
-                    any::<u64>(),
-                    any::<u64>(),
-                    any::<u64>(),
-                ),
-            )
-                .prop_map(
-                    |((name, label_key, label_value), (count, p50, p95, p99, max))| HistSummary {
-                        name,
-                        label_key,
-                        label_value,
-                        count,
-                        p50,
-                        p95,
-                        p99,
-                        max,
-                    },
-                )
-        }
-
-        fn arb_stats_v2() -> impl Strategy<Value = StatsV2> {
-            (
-                proptest::collection::vec((arb_ident(), any::<u64>()), 0..6),
-                proptest::collection::vec(arb_summary(), 0..6),
-                proptest::collection::vec((any::<u64>(), 0u64..1_000_000), 0..5),
-            )
-                .prop_map(|(mut counters, mut hists, mut quarantined)| {
-                    // The server always emits sorted sections; generate in
-                    // the same canonical form.
-                    counters.sort();
-                    hists.sort_by(|a, b| {
-                        (&a.name, &a.label_key, &a.label_value).cmp(&(
-                            &b.name,
-                            &b.label_key,
-                            &b.label_value,
-                        ))
-                    });
-                    quarantined.sort();
-                    StatsV2 {
-                        counters,
-                        hists,
-                        quarantined,
-                    }
-                })
-        }
-
-        /// Strategy: any f64 the server can legitimately put on the wire.
-        /// `Display` for f64 is the shortest round-tripping form, and
-        /// `"inf"` parses back; only NaN breaks the property (it never
-        /// reaches a wire line — costs come from finite samples and
-        /// infeasible-scheme sentinels).
-        fn arb_cost() -> impl Strategy<Value = f64> {
-            prop_oneof![-1.0e15..1.0e15, 0.0..1.0, Just(0.0), Just(f64::INFINITY),]
-        }
-
-        fn arb_gate() -> impl Strategy<Value = WireGate> {
-            (any::<bool>(), arb_ident()).prop_map(|(fired, reason)| WireGate { fired, reason })
-        }
-
-        fn arb_candidate() -> impl Strategy<Value = WireCandidate> {
-            (arb_ident(), arb_cost(), arb_cost(), any::<bool>()).prop_map(
-                |(scheme, analytic, corrected, feasible)| WireCandidate {
-                    scheme,
-                    analytic,
-                    corrected,
-                    feasible,
-                },
-            )
-        }
-
-        fn arb_explain_info() -> impl Strategy<Value = ExplainInfo> {
-            (
-                (any::<u64>(), arb_ident(), arb_ident(), arb_ident()),
-                (any::<bool>(), any::<bool>(), any::<u64>()),
-                (arb_gate(), arb_gate(), arb_gate()),
-                proptest::collection::vec((arb_ident(), arb_cost()), 0..8),
-                proptest::collection::vec(arb_candidate(), 0..8),
-            )
-                .prop_map(
-                    |(
-                        (signature, domain, winner, backend),
-                        (explored, rechecked, flips),
-                        (fusion, simplify, quarantine),
-                        features,
-                        candidates,
-                    )| ExplainInfo {
-                        signature,
-                        domain,
-                        winner,
-                        backend,
-                        explored,
-                        rechecked,
-                        flips,
-                        fusion,
-                        simplify,
-                        quarantine,
-                        features,
-                        candidates,
-                    },
-                )
-        }
-
-        fn arb_slowlog_entry() -> impl Strategy<Value = SlowlogEntry> {
-            (
-                (any::<u64>(), any::<u64>()),
-                (arb_ident(), arb_ident(), arb_ident(), arb_ident()),
-                0u16..=u16::MAX,
-                (
-                    any::<u64>(),
-                    any::<u64>(),
-                    any::<u64>(),
-                    any::<u64>(),
-                    any::<u64>(),
-                ),
-            )
-                .prop_map(
-                    |(
-                        (class, latency_ns),
-                        (scheme, backend, error, winner),
-                        fused,
-                        (queue_ns, decide_ns, simplify_ns, exec_ns, completion_ns),
-                    )| SlowlogEntry {
-                        class,
-                        latency_ns,
-                        scheme,
-                        backend,
-                        error,
-                        fused,
-                        queue_ns,
-                        decide_ns,
-                        simplify_ns,
-                        exec_ns,
-                        completion_ns,
-                        winner,
-                    },
-                )
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(192))]
-
-            #[test]
-            fn explained_encode_parse_round_trips(info in arb_explain_info()) {
-                let line = Response::Explained(Some(info.clone())).encode();
-                prop_assert_eq!(
-                    Response::parse(&line),
-                    Ok(Response::Explained(Some(info))),
-                    "line: {}", line
-                );
-            }
-
-            #[test]
-            fn slowlog_encode_parse_round_trips(
-                entries in proptest::collection::vec(arb_slowlog_entry(), 0..5),
-            ) {
-                let line = Response::Slowlog(entries.clone()).encode();
-                prop_assert_eq!(
-                    Response::parse(&line),
-                    Ok(Response::Slowlog(entries)),
-                    "line: {}", line
-                );
-            }
-
-            #[test]
-            fn explain_requests_round_trip(sig in any::<u64>(), handle in any::<u64>(), n in any::<usize>()) {
-                for req in [
-                    Request::Explain(ExplainTarget::Signature(sig)),
-                    Request::Explain(ExplainTarget::Handle(handle)),
-                    Request::Slowlog(n),
-                ] {
-                    let line = req.encode();
-                    let parsed = Request::parse(&line);
-                    prop_assert_eq!(parsed, Ok(req), "line: {}", line);
-                }
-            }
-
-            #[test]
-            fn stats_v2_encode_parse_round_trips(v2 in arb_stats_v2()) {
-                let line = Response::StatsV2(v2.clone()).encode();
-                prop_assert_eq!(
-                    Response::parse(&line),
-                    Ok(Response::StatsV2(v2)),
-                    "line: {}", line
-                );
-            }
-
-            #[test]
-            fn stats_encode_parse_round_trips(
-                pairs in proptest::collection::vec((arb_ident(), any::<u64>()), 0..12),
-            ) {
-                let resp = Response::Stats(pairs);
-                let line = resp.encode();
-                prop_assert_eq!(Response::parse(&line), Ok(resp), "line: {}", line);
-            }
-        }
     }
 }

@@ -31,12 +31,8 @@
 //! declared lengths past the cap all surface as `Err`/`NeedMore`, and the
 //! server fails only the one connection that sent them.
 
-use crate::wire::{
-    DoneMsg, DoneOutcome, ExplainInfo, ExplainTarget, Payload, ReplyMode, Request, Response,
-    SlowlogEntry, StatsV2, SubmitArgs, UploadArgs, WireBody, WireCandidate, WireDist, WireGate,
-    WireSource, WireSpec,
-};
-use smartapps_telemetry::HistSummary;
+use crate::codec::{self, BinSink};
+use crate::wire::{Request, Response};
 
 /// Frame header size: the `u32` little-endian length prefix.
 pub const FRAME_HEADER_BYTES: usize = 4;
@@ -47,31 +43,9 @@ pub const FRAME_HEADER_BYTES: usize = 4;
 /// a corrupt length prefix cannot make the receiver buffer gigabytes.
 pub const DEFAULT_MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-// Request frame kinds.
-const K_SUBMIT: u8 = 0x01;
-const K_BATCH: u8 = 0x02;
-const K_STATS: u8 = 0x03;
-const K_STATS_V2: u8 = 0x04;
-const K_METRICS: u8 = 0x05;
-const K_DRAIN: u8 = 0x06;
-const K_UNQUARANTINE: u8 = 0x07;
-const K_UPLOAD: u8 = 0x08;
-const K_UPGRADE: u8 = 0x09;
-const K_EXPLAIN: u8 = 0x0a;
-const K_SLOWLOG: u8 = 0x0b;
-
-// Response frame kinds (high bit set).
-const K_DONE: u8 = 0x81;
-const K_R_STATS: u8 = 0x82;
-const K_R_STATS_V2: u8 = 0x83;
-const K_DRAINED: u8 = 0x84;
-const K_UNQUARANTINED: u8 = 0x85;
-const K_ERROR: u8 = 0x86;
+/// The metrics-exposition reply's kind byte (the other kinds are in the
+/// [`Request`] and [`Response`] tables).
 const K_METRICS_BODY: u8 = 0x87;
-const K_UPLOADED: u8 = 0x88;
-const K_UPGRADED: u8 = 0x89;
-const K_EXPLAINED: u8 = 0x8a;
-const K_R_SLOWLOG: u8 = 0x8b;
 
 /// A decoded server→client frame: either a [`Response`] or the raw
 /// Prometheus exposition bytes (the one reply that is not a `Response`
@@ -85,783 +59,35 @@ pub enum BinMsg {
     Metrics(Vec<u8>),
 }
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// Wrap a finished body in its `[len][kind]` header.
-fn frame(kind: u8, body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 1 + body.len());
-    put_u32(&mut out, 1 + body.len() as u32);
-    out.push(kind);
-    out.extend_from_slice(&body);
-    out
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &WireSpec) {
-    put_u64(out, spec.elements as u64);
-    put_u64(out, spec.iterations as u64);
-    put_u64(out, spec.refs_per_iter as u64);
-    put_f64(out, spec.coverage);
-    match spec.dist {
-        WireDist::Uniform => out.push(0),
-        WireDist::Zipf(s) => {
-            out.push(1);
-            put_f64(out, s);
-        }
-        WireDist::Clustered(w) => {
-            out.push(2);
-            put_u32(out, w);
-        }
-    }
-    put_u64(out, spec.seed);
-}
-
-fn put_submit(out: &mut Vec<u8>, a: &SubmitArgs) {
-    put_u64(out, a.token);
-    out.push(match a.reply {
-        ReplyMode::Ack => 0,
-        ReplyMode::Full => 1,
-    });
-    match a.body {
-        WireBody::Sum => out.push(0),
-        WireBody::Mul(k) => {
-            out.push(1);
-            put_i64(out, k);
-        }
-        WireBody::Panic => out.push(2),
-        WireBody::FSum => out.push(3),
-        WireBody::Usum => out.push(4),
-        WireBody::Fusum => out.push(5),
-    }
-    match a.source {
-        WireSource::Gen(spec) => {
-            out.push(0);
-            put_spec(out, &spec);
-        }
-        WireSource::Handle(h) => {
-            out.push(1);
-            put_u64(out, h);
-        }
-    }
-}
-
 /// Encode one client→server request as a complete frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::new();
-    let kind = match req {
-        Request::Submit(a) => {
-            put_submit(&mut body, a);
-            K_SUBMIT
-        }
-        Request::Batch(jobs) => {
-            put_u32(&mut body, jobs.len() as u32);
-            for j in jobs {
-                put_submit(&mut body, j);
-            }
-            K_BATCH
-        }
-        Request::Stats => K_STATS,
-        Request::StatsV2 => K_STATS_V2,
-        Request::Metrics => K_METRICS,
-        Request::Drain => K_DRAIN,
-        Request::Unquarantine(sig) => {
-            put_u64(&mut body, *sig);
-            K_UNQUARANTINE
-        }
-        Request::Upload(u) => {
-            put_u64(&mut body, u.token);
-            put_u64(&mut body, u.num_elements as u64);
-            put_u32(&mut body, u.iter_ptr.len() as u32);
-            for v in &u.iter_ptr {
-                put_u32(&mut body, *v);
-            }
-            put_u32(&mut body, u.indices.len() as u32);
-            for v in &u.indices {
-                put_u32(&mut body, *v);
-            }
-            K_UPLOAD
-        }
-        Request::UpgradeBin => K_UPGRADE,
-        Request::Explain(target) => {
-            match target {
-                ExplainTarget::Signature(sig) => {
-                    body.push(0);
-                    put_u64(&mut body, *sig);
-                }
-                ExplainTarget::Handle(h) => {
-                    body.push(1);
-                    put_u64(&mut body, *h);
-                }
-            }
-            K_EXPLAIN
-        }
-        Request::Slowlog(n) => {
-            put_u64(&mut body, *n as u64);
-            K_SLOWLOG
-        }
-    };
-    frame(kind, body)
-}
-
-fn put_gate(out: &mut Vec<u8>, g: &WireGate) {
-    out.push(u8::from(g.fired));
-    put_str(out, &g.reason);
-}
-
-fn put_explain_info(out: &mut Vec<u8>, info: &ExplainInfo) {
-    put_u64(out, info.signature);
-    put_str(out, &info.domain);
-    put_str(out, &info.winner);
-    put_str(out, &info.backend);
-    out.push(u8::from(info.explored));
-    out.push(u8::from(info.rechecked));
-    put_u64(out, info.flips);
-    put_gate(out, &info.fusion);
-    put_gate(out, &info.simplify);
-    put_gate(out, &info.quarantine);
-    put_u32(out, info.features.len() as u32);
-    for (name, value) in &info.features {
-        put_str(out, name);
-        put_f64(out, *value);
-    }
-    put_u32(out, info.candidates.len() as u32);
-    for WireCandidate {
-        scheme,
-        analytic,
-        corrected,
-        feasible,
-    } in &info.candidates
-    {
-        put_str(out, scheme);
-        put_f64(out, *analytic);
-        put_f64(out, *corrected);
-        out.push(u8::from(*feasible));
-    }
-}
-
-fn put_slowlog_entry(out: &mut Vec<u8>, e: &SlowlogEntry) {
-    put_u64(out, e.class);
-    put_u64(out, e.latency_ns);
-    put_str(out, &e.scheme);
-    put_str(out, &e.backend);
-    put_str(out, &e.error);
-    put_u32(out, u32::from(e.fused));
-    for ns in [
-        e.queue_ns,
-        e.decide_ns,
-        e.simplify_ns,
-        e.exec_ns,
-        e.completion_ns,
-    ] {
-        put_u64(out, ns);
-    }
-    put_str(out, &e.winner);
-}
-
-fn put_payload(out: &mut Vec<u8>, p: &Payload) {
-    match p {
-        Payload::Checksum { len, sum } => {
-            out.push(0);
-            put_u64(out, *len as u64);
-            put_i64(out, *sum);
-        }
-        Payload::Full(values) => {
-            out.push(1);
-            put_u32(out, values.len() as u32);
-            for v in values {
-                put_i64(out, *v);
-            }
-        }
-        Payload::ChecksumF64 { len, sum } => {
-            out.push(2);
-            put_u64(out, *len as u64);
-            put_f64(out, *sum);
-        }
-        Payload::FullF64(values) => {
-            out.push(3);
-            put_u32(out, values.len() as u32);
-            for v in values {
-                put_f64(out, *v);
-            }
-        }
-    }
-}
-
-fn put_counters(out: &mut Vec<u8>, pairs: &[(String, u64)]) {
-    put_u32(out, pairs.len() as u32);
-    for (k, v) in pairs {
-        put_str(out, k);
-        put_u64(out, *v);
-    }
+    codec::to_frame(req)
 }
 
 /// Encode one server→client response as a complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut body = Vec::new();
-    let kind = match resp {
-        Response::Done(DoneMsg { token, outcome }) => {
-            put_u64(&mut body, *token);
-            match outcome {
-                DoneOutcome::Ok {
-                    scheme,
-                    elapsed_ns,
-                    profile_hit,
-                    fused_with,
-                    batched_with,
-                    payload,
-                } => {
-                    body.push(0);
-                    put_str(&mut body, scheme);
-                    put_u64(&mut body, *elapsed_ns);
-                    body.push(u8::from(*profile_hit));
-                    put_u32(&mut body, *fused_with as u32);
-                    put_u32(&mut body, *batched_with as u32);
-                    put_payload(&mut body, payload);
-                }
-                DoneOutcome::Err {
-                    kind,
-                    signature,
-                    message,
-                } => {
-                    body.push(1);
-                    put_str(&mut body, kind);
-                    put_u64(&mut body, *signature);
-                    put_str(&mut body, message);
-                }
-            }
-            K_DONE
-        }
-        Response::Stats(pairs) => {
-            put_counters(&mut body, pairs);
-            K_R_STATS
-        }
-        Response::StatsV2(v2) => {
-            put_counters(&mut body, &v2.counters);
-            put_u32(&mut body, v2.hists.len() as u32);
-            for h in &v2.hists {
-                put_str(&mut body, &h.name);
-                put_str(&mut body, &h.label_key);
-                put_str(&mut body, &h.label_value);
-                for v in [h.count, h.p50, h.p95, h.p99, h.max] {
-                    put_u64(&mut body, v);
-                }
-            }
-            put_u32(&mut body, v2.quarantined.len() as u32);
-            for (sig, ttl) in &v2.quarantined {
-                put_u64(&mut body, *sig);
-                put_u64(&mut body, *ttl);
-            }
-            K_R_STATS_V2
-        }
-        Response::Drained(n) => {
-            put_u64(&mut body, *n);
-            K_DRAINED
-        }
-        Response::Unquarantined(found) => {
-            body.push(u8::from(*found));
-            K_UNQUARANTINED
-        }
-        Response::Uploaded { token, handle } => {
-            put_u64(&mut body, *token);
-            put_u64(&mut body, *handle);
-            K_UPLOADED
-        }
-        Response::Upgraded => K_UPGRADED,
-        Response::Explained(info) => {
-            match info {
-                None => body.push(0),
-                Some(info) => {
-                    body.push(1);
-                    put_explain_info(&mut body, info);
-                }
-            }
-            K_EXPLAINED
-        }
-        Response::Slowlog(entries) => {
-            put_u32(&mut body, entries.len() as u32);
-            for e in entries {
-                put_slowlog_entry(&mut body, e);
-            }
-            K_R_SLOWLOG
-        }
-        Response::Error(msg) => {
-            put_str(&mut body, msg);
-            K_ERROR
-        }
-    };
-    frame(kind, body)
+    codec::to_frame(resp)
 }
 
 /// Encode the metrics-exposition reply (raw bytes) as a complete frame.
 pub fn encode_metrics_frame(exposition: &[u8]) -> Vec<u8> {
-    frame(K_METRICS_BODY, exposition.to_vec())
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-/// Bounds-checked little-endian reader over one frame body.  Every
-/// accessor returns `Err` past the end — a truncated or lying frame is a
-/// decode error, never a panic.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Cur { b, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err(format!(
-                "frame truncated: need {n} bytes, have {}",
-                self.remaining()
-            ));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.u64()?).map_err(|_| "value exceeds usize".to_string())
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(format!("bad bool byte {t}")),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| "invalid utf-8 string".to_string())
-    }
-
-    /// A vector count whose elements occupy at least `min_elem_bytes`
-    /// each: rejects counts the remaining body cannot possibly hold, so
-    /// a lying count cannot drive a giant allocation.
-    fn vec_len(&mut self, min_elem_bytes: usize) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes) > self.remaining() {
-            return Err(format!(
-                "frame declares {n} elements but only {} bytes remain",
-                self.remaining()
-            ));
-        }
-        Ok(n)
-    }
-
-    fn done(&self) -> Result<(), String> {
-        if self.remaining() != 0 {
-            return Err(format!("frame has {} trailing bytes", self.remaining()));
-        }
-        Ok(())
-    }
-}
-
-fn get_spec(c: &mut Cur<'_>) -> Result<WireSpec, String> {
-    let elements = c.usize()?;
-    let iterations = c.usize()?;
-    let refs_per_iter = c.usize()?;
-    let coverage = c.f64()?;
-    let dist = match c.u8()? {
-        0 => WireDist::Uniform,
-        1 => WireDist::Zipf(c.f64()?),
-        2 => WireDist::Clustered(c.u32()?),
-        t => return Err(format!("unknown dist tag {t}")),
-    };
-    let seed = c.u64()?;
-    Ok(WireSpec {
-        elements,
-        iterations,
-        refs_per_iter,
-        coverage,
-        dist,
-        seed,
-    })
-}
-
-fn get_submit(c: &mut Cur<'_>) -> Result<SubmitArgs, String> {
-    let token = c.u64()?;
-    let reply = match c.u8()? {
-        0 => ReplyMode::Ack,
-        1 => ReplyMode::Full,
-        t => return Err(format!("unknown reply tag {t}")),
-    };
-    let body = match c.u8()? {
-        0 => WireBody::Sum,
-        1 => WireBody::Mul(c.i64()?),
-        2 => WireBody::Panic,
-        3 => WireBody::FSum,
-        4 => WireBody::Usum,
-        5 => WireBody::Fusum,
-        t => return Err(format!("unknown body tag {t}")),
-    };
-    let source = match c.u8()? {
-        0 => WireSource::Gen(get_spec(c)?),
-        1 => WireSource::Handle(c.u64()?),
-        t => return Err(format!("unknown source tag {t}")),
-    };
-    Ok(SubmitArgs {
-        token,
-        reply,
-        body,
-        source,
-    })
+    let mut s = BinSink::new(K_METRICS_BODY);
+    s.bytes(exposition);
+    s.finish()
 }
 
 /// Decode one request frame (kind byte + body, header already split off
 /// by [`FrameBuf`]).
 pub fn decode_request(kind: u8, body: &[u8]) -> Result<Request, String> {
-    let mut c = Cur::new(body);
-    let req = match kind {
-        K_SUBMIT => Request::Submit(get_submit(&mut c)?),
-        K_BATCH => {
-            // A submit is ≥ 11 bytes; 1 guards allocation, parsing guards
-            // the rest.
-            let n = c.vec_len(1)?;
-            if n == 0 {
-                return Err("batch count must be >= 1".into());
-            }
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(get_submit(&mut c)?);
-            }
-            Request::Batch(jobs)
-        }
-        K_STATS => Request::Stats,
-        K_STATS_V2 => Request::StatsV2,
-        K_METRICS => Request::Metrics,
-        K_DRAIN => Request::Drain,
-        K_UNQUARANTINE => Request::Unquarantine(c.u64()?),
-        K_UPLOAD => {
-            let token = c.u64()?;
-            let num_elements = c.usize()?;
-            let np = c.vec_len(4)?;
-            let mut iter_ptr = Vec::with_capacity(np);
-            for _ in 0..np {
-                iter_ptr.push(c.u32()?);
-            }
-            let ni = c.vec_len(4)?;
-            let mut indices = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                indices.push(c.u32()?);
-            }
-            Request::Upload(UploadArgs {
-                token,
-                num_elements,
-                iter_ptr,
-                indices,
-            })
-        }
-        K_UPGRADE => Request::UpgradeBin,
-        K_EXPLAIN => {
-            let target = match c.u8()? {
-                0 => ExplainTarget::Signature(c.u64()?),
-                1 => ExplainTarget::Handle(c.u64()?),
-                t => return Err(format!("unknown explain target tag {t}")),
-            };
-            Request::Explain(target)
-        }
-        K_SLOWLOG => Request::Slowlog(c.usize()?),
-        other => return Err(format!("unknown request kind 0x{other:02x}")),
-    };
-    c.done()?;
-    Ok(req)
-}
-
-fn get_gate(c: &mut Cur<'_>) -> Result<WireGate, String> {
-    Ok(WireGate {
-        fired: c.bool()?,
-        reason: c.str()?,
-    })
-}
-
-fn get_explain_info(c: &mut Cur<'_>) -> Result<ExplainInfo, String> {
-    let signature = c.u64()?;
-    let domain = c.str()?;
-    let winner = c.str()?;
-    let backend = c.str()?;
-    let explored = c.bool()?;
-    let rechecked = c.bool()?;
-    let flips = c.u64()?;
-    let fusion = get_gate(c)?;
-    let simplify = get_gate(c)?;
-    let quarantine = get_gate(c)?;
-    // Each feature is ≥ 12 bytes (empty name + f64 value).
-    let nf = c.vec_len(12)?;
-    let mut features = Vec::with_capacity(nf);
-    for _ in 0..nf {
-        let name = c.str()?;
-        let value = c.f64()?;
-        features.push((name, value));
-    }
-    // Each candidate is ≥ 21 bytes (empty scheme + 2 f64 + flag).
-    let nc = c.vec_len(21)?;
-    let mut candidates = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        candidates.push(WireCandidate {
-            scheme: c.str()?,
-            analytic: c.f64()?,
-            corrected: c.f64()?,
-            feasible: c.bool()?,
-        });
-    }
-    Ok(ExplainInfo {
-        signature,
-        domain,
-        winner,
-        backend,
-        explored,
-        rechecked,
-        flips,
-        fusion,
-        simplify,
-        quarantine,
-        features,
-        candidates,
-    })
-}
-
-fn get_slowlog_entry(c: &mut Cur<'_>) -> Result<SlowlogEntry, String> {
-    let class = c.u64()?;
-    let latency_ns = c.u64()?;
-    let scheme = c.str()?;
-    let backend = c.str()?;
-    let error = c.str()?;
-    let fused = u16::try_from(c.u32()?).map_err(|_| "fused count exceeds u16".to_string())?;
-    let mut stages = [0u64; 5];
-    for s in &mut stages {
-        *s = c.u64()?;
-    }
-    let winner = c.str()?;
-    Ok(SlowlogEntry {
-        class,
-        latency_ns,
-        scheme,
-        backend,
-        error,
-        fused,
-        queue_ns: stages[0],
-        decide_ns: stages[1],
-        simplify_ns: stages[2],
-        exec_ns: stages[3],
-        completion_ns: stages[4],
-        winner,
-    })
-}
-
-fn get_payload(c: &mut Cur<'_>) -> Result<Payload, String> {
-    Ok(match c.u8()? {
-        0 => Payload::Checksum {
-            len: c.usize()?,
-            sum: c.i64()?,
-        },
-        1 => {
-            let n = c.vec_len(8)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(c.i64()?);
-            }
-            Payload::Full(values)
-        }
-        2 => Payload::ChecksumF64 {
-            len: c.usize()?,
-            sum: c.f64()?,
-        },
-        3 => {
-            let n = c.vec_len(8)?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(c.f64()?);
-            }
-            Payload::FullF64(values)
-        }
-        t => return Err(format!("unknown payload tag {t}")),
-    })
-}
-
-fn get_counters(c: &mut Cur<'_>) -> Result<Vec<(String, u64)>, String> {
-    // Each pair is ≥ 12 bytes (empty key + value).
-    let n = c.vec_len(12)?;
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = c.str()?;
-        let v = c.u64()?;
-        pairs.push((k, v));
-    }
-    Ok(pairs)
+    codec::from_frame(kind, body)
 }
 
 /// Decode one response frame (kind byte + body).
 pub fn decode_response(kind: u8, body: &[u8]) -> Result<BinMsg, String> {
-    let mut c = Cur::new(body);
-    let resp = match kind {
-        K_DONE => {
-            let token = c.u64()?;
-            let outcome = match c.u8()? {
-                0 => {
-                    let scheme = c.str()?;
-                    let elapsed_ns = c.u64()?;
-                    let profile_hit = match c.u8()? {
-                        0 => false,
-                        1 => true,
-                        t => return Err(format!("bad profile_hit {t}")),
-                    };
-                    let fused_with = c.u32()? as usize;
-                    let batched_with = c.u32()? as usize;
-                    let payload = get_payload(&mut c)?;
-                    DoneOutcome::Ok {
-                        scheme,
-                        elapsed_ns,
-                        profile_hit,
-                        fused_with,
-                        batched_with,
-                        payload,
-                    }
-                }
-                1 => DoneOutcome::Err {
-                    kind: c.str()?,
-                    signature: c.u64()?,
-                    message: c.str()?,
-                },
-                t => return Err(format!("unknown done status {t}")),
-            };
-            Response::Done(DoneMsg { token, outcome })
-        }
-        K_R_STATS => Response::Stats(get_counters(&mut c)?),
-        K_R_STATS_V2 => {
-            let counters = get_counters(&mut c)?;
-            // Each digest is ≥ 52 bytes (3 empty strings + 5 u64).
-            let m = c.vec_len(52)?;
-            let mut hists = Vec::with_capacity(m);
-            for _ in 0..m {
-                let name = c.str()?;
-                let label_key = c.str()?;
-                let label_value = c.str()?;
-                let mut nums = [0u64; 5];
-                for n in &mut nums {
-                    *n = c.u64()?;
-                }
-                hists.push(HistSummary {
-                    name,
-                    label_key,
-                    label_value,
-                    count: nums[0],
-                    p50: nums[1],
-                    p95: nums[2],
-                    p99: nums[3],
-                    max: nums[4],
-                });
-            }
-            let q = c.vec_len(16)?;
-            let mut quarantined = Vec::with_capacity(q);
-            for _ in 0..q {
-                let sig = c.u64()?;
-                let ttl = c.u64()?;
-                quarantined.push((sig, ttl));
-            }
-            Response::StatsV2(StatsV2 {
-                counters,
-                hists,
-                quarantined,
-            })
-        }
-        K_DRAINED => Response::Drained(c.u64()?),
-        K_UNQUARANTINED => match c.u8()? {
-            0 => Response::Unquarantined(false),
-            1 => Response::Unquarantined(true),
-            t => return Err(format!("bad unquarantined flag {t}")),
-        },
-        K_UPLOADED => Response::Uploaded {
-            token: c.u64()?,
-            handle: c.u64()?,
-        },
-        K_UPGRADED => Response::Upgraded,
-        K_EXPLAINED => match c.u8()? {
-            0 => Response::Explained(None),
-            1 => Response::Explained(Some(get_explain_info(&mut c)?)),
-            t => return Err(format!("bad explained presence byte {t}")),
-        },
-        K_R_SLOWLOG => {
-            // Each entry is ≥ 76 bytes (3 empty strings + fixed fields +
-            // empty winner).
-            let n = c.vec_len(76)?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(get_slowlog_entry(&mut c)?);
-            }
-            Response::Slowlog(entries)
-        }
-        K_ERROR => Response::Error(c.str()?),
-        K_METRICS_BODY => {
-            return Ok(BinMsg::Metrics(body.to_vec()));
-        }
-        other => return Err(format!("unknown response kind 0x{other:02x}")),
-    };
-    c.done()?;
-    Ok(BinMsg::Response(Box::new(resp)))
+    if kind == K_METRICS_BODY {
+        return Ok(BinMsg::Metrics(body.to_vec()));
+    }
+    codec::from_frame(kind, body).map(|r| BinMsg::Response(Box::new(r)))
 }
 
 // ---------------------------------------------------------------------
@@ -951,6 +177,7 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{ReplyMode, SubmitArgs, WireBody, WireDist, WireSource, WireSpec};
 
     fn sample_submit() -> SubmitArgs {
         SubmitArgs {
@@ -966,189 +193,6 @@ mod tests {
                 seed: 7,
             }),
         }
-    }
-
-    fn feed_whole(frame: &[u8]) -> (u8, Vec<u8>) {
-        let mut fb = FrameBuf::new();
-        fb.extend(frame);
-        match fb.next_frame(DEFAULT_MAX_FRAME_BYTES).unwrap() {
-            FrameStep::Frame { kind, body } => {
-                assert_eq!(fb.pending(), 0);
-                (kind, body)
-            }
-            FrameStep::NeedMore => panic!("whole frame must split"),
-        }
-    }
-
-    #[test]
-    fn requests_round_trip_binary() {
-        for req in [
-            Request::Submit(sample_submit()),
-            Request::Batch(vec![
-                sample_submit(),
-                SubmitArgs {
-                    token: 78,
-                    reply: ReplyMode::Ack,
-                    body: WireBody::Mul(-3),
-                    source: WireSource::Handle(0x2a),
-                },
-                SubmitArgs {
-                    token: 79,
-                    reply: ReplyMode::Ack,
-                    body: WireBody::Usum,
-                    source: WireSource::Handle(0x2b),
-                },
-                SubmitArgs {
-                    token: 80,
-                    reply: ReplyMode::Full,
-                    body: WireBody::Fusum,
-                    source: WireSource::Handle(0x2c),
-                },
-            ]),
-            Request::Stats,
-            Request::StatsV2,
-            Request::Metrics,
-            Request::Drain,
-            Request::Unquarantine(0xdead_beef),
-            Request::Upload(UploadArgs {
-                token: 5,
-                num_elements: 4,
-                iter_ptr: vec![0, 2, 2, 3],
-                indices: vec![1, 3, 0],
-            }),
-            Request::UpgradeBin,
-            Request::Explain(ExplainTarget::Signature(0xfeed_0007)),
-            Request::Explain(ExplainTarget::Handle(0x2a)),
-            Request::Slowlog(32),
-        ] {
-            let (kind, body) = feed_whole(&encode_request(&req));
-            assert_eq!(decode_request(kind, &body).as_ref(), Ok(&req));
-        }
-    }
-
-    fn sample_explain() -> ExplainInfo {
-        ExplainInfo {
-            signature: 0xfeed_0007,
-            domain: "d11r2s10m2".into(),
-            winner: "hash".into(),
-            backend: "simd".into(),
-            explored: true,
-            rechecked: false,
-            flips: 2,
-            fusion: WireGate {
-                fired: false,
-                reason: "group-of-one".into(),
-            },
-            simplify: WireGate {
-                fired: true,
-                reason: "prefix".into(),
-            },
-            quarantine: WireGate {
-                fired: false,
-                reason: "clear".into(),
-            },
-            features: vec![("references".into(), 1800.0), ("sp".into(), 0.734)],
-            candidates: vec![
-                WireCandidate {
-                    scheme: "hash".into(),
-                    analytic: 1234.5,
-                    corrected: 987.25,
-                    feasible: true,
-                },
-                WireCandidate {
-                    scheme: "pclr".into(),
-                    analytic: f64::INFINITY,
-                    corrected: f64::INFINITY,
-                    feasible: false,
-                },
-            ],
-        }
-    }
-
-    fn sample_slowlog() -> SlowlogEntry {
-        SlowlogEntry {
-            class: 0xfeed_0007,
-            latency_ns: 1_250_000,
-            scheme: "hash".into(),
-            backend: "software".into(),
-            error: "none".into(),
-            fused: 4,
-            queue_ns: 10_000,
-            decide_ns: 40_000,
-            simplify_ns: 0,
-            exec_ns: 1_100_000,
-            completion_ns: 100_000,
-            winner: "hash".into(),
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_binary() {
-        for resp in [
-            Response::Done(DoneMsg {
-                token: 9,
-                outcome: DoneOutcome::Ok {
-                    scheme: "hash".into(),
-                    elapsed_ns: 123_456,
-                    profile_hit: true,
-                    fused_with: 5,
-                    batched_with: 7,
-                    payload: Payload::FullF64(vec![1.5, -2.25, f64::MIN_POSITIVE]),
-                },
-            }),
-            Response::Done(DoneMsg {
-                token: 11,
-                outcome: DoneOutcome::Err {
-                    kind: "panic".into(),
-                    signature: 0xabc,
-                    message: "bad row 7 of 9".into(),
-                },
-            }),
-            Response::Stats(vec![("submitted".into(), 12)]),
-            Response::StatsV2(StatsV2 {
-                counters: vec![("completed".into(), 12)],
-                hists: vec![HistSummary {
-                    name: "smartapps_exec_ns".into(),
-                    label_key: "scheme".into(),
-                    label_value: "hash".into(),
-                    count: 40,
-                    p50: 1023,
-                    p95: 8191,
-                    p99: 16383,
-                    max: 12345,
-                }],
-                quarantined: vec![(0xabc, 17)],
-            }),
-            Response::Drained(40),
-            Response::Unquarantined(true),
-            Response::Uploaded {
-                token: 12,
-                handle: 3,
-            },
-            Response::Upgraded,
-            Response::Explained(None),
-            Response::Explained(Some(sample_explain())),
-            Response::Slowlog(vec![]),
-            Response::Slowlog(vec![sample_slowlog(), sample_slowlog()]),
-            Response::Error("line too long".into()),
-        ] {
-            let (kind, body) = feed_whole(&encode_response(&resp));
-            assert_eq!(
-                decode_response(kind, &body).as_ref(),
-                Ok(&BinMsg::Response(Box::new(resp.clone()))),
-                "resp: {resp:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn metrics_frame_round_trips_raw() {
-        let text = b"# TYPE smartapps_request_ns histogram\n...";
-        let (kind, body) = feed_whole(&encode_metrics_frame(text));
-        assert_eq!(
-            decode_response(kind, &body),
-            Ok(BinMsg::Metrics(text.to_vec()))
-        );
     }
 
     #[test]

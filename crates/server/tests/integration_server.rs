@@ -615,4 +615,34 @@ fn protocol_errors_fail_the_connection_not_the_server() {
     assert_eq!(d.token, 7);
     assert!(matches!(d.outcome, DoneOutcome::Ok { .. }));
     server.shutdown();
+
+    // The other direction: a peer answering `metrics` with garbage and
+    // keeping the socket open fails the client's call instead of
+    // leaving it blocked on a reply that never comes.
+    let fake = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = fake.local_addr().unwrap();
+    let (close, closed) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (sock, _) = fake.accept().expect("accept");
+        let mut reader = BufReader::new(sock.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read request");
+        assert_eq!(line, "metrics\n");
+        (&sock).write_all(b"garbage\n").expect("write");
+        let _ = closed.recv();
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        let _ = tx.send(client.metrics());
+    });
+    let got = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("metrics() must return on an unparsable reply");
+    assert_eq!(
+        got.expect_err("garbage is not a metrics reply").kind(),
+        std::io::ErrorKind::InvalidData
+    );
+    drop(close);
+    peer.join().expect("fake peer");
 }

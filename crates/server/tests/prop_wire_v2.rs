@@ -1,16 +1,21 @@
-//! Property tests of the binary wire v2 codec (`smartapps_server::wire2`).
+//! Property tests of both wire codecs: the binary wire v2
+//! (`smartapps_server::wire2`) and the text lines
+//! (`Request`/`Response::{encode, parse}`).
 //!
 //! Two families:
 //!
 //! * **Round trips** — arbitrary requests and responses survive
-//!   encode → frame-split → decode exactly.  Payload floats are compared
-//!   via re-encoded bytes, so every bit pattern (including NaNs, which
-//!   `PartialEq` would reject) must survive — the binary protocol's
-//!   reason to exist is exact i64/f64 transport.
+//!   encode → frame-split → decode, and encode → parse, exactly.  Values
+//!   are compared via re-encoded binary bytes, so every float must come
+//!   back bit for bit (including NaNs in binary, which `PartialEq` would
+//!   reject — the binary protocol's reason to exist is exact i64/f64
+//!   transport; text cannot carry NaN payloads, so the text strategies
+//!   leave NaN out).
 //! * **Decoder robustness** — arbitrary byte soup, truncations of valid
-//!   frames at every boundary, and lying length headers must produce
-//!   `Err` (failing only the one connection), never a panic and never a
-//!   runaway allocation.
+//!   frames at every boundary, lying length headers, every prefix of a
+//!   valid text line and token soups over the text grammar's vocabulary
+//!   must produce `Err` (failing only the one connection) or a value,
+//!   never a panic and never a runaway allocation.
 
 use proptest::prelude::*;
 use smartapps_server::wire2::{
@@ -22,31 +27,48 @@ use smartapps_server::{
     WireGate, WireSource, WireSpec,
 };
 
-fn arb_f64_bits() -> impl Strategy<Value = f64> {
-    any::<u64>().prop_map(f64::from_bits)
+/// Any bit pattern but NaN, whose payload text cannot carry (NaN turns
+/// into an infinity of its sign, so infinities stay well covered).
+fn no_nan(bits: u64) -> f64 {
+    let v = f64::from_bits(bits);
+    if v.is_nan() {
+        f64::INFINITY.copysign(v)
+    } else {
+        v
+    }
 }
 
-fn arb_dist() -> impl Strategy<Value = WireDist> {
+/// Floats every wire line can carry: any bits in binary, no NaN in text.
+fn arb_f64(text: bool) -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(if text { no_nan } else { f64::from_bits })
+}
+
+fn arb_dist(text: bool) -> impl Strategy<Value = WireDist> {
     prop_oneof![
         Just(WireDist::Uniform),
-        arb_f64_bits().prop_map(WireDist::Zipf),
+        arb_f64(text).prop_map(WireDist::Zipf),
         any::<u32>().prop_map(WireDist::Clustered),
     ]
 }
 
-fn arb_spec() -> impl Strategy<Value = WireSpec> {
+fn arb_spec(text: bool) -> impl Strategy<Value = WireSpec> {
     (
         (any::<usize>(), any::<usize>(), any::<usize>()),
-        arb_f64_bits(),
-        arb_dist(),
+        arb_f64(text),
+        arb_dist(text),
         any::<u64>(),
     )
         .prop_map(
-            |((elements, iterations, refs_per_iter), coverage, dist, seed)| WireSpec {
+            move |((elements, iterations, refs_per_iter), coverage, dist, seed)| WireSpec {
                 elements,
                 iterations,
                 refs_per_iter,
-                coverage,
+                // The text grammar refuses a non-finite coverage.
+                coverage: if text && !coverage.is_finite() {
+                    0.5
+                } else {
+                    coverage
+                },
                 dist,
                 seed,
             },
@@ -62,19 +84,19 @@ fn arb_body() -> impl Strategy<Value = WireBody> {
     ]
 }
 
-fn arb_source() -> impl Strategy<Value = WireSource> {
+fn arb_source(text: bool) -> impl Strategy<Value = WireSource> {
     prop_oneof![
-        arb_spec().prop_map(WireSource::Gen),
+        arb_spec(text).prop_map(WireSource::Gen),
         any::<u64>().prop_map(WireSource::Handle),
     ]
 }
 
-fn arb_submit() -> impl Strategy<Value = SubmitArgs> {
+fn arb_submit(text: bool) -> impl Strategy<Value = SubmitArgs> {
     (
         any::<u64>(),
         prop_oneof![Just(ReplyMode::Ack), Just(ReplyMode::Full)],
         arb_body(),
-        arb_source(),
+        arb_source(text),
     )
         .prop_map(|(token, reply, body, source)| SubmitArgs {
             token,
@@ -99,10 +121,10 @@ fn arb_upload() -> impl Strategy<Value = UploadArgs> {
         })
 }
 
-fn arb_request() -> impl Strategy<Value = Request> {
+fn arb_request(text: bool) -> impl Strategy<Value = Request> {
     prop_oneof![
-        arb_submit().prop_map(Request::Submit),
-        proptest::collection::vec(arb_submit(), 1..5).prop_map(Request::Batch),
+        arb_submit(text).prop_map(Request::Submit),
+        proptest::collection::vec(arb_submit(text), 1..5).prop_map(Request::Batch),
         arb_upload().prop_map(Request::Upload),
         Just(Request::UpgradeBin),
         Just(Request::Stats),
@@ -123,7 +145,7 @@ fn arb_ident() -> impl Strategy<Value = String> {
         .prop_map(|ix| ix.into_iter().map(|i| CHARS[i] as char).collect())
 }
 
-fn arb_payload() -> impl Strategy<Value = Payload> {
+fn arb_payload(text: bool) -> impl Strategy<Value = Payload> {
     prop_oneof![
         (0usize..1_000_000, any::<u64>()).prop_map(|(len, sum)| Payload::Checksum {
             len,
@@ -131,17 +153,16 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
         }),
         proptest::collection::vec(any::<u64>(), 0..8)
             .prop_map(|v| Payload::Full(v.into_iter().map(|x| x as i64).collect())),
-        (0usize..1_000_000, arb_f64_bits())
-            .prop_map(|(len, sum)| Payload::ChecksumF64 { len, sum }),
-        proptest::collection::vec(arb_f64_bits(), 0..8).prop_map(Payload::FullF64),
+        (0usize..1_000_000, arb_f64(text)).prop_map(|(len, sum)| Payload::ChecksumF64 { len, sum }),
+        proptest::collection::vec(arb_f64(text), 0..8).prop_map(Payload::FullF64),
     ]
 }
 
-fn arb_done() -> impl Strategy<Value = DoneMsg> {
+fn arb_done(text: bool) -> impl Strategy<Value = DoneMsg> {
     let ok = (
         (arb_ident(), any::<u64>(), any::<bool>()),
         (any::<u32>(), any::<u32>()),
-        arb_payload(),
+        arb_payload(text),
     )
         .prop_map(
             |((scheme, elapsed_ns, profile_hit), (fused_with, batched_with), payload)| {
@@ -196,14 +217,14 @@ fn arb_gate() -> impl Strategy<Value = WireGate> {
     (any::<bool>(), arb_ident()).prop_map(|(fired, reason)| WireGate { fired, reason })
 }
 
-fn arb_explain_info() -> impl Strategy<Value = ExplainInfo> {
+fn arb_explain_info(text: bool) -> impl Strategy<Value = ExplainInfo> {
     (
         (any::<u64>(), arb_ident(), arb_ident(), arb_ident()),
         (any::<bool>(), any::<bool>(), any::<u64>()),
         (arb_gate(), arb_gate(), arb_gate()),
-        proptest::collection::vec((arb_ident(), arb_f64_bits()), 0..6),
+        proptest::collection::vec((arb_ident(), arb_f64(text)), 0..6),
         proptest::collection::vec(
-            (arb_ident(), arb_f64_bits(), arb_f64_bits(), any::<bool>()).prop_map(
+            (arb_ident(), arb_f64(text), arb_f64(text), any::<bool>()).prop_map(
                 |(scheme, analytic, corrected, feasible)| WireCandidate {
                     scheme,
                     analytic,
@@ -274,9 +295,9 @@ fn arb_slowlog_entry() -> impl Strategy<Value = SlowlogEntry> {
         )
 }
 
-fn arb_response() -> impl Strategy<Value = Response> {
+fn arb_response(text: bool) -> impl Strategy<Value = Response> {
     prop_oneof![
-        arb_done().prop_map(Response::Done),
+        arb_done(text).prop_map(Response::Done),
         proptest::collection::vec((arb_ident(), any::<u64>()), 0..6).prop_map(Response::Stats),
         (
             proptest::collection::vec((arb_ident(), any::<u64>()), 0..5),
@@ -296,7 +317,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
             .prop_map(|(token, handle)| Response::Uploaded { token, handle }),
         Just(Response::Upgraded),
         Just(Response::Explained(None)),
-        arb_explain_info().prop_map(|i| Response::Explained(Some(i))),
+        arb_explain_info(text).prop_map(|i| Response::Explained(Some(i))),
         proptest::collection::vec(arb_slowlog_entry(), 0..4).prop_map(Response::Slowlog),
         arb_ident().prop_map(Response::Error),
     ]
@@ -319,7 +340,7 @@ proptest! {
     /// encode → split → decode → re-encode is byte-identical for
     /// arbitrary requests (bit-exact f64 transport included).
     #[test]
-    fn requests_round_trip_bit_exact(req in arb_request()) {
+    fn requests_round_trip_bit_exact(req in arb_request(false)) {
         let bytes = encode_request(&req);
         let (kind, body) = split_frame(&bytes);
         let decoded = decode_request(kind, &body);
@@ -333,7 +354,7 @@ proptest! {
 
     /// Same for responses.
     #[test]
-    fn responses_round_trip_bit_exact(resp in arb_response()) {
+    fn responses_round_trip_bit_exact(resp in arb_response(false)) {
         let bytes = encode_response(&resp);
         let (kind, body) = split_frame(&bytes);
         let decoded = decode_response(kind, &body);
@@ -370,7 +391,7 @@ proptest! {
     /// cursor hits EOF or the trailing-bytes check, never a panic and
     /// never a silently short value.
     #[test]
-    fn truncated_requests_error_at_every_cut(req in arb_request()) {
+    fn truncated_requests_error_at_every_cut(req in arb_request(false)) {
         let bytes = encode_request(&req);
         let (kind, body) = split_frame(&bytes);
         for cut in 0..body.len() {
@@ -386,7 +407,7 @@ proptest! {
     /// the rest (NeedMore), and appending the tail later completes the
     /// original frame — reassembly state survives arbitrary splits.
     #[test]
-    fn split_frames_reassemble(req in arb_request(), cut_seed in any::<u64>()) {
+    fn split_frames_reassemble(req in arb_request(false), cut_seed in any::<u64>()) {
         let bytes = encode_request(&req);
         let cut = (cut_seed as usize) % bytes.len();
         let mut fb = FrameBuf::new();
@@ -405,6 +426,117 @@ proptest! {
             encode_request(&decode_request(kind, &body).unwrap()),
             bytes
         );
+    }
+}
+
+/// Words, numbers and joins the text grammar is made of, for token
+/// soups.
+const VOCAB: &[&str] = &[
+    "submit",
+    "batch",
+    "stats",
+    "v2",
+    "stats2",
+    "metrics",
+    "drain",
+    "unquarantine",
+    "upload",
+    "explain",
+    "explained",
+    "slowlog",
+    "upgrade",
+    "upgraded",
+    "bin",
+    "done",
+    "drained",
+    "unquarantined",
+    "uploaded",
+    "err",
+    "ok",
+    "ack",
+    "full",
+    "sum",
+    "fsum",
+    "ffull",
+    "mul:",
+    "panic",
+    "usum",
+    "fusum",
+    "uniform",
+    "zipf:",
+    "clustered:",
+    "pat:",
+    "none",
+    "counters",
+    "hists",
+    "quarantine",
+    "features",
+    "candidates",
+    "0",
+    "1",
+    "01",
+    "2",
+    "18446744073709551616",
+    "-3",
+    "0.75",
+    "inf",
+    "NaN",
+    "1e-9",
+    "00000000000000ff",
+    "zz",
+    "a=1",
+    "x:y",
+    "-",
+    ":",
+    "=",
+];
+const SEPS: &[&str] = &[" ", " ", "  ", "\t", "", ":", "="];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// encode → parse gives the value back, compared by its binary
+    /// bytes, and parse → encode gives the line back.
+    #[test]
+    fn text_requests_round_trip(req in arb_request(true)) {
+        let line = req.encode();
+        let parsed = Request::parse(&line);
+        prop_assert!(parsed.is_ok(), "{line:?}: {parsed:?}");
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(encode_request(&parsed), encode_request(&req), "line: {}", line);
+        prop_assert_eq!(parsed.encode(), line);
+    }
+
+    #[test]
+    fn text_responses_round_trip(resp in arb_response(true)) {
+        let line = resp.encode();
+        let parsed = Response::parse(&line);
+        prop_assert!(parsed.is_ok(), "{line:?}: {parsed:?}");
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(encode_response(&parsed), encode_response(&resp), "line: {}", line);
+        prop_assert_eq!(parsed.encode(), line);
+    }
+
+    /// Every prefix of a valid line parses or fails; it never panics.
+    #[test]
+    fn text_prefixes_never_panic(req in arb_request(true), resp in arb_response(true)) {
+        for line in [req.encode(), resp.encode()] {
+            for cut in (0..=line.len()).filter(|&c| line.is_char_boundary(c)) {
+                let _ = Request::parse(&line[..cut]);
+                let _ = Response::parse(&line[..cut]);
+            }
+        }
+    }
+
+    /// Lines stitched from the grammar's own words parse or fail; they
+    /// never panic.
+    #[test]
+    fn text_token_soup_never_panics(
+        soup in proptest::collection::vec((0..VOCAB.len(), 0..SEPS.len()), 0..24),
+    ) {
+        let line: String = soup.iter().map(|&(w, s)| format!("{}{}", VOCAB[w], SEPS[s])).collect();
+        let _ = Request::parse(&line);
+        let _ = Response::parse(&line);
     }
 }
 
