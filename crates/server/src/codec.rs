@@ -53,7 +53,7 @@ macro_rules! num {
     )+};
 }
 
-num!(u64, u32, i64, f64);
+num!(u64, u32, u8, i64, f64);
 
 /// Writes primitives in one format.
 pub(crate) trait Sink: Sized {
@@ -74,7 +74,7 @@ pub(crate) trait Sink: Sized {
     /// A vector's length.
     fn count(&mut self, count: Count, n: usize);
     /// Fields joined by `sep` into one text token (binary: no effect).
-    fn joined(&mut self, sep: &'static str, f: impl FnOnce(&mut Self));
+    fn joined(&mut self, sep: u8, f: impl FnOnce(&mut Self));
     /// Room for at least `bytes` more binary bytes.
     fn reserve(&mut self, bytes: usize);
     /// A value with its own description.
@@ -101,7 +101,7 @@ pub(crate) trait Source: Sized {
     fn count(&mut self, count: Count, min_bin: usize) -> Result<usize, String>;
     fn joined<T>(
         &mut self,
-        sep: &'static str,
+        sep: u8,
         f: impl FnOnce(&mut Self) -> Result<T, String>,
     ) -> Result<T, String>;
     /// Whether nothing but blanks is left.
@@ -123,7 +123,7 @@ pub(crate) trait Field: Sized {
 /// with the primitive (or `field`) that carries it; in text the fields
 /// are joined by `sep`.
 macro_rules! record {
-    ($ty:ty, min $min:expr, $sep:literal, $($f:ident: $how:ident),+ $(,)?) => {
+    ($ty:ty, min $min:expr, $sep:expr, $($f:ident: $how:ident),+ $(,)?) => {
         impl $crate::codec::Field for $ty {
             const MIN_BIN: usize = $min;
             fn put<S: $crate::codec::Sink>(&self, s: &mut S) {
@@ -131,6 +131,7 @@ macro_rules! record {
                     $(s.$how(&self.$f);)+
                 });
             }
+            #[inline]
             fn get<R: $crate::codec::Source>(r: &mut R) -> Result<Self, String> {
                 r.joined($sep, |r| Ok(Self { $($f: r.$how()?,)+ }))
             }
@@ -158,6 +159,7 @@ macro_rules! variants {
                     i += 1;
                 )+
             }
+            #[inline]
             #[allow(unused_assignments)]
             fn get<R: $crate::codec::Source>(r: &mut R) -> Result<Self, String> {
                 const TAGS: &[&str] = &[$($tag),+];
@@ -183,6 +185,7 @@ impl<N: Num> Field for N {
     fn put<S: Sink>(&self, s: &mut S) {
         s.num(self);
     }
+    #[inline]
     fn get<R: Source>(r: &mut R) -> Result<Self, String> {
         r.num()
     }
@@ -196,6 +199,7 @@ macro_rules! carried {
             fn put<S: Sink>(&self, s: &mut S) {
                 s.num(&(*self as $wire));
             }
+            #[inline]
             fn get<R: Source>(r: &mut R) -> Result<Self, String> {
                 let v: $wire = r.num()?;
                 <$ty>::try_from(v).map_err(|_| format!("{v} is out of range"))
@@ -220,13 +224,13 @@ impl Field for String {
 impl<T: Field> Field for (String, T) {
     const MIN_BIN: usize = 4 + T::MIN_BIN;
     fn put<S: Sink>(&self, s: &mut S) {
-        s.joined("=", |s| {
+        s.joined(b'=', |s| {
             s.word(&self.0);
             s.field(&self.1);
         });
     }
     fn get<R: Source>(r: &mut R) -> Result<Self, String> {
-        r.joined("=", |r| Ok((r.word()?, r.field()?)))
+        r.joined(b'=', |r| Ok((r.word()?, r.field()?)))
     }
 }
 
@@ -251,9 +255,9 @@ pub(crate) fn get_vec<R: Source, T: Field>(r: &mut R, count: Count) -> Result<Ve
 pub(crate) trait Message: Sized {
     /// `request` or `response`, for errors.
     const NAME: &'static str;
-    /// Per variant, in declaration order: binary kind byte, text verb
-    /// (one or two words).
-    const KINDS: &'static [(u8, &'static str)];
+    /// Per variant, in declaration order: binary kind byte, text verb,
+    /// and the verb's second word (`""` for a one-word verb).
+    const KINDS: &'static [(u8, &'static str, &'static str)];
     /// This value's row in [`KINDS`](Message::KINDS).
     fn row(&self) -> usize;
     fn put_fields<S: Sink>(&self, s: &mut S);
@@ -263,21 +267,38 @@ pub(crate) trait Message: Sized {
 pub(crate) fn to_text<M: Message>(m: &M) -> String {
     let mut s = TextSink {
         out: String::with_capacity(64),
-        sep: "",
-        group: " ",
+        sep: GLUED,
+        group: b' ',
     };
-    s.word(M::KINDS[m.row()].1);
+    let (_, verb, second) = M::KINDS[m.row()];
+    s.word(verb);
+    if !second.is_empty() {
+        s.word(second);
+    }
     m.put_fields(&mut s);
     s.out
 }
 
 pub(crate) fn from_text<M: Message>(line: &str) -> Result<M, String> {
     let mut r = TextSource {
-        rest: line.trim_start_matches(is_blank),
-        sep: "",
-        group: " ",
+        rest: trim_blanks(line),
+        sep: GLUED,
+        group: b' ',
     };
-    let row = r.verb(M::NAME, M::KINDS)?;
+    let first = r.token()?;
+    let mut row = None;
+    for (i, &(_, verb, second)) in M::KINDS.iter().enumerate() {
+        if verb == first {
+            if second.is_empty() {
+                row = row.or(Some(i));
+            } else if r.peek() == Some(second) {
+                r.token()?;
+                row = Some(i);
+                break;
+            }
+        }
+    }
+    let row = row.ok_or_else(|| format!("unknown or malformed {} {first}", M::NAME))?;
     let m = M::get_fields(row, &mut r)?;
     if !r.at_end() {
         return Err(format!("trailing fields {:?}", r.rest.trim()));
@@ -291,10 +312,11 @@ pub(crate) fn to_frame<M: Message>(m: &M) -> Vec<u8> {
     s.finish()
 }
 
+#[inline]
 pub(crate) fn from_frame<M: Message>(kind: u8, body: &[u8]) -> Result<M, String> {
     let row = M::KINDS
         .iter()
-        .position(|&(k, _)| k == kind)
+        .position(|&(k, _, _)| k == kind)
         .ok_or_else(|| format!("unknown {} kind 0x{kind:02x}", M::NAME))?;
     let mut r = BinSource { b: body };
     let m = M::get_fields(row, &mut r)?;
@@ -337,19 +359,23 @@ impl Proto {
 // Text
 // ---------------------------------------------------------------------
 
-/// Separators are `" "` (a blank; when reading, one or more), `":"`,
-/// `"="`, or `""` (glued).
+/// A separator: `b' '` (a blank; when reading, one or more), `b':'`,
+/// `b'='`, or nothing between glued fields.
+pub(crate) const GLUED: u8 = 0;
+
 pub(crate) struct TextSink {
     out: String,
     /// Written before the next field.
-    sep: &'static str,
+    sep: u8,
     /// Separator between the fields of the current group.
-    group: &'static str,
+    group: u8,
 }
 
 impl TextSink {
     fn field(&mut self) -> &mut String {
-        self.out.push_str(self.sep);
+        if self.sep != GLUED {
+            self.out.push(char::from(self.sep));
+        }
         self.sep = self.group;
         &mut self.out
     }
@@ -378,7 +404,7 @@ impl Sink for TextSink {
         if !name.is_empty() {
             self.word(name);
             if name.ends_with(':') {
-                self.sep = "";
+                self.sep = GLUED;
             }
         }
     }
@@ -390,7 +416,7 @@ impl Sink for TextSink {
             self.num(&(n as u64));
         }
     }
-    fn joined(&mut self, sep: &'static str, f: impl FnOnce(&mut Self)) {
+    fn joined(&mut self, sep: u8, f: impl FnOnce(&mut Self)) {
         let outer = std::mem::replace(&mut self.group, sep);
         f(self);
         self.group = outer;
@@ -403,38 +429,48 @@ impl Sink for TextSink {
 pub(crate) struct TextSource<'a> {
     rest: &'a str,
     /// Expected before the next field.
-    sep: &'static str,
-    group: &'static str,
+    sep: u8,
+    group: u8,
 }
 
-fn is_blank(c: char) -> bool {
-    c.is_ascii_whitespace()
+/// Every separator and blank is ASCII, so scanning bytes always splits
+/// on a character boundary.
+#[inline]
+fn trim_blanks(s: &str) -> &str {
+    let n = s.bytes().take_while(u8::is_ascii_whitespace).count();
+    &s[n..]
 }
 
 impl<'a> TextSource<'a> {
     /// The input after the pending separator.
+    #[inline]
     fn after_sep(&self) -> Result<&'a str, String> {
-        if self.sep == " " {
-            let s = self.rest.trim_start_matches(is_blank);
-            if s.len() == self.rest.len() && !s.is_empty() {
-                return Err(format!("expected a blank before {s:?}"));
+        match self.sep {
+            GLUED => Ok(self.rest),
+            b' ' => {
+                let s = trim_blanks(self.rest);
+                if s.len() == self.rest.len() && !s.is_empty() {
+                    return Err(format!("expected a blank before {s:?}"));
+                }
+                Ok(s)
             }
-            return Ok(s);
+            sep if self.rest.as_bytes().first() == Some(&sep) => Ok(&self.rest[1..]),
+            sep => Err(format!("expected {:?} at {:?}", sep as char, self.rest)),
         }
-        (self.rest.strip_prefix(self.sep))
-            .ok_or_else(|| format!("expected {:?} before {:?}", self.sep, self.rest))
     }
 
     /// Split off the next token: it ends at a blank or at the current
     /// group's separator.
+    #[inline]
     fn split_token(&self, s: &'a str) -> (&'a str, &'a str) {
-        let glue = self.group.chars().next().filter(|&c| c != ' ');
         let end = s
-            .find(|c: char| is_blank(c) || Some(c) == glue)
+            .bytes()
+            .position(|b| b.is_ascii_whitespace() || b == self.group)
             .unwrap_or(s.len());
         s.split_at(end)
     }
 
+    #[inline]
     fn token(&mut self) -> Result<&'a str, String> {
         let (token, rest) = self.split_token(self.after_sep()?);
         if token.is_empty() {
@@ -447,23 +483,6 @@ impl<'a> TextSource<'a> {
 
     fn peek(&self) -> Option<&'a str> {
         self.after_sep().ok().map(|s| self.split_token(s).0)
-    }
-
-    /// The row of the leading one- or two-word verb.
-    fn verb(&mut self, name: &str, kinds: &[(u8, &str)]) -> Result<usize, String> {
-        let first = self.token()?;
-        for (row, (_, verb)) in kinds.iter().enumerate() {
-            if let Some((w1, w2)) = verb.split_once(' ') {
-                if w1 == first && self.peek() == Some(w2) {
-                    self.token()?;
-                    return Ok(row);
-                }
-            }
-        }
-        kinds
-            .iter()
-            .position(|&(_, verb)| verb == first)
-            .ok_or_else(|| format!("unknown or malformed {name} {first}"))
     }
 }
 
@@ -500,12 +519,13 @@ impl Source for TextSource<'_> {
         self.rest = "";
         Ok(s.to_string())
     }
+    #[inline]
     fn tag(&mut self, what: &str, names: &[&str]) -> Result<u8, String> {
         if let Ok(s) = self.after_sep() {
             let (token, after) = self.split_token(s);
             for (i, name) in names.iter().enumerate() {
                 if name.ends_with(':') && s.starts_with(name) {
-                    (self.rest, self.sep) = (&s[name.len()..], "");
+                    (self.rest, self.sep) = (&s[name.len()..], GLUED);
                     return Ok(i as u8);
                 }
                 if !name.is_empty() && token == *name {
@@ -539,7 +559,7 @@ impl Source for TextSource<'_> {
     }
     fn joined<T>(
         &mut self,
-        sep: &'static str,
+        sep: u8,
         f: impl FnOnce(&mut Self) -> Result<T, String>,
     ) -> Result<T, String> {
         let outer = std::mem::replace(&mut self.group, sep);
@@ -549,7 +569,7 @@ impl Source for TextSource<'_> {
         v
     }
     fn at_end(&self) -> bool {
-        self.rest.trim_start_matches(is_blank).is_empty()
+        trim_blanks(self.rest).is_empty()
     }
 }
 
@@ -608,7 +628,7 @@ impl Sink for BinSink {
     fn count(&mut self, _count: Count, n: usize) {
         self.num(&(n as u32));
     }
-    fn joined(&mut self, _sep: &'static str, f: impl FnOnce(&mut Self)) {
+    fn joined(&mut self, _sep: u8, f: impl FnOnce(&mut Self)) {
         f(self);
     }
     fn reserve(&mut self, bytes: usize) {
@@ -619,20 +639,6 @@ impl Sink for BinSink {
 /// Bounds-checked little-endian reader over one frame body.
 pub(crate) struct BinSource<'a> {
     b: &'a [u8],
-}
-
-impl<'a> BinSource<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if n > self.b.len() {
-            return Err(format!(
-                "frame truncated: need {n} bytes, have {}",
-                self.b.len()
-            ));
-        }
-        let (head, tail) = self.b.split_at(n);
-        self.b = tail;
-        Ok(head)
-    }
 }
 
 impl Source for BinSource<'_> {
@@ -647,22 +653,29 @@ impl Source for BinSource<'_> {
         self.num()
     }
     fn bool(&mut self) -> Result<bool, String> {
-        match self.take(1)? {
-            [0] => Ok(false),
-            [1] => Ok(true),
-            t => Err(format!("bad bool byte {}", t[0])),
+        match self.num::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(format!("bad bool byte {t}")),
         }
     }
     fn word(&mut self) -> Result<String, String> {
-        let n: u32 = self.num()?;
-        let s = self.take(n as usize)?;
+        let n = self.num::<u32>()? as usize;
+        if n > self.b.len() {
+            return Err(format!(
+                "frame truncated: need {n} bytes, have {}",
+                self.b.len()
+            ));
+        }
+        let (s, tail) = self.b.split_at(n);
+        self.b = tail;
         String::from_utf8(s.to_vec()).map_err(|_| "invalid utf-8 string".into())
     }
     fn rest(&mut self) -> Result<String, String> {
         self.word()
     }
     fn tag(&mut self, what: &str, names: &[&str]) -> Result<u8, String> {
-        let t = self.take(1)?[0];
+        let t: u8 = self.num()?;
         if usize::from(t) < names.len() {
             Ok(t)
         } else {
@@ -681,7 +694,7 @@ impl Source for BinSource<'_> {
     }
     fn joined<T>(
         &mut self,
-        _sep: &'static str,
+        _sep: u8,
         f: impl FnOnce(&mut Self) -> Result<T, String>,
     ) -> Result<T, String> {
         f(self)

@@ -34,7 +34,9 @@
 //! real crates; in this offline build the vendored stand-in expands
 //! them to nothing.
 
-use crate::codec::{self, get_vec, put_vec, record, variants, Count, Field, Message, Sink, Source};
+use crate::codec::{
+    self, get_vec, put_vec, record, variants, Count, Field, Message, Sink, Source, GLUED,
+};
 use serde::{Deserialize, Serialize};
 use smartapps_telemetry::HistSummary;
 use smartapps_workloads::{Distribution, PatternSpec};
@@ -115,6 +117,7 @@ impl Field for WireSpec {
         s.field(&self.dist);
         s.num(&self.seed);
     }
+    #[inline]
     fn get<R: Source>(r: &mut R) -> Result<Self, String> {
         let spec = WireSpec {
             elements: r.field()?,
@@ -249,7 +252,7 @@ pub struct SubmitArgs {
 }
 
 // Binary: a token, three tags and at least a handle.
-record!(SubmitArgs, min 19, " ", token: num, reply: field, body: field, source: field);
+record!(SubmitArgs, min 19, b' ', token: num, reply: field, body: field, source: field);
 
 /// One CSR structure upload: the raw row-pointer and index arrays of an
 /// [`AccessPattern`](smartapps_workloads::AccessPattern).  The server
@@ -370,18 +373,18 @@ impl Request {
 
 impl Message for Request {
     const NAME: &'static str = "request";
-    const KINDS: &'static [(u8, &'static str)] = &[
-        (0x01, "submit"),
-        (0x02, "batch"),
-        (0x03, "stats"),
-        (0x04, "stats v2"),
-        (0x05, "metrics"),
-        (0x06, "drain"),
-        (0x07, "unquarantine"),
-        (0x08, "upload"),
-        (0x09, "upgrade bin"),
-        (0x0a, "explain"),
-        (0x0b, "slowlog"),
+    const KINDS: &'static [(u8, &'static str, &'static str)] = &[
+        (0x01, "submit", ""),
+        (0x02, "batch", ""),
+        (0x03, "stats", ""),
+        (0x04, "stats", "v2"),
+        (0x05, "metrics", ""),
+        (0x06, "drain", ""),
+        (0x07, "unquarantine", ""),
+        (0x08, "upload", ""),
+        (0x09, "upgrade", "bin"),
+        (0x0a, "explain", ""),
+        (0x0b, "slowlog", ""),
     ];
 
     fn row(&self) -> usize {
@@ -416,6 +419,7 @@ impl Message for Request {
         }
     }
 
+    #[inline]
     fn get_fields<R: Source>(row: usize, r: &mut R) -> Result<Self, String> {
         Ok(match row {
             0 => Request::Submit(r.field()?),
@@ -659,20 +663,20 @@ impl Field for StatsV2 {
     }
 }
 
-record!(HistSummary, min 52, ":", name: word, label_key: word, label_value: word,
+record!(HistSummary, min 52, b':', name: word, label_key: word, label_value: word,
     count: num, p50: num, p95: num, p99: num, max: num);
 
 /// A quarantine entry, text `<signature hex16>:<ttl secs>`.
 impl Field for (u64, u64) {
     const MIN_BIN: usize = 16;
     fn put<S: Sink>(&self, s: &mut S) {
-        s.joined(":", |s| {
+        s.joined(b':', |s| {
             s.hex(&self.0);
             s.num(&self.1);
         });
     }
     fn get<R: Source>(r: &mut R) -> Result<Self, String> {
-        r.joined(":", |r| Ok((r.hex()?, r.num()?)))
+        r.joined(b':', |r| Ok((r.hex()?, r.num()?)))
     }
 }
 
@@ -713,7 +717,7 @@ pub struct WireGate {
     pub reason: String,
 }
 
-record!(WireGate, min 5, ":", fired: bool, reason: word);
+record!(WireGate, min 5, b':', fired: bool, reason: word);
 
 /// One row of the `explain` candidate cost table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -728,7 +732,7 @@ pub struct WireCandidate {
     pub feasible: bool,
 }
 
-record!(WireCandidate, min 21, ":", scheme: word, analytic: num, corrected: num, feasible: bool);
+record!(WireCandidate, min 21, b':', scheme: word, analytic: num, corrected: num, feasible: bool);
 
 /// The `explain` payload: the wire form of the runtime's per-class
 /// decision record — feature vector, full candidate cost table
@@ -776,7 +780,7 @@ impl Field for ExplainInfo {
         s.word(&self.domain);
         s.word(&self.winner);
         s.word(&self.backend);
-        s.joined("", |s| {
+        s.joined(GLUED, |s| {
             s.bool(&self.explored);
             s.bool(&self.rechecked);
         });
@@ -792,7 +796,7 @@ impl Field for ExplainInfo {
         let domain = r.word()?;
         let winner = r.word()?;
         let backend = r.word()?;
-        let (explored, rechecked) = r.joined("", |r| Ok((r.bool()?, r.bool()?)))?;
+        let (explored, rechecked) = r.joined(GLUED, |r| Ok((r.bool()?, r.bool()?)))?;
         Ok(ExplainInfo {
             signature,
             domain,
@@ -846,7 +850,7 @@ pub struct SlowlogEntry {
 }
 
 // `fused` travels as a `u32` in binary.
-record!(SlowlogEntry, min 76, ":", class: hex, latency_ns: num, scheme: word, backend: word,
+record!(SlowlogEntry, min 76, b':', class: hex, latency_ns: num, scheme: word, backend: word,
     error: word, fused: field, queue_ns: num, decide_ns: num, simplify_ns: num, exec_ns: num,
     completion_ns: num, winner: word);
 
@@ -907,17 +911,17 @@ const PRESENCE: &[&str] = &["none", ""];
 impl Message for Response {
     const NAME: &'static str = "response";
     /// `0x87` is the metrics frame, which is not a `Response`.
-    const KINDS: &'static [(u8, &'static str)] = &[
-        (0x81, "done"),
-        (0x82, "stats"),
-        (0x83, "stats2"),
-        (0x84, "drained"),
-        (0x85, "unquarantined"),
-        (0x86, "err"),
-        (0x88, "uploaded"),
-        (0x89, "upgraded bin"),
-        (0x8a, "explained"),
-        (0x8b, "slowlog"),
+    const KINDS: &'static [(u8, &'static str, &'static str)] = &[
+        (0x81, "done", ""),
+        (0x82, "stats", ""),
+        (0x83, "stats2", ""),
+        (0x84, "drained", ""),
+        (0x85, "unquarantined", ""),
+        (0x86, "err", ""),
+        (0x88, "uploaded", ""),
+        (0x89, "upgraded", "bin"),
+        (0x8a, "explained", ""),
+        (0x8b, "slowlog", ""),
     ];
 
     fn row(&self) -> usize {
@@ -958,6 +962,7 @@ impl Message for Response {
         }
     }
 
+    #[inline]
     fn get_fields<R: Source>(row: usize, r: &mut R) -> Result<Self, String> {
         Ok(match row {
             0 => Response::Done(r.field()?),
