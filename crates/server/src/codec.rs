@@ -327,7 +327,7 @@ pub(crate) fn from_frame<M: Message>(kind: u8, body: &[u8]) -> Result<M, String>
 }
 
 /// The protocol a connection speaks, picked once per message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) enum Proto {
     Text,
     Bin,

@@ -11,19 +11,22 @@
 //! fixed set of reactor threads serve any number of connections, because
 //! no thread ever parks on an individual job.
 //!
-//! Four modules:
+//! Four public modules:
 //!
-//! * [`wire`] — the line-oriented protocol grammar (`submit` / `batch` /
-//!   `upload` / `stats` / `stats v2` / `metrics` / `drain` /
-//!   `unquarantine` / `explain` / `slowlog` / `upgrade bin` requests,
-//!   `done` / `stats` / `stats2` / `drained` / `uploaded` / `explained`
-//!   / `slowlog` / `upgraded` responses plus the length-prefixed
-//!   `metrics` exposition frame), with explicit `encode`/`parse` pairs;
-//!   see `docs/SERVER.md` for the full grammar and
+//! * [`wire`] — the messages (`submit` / `batch` / `upload` / `stats` /
+//!   `stats v2` / `metrics` / `drain` / `unquarantine` / `explain` /
+//!   `slowlog` / `upgrade bin` requests, `done` / `stats` / `stats2` /
+//!   `drained` / `uploaded` / `explained` / `slowlog` / `upgraded`
+//!   responses plus the length-prefixed `metrics` exposition frame),
+//!   each described once; the line-oriented text protocol and the
+//!   binary one are both derived from that description by the private
+//!   `codec` module, so the two always agree on every message's fields.
+//!   See `docs/SERVER.md` for the full grammar and
 //!   `docs/OBSERVABILITY.md` for the metric catalog.
-//! * [`wire2`] — the opt-in **binary wire v2**: the same request and
-//!   response types as length-prefixed frames with exact i64/f64
-//!   bodies, negotiated per connection via `upgrade bin`.
+//! * [`wire2`] — the opt-in **binary wire v2** entry points: the same
+//!   request and response types as length-prefixed frames with exact
+//!   i64/f64 bodies, negotiated per connection via `upgrade bin`, and
+//!   the incremental frame splitter.
 //! * [`server`] — the [`Server`]: an epoll-blocked acceptor plus a
 //!   small fixed set of epoll-blocked reactor threads (readable,
 //!   writable, and completion-wake events; no sleep-polling), buffered

@@ -1,8 +1,7 @@
 //! The wire protocol's messages, each described once.
 //!
-//! Every request and response type here implements
-//! [`Field`](crate::codec::Field): one walk over its fields that both
-//! formats run — the line-oriented **text** protocol and the
+//! Every request and response type here implements the crate-private
+//! `Field` trait: one walk over its fields that both formats run — the line-oriented **text** protocol and the
 //! length-prefixed **binary wire v2** ([`wire2`](crate::wire2)).  The
 //! [`Request`] and [`Response`] tables map every variant to its text
 //! verb and its binary kind byte.  A format implements only primitives

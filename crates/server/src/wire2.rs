@@ -1,10 +1,10 @@
 //! Binary wire v2: the length-prefixed framed encoding of the same
 //! [`Request`]/[`Response`] types the text protocol speaks.
 //!
-//! The text protocol renders every output value in decimal, which PR 5/6
-//! measured as the dominant cost of `full`-payload traffic — and it has
-//! no i64/f64-exact representation cheaper than printing.  Wire v2
-//! replaces lines with frames:
+//! The text protocol renders every output value in decimal, the dominant
+//! cost of `full`-payload traffic, and it has no i64/f64-exact
+//! representation cheaper than printing.  Wire v2 replaces lines with
+//! frames:
 //!
 //! ```text
 //! frame    := len:u32le  kind:u8  body:bytes       (len = 1 + |body|)
@@ -12,11 +12,16 @@
 //!
 //! `len` counts the kind byte plus the body, so an empty-bodied message
 //! (`stats`) is `01 00 00 00` + kind.  All integers are little-endian;
-//! floats are IEEE-754 bit patterns (`f64::to_le_bits` — exact, no
-//! decimal round-trip); strings and byte blobs are `u32` length +
-//! contents; vectors are `u32` count + elements.  Request kinds occupy
-//! `0x01..=0x0b`, response kinds `0x81..=0x8b` (high bit = response), so
-//! a desynchronized peer is detected by kind byte, not by guessing.
+//! floats are IEEE-754 bit patterns (exact, no decimal round-trip);
+//! strings are `u32` length + contents; vectors are `u32` count +
+//! elements.  Request kinds occupy `0x01..=0x0b`, response kinds
+//! `0x81..=0x8b` (high bit = response), so a desynchronized peer is
+//! detected by kind byte, not by guessing.
+//!
+//! The body of each message is not written here: every type describes
+//! its fields once in [`wire`](crate::wire), and the kind bytes sit in
+//! the same tables as the text verbs.  This module holds the framing —
+//! the entry points, the metrics frame and the [`FrameBuf`] splitter.
 //!
 //! A connection *starts* in text and negotiates the switch: `upgrade
 //! bin` line → `upgraded bin` line → frames both ways (see
