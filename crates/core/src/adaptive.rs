@@ -9,22 +9,28 @@
 //!    was made for; sustained drift (a phase change of a dynamic code)
 //!    triggers re-characterization;
 //! 2. **decision** — if no decision is current, a full inspector pass and
-//!    the (correction-learned) predictor pick a scheme;
+//!    the [`Calibrator`]'s corrected ranking pick a scheme;
 //! 3. **execution** — the chosen scheme runs;
-//! 4. **evaluation** — measured time is compared against prediction; the
-//!    optimizer escalates (keep / tune / re-decide / re-characterize)
-//!    according to the deviation magnitude.
+//! 4. **evaluation** — measured time is compared against the calibrator's
+//!    estimate and then folded into it; the optimizer escalates (keep /
+//!    tune / re-decide / re-characterize) according to the deviation
+//!    magnitude.
+//!
+//! The loop learns per functioning domain ([`DomainKey`]), exactly like
+//! the runtime service: `loop_id` is a label, not a partition of learned
+//! state.  A loop built by the runtime's `Runtime::adaptive` shares the
+//! service's calibrator, so what either learns steers the other and
+//! persists with the service's `corr` records.
 
-use crate::monitor::{Monitor, PhaseDetector};
-use crate::toolbox::{
-    Adaptation, Deviation, DomainKey, Optimizer, PerformanceDb, Predictor, Sample,
-};
+use crate::calibrate::Calibrator;
+use crate::monitor::PhaseDetector;
+use crate::toolbox::{Adaptation, Deviation, DomainKey, Optimizer};
 use smartapps_reductions::{
     run_scheme_on, Inspection, Inspector, ModelInput, Scheme, SpawnExecutor, SpmdExecutor,
 };
 use smartapps_workloads::pattern::AccessPattern;
 use smartapps_workloads::{drift, PatternChars};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// What happened during one adaptive invocation (for logs and tests).
@@ -46,7 +52,8 @@ struct Decided {
     scheme: Scheme,
     inspection: Inspection,
     sample_chars: PatternChars,
-    predicted: f64,
+    /// Uncorrected model cost of `scheme`, the unit the calibrator learns in.
+    raw_units: f64,
     domain: DomainKey,
 }
 
@@ -58,33 +65,20 @@ pub struct AdaptiveReduction {
     pub threads: usize,
     /// Whether owner-computes is legal for this loop.
     pub lw_feasible: bool,
-    /// Predictor (analytic model + learned corrections).
-    pub predictor: Predictor,
+    /// The learner the loop decides from and learns into: a private one
+    /// by default, the runtime service's own when built by
+    /// `Runtime::adaptive`.
+    pub calibrator: Arc<Mutex<Calibrator>>,
     /// Deviation → adaptation policy.
     pub optimizer: Optimizer,
-    /// Measured-sample database.
-    pub db: PerformanceDb,
-    /// Rolling performance monitor.
-    pub monitor: Monitor,
     /// Iterations sampled for the cheap drift check.
     pub sample_iters: usize,
     drift_detector: PhaseDetector,
     state: Option<Decided>,
-    /// Wall-seconds per abstract model cost unit, calibrated on the first
-    /// execution.
-    calibration: Option<f64>,
     /// Where scheme executions run: per-call thread spawning by default,
     /// or a shared persistent worker pool (`smartapps-runtime`).
     exec: Arc<dyn SpmdExecutor>,
-    /// Optional cross-run prior: consulted at decision time with the
-    /// characterized functioning domain, so a freshly constructed loop can
-    /// inherit the scheme a previous process learned (the runtime service
-    /// wires this to its persistent profile store).
-    scheme_prior: Option<SchemePrior>,
 }
-
-/// Callback resolving a functioning domain to a remembered best scheme.
-pub type SchemePrior = Box<dyn Fn(DomainKey) -> Option<Scheme> + Send + Sync>;
 
 impl AdaptiveReduction {
     /// Create an adaptive executor that spawns threads per invocation.
@@ -105,27 +99,13 @@ impl AdaptiveReduction {
             loop_id,
             threads,
             lw_feasible,
-            predictor: Predictor::default(),
+            calibrator: Arc::default(),
             optimizer: Optimizer::default(),
-            db: PerformanceDb::default(),
-            monitor: Monitor::new(0.3),
             sample_iters: 2048,
             drift_detector: PhaseDetector::new(0.25, 2),
             state: None,
-            calibration: None,
             exec,
-            scheme_prior: None,
         }
-    }
-
-    /// Install a cross-run scheme prior (see [`SchemePrior`]).  The prior
-    /// wins the first decision for a domain it knows; the feedback loop's
-    /// evaluation still re-decides away from it if it underperforms.
-    pub fn set_scheme_prior(
-        &mut self,
-        prior: impl Fn(DomainKey) -> Option<Scheme> + Send + Sync + 'static,
-    ) {
-        self.scheme_prior = Some(Box::new(prior));
     }
 
     /// The currently decided scheme, if any.
@@ -133,33 +113,23 @@ impl AdaptiveReduction {
         self.state.as_ref().map(|s| s.scheme)
     }
 
+    /// Lock the calibrator (poison-tolerant: every update leaves it valid).
+    fn cal(&self) -> MutexGuard<'_, Calibrator> {
+        self.calibrator.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn sample_chars(&self, pat: &AccessPattern) -> PatternChars {
         PatternChars::measure(&pat.truncate_iterations(self.sample_iters))
     }
 
-    fn characterize_and_decide(&mut self, pat: &AccessPattern) -> (Scheme, f64) {
-        let inspection = Inspector::analyze(pat, self.threads);
-        let input = ModelInput::from_inspection(&inspection, self.lw_feasible);
-        let ranking = self.predictor.rank(&input);
-        let domain = DomainKey::of(&inspection.chars);
-        // A known domain's remembered scheme overrides the analytic
-        // ranking (keeping that scheme's own predicted cost so the
-        // evaluator can still detect it misbehaving and re-decide).
-        let (scheme, predicted) = self
-            .scheme_prior
-            .as_ref()
-            .and_then(|prior| prior(domain))
-            .filter(|s| *s != Scheme::Lw || self.lw_feasible)
-            .and_then(|s| ranking.iter().copied().find(|(r, _)| *r == s))
-            .unwrap_or(ranking[0]);
-        self.state = Some(Decided {
-            scheme,
-            sample_chars: self.sample_chars(pat),
-            inspection,
-            predicted,
-            domain,
-        });
-        (scheme, predicted)
+    /// The calibrator's best scheme for an inspection and its raw model
+    /// cost.  The input comes from the inspection alone, so the backend
+    /// schemes (`pclr`, `simd`) never enter the ranking.
+    fn decide(&self, inspection: &Inspection, domain: DomainKey) -> (Scheme, f64) {
+        let input = ModelInput::from_inspection(inspection, self.lw_feasible);
+        let cal = self.cal();
+        let scheme = cal.rank(&input, domain)[0].0;
+        (scheme, cal.model.predict(scheme, &input))
     }
 
     /// Execute one invocation of the loop adaptively.
@@ -170,81 +140,58 @@ impl AdaptiveReduction {
     ) -> (Vec<f64>, InvocationLog) {
         // 1. Drift check against the decision's pattern.
         let mut measured_drift = 0.0;
-        let mut characterized = false;
         if let Some(st) = &self.state {
-            let sample = self.sample_chars(pat);
-            measured_drift = drift(&st.sample_chars, &sample);
+            measured_drift = drift(&st.sample_chars, &self.sample_chars(pat));
             if self.drift_detector.observe(measured_drift) {
                 self.state = None; // phase change: re-characterize
             }
         }
         // 2. Decide if needed.
-        if self.state.is_none() {
-            characterized = true;
-            self.characterize_and_decide(pat);
+        let characterized = self.state.is_none();
+        if characterized {
+            let inspection = Inspector::analyze(pat, self.threads);
+            let domain = DomainKey::of(&inspection.chars);
+            let (scheme, raw_units) = self.decide(&inspection, domain);
+            self.state = Some(Decided {
+                scheme,
+                sample_chars: self.sample_chars(pat),
+                inspection,
+                raw_units,
+                domain,
+            });
         }
-        let (scheme, predicted, domain) = {
-            let st = self.state.as_ref().unwrap();
-            (st.scheme, st.predicted, st.domain)
-        };
-        // 3. Execute.  The stored inspection is only reusable when no
-        // characterization was skipped on a drifted pattern; sel/lw must
-        // match the *current* pattern exactly, so reuse only when the
-        // pattern is the decision's own (characterized this call) or the
-        // scheme needs no inspection.
+        let st = self.state.as_ref().unwrap();
+        let (scheme, raw_units, domain) = (st.scheme, st.raw_units, st.domain);
+        // 3. Execute.  sel/lw must match the *current* pattern exactly, so
+        // the stored inspection is reused only when it was taken this call
+        // or the scheme needs none.
+        let insp = (characterized || !matches!(scheme, Scheme::Sel | Scheme::Lw))
+            .then_some(&st.inspection);
         let t0 = Instant::now();
-        let out = if matches!(scheme, Scheme::Sel | Scheme::Lw) && !characterized {
-            run_scheme_on(scheme, pat, body, self.threads, None, &*self.exec)
-        } else {
-            let st = self.state.as_ref().unwrap();
-            run_scheme_on(
-                scheme,
-                pat,
-                body,
-                self.threads,
-                Some(&st.inspection),
-                &*self.exec,
-            )
-        };
+        let out = run_scheme_on(scheme, pat, body, self.threads, insp, &*self.exec);
         let elapsed = t0.elapsed();
-        // 4. Evaluate and adapt.
-        self.monitor.record(scheme, elapsed);
-        self.db.record(
-            self.loop_id,
-            domain,
-            Sample {
-                scheme,
-                elapsed,
-                predicted,
-            },
-        );
-        let calib = *self
-            .calibration
-            .get_or_insert_with(|| elapsed.as_secs_f64() / predicted.max(1e-12));
-        let measured_units = elapsed.as_secs_f64() / calib.max(1e-300);
-        self.predictor.learn(scheme, predicted, measured_units);
-        // Track the machine calibration with an EMA so cold-start effects
-        // (first-touch pages, cold caches) wash out instead of reading as
-        // permanent model error.
-        self.calibration = Some(0.7 * calib + 0.3 * elapsed.as_secs_f64() / predicted.max(1e-12));
-        let deviation = Deviation::evaluate(predicted, measured_units);
-        let adaptation = self.optimizer.adapt(deviation);
+        // 4. Evaluate against the estimate in force before this sample,
+        // then learn from it.  No estimate yet reads as on target.
+        let measured_ns = elapsed.as_nanos() as f64;
+        let estimate = {
+            let mut cal = self.cal();
+            let estimate = cal.estimate_ns(scheme, domain, false, raw_units);
+            cal.observe(scheme, domain, false, raw_units, measured_ns);
+            estimate
+        };
+        let ratio = estimate.map_or(1.0, |est| measured_ns / est);
+        let adaptation = self.optimizer.adapt(Deviation { ratio });
         match adaptation {
             Adaptation::Keep | Adaptation::Tune => {}
             Adaptation::Redecide => {
-                // Re-rank with learned corrections on the stored inspection.
-                if let Some(st) = &self.state {
-                    let input = ModelInput::from_inspection(&st.inspection, self.lw_feasible);
-                    let ranking = self.predictor.rank(&input);
-                    let (new_scheme, new_pred) = ranking[0];
-                    let st = self.state.as_mut().unwrap();
-                    st.scheme = new_scheme;
-                    st.predicted = new_pred;
-                }
+                // Re-rank with the learned corrections on the stored inspection.
+                let st = self.state.as_ref().unwrap();
+                let (scheme, raw_units) = self.decide(&st.inspection, domain);
+                let st = self.state.as_mut().unwrap();
+                st.scheme = scheme;
+                st.raw_units = raw_units;
             }
-            Adaptation::Recharacterize => {
-                self.state = None;
-            }
+            Adaptation::Recharacterize => self.state = None,
         }
         (
             out,
@@ -317,8 +264,8 @@ mod tests {
             recharacterizations <= 2,
             "stable pattern must not re-characterize every call"
         );
-        assert_eq!(ar.monitor.invocations(), 6);
-        assert!(ar.db.len() >= 6);
+        // Each clean execute is one accepted calibration sample.
+        assert_eq!(ar.calibrator.lock().unwrap().calibration_updates(), 6);
     }
 
     #[test]

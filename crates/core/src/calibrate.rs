@@ -1,10 +1,11 @@
 //! Online cost-model calibration: the measure→correct loop.
 //!
 //! The paper's central claim is that the decision model is *corrected by
-//! measured performance*, not fixed analytic constants.  The
-//! [`Predictor`](crate::toolbox::Predictor) started that with one global
-//! correction factor per scheme; this module finishes it: a
-//! [`Calibrator`] maintains per-`(Scheme, DomainKey, fused)` estimates of
+//! measured performance*, not fixed analytic constants.  A
+//! [`Calibrator`] is the one learner that does this — for the runtime
+//! service's dispatcher and for the Figure-1 loop
+//! ([`AdaptiveReduction`](crate::adaptive::AdaptiveReduction)) alike.  It
+//! maintains per-`(Scheme, DomainKey, fused)` estimates of
 //! **measured nanoseconds per abstract model unit**, blended
 //! coarse-to-fine with confidence weights, so that
 //!
@@ -243,21 +244,6 @@ impl Calibrator {
         v
     }
 
-    /// Rank schemes for a *fused batch* of `fanout` same-pattern jobs
-    /// executed as one traversal (see `smartapps_reductions::fused`).  The
-    /// best scheme for one job is not always the best for K fused jobs:
-    /// K-fold private storage pushes replicating schemes out of cache
-    /// while traversal-bound schemes amortize, so the decision must be
-    /// re-ranked at the batch's actual fanout.
-    pub fn rank_fused(
-        &self,
-        input: &ModelInput,
-        fanout: usize,
-        domain: DomainKey,
-    ) -> Vec<(Scheme, f64)> {
-        self.rank(&input.clone().with_fanout(fanout), domain)
-    }
-
     /// The confidence of the finest calibration level available for a
     /// scheme in a domain (class level if present, else the per-scheme
     /// level; 0.0 with no samples).
@@ -434,6 +420,40 @@ mod tests {
         assert_eq!(gated.len(), ranked.len() + 2);
         assert!(gated.iter().any(|(s, _)| *s == Scheme::Simd));
         assert!(gated.iter().any(|(s, _)| *s == Scheme::Pclr));
+    }
+
+    #[test]
+    fn rank_at_fanout_prices_a_fused_batch() {
+        use smartapps_reductions::Inspector;
+        let pat = PatternSpec {
+            num_elements: 4096,
+            iterations: 8192,
+            refs_per_iter: 2,
+            coverage: 1.0,
+            dist: Distribution::Uniform,
+            seed: 3,
+        }
+        .generate();
+        let insp = Inspector::analyze(&pat, 4);
+        let input = ModelInput::from_inspection(&insp, false);
+        let d = DomainKey::of(&insp.chars);
+        let cal = Calibrator::default();
+        // fanout == 1 must agree with the plain ranking...
+        assert_eq!(
+            cal.rank(&input.clone().with_fanout(1), d),
+            cal.rank(&input, d)
+        );
+        // ...and a fused batch must cost more in absolute units but less
+        // than K independent runs for the winning scheme.
+        let (best, one_cost) = cal.rank(&input, d)[0];
+        let fused_cost = cal
+            .rank(&input.clone().with_fanout(6), d)
+            .iter()
+            .find(|(s, _)| *s == best)
+            .map(|(_, c)| *c)
+            .unwrap();
+        assert!(fused_cost > one_cost);
+        assert!(fused_cost < 6.0 * one_cost);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //!   every library variant behind an adaptive dispatcher, completed at run
 //!   time once the input data is known;
 //! * [`adaptive`] — the run-time feedback loop for reduction loops:
-//!   inspect → decide → execute → monitor → adapt;
-//! * [`toolbox`] — the ToolBox: performance databases, predictor with
-//!   learned corrections, evaluator and the deviation-to-adaptation
-//!   policy (small adaption = tuning, large adaption = phase change);
-//! * [`calibrate`] — the online calibration loop: per-`(Scheme,
-//!   DomainKey)` EWMA corrections with confidence weighting that ground
-//!   the analytic model in measured cost samples (see `docs/MODEL.md`);
+//!   inspect → decide → execute → monitor → adapt, deciding from and
+//!   learning into a [`Calibrator`];
+//! * [`toolbox`] — the ToolBox: functioning domains, the evaluator and
+//!   the deviation-to-adaptation policy (small adaption = tuning, large
+//!   adaption = phase change);
+//! * [`calibrate`] — the one learner: per-`(Scheme, DomainKey)` EWMA
+//!   corrections with confidence weighting that ground the analytic model
+//!   in measured cost samples (see `docs/MODEL.md`);
 //! * [`provenance`] — decision provenance: [`DecisionRecord`]s carrying
 //!   the feature vector, the analytic-vs-corrected candidate cost table,
 //!   feasibility masks, and gate verdicts for every ranked decision
@@ -28,8 +29,7 @@
 //! * [`configurer`] — the Configurer: applies computed system
 //!   configurations to the host (thread counts) or to the simulated
 //!   machine (PCLR controller flavor, page placement);
-//! * [`monitor`] — continuous performance monitoring and phase-transition
-//!   detection.
+//! * [`monitor`] — phase-transition detection.
 //!
 //! ## Example: a self-optimizing reduction loop
 //!
@@ -66,11 +66,11 @@ pub mod provenance;
 pub mod recognize;
 pub mod toolbox;
 
-pub use adaptive::{AdaptiveReduction, InvocationLog, SchemePrior};
+pub use adaptive::{AdaptiveReduction, InvocationLog};
 pub use calibrate::{Calibrator, CorrLevel, Correction};
 pub use configurer::{Configurer, HostConfigurer, SimConfigurer, SystemConfig};
-pub use monitor::{Monitor, PhaseDetector};
+pub use monitor::PhaseDetector;
 pub use multiversion::{CompiledReduction, Inputs};
 pub use provenance::{CandidateCost, DecisionRecord, FeatureVector, GateVerdict};
 pub use recognize::{distribute_by_operator, recognize, LoopNest, Recognition, ReductionInfo};
-pub use toolbox::{Adaptation, Deviation, DomainKey, Optimizer, PerformanceDb, Predictor};
+pub use toolbox::{Adaptation, Deviation, DomainKey, Optimizer};

@@ -1,83 +1,9 @@
-//! Performance monitoring and phase-transition detection: the SmartApp
-//! "continuously monitors performance and adapts as necessary".
+//! Phase-transition detection: the SmartApp "continuously monitors
+//! performance and adapts as necessary".  The measurements themselves go
+//! to the [`Calibrator`](crate::calibrate::Calibrator); this module decides
+//! when a signal has changed for good.
 
 use serde::{Deserialize, Serialize};
-use smartapps_reductions::Scheme;
-use std::time::Duration;
-
-/// One monitored invocation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Observation {
-    /// Invocation counter.
-    pub invocation: u64,
-    /// Scheme that ran.
-    pub scheme: Scheme,
-    /// Wall time.
-    pub elapsed: Duration,
-}
-
-/// A rolling performance monitor with an exponential moving average per
-/// scheme.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Monitor {
-    history: Vec<Observation>,
-    ema_secs: Option<f64>,
-    alpha: f64,
-}
-
-impl Monitor {
-    /// Create a monitor with smoothing factor `alpha` in (0,1].
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        Monitor {
-            history: Vec::new(),
-            ema_secs: None,
-            alpha,
-        }
-    }
-
-    /// Record an invocation.
-    pub fn record(&mut self, scheme: Scheme, elapsed: Duration) {
-        let inv = self.history.len() as u64;
-        self.history.push(Observation {
-            invocation: inv,
-            scheme,
-            elapsed,
-        });
-        let secs = elapsed.as_secs_f64();
-        self.ema_secs = Some(match self.ema_secs {
-            None => secs,
-            Some(e) => (1.0 - self.alpha) * e + self.alpha * secs,
-        });
-    }
-
-    /// Smoothed invocation time.
-    pub fn ema(&self) -> Option<Duration> {
-        self.ema_secs.map(Duration::from_secs_f64)
-    }
-
-    /// Ratio of the latest observation to the smoothed history (values far
-    /// from 1.0 indicate a slowdown/speedup event).
-    pub fn latest_vs_ema(&self) -> Option<f64> {
-        let last = self.history.last()?.elapsed.as_secs_f64();
-        let ema = self.ema_secs?;
-        if ema > 0.0 {
-            Some(last / ema)
-        } else {
-            None
-        }
-    }
-
-    /// Full observation history.
-    pub fn history(&self) -> &[Observation] {
-        &self.history
-    }
-
-    /// Number of recorded invocations.
-    pub fn invocations(&self) -> usize {
-        self.history.len()
-    }
-}
 
 /// Detects phase transitions in a stream of scalar signatures (e.g., the
 /// loop's reference drift or its invocation time): a transition is
@@ -129,20 +55,6 @@ impl PhaseDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn monitor_smooths_and_flags_outliers() {
-        let mut m = Monitor::new(0.5);
-        for _ in 0..10 {
-            m.record(Scheme::Rep, Duration::from_millis(10));
-        }
-        assert!((m.ema().unwrap().as_millis() as i64 - 10).abs() <= 1);
-        m.record(Scheme::Rep, Duration::from_millis(40));
-        let r = m.latest_vs_ema().unwrap();
-        assert!(r > 1.4, "a 4x spike must stand out: {r}");
-        assert_eq!(m.invocations(), 11);
-        assert_eq!(m.history()[0].invocation, 0);
-    }
 
     #[test]
     fn phase_detector_needs_patience() {

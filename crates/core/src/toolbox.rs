@@ -1,21 +1,16 @@
 //! The ToolBox (Figure 2): performance evaluator, predictor, optimizer and
-//! configurer, backed by application- and system-specific databases.
+//! configurer.
 //!
-//! * the **Performance Evaluator** measures performance and compares it
-//!   with predicted values;
-//! * the **Predictor** predicts performance from models plus statistical
-//!   information from previous runs;
-//! * the **Optimizer** computes an "optimal" configuration;
-//! * the **Configurer** applies it.
-//!
-//! The databases here hold per-(loop, functioning-domain) samples of
-//! measured scheme performance; the predictor corrects the analytic
-//! decision model with measured/predicted ratios learned online.
+//! * the **Performance Evaluator** ([`Deviation`]) compares measured
+//!   performance with the predicted value;
+//! * the **predictor** is the [`Calibrator`](crate::calibrate::Calibrator):
+//!   the analytic model corrected by measured samples, keyed by the
+//!   functioning domain ([`DomainKey`]) defined here;
+//! * the **Optimizer** ([`Optimizer`]) maps a deviation to an
+//!   [`Adaptation`];
+//! * the **Configurer** (`configurer`) applies a configuration.
 
 use serde::{Deserialize, Serialize};
-use smartapps_reductions::{DecisionModel, ModelInput, Scheme};
-use std::collections::HashMap;
-use std::time::Duration;
 
 /// A coarse digest of a pattern's characteristics: the "functioning
 /// domain" an application instance falls into.  Instances in the same
@@ -82,158 +77,6 @@ impl DomainKey {
             sparsity_decile: (chars.sp * 10.0).round().clamp(0.0, 10.0) as u8,
             mo: chars.mo.round().clamp(0.0, 255.0) as u8,
         }
-    }
-}
-
-/// One measured execution.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Sample {
-    /// Scheme executed.
-    pub scheme: Scheme,
-    /// Wall time.
-    pub elapsed: Duration,
-    /// Model-predicted cost at decision time (abstract units).
-    pub predicted: f64,
-}
-
-/// The application-specific performance database.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct PerformanceDb {
-    samples: HashMap<(u64, DomainKey), Vec<Sample>>,
-}
-
-impl PerformanceDb {
-    /// Record a sample for `loop_id` in `domain`.
-    pub fn record(&mut self, loop_id: u64, domain: DomainKey, sample: Sample) {
-        self.samples
-            .entry((loop_id, domain))
-            .or_default()
-            .push(sample);
-    }
-
-    /// All samples for a loop/domain.
-    pub fn samples(&self, loop_id: u64, domain: DomainKey) -> &[Sample] {
-        self.samples
-            .get(&(loop_id, domain))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Iterate every `((loop_id, domain), samples)` entry — the export
-    /// surface the runtime's cross-run profile store persists through.
-    pub fn entries(&self) -> impl Iterator<Item = ((u64, DomainKey), &[Sample])> + '_ {
-        self.samples.iter().map(|(k, v)| (*k, v.as_slice()))
-    }
-
-    /// Best measured scheme for a loop/domain, if any.
-    pub fn best_scheme(&self, loop_id: u64, domain: DomainKey) -> Option<Scheme> {
-        self.samples(loop_id, domain)
-            .iter()
-            .min_by_key(|s| s.elapsed)
-            .map(|s| s.scheme)
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.values().map(Vec::len).sum()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
-/// The Predictor: analytic model costs, corrected per scheme by the
-/// measured/predicted ratio learned from the database (exponential moving
-/// average).
-#[derive(Debug, Clone)]
-pub struct Predictor {
-    /// Underlying analytic model.
-    pub model: DecisionModel,
-    correction: HashMap<Scheme, f64>,
-    ema_alpha: f64,
-}
-
-impl Default for Predictor {
-    fn default() -> Self {
-        Predictor {
-            model: DecisionModel::default(),
-            correction: HashMap::new(),
-            ema_alpha: 0.3,
-        }
-    }
-}
-
-impl Predictor {
-    /// Predicted cost of a scheme, with learned correction.
-    pub fn predict(&self, scheme: Scheme, input: &ModelInput) -> f64 {
-        let base = self.model.predict(scheme, input);
-        base * self.correction.get(&scheme).copied().unwrap_or(1.0)
-    }
-
-    /// Rank schemes by corrected predicted cost (best first).
-    pub fn rank(&self, input: &ModelInput) -> Vec<(Scheme, f64)> {
-        let mut v: Vec<(Scheme, f64)> = Scheme::all_parallel()
-            .into_iter()
-            .map(|s| (s, self.predict(s, input)))
-            .collect();
-        v.sort_by(|a, b| a.1.total_cmp(&b.1));
-        v
-    }
-
-    /// Learn from a measurement: fold `measured_units / predicted` into the
-    /// scheme's correction factor.  `measured_units` must be in the same
-    /// abstract scale as predictions — callers normalize wall time by a
-    /// per-machine calibration constant.  (The runtime's
-    /// [`Calibrator`](crate::calibrate::Calibrator) does that
-    /// normalization automatically and refines corrections per
-    /// [`DomainKey`]; this predictor is the single-process flavor the
-    /// adaptive loop embeds.)
-    ///
-    /// Invalid samples (non-finite, non-positive) are ignored:
-    ///
-    /// ```
-    /// use smartapps_core::toolbox::Predictor;
-    /// use smartapps_reductions::Scheme;
-    ///
-    /// let mut p = Predictor::default();
-    /// // rep keeps measuring 2x its prediction: the correction converges
-    /// // toward the measured/predicted ratio.
-    /// for _ in 0..20 {
-    ///     p.learn(Scheme::Rep, 100.0, 200.0);
-    /// }
-    /// assert!(p.correction(Scheme::Rep) > 1.8);
-    /// p.learn(Scheme::Rep, 0.0, 100.0);      // ignored
-    /// p.learn(Scheme::Rep, 100.0, f64::NAN); // ignored
-    /// assert!(p.correction(Scheme::Rep).is_finite());
-    /// ```
-    pub fn learn(&mut self, scheme: Scheme, predicted: f64, measured_units: f64) {
-        if !(predicted.is_finite() && measured_units.is_finite())
-            || predicted <= 0.0
-            || measured_units <= 0.0
-        {
-            return;
-        }
-        let ratio = measured_units / predicted;
-        let c = self.correction.entry(scheme).or_insert(1.0);
-        *c = (1.0 - self.ema_alpha) * *c + self.ema_alpha * ratio;
-    }
-
-    /// Current correction factor for a scheme (`1.0` until
-    /// [`learn`](Predictor::learn) has folded in a measurement).
-    ///
-    /// ```
-    /// use smartapps_core::toolbox::Predictor;
-    /// use smartapps_reductions::Scheme;
-    ///
-    /// let mut p = Predictor::default();
-    /// assert_eq!(p.correction(Scheme::Hash), 1.0);
-    /// p.learn(Scheme::Hash, 100.0, 400.0);
-    /// assert!(p.correction(Scheme::Hash) > 1.0); // measured slower than predicted
-    /// ```
-    pub fn correction(&self, scheme: Scheme) -> f64 {
-        self.correction.get(&scheme).copied().unwrap_or(1.0)
     }
 }
 
@@ -374,84 +217,6 @@ mod tests {
             .generate(),
         );
         assert_ne!(DomainKey::of(&big), a);
-    }
-
-    #[test]
-    fn db_records_and_ranks() {
-        let mut db = PerformanceDb::default();
-        let d = DomainKey::of(&chars());
-        assert!(db.is_empty());
-        db.record(
-            7,
-            d,
-            Sample {
-                scheme: Scheme::Rep,
-                elapsed: Duration::from_millis(10),
-                predicted: 100.0,
-            },
-        );
-        db.record(
-            7,
-            d,
-            Sample {
-                scheme: Scheme::Sel,
-                elapsed: Duration::from_millis(6),
-                predicted: 80.0,
-            },
-        );
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.best_scheme(7, d), Some(Scheme::Sel));
-        assert_eq!(db.best_scheme(8, d), None);
-        assert_eq!(db.samples(7, d).len(), 2);
-    }
-
-    #[test]
-    fn predictor_learns_corrections() {
-        let mut p = Predictor::default();
-        assert_eq!(p.correction(Scheme::Rep), 1.0);
-        // rep consistently measures 2x its prediction.
-        for _ in 0..20 {
-            p.learn(Scheme::Rep, 100.0, 200.0);
-        }
-        assert!(
-            p.correction(Scheme::Rep) > 1.8,
-            "{}",
-            p.correction(Scheme::Rep)
-        );
-        // Invalid measurements are ignored.
-        p.learn(Scheme::Rep, 0.0, 100.0);
-        p.learn(Scheme::Rep, 100.0, f64::NAN);
-        assert!(p.correction(Scheme::Rep).is_finite());
-    }
-
-    #[test]
-    fn rank_at_fanout_prices_a_fused_batch() {
-        use smartapps_reductions::{Inspector, ModelInput};
-        let pat = PatternSpec {
-            num_elements: 4096,
-            iterations: 8192,
-            refs_per_iter: 2,
-            coverage: 1.0,
-            dist: Distribution::Uniform,
-            seed: 3,
-        }
-        .generate();
-        let insp = Inspector::analyze(&pat, 4);
-        let input = ModelInput::from_inspection(&insp, false);
-        let p = Predictor::default();
-        // fanout == 1 must agree with the plain ranking...
-        assert_eq!(p.rank(&input.clone().with_fanout(1)), p.rank(&input));
-        // ...and a fused batch must cost more in absolute units but less
-        // than K independent runs for the winning scheme.
-        let (best, one_cost) = p.rank(&input)[0];
-        let fused_cost = p
-            .rank(&input.clone().with_fanout(6))
-            .iter()
-            .find(|(s, _)| *s == best)
-            .map(|(_, c)| *c)
-            .unwrap();
-        assert!(fused_cost > one_cost);
-        assert!(fused_cost < 6.0 * one_cost);
     }
 
     #[test]

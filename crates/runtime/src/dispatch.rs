@@ -474,8 +474,9 @@ fn plan_fusion(
     let insp = cache.analyze(&group[0].spec.pattern, threads, &shared.stats);
     let domain = DomainKey::of(&insp.chars);
     let input = ModelInput::from_inspection(&insp, group[0].spec.lw_feasible);
+    let fused_input = input.clone().with_fanout(k);
     let cal = shared.calibrator();
-    let fused_rank = cal.rank_fused(&input, k, domain);
+    let fused_rank = cal.rank(&fused_input, domain);
     let Some(&(scheme, fused_cost)) = fused_rank
         .iter()
         .find(|(s, c)| s.is_software() && c.is_finite())
@@ -484,7 +485,6 @@ fn plan_fusion(
         verdict(GateVerdict::declined("no-feasible-scheme"));
         return None;
     };
-    let fused_input = input.clone().with_fanout(k);
     let predicted_units = cal.model.predict(scheme, &fused_input);
     let fuse_reason = if scheme == Scheme::Hash {
         Some("hash-trusted")

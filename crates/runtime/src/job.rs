@@ -190,21 +190,6 @@ impl PatternSignature {
             threads as u64,
         ]))
     }
-
-    /// Signature of a ToolBox functioning domain (used when absorbing an
-    /// [`AdaptiveReduction`]'s `PerformanceDb` into the profile store).
-    ///
-    /// [`AdaptiveReduction`]: smartapps_core::adaptive::AdaptiveReduction
-    pub fn of_domain(loop_id: u64, key: &DomainKey) -> Self {
-        PatternSignature(fnv1a([
-            0x0d0_417, // domain-keyed namespace tag
-            loop_id,
-            key.dim_bucket as u64,
-            key.reuse_bucket as u64,
-            key.sparsity_decile as u64,
-            key.mo as u64,
-        ]))
-    }
 }
 
 /// What the dispatcher reports back for one finished job.
@@ -373,20 +358,6 @@ mod tests {
         // A 64x larger array is a different domain.
         let c = PatternSignature::of(&pat(1, 262_144), 2048, 4);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn domain_signatures_separate_loops() {
-        let chars = PatternChars::measure(&pat(1, 1024));
-        let key = DomainKey::of(&chars);
-        assert_ne!(
-            PatternSignature::of_domain(1, &key),
-            PatternSignature::of_domain(2, &key)
-        );
-        assert_eq!(
-            PatternSignature::of_domain(1, &key),
-            PatternSignature::of_domain(1, &key)
-        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use crate::job::PatternSignature;
 use smartapps_core::calibrate::{CorrLevel, Correction};
-use smartapps_core::toolbox::{DomainKey, PerformanceDb};
+use smartapps_core::toolbox::DomainKey;
 use smartapps_reductions::Scheme;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -182,21 +182,6 @@ impl ProfileStore {
     /// arrived; whatever looked like drift was noise).
     pub fn clear_drift(&mut self, sig: PatternSignature) {
         self.strikes.remove(&sig.0);
-    }
-
-    /// Absorb the best measured scheme per functioning domain from an
-    /// adaptive loop's [`PerformanceDb`], so a restarted service inherits
-    /// what the feedback loop learned.
-    pub fn absorb_performance_db(&mut self, db: &PerformanceDb) {
-        for ((loop_id, domain), samples) in db.entries() {
-            let Some(best) = samples.iter().min_by_key(|s| s.elapsed) else {
-                continue;
-            };
-            let sig = PatternSignature::of_domain(loop_id, &domain);
-            // The db doesn't carry reference counts; persist the scheme
-            // choice and best time with a unit calibration basis.
-            self.record(sig, best.scheme, 0, 1, best.elapsed);
-        }
     }
 
     /// Replace the stored calibration state with an exported calibrator

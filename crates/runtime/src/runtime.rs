@@ -201,7 +201,9 @@ pub(crate) struct Shared {
     pub(crate) queue: ShardedQueue,
     profile: Mutex<ProfileStore>,
     pub(crate) stats: RuntimeStats,
-    calibrator: Mutex<Calibrator>,
+    /// The process's one learner, shared with every `Runtime::adaptive`
+    /// loop.
+    calibrator: Arc<Mutex<Calibrator>>,
     pub(crate) software: SoftwareBackend,
     pub(crate) simd: Option<SimdBackend>,
     pub(crate) pclr: Option<PclrBackend>,
@@ -419,7 +421,7 @@ impl Runtime {
             queue: ShardedQueue::new(shards, n_dispatchers),
             profile: Mutex::new(profile),
             stats: RuntimeStats::default(),
-            calibrator: Mutex::new(calibrator),
+            calibrator: Arc::new(Mutex::new(calibrator)),
             software: SoftwareBackend::new(pool.clone()),
             simd: config.simd.then(|| SimdBackend::new(pool.clone())),
             pclr,
@@ -607,31 +609,16 @@ impl Runtime {
 
     /// An adaptive feedback-loop executor (inspect → decide → execute →
     /// monitor → adapt) whose scheme executions run on this runtime's
-    /// worker pool instead of spawning threads per invocation, and whose
-    /// first decision per functioning domain consults the profile store —
-    /// so schemes learned by a previous process (persisted via
-    /// [`persist_adaptive`](Runtime::persist_adaptive)) carry over.
+    /// worker pool and which decides from and learns into this runtime's
+    /// calibrator: its samples persist as `corr` records at shutdown, and
+    /// corrections the service learned (or a previous process persisted)
+    /// steer its decisions.  Learning is per functioning domain; `loop_id`
+    /// only labels the loop.
     pub fn adaptive(&self, loop_id: u64, lw_feasible: bool) -> AdaptiveReduction {
         let mut adaptive =
             AdaptiveReduction::with_executor(loop_id, self.width(), lw_feasible, self.executor());
-        let shared = self.shared.clone();
-        adaptive.set_scheme_prior(move |domain| {
-            shared
-                .profile()
-                .get(PatternSignature::of_domain(loop_id, &domain))
-                .map(|e| e.scheme)
-                // The adaptive loop executes schemes through the software
-                // library; a persisted hardware (pclr) prior falls back to
-                // the analytic decision instead of an impossible dispatch.
-                .filter(|s| s.is_software())
-        });
+        adaptive.calibrator = self.shared.calibrator.clone();
         adaptive
-    }
-
-    /// Fold what an adaptive loop's `PerformanceDb` learned into the
-    /// profile store, so it survives restarts alongside service profiles.
-    pub fn persist_adaptive(&self, adaptive: &AdaptiveReduction) {
-        self.shared.profile().absorb_performance_db(&adaptive.db);
     }
 
     /// Merge pre-learned profiles into the live store.
@@ -1136,39 +1123,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn adaptive_prior_reads_persisted_domain_entries() {
-        use smartapps_core::toolbox::DomainKey;
-        use smartapps_workloads::PatternChars;
-
-        let rt = Runtime::with_workers(2);
-        let pat = pattern(43);
-        // Seed the store with a hand-chosen scheme for this pattern's
-        // functioning domain under loop id 9 — as if a previous process
-        // had learned it and persisted via persist_adaptive().
-        let domain = DomainKey::of(&PatternChars::measure(&pat));
-        let sig = PatternSignature::of_domain(9, &domain);
-        {
-            let mut store = rt.shared.profile.lock().unwrap();
-            store.record(sig, Scheme::Hash, 2, 1, Duration::from_micros(1));
-        }
-        let mut smart = rt.adaptive(9, false);
-        let (_, log) = smart.execute(&pat, &|_i, r| smartapps_workloads::contribution(r));
-        assert_eq!(
-            log.scheme,
-            Scheme::Hash,
-            "first decision must honor the persisted prior"
-        );
-        // A loop id with no persisted history decides analytically.
-        let mut fresh = rt.adaptive(10, false);
-        let (_, log) = fresh.execute(&pat, &|_i, r| smartapps_workloads::contribution(r));
-        assert_ne!(
-            log.scheme,
-            Scheme::Hash,
-            "dense uniform pattern should not pick hash analytically"
-        );
-    }
-
-    #[test]
     fn shutdown_then_drop_saves_store_once() {
         let dir = std::env::temp_dir().join("smartapps-runtime-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1585,25 +1539,92 @@ pub(crate) mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn adaptive_prior_masks_persisted_pclr_entries() {
-        use smartapps_core::toolbox::DomainKey;
-        use smartapps_workloads::PatternChars;
-
-        // The adaptive loop executes through the software library; a
-        // pclr prior must fall back to the analytic decision, not panic.
-        let rt = Runtime::with_workers(2);
-        let pat = pattern(47);
-        let domain = DomainKey::of(&PatternChars::measure(&pat));
-        let sig = PatternSignature::of_domain(12, &domain);
-        {
-            let mut store = rt.shared.profile.lock().unwrap();
-            store.record(sig, Scheme::Pclr, 2, 1, Duration::from_micros(1));
+    /// A profile file whose `corr` records price `cheap` at 1/64 of the
+    /// machine scale in `domain` and every other scheme at 64x, so a
+    /// runtime started on it ranks `cheap` first whatever the model says.
+    fn corr_file(name: &str, domain: DomainKey, cheap: &[Scheme]) -> PathBuf {
+        use smartapps_core::calibrate::{CorrLevel, Correction};
+        let dir = std::env::temp_dir().join("smartapps-runtime-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.txt", std::process::id()));
+        let schemes = Scheme::all_parallel().into_iter();
+        let mut state = vec![(CorrLevel::Global, Correction::seeded(1.0, 1000))];
+        for s in schemes.chain([Scheme::Pclr, Scheme::Simd]) {
+            let ns_per_unit = if cheap.contains(&s) { 1.0 / 64.0 } else { 64.0 };
+            let level = CorrLevel::Class(s, domain, false);
+            state.push((level, Correction::seeded(ns_per_unit, 1000)));
         }
+        let mut store = ProfileStore::new();
+        store.set_calibration(state);
+        store.save(&path).unwrap();
+        path
+    }
+
+    #[test]
+    fn persisted_corrections_steer_the_adaptive_loops_first_decision() {
+        let pat = pattern(43);
+        let domain = DomainKey::of(&Inspector::analyze(&pat, 2).chars);
+        let body = |_i: usize, r: usize| contribution(r);
+        // Analytically, this dense uniform class does not pick hash.
+        let plain = Runtime::with_workers(2);
+        let (_, log) = plain.adaptive(9, false).execute(&pat, &body);
+        assert_ne!(log.scheme, Scheme::Hash);
+        // Corrections loaded at startup that make hash cheapest here win
+        // the loop's first decision.
+        let path = corr_file("steer-hash", domain, &[Scheme::Hash]);
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            profile_path: Some(path.clone()),
+            ..RuntimeConfig::default()
+        });
+        let (out, log) = rt.adaptive(9, false).execute(&pat, &body);
+        assert!(log.characterized);
+        assert_eq!(log.scheme, Scheme::Hash, "persisted corrections must steer");
+        for (a, b) in sequential_reduce(&pat).iter().zip(out.iter()) {
+            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
+        }
+        rt.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn backend_corrections_never_reach_the_adaptive_loop() {
+        // The shared calibrator *and* the model call pclr and simd nearly
+        // free for this class, yet the loop executes through
+        // `run_scheme_on`, which has no backend schemes: it must never
+        // pick one, and its answers must stay oracle-exact.
+        let pat = sim_pattern(31);
+        let domain = DomainKey::of(&Inspector::analyze(&pat, 2).chars);
+        let path = corr_file("backend-cheap", domain, &[Scheme::Pclr, Scheme::Simd]);
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            dispatchers: 1,
+            pclr: Some(crate::PclrConfig::default()),
+            model: DecisionModel::new(smartapps_reductions::ModelParams {
+                pclr_update: 0.0,
+                pclr_flush_line: 0.0,
+                pclr_offload_fixed: 0.0,
+                simd_update: 0.0,
+                simd_init_elem: 0.0,
+                simd_merge_elem: 0.0,
+                ..smartapps_reductions::ModelParams::default()
+            }),
+            profile_path: Some(path.clone()),
+            ..RuntimeConfig::default()
+        });
+        let served = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
+        assert!(!served.scheme.is_software(), "the service takes a backend");
         let mut smart = rt.adaptive(12, false);
-        let (out, log) = smart.execute(&pat, &|_i, r| smartapps_workloads::contribution(r));
-        assert!(log.scheme.is_software(), "prior must be masked");
-        assert_eq!(out.len(), pat.num_elements);
+        let oracle = sequential_reduce(&pat);
+        for _ in 0..4 {
+            let (out, log) = smart.execute(&pat, &|_i, r| contribution(r));
+            assert!(log.scheme.is_software(), "loop picked {}", log.scheme);
+            for (a, b) in oracle.iter().zip(out.iter()) {
+                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
+            }
+        }
+        rt.shutdown();
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -2273,21 +2294,6 @@ pub(crate) mod tests {
             got[0].result.output.as_i64().unwrap(),
             sequential_reduce_i64(&pat)
         );
-    }
-
-    #[test]
-    fn adaptive_on_pool_matches_oracle() {
-        let rt = Runtime::with_workers(3);
-        let pat = pattern(11);
-        let mut smart = rt.adaptive(77, false);
-        let (out, log) = smart.execute(&pat, &|_i, r| contribution(r));
-        assert!(log.characterized);
-        let oracle = sequential_reduce(&pat);
-        for (a, b) in oracle.iter().zip(out.iter()) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
-        }
-        rt.persist_adaptive(&smart);
-        assert!(!rt.profile_snapshot().is_empty());
     }
 
     /// An overlapping sliding-window pattern the simplification

@@ -7,6 +7,7 @@
 
 use smartapps::core::recognize::build::{histogram_update, indirect_load};
 use smartapps::core::recognize::LoopNest;
+use smartapps::core::toolbox::DomainKey;
 use smartapps::prelude::*;
 
 const W: u32 = 0; // reduction array
@@ -31,6 +32,7 @@ fn main() {
     let f: Vec<f64> = (0..n).map(|e| (e as f64 * 0.37).sin().abs()).collect();
 
     println!("\ninvocation  domain      scheme  characterized  adaptation");
+    let mut domains = Vec::new();
     for epoch in 0..8 {
         // The input index stream changes character at epoch 4: from dense
         // reuse (every element hit ~24x) to scattering over a tiny subset.
@@ -39,6 +41,12 @@ fn main() {
         let x: Vec<f64> = (0..iters)
             .map(|i| ((i * 2_654_435_761usize) % spread) as f64)
             .collect();
+        if epoch % 4 == 3 {
+            // The functioning domain the loop learns this phase under.
+            let rows: Vec<Vec<u32>> = x.iter().map(|&xi| vec![xi as u32]).collect();
+            let pat = AccessPattern::from_iters(n, &rows);
+            domains.push(DomainKey::of(&PatternChars::measure(&pat)));
+        }
         let inputs = Inputs::default().bind(X, &x).bind(F, &f);
         let (w, log) = compiled.run(n, iters, &inputs);
         println!(
@@ -51,17 +59,19 @@ fn main() {
         assert!(w.iter().all(|v| v.is_finite()));
     }
 
-    let db = &compiled.adaptive.db;
+    let cal = compiled.adaptive.calibrator.lock().unwrap();
     println!(
-        "\nToolBox performance database: {} samples; monitor saw {} invocations",
-        db.len(),
-        compiled.adaptive.monitor.invocations()
+        "\ncalibrator: {} samples accepted",
+        cal.calibration_updates()
     );
-    println!(
-        "predictor corrections learned: rep {:.2}, sel {:.2}, ll {:.2}, hash {:.2}",
-        compiled.adaptive.predictor.correction(Scheme::Rep),
-        compiled.adaptive.predictor.correction(Scheme::Sel),
-        compiled.adaptive.predictor.correction(Scheme::Ll),
-        compiled.adaptive.predictor.correction(Scheme::Hash),
-    );
+    for (phase, domain) in ["dense", "sparse"].into_iter().zip(domains) {
+        let corr = |s| cal.correction(s, domain, false);
+        println!(
+            "{phase:6} corrections learned: rep {:.2}, sel {:.2}, ll {:.2}, hash {:.2}",
+            corr(Scheme::Rep),
+            corr(Scheme::Sel),
+            corr(Scheme::Ll),
+            corr(Scheme::Hash),
+        );
+    }
 }

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example molecular_dynamics`
 
+use smartapps::core::toolbox::DomainKey;
 use smartapps::prelude::*;
 
 /// Build an interaction list for a given "temperature": hot systems mix
@@ -37,6 +38,7 @@ fn main() {
     println!("Moldyn ComputeForces: {atoms} atoms, {pairs} pairs, {threads} threads\n");
     println!("step  temp   drift   characterized  scheme  time");
     let mut temperature = 0.01; // cold start: highly local interactions
+    let mut last = None;
     for step in 0..12 {
         // The system heats up at step 6: the neighbor list delocalizes.
         if step == 6 {
@@ -54,13 +56,19 @@ fn main() {
         // Use the forces so the work is real.
         let total: f64 = forces.iter().sum();
         assert!(total.is_finite());
+        last = Some((log.scheme, pattern));
     }
     println!(
         "\nThe phase change at step 6 shows up as sustained drift; the runtime\n\
          re-characterizes and may switch schemes as locality collapses."
     );
+    let (scheme, pattern) = last.unwrap();
+    let domain = DomainKey::of(&PatternChars::measure(&pattern));
+    let cal = smart.calibrator.lock().unwrap();
     println!(
-        "performance db now holds {} samples across functioning domains",
-        smart.db.len()
+        "calibrator accepted {} samples; {} correction in the hot domain: {:.2}",
+        cal.calibration_updates(),
+        scheme.abbrev(),
+        cal.correction(scheme, domain, false)
     );
 }

@@ -3,11 +3,21 @@
 
 use smartapps::prelude::*;
 use smartapps::workloads::{fig3_rows, sequential_reduce};
+use std::sync::{Mutex, MutexGuard};
+
+/// Several tests here judge measured wall time; run concurrently, each
+/// would measure its neighbours' SPMD regions as well as its own.  Every
+/// test holds this lock, so the binary runs them one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// The adaptive runtime must produce oracle-identical results on every
 /// Figure 3 application shape (subsampled for test speed).
 #[test]
 fn adaptive_runtime_correct_on_all_fig3_shapes() {
+    let _serial = serial();
     for (k, row) in fig3_rows().iter().enumerate() {
         let pat = row.pattern(1000 + k as u64);
         let pat = pat.truncate_iterations(20_000.min(pat.num_iterations()));
@@ -30,6 +40,7 @@ fn adaptive_runtime_correct_on_all_fig3_shapes() {
 /// we allow slack but the extremes are unambiguous).
 #[test]
 fn model_extremes_agree_with_measurement() {
+    let _serial = serial();
     // Dense, high reuse: rep-family territory; hash must NOT win.
     let dense = PatternSpec {
         num_elements: 20_000,
@@ -70,6 +81,7 @@ fn model_extremes_agree_with_measurement() {
 /// execution) agrees with a hand-rolled loop.
 #[test]
 fn compiled_reduction_end_to_end() {
+    let _serial = serial();
     use smartapps::core::recognize::build::{histogram_update, indirect_load};
     use smartapps::core::recognize::LoopNest;
     let l = LoopNest {
@@ -96,6 +108,7 @@ fn compiled_reduction_end_to_end() {
 /// inspector on a stable pattern.
 #[test]
 fn inspector_amortized_across_invocations() {
+    let _serial = serial();
     let pat = PatternSpec {
         num_elements: 4_096,
         iterations: 50_000,
@@ -124,6 +137,7 @@ fn inspector_amortized_across_invocations() {
 /// after it clears.
 #[test]
 fn interference_triggers_escalation_and_recovery() {
+    let _serial = serial();
     use smartapps::core::toolbox::Adaptation;
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -161,13 +175,17 @@ fn interference_triggers_escalation_and_recovery() {
     }
     assert!(escalated, "a 30x slowdown must not read as on-target");
     // Clear the fault: the loop keeps producing correct results throughout
-    // and eventually returns to Keep/Tune.
+    // and returns to Keep/Tune.  One stray wall-clock outlier may still
+    // escalate a run; a loop that has not settled escalates most of them.
     interfere.store(false, Ordering::Relaxed);
-    let mut settled = false;
+    let mut settled = 0;
     for _ in 0..6 {
         let (w, log) = smart.execute(&pat, &body);
         assert!(w.iter().all(|v| v.is_finite()));
-        settled = matches!(log.adaptation, Adaptation::Keep | Adaptation::Tune);
+        settled += matches!(log.adaptation, Adaptation::Keep | Adaptation::Tune) as usize;
     }
-    assert!(settled, "feedback loop must settle after the fault clears");
+    assert!(
+        settled >= 4,
+        "feedback loop must settle after the fault clears ({settled}/6 runs)"
+    );
 }

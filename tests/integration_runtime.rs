@@ -257,24 +257,88 @@ fn fused_batch_matches_k_sequential_oracles() {
     assert!(stats.inspections <= 2, "{stats:?}");
 }
 
-/// An adaptive feedback loop running on the shared pool stays correct
-/// and its learned PerformanceDb flows into the persistent store.
+/// Adaptive feedback loops run on the service's pool and learn into the
+/// service's one calibrator: their samples move `Runtime::correction` for
+/// their domain, persist as `corr` records at shutdown, and steer a
+/// restarted service's loop.
 #[test]
 fn adaptive_loops_share_the_pool_and_persist() {
-    let rt = Runtime::with_workers(4);
+    use smartapps::core::toolbox::DomainKey;
+    use smartapps::reductions::{Inspector, ModelInput, Scheme};
+
+    let dir = std::env::temp_dir().join("smartapps-integration");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("adaptive-corr-{}.txt", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = RuntimeConfig {
+        workers: 4,
+        profile_path: Some(path.clone()),
+        ..RuntimeConfig::default()
+    };
     let pat = pattern(21, 2048, 8000, 1.0);
     let oracle = sequential_reduce(&pat);
-    let mut smart = rt.adaptive(1, false);
-    for _ in 0..3 {
-        let (out, _log) = smart.execute(&pat, &|_i, r| contribution(r));
+    let body = |_i: usize, r: usize| contribution(r);
+    let check = |out: &[f64]| {
         for (a, b) in oracle.iter().zip(out.iter()) {
             assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
         }
+    };
+    let insp = Inspector::analyze(&pat, 4);
+    let domain = DomainKey::of(&insp.chars);
+
+    let rt = Runtime::new(cfg.clone());
+    // A service job in another domain sets the machine scale, so the
+    // loop's samples are not the only ones the calibrator has seen.
+    let sparse = pattern(22, 200_000, 600, 0.05);
+    rt.run(JobSpec::i64(sparse, |_i, r| contribution_i64(r)));
+    let before: Vec<f64> = Scheme::all_parallel()
+        .iter()
+        .map(|&s| rt.correction(s, domain, false))
+        .collect();
+    let mut smart = rt.adaptive(1, false);
+    let mut other = rt.adaptive(2, false);
+    assert!(Arc::ptr_eq(&smart.calibrator, &other.calibrator));
+    let mut scheme = None;
+    for _ in 0..4 {
+        let (out, log) = smart.execute(&pat, &body);
+        check(&out);
+        scheme.get_or_insert(log.scheme);
     }
-    rt.persist_adaptive(&smart);
-    let snap = rt.profile_snapshot();
-    assert!(!snap.is_empty(), "adaptive learning must reach the store");
-    // And the snapshot's text form round-trips.
-    let text = snap.to_text();
+    check(&other.execute(&pat, &body).0);
+    let scheme = scheme.unwrap();
+    let at = Scheme::all_parallel()
+        .iter()
+        .position(|&s| s == scheme)
+        .unwrap();
+    let learned = rt.correction(scheme, domain, false);
+    assert_ne!(learned, before[at], "loop samples must move the correction");
+    assert!(
+        smart
+            .calibrator
+            .lock()
+            .unwrap()
+            .class_confidence(scheme, domain, false)
+            > 0.0
+    );
+    rt.shutdown();
+
+    let text = std::fs::read_to_string(&path).unwrap();
+    let record = format!("corr {} {:08x} s ", scheme.abbrev(), domain.pack());
+    assert!(text.contains(&record), "{record} missing from:\n{text}");
     assert_eq!(ProfileStore::from_text(&text).unwrap().to_text(), text);
+
+    // A restarted service's loop decides from what the first one learned.
+    let rt = Runtime::new(cfg);
+    assert_eq!(rt.correction(scheme, domain, false), learned);
+    let mut smart = rt.adaptive(1, false);
+    let expect = {
+        let cal = smart.calibrator.lock().unwrap();
+        assert!(cal.class_confidence(scheme, domain, false) > 0.0);
+        cal.rank(&ModelInput::from_inspection(&insp, false), domain)[0].0
+    };
+    let (out, log) = smart.execute(&pat, &body);
+    check(&out);
+    assert_eq!(log.scheme, expect, "restored corrections must decide");
+    rt.shutdown();
+    let _ = std::fs::remove_file(&path);
 }
