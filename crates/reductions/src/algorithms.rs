@@ -1,15 +1,16 @@
-//! The parallel reduction algorithm library of Section 4.
+//! The parallel reduction algorithm library of Section 4 — one kernel per
+//! scheme, shared by single jobs and fused sweeps.
 //!
-//! Every executor computes, for an [`AccessPattern`] `pat` and a
-//! contribution function `body(iteration, ref_slot) -> T`, the array
+//! Every kernel computes, for an [`AccessPattern`] `pat` and K
+//! contribution functions `body_k(iteration, ref_slot) -> T`, the K arrays
 //!
 //! ```text
-//! w[x] = ⊕ { body(i, r) : pat.indices[r] == x, r ∈ pat.ref_range(i) }
+//! w_k[x] = ⊕ { body_k(i, r) : pat.indices[r] == x, r ∈ pat.ref_range(i) }
 //! ```
 //!
-//! exactly as the sequential loop would — they differ only in *how* the
-//! partial results are privatized and merged, which is precisely what the
-//! adaptive selection of the paper chooses between:
+//! exactly as the sequential loop would — the schemes differ only in *how*
+//! the partial results are privatized and merged, which is precisely what
+//! the adaptive selection of the paper chooses between:
 //!
 //! | scheme | private storage        | merge cost              | best when |
 //! |--------|------------------------|-------------------------|-----------|
@@ -19,58 +20,180 @@
 //! | `lw`   | none (owner computes)  | none (iter replication) | feasible loops, moderate MO |
 //! | `hash` | per-thread hash table  | O(distinct)             | extremely sparse (SP ≪ 1%) |
 //!
+//! **One kernel, any K.**  Each scheme is written once, generic over its
+//! body set.  A single job ([`run_scheme_on`](crate::run_scheme_on))
+//! passes one `impl Fn` body, for which K = 1 is a compile-time constant,
+//! so the kernel compiles to the plain single-output loop.  A fused sweep
+//! ([`run_fused_on`](crate::run_fused_on)) passes K [`FusedBody`]s and
+//! walks the pattern **once** for all of them: the traversal, the address
+//! generation, the touched-line links, the conflict and ownership tests
+//! and the hash probe are paid once per reference, and only the body
+//! evaluations and updates scale with K.  Private storage is stride-K
+//! interleaved — all K partial values of an element adjacent — so one
+//! touched line serves the whole batch; it also grows K-fold, so callers
+//! bound K (the runtime caps it with its `max_fuse` knob).
+//!
+//! Every kernel upholds the oracle contract: output `k` equals the
+//! sequential loop over `body_k` bit for bit on integer monoids and within
+//! floating-point tolerance otherwise — and, because both entry points
+//! run the same kernel, output `k` of a fused sweep is the single run of
+//! `body_k`.
+//!
 //! Threading runs one SPMD block task per logical processor through a
-//! [`SpmdExecutor`] — the `*_on` variants accept any executor (the
-//! `smartapps-runtime` persistent worker pool on the service path), while
-//! the plain-named wrappers fork fresh threads per call via
-//! [`SpawnExecutor`].  Block scheduling matches the paper's
-//! block-scheduled loops.
+//! [`SpmdExecutor`] — [`SpawnExecutor`](crate::SpawnExecutor) forks fresh
+//! threads per call, the `smartapps-runtime` persistent worker pool serves
+//! the service path.  Block scheduling matches the paper's block-scheduled
+//! loops.
 
-use crate::inspect::{ConflictInfo, OwnerLists};
-use crate::scheme::{RedElem, UnsafeSlice};
-use crate::spmd::{SpawnExecutor, SpmdExecutor};
+use crate::inspect::{ConflictInfo, Inspection, Inspector, OwnerLists};
+use crate::scheme::{RedElem, Scheme, UnsafeSlice};
+use crate::spmd::SpmdExecutor;
 use parking_lot::Mutex;
 use smartapps_workloads::pattern::AccessPattern;
 use smartapps_workloads::{block_range, elem_block_range};
 
 /// Number of lock stripes used by merge phases that combine into shared
-/// storage (`ll`, `hash`) — shared with the fused kernels in
-/// [`crate::fused`].
-pub(crate) const MERGE_STRIPES: usize = 256;
+/// storage (`ll`, `hash`).
+const MERGE_STRIPES: usize = 256;
 
 /// Elements per touched-line bucket in the `ll` scheme (one cache line of
-/// f64) — shared with the fused kernels in [`crate::fused`].
-pub(crate) const LINK_LINE: usize = 8;
+/// f64).
+const LINK_LINE: usize = 8;
+
+/// A borrowed contribution body, as fused sweeps consume them.
+pub type FusedBody<'a, T> = &'a (dyn Fn(usize, usize) -> T + Sync);
+
+/// The bodies one sweep evaluates at every visited reference.
+pub(crate) trait Bodies<T>: Sync {
+    /// K, the number of bodies and outputs.  Kernels call it inside each
+    /// SPMD closure: a value captured into the closure is opaque there,
+    /// while a call folds a single body's constant 1 into the loop.
+    fn k(&self) -> usize;
+    /// Hand `f(kk, body_kk(i, r))` every body's contribution, in body order.
+    fn each(&self, i: usize, r: usize, f: impl FnMut(usize, T));
+}
+
+/// A single job's body: K = 1.
+pub(crate) struct One<'a, F>(pub &'a F);
+
+impl<T, F: Fn(usize, usize) -> T + Sync> Bodies<T> for One<'_, F> {
+    #[inline(always)]
+    fn k(&self) -> usize {
+        1
+    }
+    #[inline(always)]
+    fn each(&self, i: usize, r: usize, mut f: impl FnMut(usize, T)) {
+        f(0, (self.0)(i, r));
+    }
+}
+
+impl<T> Bodies<T> for [FusedBody<'_, T>] {
+    #[inline]
+    fn k(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn each(&self, i: usize, r: usize, mut f: impl FnMut(usize, T)) {
+        for (kk, body) in self.iter().enumerate() {
+            f(kk, body(i, r));
+        }
+    }
+}
 
 /// Sequential baseline.
 pub fn seq<T: RedElem>(pat: &AccessPattern, body: &(impl Fn(usize, usize) -> T + Sync)) -> Vec<T> {
-    let mut w = vec![T::neutral(); pat.num_elements];
-    for i in 0..pat.num_iterations() {
-        for r in pat.ref_range(i) {
-            let x = pat.indices[r] as usize;
-            w[x] = T::combine(w[x], body(i, r));
-        }
-    }
-    w
+    crate::run_scheme(Scheme::Seq, pat, body, 1, None)
 }
 
-/// `rep` on freshly spawned threads (see [`rep_on`]).
-pub fn rep<T: RedElem>(
+/// Visit `(i, r, x)` — iteration, reference slot, element — for every
+/// reference of the iterations `iters`, in order.  The pattern's arrays
+/// are borrowed once up front, so `f`'s stores cannot force a reload of
+/// them on every reference.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // slicing each iteration costs more than indexing
+fn each_ref(
     pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
+    iters: impl IntoIterator<Item = usize>,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let (iter_ptr, indices) = (&pat.iter_ptr[..], &pat.indices[..]);
+    for i in iters {
+        for r in iter_ptr[i] as usize..iter_ptr[i + 1] as usize {
+            f(i, r, indices[r] as usize);
+        }
+    }
+}
+
+/// Execute `scheme` over `pat` once for the whole body set, combining
+/// output `k` into `outs[k]` (one neutral-initialized `num_elements`
+/// array per body) — the one scheme dispatch behind both public entry
+/// points.  `sel` and `lw` need an inspection; the caller's is reused when
+/// supplied, otherwise one is computed here.
+///
+/// # Panics
+///
+/// Panics for [`Scheme::Pclr`] and [`Scheme::Simd`], which have no scalar
+/// software kernel.
+pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
+    scheme: Scheme,
+    pat: &AccessPattern,
+    bodies: &B,
     threads: usize,
-) -> Vec<T> {
-    rep_on(pat, body, threads, &SpawnExecutor)
+    insp: Option<&Inspection>,
+    exec: &(impl SpmdExecutor + ?Sized),
+    outs: &(impl AsRef<[UnsafeSlice<'o, T>]> + ?Sized),
+) {
+    assert!(threads >= 1 || scheme == Scheme::Seq);
+    let own;
+    let insp = match (scheme, insp) {
+        (Scheme::Sel | Scheme::Lw, None) => {
+            own = Inspector::analyze(pat, threads);
+            Some(&own)
+        }
+        (_, insp) => insp,
+    };
+    let slices = outs.as_ref();
+    match scheme {
+        Scheme::Seq => seq_sweep(pat, bodies, outs),
+        Scheme::Rep => rep_sweep(pat, bodies, threads, exec, slices),
+        Scheme::Ll => ll_sweep(pat, bodies, threads, exec, slices),
+        Scheme::Sel => sel_sweep(pat, bodies, threads, &insp.unwrap().conflicts, exec, slices),
+        Scheme::Lw => lw_sweep(pat, bodies, threads, &insp.unwrap().owners, exec, slices),
+        Scheme::Hash => hash_sweep(pat, bodies, threads, exec, slices),
+        Scheme::Pclr => {
+            panic!("Scheme::Pclr has no software kernel; route it to a PCLR execution backend")
+        }
+        Scheme::Simd => {
+            panic!("Scheme::Simd is not dispatched here; route it to a SIMD execution backend")
+        }
+    }
+}
+
+/// `seq`: one traversal, straight into the outputs.
+///
+/// `outs` is the caller's container, not a slice of it: for a single job
+/// it is a one-element array, whose size lets the compiler load the output
+/// once before the loop instead of once per reference.
+fn seq_sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
+    pat: &AccessPattern,
+    bodies: &B,
+    outs: &(impl AsRef<[UnsafeSlice<'o, T>]> + ?Sized),
+) {
+    let outs = outs.as_ref();
+    each_ref(pat, 0..pat.num_iterations(), |i, r, x| {
+        // SAFETY: a single thread touches the outputs.
+        bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(x, v) });
+    });
 }
 
 /// `rep`: fully replicated private arrays + block-parallel merge.
-pub fn rep_on<T: RedElem>(
+fn rep_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
+    bodies: &B,
     threads: usize,
     exec: &(impl SpmdExecutor + ?Sized),
-) -> Vec<T> {
-    assert!(threads >= 1);
+    outs: &[UnsafeSlice<'_, T>],
+) {
     let n = pat.num_elements;
     // Loop phase: every thread owns a fully replicated array, initialized
     // to the neutral element (this allocation + sweep is the Init cost the
@@ -80,148 +203,123 @@ pub fn rep_on<T: RedElem>(
         let slots = UnsafeSlice::new(&mut privates);
         let slots = &slots;
         exec.spmd(threads, &|t| {
-            let mut w = vec![T::neutral(); n];
-            for i in block_range(pat.num_iterations(), t, threads) {
-                for r in pat.ref_range(i) {
-                    let x = pat.indices[r] as usize;
-                    w[x] = T::combine(w[x], body(i, r));
-                }
-            }
+            let k = bodies.k();
+            let mut w = vec![T::neutral(); k * n];
+            let mine = block_range(pat.num_iterations(), t, threads);
+            each_ref(pat, mine, |i, r, x| {
+                let base = x * k;
+                bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
+            });
             // SAFETY: each tid writes only its own slot.
             unsafe { slots.write(t, w) };
         });
     }
     // Merge phase: element blocks across threads; every thread reads all P
     // partial arrays over its block — the non-scaling step.
-    let mut result = vec![T::neutral(); n];
     let privates = &privates;
-    {
-        let out = UnsafeSlice::new(&mut result);
-        let out = &out;
-        exec.spmd(threads, &|t| {
-            for e in elem_block_range(n, t, threads) {
+    exec.spmd(threads, &|t| {
+        let k = bodies.k();
+        for e in elem_block_range(n, t, threads) {
+            for (kk, out) in outs[..k].iter().enumerate() {
                 let mut acc = T::neutral();
                 for p in privates {
-                    acc = T::combine(acc, p[e]);
+                    acc = T::combine(acc, p[e * k + kk]);
                 }
                 // SAFETY: element blocks are disjoint across threads.
                 unsafe { out.write(e, acc) };
             }
-        });
-    }
-    result
+        }
+    });
 }
 
-/// `ll` on freshly spawned threads (see [`ll_on`]).
-pub fn ll<T: RedElem>(
+/// `ll`: replicated buffers with links — private arrays plus **one**
+/// touched-line list per thread (all K outputs touch the same lines), so
+/// the merge walks only written storage, line by line under stripe locks.
+fn ll_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
-    threads: usize,
-) -> Vec<T> {
-    ll_on(pat, body, threads, &SpawnExecutor)
-}
-
-/// `ll`: replicated buffers with links — private arrays plus a list of
-/// touched lines, so the merge walks only written storage.
-pub fn ll_on<T: RedElem>(
-    pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
+    bodies: &B,
     threads: usize,
     exec: &(impl SpmdExecutor + ?Sized),
-) -> Vec<T> {
-    assert!(threads >= 1);
+    outs: &[UnsafeSlice<'_, T>],
+) {
     let n = pat.num_elements;
     let n_lines = n.div_ceil(LINK_LINE);
-    let mut result = vec![T::neutral(); n];
     let stripes: Vec<Mutex<()>> = (0..MERGE_STRIPES).map(|_| Mutex::new(())).collect();
-    {
-        let out = UnsafeSlice::new(&mut result);
-        let out = &out;
-        let stripes = &stripes;
-        exec.spmd(threads, &|t| {
-            let mut w = vec![T::neutral(); n];
-            let mut touched_line = vec![false; n_lines];
-            let mut links: Vec<u32> = Vec::new();
-            for i in block_range(pat.num_iterations(), t, threads) {
-                for r in pat.ref_range(i) {
-                    let x = pat.indices[r] as usize;
-                    let line = x / LINK_LINE;
-                    if !touched_line[line] {
-                        touched_line[line] = true;
-                        links.push(line as u32);
-                    }
-                    w[x] = T::combine(w[x], body(i, r));
-                }
+    let stripes = &stripes;
+    exec.spmd(threads, &|t| {
+        let k = bodies.k();
+        let mut w = vec![T::neutral(); k * n];
+        let mut touched_line = vec![false; n_lines];
+        // Sized up front, so recording a line never calls into the
+        // allocator from the loop.
+        let mut links = vec![0u32; n_lines];
+        let mut touched = 0;
+        let mine = block_range(pat.num_iterations(), t, threads);
+        each_ref(pat, mine, |i, r, x| {
+            let line = x / LINK_LINE;
+            if !touched_line[line] {
+                touched_line[line] = true;
+                links[touched] = line as u32;
+                touched += 1;
             }
-            // Merge only the touched lines, under stripe locks.
-            for &line in &links {
-                let lo = line as usize * LINK_LINE;
-                let hi = (lo + LINK_LINE).min(n);
-                let _g = stripes[line as usize % MERGE_STRIPES].lock();
-                for (e, &v) in w[lo..hi].iter().enumerate().map(|(k, v)| (lo + k, v)) {
-                    // SAFETY: the stripe lock serializes all access
-                    // to this line across threads.
+            let base = x * k;
+            bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
+        });
+        for &line in &links[..touched] {
+            let lo = line as usize * LINK_LINE;
+            let hi = (lo + LINK_LINE).min(n);
+            let _g = stripes[line as usize % MERGE_STRIPES].lock();
+            for (e, vals) in (lo..hi).zip(w[lo * k..hi * k].chunks_exact(k)) {
+                for (out, &v) in outs[..k].iter().zip(vals) {
+                    // SAFETY: the stripe lock serializes all access to
+                    // this line across threads, for every output.
                     unsafe { out.combine_into(e, v) };
                 }
             }
-        });
-    }
-    result
-}
-
-/// `sel` on freshly spawned threads (see [`sel_on`]).
-pub fn sel<T: RedElem>(
-    pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
-    threads: usize,
-    conflicts: &ConflictInfo,
-) -> Vec<T> {
-    sel_on(pat, body, threads, conflicts, &SpawnExecutor)
+        }
+    });
 }
 
 /// `sel`: selective privatization.  The inspector's conflict analysis
 /// marks elements referenced by more than one thread; only those get
 /// (compact) private storage.  Non-conflicting elements are updated
-/// directly in the shared array — each has exactly one writing thread.
-pub fn sel_on<T: RedElem>(
+/// directly in the shared outputs — each has exactly one writing thread,
+/// however many outputs it feeds.
+fn sel_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
+    bodies: &B,
     threads: usize,
     conflicts: &ConflictInfo,
     exec: &(impl SpmdExecutor + ?Sized),
-) -> Vec<T> {
-    assert!(threads >= 1);
+    outs: &[UnsafeSlice<'_, T>],
+) {
     assert_eq!(
         conflicts.threads, threads,
         "conflict info computed for wrong P"
     );
-    let n = pat.num_elements;
     let nc = conflicts.num_conflicting;
-    let mut result = vec![T::neutral(); n];
     // Loop phase.
     let mut privates: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
     {
-        let out = UnsafeSlice::new(&mut result);
-        let out = &out;
         let slots = UnsafeSlice::new(&mut privates);
         let slots = &slots;
         exec.spmd(threads, &|t| {
-            let mut priv_c = vec![T::neutral(); nc];
-            for i in block_range(pat.num_iterations(), t, threads) {
-                for r in pat.ref_range(i) {
-                    let x = pat.indices[r] as usize;
-                    let c = conflicts.compact[x];
-                    let v = body(i, r);
-                    if c != u32::MAX {
-                        let ci = c as usize;
-                        priv_c[ci] = T::combine(priv_c[ci], v);
-                    } else {
-                        // SAFETY: non-conflicting element — exactly one
-                        // thread (this one) ever touches index x.
-                        unsafe { out.combine_into(x, v) };
-                    }
+            let k = bodies.k();
+            let mut priv_c = vec![T::neutral(); k * nc];
+            let mine = block_range(pat.num_iterations(), t, threads);
+            each_ref(pat, mine, |i, r, x| {
+                let c = conflicts.compact[x];
+                if c != u32::MAX {
+                    let base = c as usize * k;
+                    bodies.each(i, r, |kk, v| {
+                        priv_c[base + kk] = T::combine(priv_c[base + kk], v)
+                    });
+                } else {
+                    // SAFETY: non-conflicting element — exactly one thread
+                    // (this one) ever touches index x, in any output.
+                    bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(x, v) });
                 }
-            }
+            });
             // SAFETY: each tid writes only its own slot.
             unsafe { slots.write(t, priv_c) };
         });
@@ -229,163 +327,122 @@ pub fn sel_on<T: RedElem>(
     // Merge phase: only the compact conflicting region.
     let privates = &privates;
     let conflict_elems = &conflicts.conflicting_elements;
-    {
-        let out = UnsafeSlice::new(&mut result);
-        let out = &out;
-        exec.spmd(threads, &|t| {
-            for ci in block_range(nc, t, threads) {
-                let e = conflict_elems[ci] as usize;
+    exec.spmd(threads, &|t| {
+        let k = bodies.k();
+        for ci in block_range(nc, t, threads) {
+            let e = conflict_elems[ci] as usize;
+            for (kk, out) in outs[..k].iter().enumerate() {
                 let mut acc = T::neutral();
                 for p in privates {
-                    acc = T::combine(acc, p[ci]);
+                    acc = T::combine(acc, p[ci * k + kk]);
                 }
-                // SAFETY: each conflicting element has exactly one
-                // compact slot, compact blocks are disjoint across
-                // merge threads, and loop threads never wrote
-                // conflicting elements directly.
+                // SAFETY: each conflicting element has exactly one compact
+                // slot, compact blocks are disjoint across merge threads,
+                // and loop threads never wrote conflicting elements
+                // directly.
                 unsafe { out.combine_into(e, acc) };
             }
-        });
-    }
-    result
-}
-
-/// `lw` on freshly spawned threads (see [`lw_on`]).
-pub fn lw<T: RedElem>(
-    pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
-    threads: usize,
-    owners: &OwnerLists,
-) -> Vec<T> {
-    lw_on(pat, body, threads, owners, &SpawnExecutor)
+        }
+    });
 }
 
 /// `lw`: local write (owner computes).  Elements are block-partitioned;
 /// every iteration is executed by each thread owning at least one of its
 /// referenced elements (iteration replication), and each thread commits
 /// only the updates into its own partition — no private arrays, no merge.
-pub fn lw_on<T: RedElem>(
+/// The ownership test and index load are paid once for all K outputs.
+fn lw_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
+    bodies: &B,
     threads: usize,
     owners: &OwnerLists,
     exec: &(impl SpmdExecutor + ?Sized),
-) -> Vec<T> {
-    assert!(threads >= 1);
+    outs: &[UnsafeSlice<'_, T>],
+) {
     assert_eq!(owners.threads, threads, "owner lists computed for wrong P");
     let n = pat.num_elements;
-    let mut result = vec![T::neutral(); n];
-    {
-        let out = UnsafeSlice::new(&mut result);
-        let out = &out;
-        exec.spmd(threads, &|t| {
-            let my = elem_block_range(n, t, threads);
-            for &i in &owners.iters_of[t] {
-                let i = i as usize;
-                for r in pat.ref_range(i) {
-                    let x = pat.indices[r] as usize;
-                    if my.contains(&x) {
-                        // SAFETY: x is owned by this thread's disjoint
-                        // element block.
-                        unsafe { out.combine_into(x, body(i, r)) };
-                    }
-                }
+    exec.spmd(threads, &|t| {
+        let my = elem_block_range(n, t, threads);
+        let iters = owners.iters_of[t].iter().map(|&i| i as usize);
+        each_ref(pat, iters, |i, r, x| {
+            if my.contains(&x) {
+                // SAFETY: x is owned by this thread's disjoint element
+                // block, in every output.
+                bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(x, v) });
             }
         });
-    }
-    result
+    });
 }
 
-/// A minimal open-addressing accumulation table (linear probing, power-of-
-/// two capacity) used by the `hash` scheme.
-pub struct AccTable<T> {
+/// Sentinel for an empty [`HashAcc`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// The `hash` scheme's open-addressing accumulation table (linear
+/// probing, power-of-two capacity): K values per key, stored adjacently,
+/// so one probe per reference serves every body.  Every call names K, so a
+/// single job's constant 1 folds into the probe.
+struct HashAcc<T> {
     keys: Vec<u32>,
     vals: Vec<T>,
     mask: usize,
     len: usize,
 }
 
-/// Sentinel for an empty slot.
-const EMPTY: u32 = u32::MAX;
-
-impl<T: RedElem> AccTable<T> {
-    /// Create a table with capacity for at least `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
+impl<T: RedElem> HashAcc<T> {
+    /// A table with room for at least `cap` keys of `k` values each.
+    fn with_capacity(cap: usize, k: usize) -> Self {
         let size = (cap.max(8) * 2).next_power_of_two();
-        AccTable {
+        HashAcc {
             keys: vec![EMPTY; size],
-            vals: vec![T::neutral(); size],
+            vals: vec![T::neutral(); size * k],
             mask: size - 1,
             len: 0,
         }
     }
 
-    #[inline]
-    fn slot(&self, key: u32) -> usize {
-        // Multiplicative hashing (Fibonacci): cheap and adequate for array
-        // indices.
-        ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & self.mask
-    }
-
-    /// Accumulate `v` into `key`.
-    #[inline]
-    pub fn combine(&mut self, key: u32, v: T) {
+    /// The `k` values of `key`, claiming a slot (and growing first if
+    /// needed) for a new key.
+    #[inline(always)]
+    fn values(&mut self, key: u32, k: usize) -> &mut [T] {
         debug_assert_ne!(key, EMPTY);
         if self.len * 10 >= self.keys.len() * 7 {
-            self.grow();
+            self.grow(k);
         }
-        let mut s = self.slot(key);
+        // Multiplicative hashing (Fibonacci): cheap and adequate for array
+        // indices.
+        let mut s = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & self.mask;
         loop {
-            let k = self.keys[s];
-            if k == key {
-                self.vals[s] = T::combine(self.vals[s], v);
-                return;
+            let existing = self.keys[s];
+            if existing == key {
+                break;
             }
-            if k == EMPTY {
+            if existing == EMPTY {
                 self.keys[s] = key;
-                self.vals[s] = v;
                 self.len += 1;
-                return;
+                break;
             }
             s = (s + 1) & self.mask;
         }
+        &mut self.vals[s * k..][..k]
     }
 
-    fn grow(&mut self) {
-        let mut bigger = AccTable::<T>::with_capacity(self.keys.len());
-        for (k, v) in self.iter() {
-            bigger.combine(k, v);
+    #[cold]
+    fn grow(&mut self, k: usize) {
+        let mut bigger = HashAcc::<T>::with_capacity(self.keys.len(), k);
+        for (key, vals) in self.iter(k) {
+            bigger.values(key, k).copy_from_slice(vals);
         }
         *self = bigger;
     }
 
-    /// Number of occupied entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate occupied `(key, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, T)> + '_ {
+    /// Occupied `(key, values)` pairs, in slot order.
+    fn iter(&self, k: usize) -> impl Iterator<Item = (u32, &[T])> + '_ {
         self.keys
             .iter()
-            .zip(self.vals.iter())
-            .filter(|(k, _)| **k != EMPTY)
-            .map(|(k, v)| (*k, *v))
+            .zip(self.vals.chunks_exact(k))
+            .filter(|(key, _)| **key != EMPTY)
+            .map(|(key, vals)| (*key, vals))
     }
-}
-
-/// `hash` on freshly spawned threads (see [`hash_on`]).
-pub fn hash<T: RedElem>(
-    pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
-    threads: usize,
-) -> Vec<T> {
-    hash_on(pat, body, threads, &SpawnExecutor)
 }
 
 /// `hash`: per-thread hash-table accumulation, merged under stripe locks.
@@ -393,44 +450,52 @@ pub fn hash<T: RedElem>(
 /// elements, which is what makes it win on extremely sparse patterns like
 /// SPICE ("the hash table reduces the allocated and processed space to
 /// such an extent that ... the performance improves dramatically").
-pub fn hash_on<T: RedElem>(
+fn hash_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
-    body: &(impl Fn(usize, usize) -> T + Sync),
+    bodies: &B,
     threads: usize,
     exec: &(impl SpmdExecutor + ?Sized),
-) -> Vec<T> {
-    assert!(threads >= 1);
-    let n = pat.num_elements;
-    let mut result = vec![T::neutral(); n];
+    outs: &[UnsafeSlice<'_, T>],
+) {
     let stripes: Vec<Mutex<()>> = (0..MERGE_STRIPES).map(|_| Mutex::new(())).collect();
-    {
-        let out = UnsafeSlice::new(&mut result);
-        let out = &out;
-        let stripes = &stripes;
-        exec.spmd(threads, &|t| {
-            let mut table = AccTable::<T>::with_capacity(64);
-            for i in block_range(pat.num_iterations(), t, threads) {
-                for r in pat.ref_range(i) {
-                    table.combine(pat.indices[r], body(i, r));
-                }
-            }
-            for (k, v) in table.iter() {
-                let e = k as usize;
-                let _g = stripes[(e / LINK_LINE) % MERGE_STRIPES].lock();
+    let stripes = &stripes;
+    exec.spmd(threads, &|t| {
+        let k = bodies.k();
+        let mut table = HashAcc::<T>::with_capacity(64, k);
+        let mine = block_range(pat.num_iterations(), t, threads);
+        each_ref(pat, mine, |i, r, x| {
+            let vals = table.values(x as u32, k);
+            bodies.each(i, r, |kk, v| vals[kk] = T::combine(vals[kk], v));
+        });
+        for (key, vals) in table.iter(k) {
+            let e = key as usize;
+            let _g = stripes[(e / LINK_LINE) % MERGE_STRIPES].lock();
+            for (out, &v) in outs[..k].iter().zip(vals) {
                 // SAFETY: serialized by the stripe lock.
                 unsafe { out.combine_into(e, v) };
             }
-        });
-    }
-    result
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inspect::Inspector;
-    use smartapps_workloads::pattern::{contribution_i64, sequential_reduce_i64};
+    use crate::spmd::SpawnExecutor;
+    use crate::{run_fused_on, run_scheme_on};
+    use smartapps_workloads::pattern::{
+        contribution, contribution_i64, sequential_reduce, sequential_reduce_i64,
+    };
     use smartapps_workloads::{Distribution, PatternSpec};
+
+    const SOFTWARE: [Scheme; 6] = [
+        Scheme::Seq,
+        Scheme::Rep,
+        Scheme::Ll,
+        Scheme::Sel,
+        Scheme::Lw,
+        Scheme::Hash,
+    ];
 
     fn pattern(seed: u64) -> AccessPattern {
         PatternSpec {
@@ -444,30 +509,59 @@ mod tests {
         .generate()
     }
 
-    fn body(_i: usize, r: usize) -> i64 {
-        contribution_i64(r)
+    /// Run `scheme` for bodies `scale(kk) · contribution(r)`, kk < k: K = 1
+    /// through the single-body entry point, K > 1 as one fused sweep.
+    fn run_k<T: RedElem>(
+        scheme: Scheme,
+        pat: &AccessPattern,
+        k: usize,
+        threads: usize,
+        exec: &(impl SpmdExecutor + ?Sized),
+        body: impl Fn(usize, usize) -> T + Sync + Copy,
+    ) -> Vec<Vec<T>> {
+        if k == 1 {
+            return vec![run_scheme_on(
+                scheme,
+                pat,
+                &|_i, r| body(0, r),
+                threads,
+                None,
+                exec,
+            )];
+        }
+        let owned: Vec<Box<dyn Fn(usize, usize) -> T + Sync>> = (0..k)
+            .map(|kk| Box::new(move |_i: usize, r: usize| body(kk, r)) as Box<_>)
+            .collect();
+        let bodies: Vec<FusedBody<'_, T>> =
+            owned.iter().map(|b| &**b as FusedBody<'_, T>).collect();
+        run_fused_on(scheme, pat, &bodies, threads, None, exec)
+    }
+
+    /// Body `kk` scales the integer contribution by `kk + 1`.
+    fn scaled_i64(kk: usize, r: usize) -> i64 {
+        contribution_i64(r).wrapping_mul(kk as i64 + 1)
+    }
+
+    /// The K oracles for [`scaled_i64`]: wrapping arithmetic is a ring, so
+    /// scaling the sequential sum is exact.
+    fn oracles_i64(pat: &AccessPattern, k: usize) -> Vec<Vec<i64>> {
+        let base = sequential_reduce_i64(pat);
+        (0..k)
+            .map(|kk| base.iter().map(|v| v.wrapping_mul(kk as i64 + 1)).collect())
+            .collect()
     }
 
     #[test]
     fn all_schemes_match_sequential_oracle() {
         let pat = pattern(42);
-        let oracle = sequential_reduce_i64(&pat);
-        assert_eq!(seq(&pat, &body), oracle, "seq");
-        for threads in [1usize, 2, 4, 7] {
-            assert_eq!(rep(&pat, &body, threads), oracle, "rep x{threads}");
-            assert_eq!(ll(&pat, &body, threads), oracle, "ll x{threads}");
-            assert_eq!(hash(&pat, &body, threads), oracle, "hash x{threads}");
-            let insp = Inspector::analyze(&pat, threads);
-            assert_eq!(
-                sel(&pat, &body, threads, &insp.conflicts),
-                oracle,
-                "sel x{threads}"
-            );
-            assert_eq!(
-                lw(&pat, &body, threads, &insp.owners),
-                oracle,
-                "lw x{threads}"
-            );
+        for k in [1usize, 3] {
+            let oracles = oracles_i64(&pat, k);
+            for threads in [1usize, 2, 4, 7] {
+                for s in SOFTWARE {
+                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, scaled_i64);
+                    assert_eq!(got, oracles, "{s} x{threads} k={k}");
+                }
+            }
         }
     }
 
@@ -475,7 +569,7 @@ mod tests {
     /// another on the calling thread.  The algorithms may not rely on tids
     /// actually overlapping in time — only on the completion barrier.
     struct SerialExec;
-    impl crate::spmd::SpmdExecutor for SerialExec {
+    impl SpmdExecutor for SerialExec {
         fn spmd(&self, threads: usize, body: &(dyn Fn(usize) + Sync)) {
             for t in 0..threads {
                 body(t);
@@ -486,86 +580,80 @@ mod tests {
     #[test]
     fn schemes_are_executor_agnostic() {
         let pat = pattern(11);
-        let oracle = sequential_reduce_i64(&pat);
-        let exec = SerialExec;
-        let threads = 4;
-        let insp = Inspector::analyze(&pat, threads);
-        assert_eq!(rep_on(&pat, &body, threads, &exec), oracle, "rep serial");
-        assert_eq!(ll_on(&pat, &body, threads, &exec), oracle, "ll serial");
-        assert_eq!(hash_on(&pat, &body, threads, &exec), oracle, "hash serial");
-        assert_eq!(
-            sel_on(&pat, &body, threads, &insp.conflicts, &exec),
-            oracle,
-            "sel serial"
-        );
-        assert_eq!(
-            lw_on(&pat, &body, threads, &insp.owners, &exec),
-            oracle,
-            "lw serial"
-        );
+        for k in [1usize, 3] {
+            let oracles = oracles_i64(&pat, k);
+            for s in SOFTWARE {
+                let got = run_k(s, &pat, k, 4, &SerialExec, scaled_i64);
+                assert_eq!(got, oracles, "{s} serial k={k}");
+            }
+        }
     }
 
     #[test]
     fn empty_pattern_yields_neutral_array() {
         let pat = AccessPattern::from_iters(16, &[]);
-        let oracle = vec![0i64; 16];
-        assert_eq!(seq(&pat, &body), oracle);
-        assert_eq!(rep(&pat, &body, 3), oracle);
-        assert_eq!(ll(&pat, &body, 3), oracle);
-        assert_eq!(hash(&pat, &body, 3), oracle);
-        let insp = Inspector::analyze(&pat, 3);
-        assert_eq!(sel(&pat, &body, 3, &insp.conflicts), oracle);
-        assert_eq!(lw(&pat, &body, 3, &insp.owners), oracle);
+        for k in [1usize, 3] {
+            for s in SOFTWARE {
+                let got = run_k(s, &pat, k, 3, &SpawnExecutor, scaled_i64);
+                assert_eq!(got, vec![vec![0i64; 16]; k], "{s} k={k}");
+            }
+        }
+        // No bodies: no outputs, and the pattern is never touched.
+        let none: Vec<FusedBody<'_, i64>> = Vec::new();
+        assert!(run_fused_on(Scheme::Rep, &pattern(24), &none, 4, None, &SpawnExecutor).is_empty());
     }
 
     #[test]
     fn single_hot_element_all_threads() {
         // Maximal contention: every reference hits element 0.
         let pat = AccessPattern::from_iters(4, &vec![vec![0u32, 0, 0]; 100]);
-        let oracle = sequential_reduce_i64(&pat);
-        for threads in [2usize, 4] {
-            assert_eq!(rep(&pat, &body, threads), oracle);
-            assert_eq!(ll(&pat, &body, threads), oracle);
-            assert_eq!(hash(&pat, &body, threads), oracle);
-            let insp = Inspector::analyze(&pat, threads);
-            assert_eq!(sel(&pat, &body, threads, &insp.conflicts), oracle);
-            assert_eq!(lw(&pat, &body, threads, &insp.owners), oracle);
+        for k in [1usize, 3] {
+            let oracles = oracles_i64(&pat, k);
+            for threads in [2usize, 4] {
+                for s in SOFTWARE {
+                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, scaled_i64);
+                    assert_eq!(got, oracles, "{s} x{threads} k={k}");
+                }
+            }
         }
     }
 
     #[test]
     fn more_threads_than_iterations() {
         let pat = AccessPattern::from_iters(10, &[vec![1u32], vec![2, 2]]);
-        let oracle = sequential_reduce_i64(&pat);
-        for threads in [3usize, 8] {
-            assert_eq!(rep(&pat, &body, threads), oracle);
-            assert_eq!(ll(&pat, &body, threads), oracle);
-            assert_eq!(hash(&pat, &body, threads), oracle);
-            let insp = Inspector::analyze(&pat, threads);
-            assert_eq!(sel(&pat, &body, threads, &insp.conflicts), oracle);
-            assert_eq!(lw(&pat, &body, threads, &insp.owners), oracle);
+        for k in [1usize, 3] {
+            let oracles = oracles_i64(&pat, k);
+            for threads in [3usize, 8] {
+                for s in SOFTWARE {
+                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, scaled_i64);
+                    assert_eq!(got, oracles, "{s} x{threads} k={k}");
+                }
+            }
         }
     }
 
     #[test]
     fn f64_schemes_agree_within_tolerance() {
         let pat = pattern(7);
-        let fbody = |_i: usize, r: usize| smartapps_workloads::pattern::contribution(r);
-        let oracle = seq(&pat, &fbody);
-        for threads in [2usize, 4] {
-            let insp = Inspector::analyze(&pat, threads);
-            for (name, got) in [
-                ("rep", rep(&pat, &fbody, threads)),
-                ("ll", ll(&pat, &fbody, threads)),
-                ("sel", sel(&pat, &fbody, threads, &insp.conflicts)),
-                ("lw", lw(&pat, &fbody, threads, &insp.owners)),
-                ("hash", hash(&pat, &fbody, threads)),
-            ] {
-                for (e, (a, b)) in oracle.iter().zip(got.iter()).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                        "{name} x{threads} elem {e}: {a} vs {b}"
-                    );
+        // Power-of-two scales commute with rounding, so scaling the
+        // sequential sum gives each body's exact sequential result.
+        let scale = |kk: usize| 0.5f64.powi(kk as i32);
+        let base = sequential_reduce(&pat);
+        for k in [1usize, 3] {
+            for threads in [2usize, 4] {
+                for s in SOFTWARE {
+                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, |kk, r| {
+                        contribution(r) * scale(kk)
+                    });
+                    for (kk, out) in got.iter().enumerate() {
+                        for (e, (a, b)) in base.iter().zip(out).enumerate() {
+                            let a = a * scale(kk);
+                            assert!(
+                                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+                                "{s} x{threads} k={k} output {kk} elem {e}: {a} vs {b}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -573,33 +661,47 @@ mod tests {
 
     #[test]
     fn acc_table_accumulates_and_grows() {
-        let mut t = AccTable::<i64>::with_capacity(4);
-        assert!(t.is_empty());
-        for k in 0..1000u32 {
-            t.combine(k, 1);
-            t.combine(k, 2);
+        for k in [1usize, 3] {
+            let mut t = HashAcc::<i64>::with_capacity(4, k);
+            for key in 0..1000u32 {
+                for add in [1, 2] {
+                    for (kk, v) in t.values(key, k).iter_mut().enumerate() {
+                        *v += add * (kk as i64 + 1);
+                    }
+                }
+            }
+            assert_eq!(t.len, 1000, "k={k}");
+            let mut keys: Vec<u32> = t.iter(k).map(|(key, _)| key).collect();
+            keys.sort_unstable();
+            assert_eq!(keys, (0..1000).collect::<Vec<_>>(), "k={k}");
+            for (key, vals) in t.iter(k) {
+                for (kk, &v) in vals.iter().enumerate() {
+                    assert_eq!(v, 3 * (kk as i64 + 1), "key {key} k={k} value {kk}");
+                }
+            }
         }
-        assert_eq!(t.len(), 1000);
-        let mut pairs: Vec<(u32, i64)> = t.iter().collect();
-        pairs.sort_unstable();
-        assert!(pairs.iter().all(|&(_, v)| v == 3));
-        assert_eq!(pairs.len(), 1000);
     }
 
     #[test]
     fn acc_table_handles_colliding_keys() {
-        let mut t = AccTable::<i64>::with_capacity(8);
         // Keys engineered to collide under the multiplicative hash are hard
         // to construct portably; instead stress a tiny table.
-        for k in [0u32, 16, 32, 48, 64, 80] {
-            t.combine(k, k as i64);
-        }
-        for k in [0u32, 16, 32, 48, 64, 80] {
-            t.combine(k, 1);
-        }
-        let got: std::collections::HashMap<u32, i64> = t.iter().collect();
-        for k in [0u32, 16, 32, 48, 64, 80] {
-            assert_eq!(got[&k], k as i64 + 1);
+        let keys = [0u32, 16, 32, 48, 64, 80];
+        for k in [1usize, 3] {
+            let mut t = HashAcc::<i64>::with_capacity(8, k);
+            for add in [None, Some(1)] {
+                for key in keys {
+                    for (kk, v) in t.values(key, k).iter_mut().enumerate() {
+                        *v += add.unwrap_or(key as i64) * (kk as i64 + 1);
+                    }
+                }
+            }
+            let got: std::collections::HashMap<u32, Vec<i64>> =
+                t.iter(k).map(|(key, vals)| (key, vals.to_vec())).collect();
+            for key in keys {
+                let want: Vec<i64> = (1..=k as i64).map(|s| (key as i64 + 1) * s).collect();
+                assert_eq!(got[&key], want, "key {key} k={k}");
+            }
         }
     }
 }

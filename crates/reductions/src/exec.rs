@@ -1,10 +1,14 @@
-//! Unified execution front end: dispatch a [`Scheme`] with optional
-//! inspector reuse, and measure scheme rankings the way Figure 3's
-//! experimental column does.
+//! Unified execution front end: run a [`Scheme`] for one body or for a
+//! fused group of K bodies with optional inspector reuse, and measure
+//! scheme rankings the way Figure 3's experimental column does.
+//!
+//! Both entry points run the same kernels — the library described in
+//! [`algorithms`] — so a single job is exactly the K = 1 case of a fused
+//! sweep.
 
-use crate::algorithms;
+use crate::algorithms::{self, FusedBody, One};
 use crate::inspect::{Inspection, Inspector};
-use crate::scheme::{RedElem, Scheme};
+use crate::scheme::{RedElem, Scheme, UnsafeSlice};
 use crate::spmd::{SpawnExecutor, SpmdExecutor};
 use smartapps_workloads::pattern::AccessPattern;
 use std::time::{Duration, Instant};
@@ -30,7 +34,7 @@ pub fn run_scheme<T: RedElem>(
 ///
 /// Panics for [`Scheme::Pclr`]: the hardware scheme has no software
 /// kernel and must be routed to a PCLR-capable execution backend
-/// (`smartapps-runtime`'s `PclrBackend`).
+/// (`smartapps-runtime`'s `PclrBackend`).  Likewise for [`Scheme::Simd`].
 pub fn run_scheme_on<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
@@ -39,31 +43,62 @@ pub fn run_scheme_on<T: RedElem>(
     insp: Option<&Inspection>,
     exec: &(impl SpmdExecutor + ?Sized),
 ) -> Vec<T> {
-    // `sel`/`lw` need the inspector's pre-analyses; reuse the caller's if
-    // supplied, otherwise run one here.
-    let own;
-    let insp = match (scheme, insp) {
-        (Scheme::Sel | Scheme::Lw, Some(i)) => Some(i),
-        (Scheme::Sel | Scheme::Lw, None) => {
-            own = Inspector::analyze(pat, threads);
-            Some(&own)
-        }
-        _ => None,
-    };
-    match scheme {
-        Scheme::Seq => algorithms::seq(pat, body),
-        Scheme::Rep => algorithms::rep_on(pat, body, threads, exec),
-        Scheme::Ll => algorithms::ll_on(pat, body, threads, exec),
-        Scheme::Hash => algorithms::hash_on(pat, body, threads, exec),
-        Scheme::Sel => algorithms::sel_on(pat, body, threads, &insp.unwrap().conflicts, exec),
-        Scheme::Lw => algorithms::lw_on(pat, body, threads, &insp.unwrap().owners, exec),
-        Scheme::Pclr => {
-            panic!("Scheme::Pclr has no software kernel; route it to a PCLR execution backend")
-        }
-        Scheme::Simd => {
-            panic!("Scheme::Simd is not dispatched here; route it to a SIMD execution backend")
-        }
+    let mut w = vec![T::neutral(); pat.num_elements];
+    let out = [UnsafeSlice::new(&mut w)];
+    algorithms::sweep(scheme, pat, &One(body), threads, insp, exec, &out);
+    w
+}
+
+/// Execute `scheme` once over `pat`, producing one output array per body
+/// in `bodies` — the multi-output form of [`run_scheme_on`]: one pattern
+/// traversal, K contribution functions, K result arrays.
+///
+/// A service coalescing same-class jobs (see `smartapps-runtime`) often
+/// holds a batch whose members reduce over the *same* pattern with
+/// *different* bodies; walking the pattern once for all of them shares
+/// the traversal, the same insight the polyhedral-reduction line exploits
+/// when it fuses reductions into a single scan.  Output `k` equals
+/// `run_scheme_on(scheme, pat, bodies[k], ..)`.
+///
+/// `sel` and `lw` need an inspection; the caller's is reused when
+/// supplied, otherwise one is computed here.  An empty `bodies` slice
+/// yields an empty result vector without touching the pattern.
+///
+/// # Panics
+///
+/// Panics for [`Scheme::Pclr`] (the simulated PCLR machine executes one
+/// reduction per loop, so fused sweeps never route there) and
+/// [`Scheme::Simd`].
+pub fn run_fused_on<T: RedElem>(
+    scheme: Scheme,
+    pat: &AccessPattern,
+    bodies: &[FusedBody<'_, T>],
+    threads: usize,
+    insp: Option<&Inspection>,
+    exec: &(impl SpmdExecutor + ?Sized),
+) -> Vec<Vec<T>> {
+    if bodies.is_empty() {
+        return Vec::new();
     }
+    let mut ws: Vec<Vec<T>> = bodies
+        .iter()
+        .map(|_| vec![T::neutral(); pat.num_elements])
+        .collect();
+    let outs: Vec<UnsafeSlice<'_, T>> = ws.iter_mut().map(|w| UnsafeSlice::new(w)).collect();
+    algorithms::sweep(scheme, pat, bodies, threads, insp, exec, &outs);
+    drop(outs);
+    ws
+}
+
+/// [`run_fused_on`] on freshly spawned threads ([`SpawnExecutor`]).
+pub fn run_fused<T: RedElem>(
+    scheme: Scheme,
+    pat: &AccessPattern,
+    bodies: &[FusedBody<'_, T>],
+    threads: usize,
+    insp: Option<&Inspection>,
+) -> Vec<Vec<T>> {
+    run_fused_on(scheme, pat, bodies, threads, insp, &SpawnExecutor)
 }
 
 /// Timing result of one scheme execution.

@@ -8,17 +8,12 @@
 //!
 //! ## The library
 //!
-//! | scheme | idea |
-//! |--------|------|
-//! | [`Scheme::Rep`]  | replicated private arrays, O(N) init + merge |
-//! | [`Scheme::Ll`]   | replicated buffers with touched-line links |
-//! | [`Scheme::Sel`]  | selective privatization of conflicting elements |
-//! | [`Scheme::Lw`]   | local write (owner computes, iteration replication) |
-//! | [`Scheme::Hash`] | per-thread hash-table accumulation |
-//!
-//! All schemes produce bit-identical results for integer monoids and
-//! tolerance-identical results for floating point, verified against the
-//! sequential oracle by the test suite.
+//! Five software schemes — [`Scheme::Rep`], [`Scheme::Ll`],
+//! [`Scheme::Sel`], [`Scheme::Lw`], [`Scheme::Hash`] — plus the
+//! sequential baseline, each written once and run by [`run_scheme`] for a
+//! single body and by [`run_fused`] for K bodies over one traversal.  The
+//! scheme table, the oracle contract and the fused layout are described
+//! in [`algorithms`].
 //!
 //! ## Example
 //!
@@ -48,7 +43,6 @@
 
 pub mod algorithms;
 pub mod exec;
-pub mod fused;
 pub mod inspect;
 pub mod model;
 pub mod scheme;
@@ -56,8 +50,10 @@ pub mod simd;
 pub mod simplify;
 pub mod spmd;
 
-pub use exec::{rank_schemes, run_scheme, run_scheme_on, time_scheme, Timing};
-pub use fused::{run_fused, run_fused_on, FusedBody};
+pub use algorithms::FusedBody;
+pub use exec::{
+    rank_schemes, run_fused, run_fused_on, run_scheme, run_scheme_on, time_scheme, Timing,
+};
 pub use inspect::{ConflictInfo, Inspection, Inspector, OwnerLists};
 pub use model::{DecisionModel, ModelInput, ModelParams, Prediction};
 pub use scheme::{RedElem, Scheme, UnsafeSlice};

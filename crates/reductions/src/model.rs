@@ -170,9 +170,10 @@ pub struct ModelInput {
     /// when the loop body has other side effects).
     pub lw_feasible: bool,
     /// Number of contribution functions fused into one traversal (see
-    /// [`crate::fused`]).  `1` is a plain single-output execution; `K > 1`
-    /// shares the pattern walk and iteration scaffolding across K outputs
-    /// while paying K-fold body, update, and merge costs.
+    /// [`run_fused_on`](crate::run_fused_on)).  `1` is a plain
+    /// single-output execution; `K > 1` shares the pattern walk and
+    /// iteration scaffolding across K outputs while paying K-fold body,
+    /// update, and merge costs.
     pub fanout: usize,
     /// Whether a PCLR-capable execution backend is available for this
     /// instance.  When `false` (the default) the hardware
@@ -280,11 +281,11 @@ impl DecisionModel {
     /// Predict the per-processor cost of one scheme.
     ///
     /// With `input.fanout == K > 1` the instance is a fused batch (see
-    /// [`crate::fused`]): the traversal scaffolding (`body_per_iter`,
-    /// address generation, link maintenance, `sel` indirection, `lw`
-    /// ownership scans, hash probing) is charged **once**, while body
-    /// evaluation, updates, private-storage footprints, initialization,
-    /// and merges scale with K.
+    /// [`run_fused_on`](crate::run_fused_on)): the traversal scaffolding
+    /// (`body_per_iter`, address generation, link maintenance, `sel`
+    /// indirection, `lw` ownership scans, hash probing) is charged
+    /// **once**, while body evaluation, updates, private-storage
+    /// footprints, initialization, and merges scale with K.
     pub fn predict(&self, s: Scheme, input: &ModelInput) -> f64 {
         let q = &self.params;
         let c = &input.chars;

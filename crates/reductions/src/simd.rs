@@ -182,10 +182,10 @@ pub fn simd_reduce<T: SimdElem>(
 }
 
 /// `simd`: lane-striped private accumulation with a tiled tree-reduce
-/// merge — the vectorized counterpart of
-/// [`rep_on`](crate::algorithms::rep_on), with identical SPMD structure
-/// (any [`SpmdExecutor`] works) and the fixed summation order documented
-/// at the [module level](self).
+/// merge — the vectorized counterpart of the `rep` kernel in
+/// [`algorithms`](crate::algorithms), with identical SPMD structure (any
+/// [`SpmdExecutor`] works) and the fixed summation order documented at
+/// the [module level](self).
 pub fn simd_reduce_on<T: SimdElem>(
     pat: &AccessPattern,
     body: &(impl Fn(usize, usize) -> T + Sync),
@@ -249,8 +249,9 @@ pub fn simd_reduce_on<T: SimdElem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::seq;
-    use smartapps_workloads::pattern::{contribution, contribution_i64, sequential_reduce_i64};
+    use smartapps_workloads::pattern::{
+        contribution, contribution_i64, sequential_reduce, sequential_reduce_i64,
+    };
     use smartapps_workloads::{Distribution, PatternSpec};
 
     fn pattern(seed: u64) -> AccessPattern {
@@ -282,7 +283,7 @@ mod tests {
     fn simd_f64_deterministic_and_bounded() {
         let pat = pattern(7);
         let fbody = |_i: usize, r: usize| contribution(r);
-        let oracle = seq(&pat, &fbody);
+        let oracle = sequential_reduce(&pat);
         for threads in [1usize, 2, 4] {
             let a = simd_reduce(&pat, &fbody, threads);
             let b = simd_reduce(&pat, &fbody, threads);

@@ -37,7 +37,7 @@
 //! tolerance-equal for `f64` where the executor's fixed sequential
 //! evaluation order makes repeated runs bit-identical to *each other*.
 
-use crate::fused::FusedBody;
+use crate::algorithms::FusedBody;
 use crate::scheme::RedElem;
 use smartapps_workloads::pattern::AccessPattern;
 

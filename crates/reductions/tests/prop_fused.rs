@@ -1,12 +1,13 @@
-//! Property tests for the fused multi-output kernels: for arbitrary
-//! patterns, thread counts and fanouts K, every scheme's fused execution
-//! is observationally equivalent to K independent sequential oracles —
-//! the contract the runtime's fused sweeps rely on (exact equality on
-//! integer monoids, no FP tolerance games).
+//! Property tests for fused multi-output sweeps: for arbitrary patterns,
+//! thread counts and fanouts K, every scheme's fused execution is
+//! observationally equivalent to K independent sequential oracles — the
+//! contract the runtime's fused sweeps rely on (exact equality on integer
+//! monoids, no FP tolerance games) — and output k is the single-body run
+//! of body k.
 
 use proptest::prelude::*;
-use smartapps_reductions::{run_fused, FusedBody, Inspector, Scheme};
-use smartapps_workloads::pattern::{contribution_i64, sequential_reduce_i64};
+use smartapps_reductions::{run_fused, run_scheme, FusedBody, Inspector, Scheme};
+use smartapps_workloads::pattern::{contribution, contribution_i64, sequential_reduce_i64};
 use smartapps_workloads::{AccessPattern, Distribution, PatternSpec};
 
 /// Strategy: arbitrary small access patterns in CSR form (hand-rolled
@@ -86,8 +87,99 @@ fn check_all_schemes(pat: &AccessPattern, threads: usize, k: usize) -> Result<()
     Ok(())
 }
 
+/// Output k of `run_fused(s, bodies)` against `run_scheme(s, bodies[k])`
+/// for every software scheme.  i64 must match bit for bit everywhere.  So
+/// must f64 wherever the merge order is fixed: one thread, or a scheme
+/// whose merge does not race (`ll` and `hash` combine under stripe locks
+/// in the order threads arrive, so there only tolerance holds).
+fn check_fused_vs_single(
+    pat: &AccessPattern,
+    threads: usize,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let insp = Inspector::analyze(pat, threads);
+    let ints: Vec<Box<dyn Fn(usize, usize) -> i64 + Sync>> = (0..k)
+        .map(|kk| {
+            Box::new(move |i: usize, r: usize| {
+                contribution_i64(r)
+                    .wrapping_mul(kk as i64 + 1)
+                    .wrapping_add(i as i64)
+            }) as Box<dyn Fn(usize, usize) -> i64 + Sync>
+        })
+        .collect();
+    let floats: Vec<Box<dyn Fn(usize, usize) -> f64 + Sync>> = (0..k)
+        .map(|kk| {
+            Box::new(move |i: usize, r: usize| contribution(r) * (kk as f64 + 1.0) + i as f64)
+                as Box<dyn Fn(usize, usize) -> f64 + Sync>
+        })
+        .collect();
+    let ints: Vec<FusedBody<'_, i64>> = ints.iter().map(|b| &**b as FusedBody<'_, i64>).collect();
+    let floats: Vec<FusedBody<'_, f64>> =
+        floats.iter().map(|b| &**b as FusedBody<'_, f64>).collect();
+    for s in std::iter::once(Scheme::Seq).chain(Scheme::all_parallel()) {
+        let fused_i = run_fused(s, pat, &ints, threads, Some(&insp));
+        let fused_f = run_fused(s, pat, &floats, threads, Some(&insp));
+        let fixed_order = threads == 1 || !matches!(s, Scheme::Ll | Scheme::Hash);
+        for kk in 0..k {
+            let single_i = run_scheme(s, pat, &ints[kk], threads, Some(&insp));
+            prop_assert_eq!(
+                &fused_i[kk],
+                &single_i,
+                "{} x{} i64 output {}",
+                s,
+                threads,
+                kk
+            );
+            let single_f = run_scheme(s, pat, &floats[kk], threads, Some(&insp));
+            if fixed_order {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(&fused_f[kk]),
+                    bits(&single_f),
+                    "{} x{} f64 output {}",
+                    s,
+                    threads,
+                    kk
+                );
+            } else {
+                for (e, (a, b)) in single_f.iter().zip(&fused_f[kk]).enumerate() {
+                    prop_assert!(
+                        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
+                        "{} x{} f64 output {} elem {}: {} vs {}",
+                        s,
+                        threads,
+                        kk,
+                        e,
+                        a,
+                        b
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn fused_output_k_is_the_single_run_of_body_k_on_arbitrary_patterns(
+        pat in arb_pattern(),
+        threads in 1usize..7,
+        k in 1usize..5,
+    ) {
+        check_fused_vs_single(&pat, threads, k)?;
+    }
+
+    #[test]
+    fn fused_output_k_is_the_single_run_of_body_k_on_generated_patterns(
+        pat in arb_generated(),
+        threads in 1usize..5,
+        k in 1usize..5,
+    ) {
+        check_fused_vs_single(&pat, threads, k)?;
+    }
 
     #[test]
     fn fused_k_outputs_equal_k_oracles_on_arbitrary_patterns(

@@ -14,10 +14,7 @@
 //! [`wait_any`](CompletionSet::wait_any) /
 //! [`wait_timeout`](CompletionSet::wait_timeout) /
 //! [`drain`](CompletionSet::drain), matching each [`Completion`] back to
-//! its submission by token.  Push-style consumers instead register an
-//! `on_complete` callback at submission
-//! ([`Runtime::submit_callback`](crate::Runtime::submit_callback)) and are
-//! invoked inline on the dispatcher thread.
+//! its submission by token.
 //!
 //! **Delivery contract.**  Every accepted submission produces *exactly
 //! one* completion event — including submissions rejected before
@@ -335,9 +332,7 @@ impl std::fmt::Debug for CompletionSet {
 /// Where a finished job's result goes — the one seam every completion in
 /// the service flows through.  `Handle` is the original blocking shape
 /// ([`JobHandle`](crate::JobHandle) waits on the shared `JobState`
-/// slot); `Queue` routes a tagged event onto a [`CompletionSet`];
-/// `Callback` invokes a push-style consumer inline on the completing
-/// thread.
+/// slot); `Queue` routes a tagged event onto a [`CompletionSet`].
 pub(crate) enum CompletionSink {
     /// Fill the per-job slot a [`JobHandle`](crate::JobHandle) waits on.
     Handle(Arc<JobState>),
@@ -345,12 +340,6 @@ pub(crate) enum CompletionSink {
     Queue {
         token: u64,
         queue: Arc<CompletionQueue>,
-    },
-    /// Invoke the registered callback (on the completing thread — keep it
-    /// short; it runs inside the dispatcher loop).
-    Callback {
-        token: u64,
-        f: Arc<dyn Fn(Completion) + Send + Sync>,
     },
 }
 
@@ -361,11 +350,6 @@ impl CompletionSink {
         match self {
             CompletionSink::Handle(state) => state.complete(result),
             CompletionSink::Queue { token, queue } => queue.push(Completion {
-                token: *token,
-                signature,
-                result,
-            }),
-            CompletionSink::Callback { token, f } => f(Completion {
                 token: *token,
                 signature,
                 result,

@@ -9,13 +9,13 @@
 //! model, execute on the persistent [`WorkerPool`], fold the measurements
 //! back into the store.  Several jobs of a batch reducing over the *same*
 //! pattern run as one **fused sweep** — one traversal producing every
-//! output (see `smartapps_reductions::fused`) — instead of merely sharing
+//! output (see `smartapps_reductions::run_fused_on`) — instead of merely sharing
 //! the decision.  The worker pool does the heavy lifting; each dispatcher
 //! participates as `tid 0` of its own SPMD regions, so no core idles
 //! while it "waits".
 
 use crate::backend::{PclrBackend, PclrConfig, SimdBackend, SoftwareBackend};
-use crate::completion::{Completion, CompletionSet, CompletionSink};
+use crate::completion::{CompletionSet, CompletionSink};
 use crate::dispatch::{dispatcher_loop, finish, Exit};
 use crate::error::JobError;
 use crate::intern::PatternInterner;
@@ -510,10 +510,11 @@ impl Runtime {
     /// instead of parking a thread per job.
     ///
     /// Every submission — including ones rejected before queueing or
-    /// racing a shutdown — produces **exactly one** [`Completion`] on the
-    /// set, carrying the same [`JobResult`] (fused, offloaded,
-    /// quarantined, or failed) a [`JobHandle`] would have seen.  Returns
-    /// the signature the job was queued under.
+    /// racing a shutdown — produces **exactly one**
+    /// [`Completion`](crate::Completion) on the set, carrying the same
+    /// [`JobResult`] (fused, offloaded, quarantined, or failed) a
+    /// [`JobHandle`] would have seen.  Returns the signature the job was
+    /// queued under.
     pub fn submit_tagged(
         &self,
         spec: JobSpec,
@@ -538,27 +539,6 @@ impl Runtime {
             .into_iter()
             .map(|(token, spec)| self.submit_tagged(spec, token, set))
             .collect()
-    }
-
-    /// Submit one job with a push-style completion callback instead of a
-    /// handle or a queue: `on_complete` is invoked exactly once with the
-    /// finished [`Completion`] — **on the completing thread** (a
-    /// dispatcher, or the submitting thread itself for submissions
-    /// rejected up front), so it must be short and non-blocking; a slow
-    /// callback stalls a dispatcher.
-    pub fn submit_callback(
-        &self,
-        spec: JobSpec,
-        token: u64,
-        on_complete: impl Fn(Completion) + Send + Sync + 'static,
-    ) -> PatternSignature {
-        self.submit_sink(
-            spec,
-            CompletionSink::Callback {
-                token,
-                f: Arc::new(on_complete),
-            },
-        )
     }
 
     /// The shared submission path: validate, sign, queue — or complete
@@ -795,6 +775,7 @@ impl Drop for Runtime {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::completion::Completion;
     use crate::dispatch::DRIFT_MIN_RUNS;
     use crate::error::JobErrorKind;
     use smartapps_core::GateVerdict;
@@ -2265,35 +2246,6 @@ pub(crate) mod tests {
         }
         tokens.sort_unstable();
         assert_eq!(tokens, vec![0, 1, 2], "no inline event may be lost");
-    }
-
-    #[test]
-    fn submit_callback_pushes_the_completion() {
-        let rt = Runtime::with_workers(2);
-        let pat = pattern(211);
-        let delivered = Arc::new(Mutex::new(Vec::<Completion>::new()));
-        let sink = delivered.clone();
-        rt.submit_callback(
-            JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)),
-            42,
-            move |c| sink.lock().unwrap().push(c),
-        );
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if !delivered.lock().unwrap().is_empty() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "callback never fired");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let got = delivered.lock().unwrap();
-        assert_eq!(got.len(), 1, "callback fires exactly once");
-        assert_eq!(got[0].token, 42);
-        assert!(got[0].result.error.is_none());
-        assert_eq!(
-            got[0].result.output.as_i64().unwrap(),
-            sequential_reduce_i64(&pat)
-        );
     }
 
     /// An overlapping sliding-window pattern the simplification

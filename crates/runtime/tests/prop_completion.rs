@@ -186,9 +186,9 @@ proptest! {
         jobs in 1usize..24,
         seed in 0u64..1000,
     ) {
-        // The three delivery channels — handle, tagged queue, callback —
-        // share the dispatcher path; interleaved submissions must reach
-        // exactly their own sink, exactly once.
+        // The two delivery channels — handle and tagged queue — share the
+        // dispatcher path; interleaved submissions must reach exactly
+        // their own sink, exactly once.
         let rt = Runtime::new(RuntimeConfig {
             workers: 2,
             shards: 4,
@@ -198,31 +198,19 @@ proptest! {
         let set = CompletionSet::with_capacity(16);
         let pat = class_pattern((seed % CLASSES as u64) as usize);
         let oracle = sequential_reduce_i64(&pat);
-        let via_callback = Arc::new(std::sync::Mutex::new(Vec::<Completion>::new()));
 
         let mut handles = Vec::new();
-        let mut tagged = 0usize;
-        let mut callbacks = 0usize;
+        let mut tagged = Vec::new();
         for j in 0..jobs {
-            match (seed as usize + j) % 3 {
-                0 => handles.push(rt.submit(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)))),
-                1 => {
-                    rt.submit_tagged(
-                        JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)),
-                        j as u64,
-                        &set,
-                    );
-                    tagged += 1;
-                }
-                _ => {
-                    let sink = via_callback.clone();
-                    rt.submit_callback(
-                        JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)),
-                        j as u64,
-                        move |c| sink.lock().unwrap().push(c),
-                    );
-                    callbacks += 1;
-                }
+            if (seed as usize + j).is_multiple_of(2) {
+                handles.push(rt.submit(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r))));
+            } else {
+                rt.submit_tagged(
+                    JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)),
+                    j as u64,
+                    &set,
+                );
+                tagged.push(j as u64);
             }
         }
         for h in handles {
@@ -230,21 +218,14 @@ proptest! {
             prop_assert!(r.error.is_none());
             prop_assert_eq!(r.output.as_i64().unwrap(), &oracle[..]);
         }
-        let mut seen_tagged = 0usize;
+        let mut seen = Vec::new();
         while let Some(c) = set.wait_any() {
             prop_assert!(c.result.error.is_none());
             prop_assert_eq!(c.result.output.as_i64().unwrap(), &oracle[..]);
-            seen_tagged += 1;
+            seen.push(c.token);
         }
-        prop_assert_eq!(seen_tagged, tagged);
-        // Callbacks fire on dispatcher threads; the runtime shutdown
-        // joins them, so afterwards every callback has run.
+        seen.sort_unstable();
+        prop_assert_eq!(seen, tagged, "tagged tokens delivered exactly once each");
         rt.shutdown();
-        let got = via_callback.lock().unwrap();
-        prop_assert_eq!(got.len(), callbacks);
-        let mut cb_tokens: Vec<u64> = got.iter().map(|c| c.token).collect();
-        cb_tokens.sort_unstable();
-        cb_tokens.dedup();
-        prop_assert_eq!(cb_tokens.len(), callbacks, "duplicate callback delivery");
     }
 }
