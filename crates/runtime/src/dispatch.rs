@@ -185,27 +185,31 @@ fn fail_fast(
     }
 }
 
-/// A small FIFO cache of per-pattern analyses, living across batches in
-/// each dispatcher (shard affinity keeps a workload class on one
-/// dispatcher, which keeps it warm), keyed by the pattern's *allocation
-/// address* plus an extra key `X`.  An address can be reused after the
-/// original `Arc` dies, so an entry only hits when its stored [`Weak`]
-/// still upgrades to *the same allocation* the job carries.
+/// A small FIFO cache of per-pattern analyses, keyed by the pattern's
+/// *allocation address* plus an extra key `X`.  An address can be reused
+/// after the original `Arc` dies, so an entry only hits when its stored
+/// [`Weak`] still upgrades to *the same allocation* the job carries.  A
+/// live `Weak` also freezes the allocation's content — `Arc::get_mut`
+/// refuses and `Arc::make_mut` moves the value out — so a hit vouches for
+/// exactly the content the value was computed from.
 ///
-/// Two instances per dispatcher: inspector analyses per (pattern, SPMD
-/// width), so a profiled `sel`/`lw` class does not re-inspect on every
-/// invocation; and *positive* recognizer walks per pattern (`X = ()`),
-/// keeping the simplification pass's O(R) walk off the steady-state
-/// path.  Negative walks persist per signature in the profile store
-/// (`simp` records) instead and short-circuit before the walk.
-struct PatternCache<X, V> {
+/// Two instances per dispatcher, living across batches (shard affinity
+/// keeps a workload class on one dispatcher, which keeps them warm):
+/// inspector analyses per (pattern, SPMD width), so a profiled `sel`/`lw`
+/// class does not re-inspect on every invocation; and *positive*
+/// recognizer walks per pattern (`X = ()`), keeping the simplification
+/// pass's O(R) walk off the steady-state path.  Negative walks persist
+/// per signature in the profile store (`simp` records) instead and
+/// short-circuit before the walk.  One more instance lives in the
+/// runtime: the submit path's signatures per (pattern, SPMD width).
+pub(crate) struct PatternCache<X, V> {
     entries: HashMap<(usize, X), (Weak<AccessPattern>, V)>,
     order: VecDeque<(usize, X)>,
     cap: usize,
 }
 
 impl<X: Copy + Eq + Hash, V> PatternCache<X, V> {
-    fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         PatternCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
@@ -214,7 +218,7 @@ impl<X: Copy + Eq + Hash, V> PatternCache<X, V> {
     }
 
     /// The value cached for this exact pattern allocation, if any.
-    fn get(&self, pat: &Arc<AccessPattern>, extra: X) -> Option<&V> {
+    pub(crate) fn get(&self, pat: &Arc<AccessPattern>, extra: X) -> Option<&V> {
         let (weak, value) = self.entries.get(&(Arc::as_ptr(pat) as usize, extra))?;
         weak.upgrade()
             .is_some_and(|live| Arc::ptr_eq(&live, pat))
@@ -223,7 +227,7 @@ impl<X: Copy + Eq + Hash, V> PatternCache<X, V> {
 
     /// Cache `value`, replacing a (necessarily stale) entry under the
     /// same key or else evicting the oldest entry once full.
-    fn insert(&mut self, pat: &Arc<AccessPattern>, extra: X, value: V) {
+    pub(crate) fn insert(&mut self, pat: &Arc<AccessPattern>, extra: X, value: V) {
         let key = (Arc::as_ptr(pat) as usize, extra);
         if self.entries.contains_key(&key) {
             self.order.retain(|k| *k != key);
@@ -237,8 +241,10 @@ impl<X: Copy + Eq + Hash, V> PatternCache<X, V> {
     }
 }
 
-/// The inspector-analysis instance: keyed by SPMD width.
-type InspectionCache = PatternCache<usize, Inspection>;
+/// The inspector-analysis instance: keyed by SPMD width.  Entries are
+/// shared, so a hit costs a refcount, not a copy of the
+/// `num_elements`-sized conflict map and owner lists.
+type InspectionCache = PatternCache<usize, Arc<Inspection>>;
 
 impl InspectionCache {
     /// The inspection of `pat` at `threads`, paying (and counting) an
@@ -250,12 +256,12 @@ impl InspectionCache {
         pat: &Arc<AccessPattern>,
         threads: usize,
         stats: &RuntimeStats,
-    ) -> Inspection {
+    ) -> Arc<Inspection> {
         if let Some(insp) = self.get(pat, threads) {
             return insp.clone();
         }
         RuntimeStats::add(&stats.inspections, 1);
-        let insp = Inspector::analyze(pat, threads);
+        let insp = Arc::new(Inspector::analyze(pat, threads));
         self.insert(pat, threads, insp.clone());
         insp
     }
@@ -617,7 +623,7 @@ fn run_kernel<'a, T: ScanElem>(
             let insp = matches!(plan.scheme, Scheme::Sel | Scheme::Lw)
                 .then(|| cache.analyze(pat, threads, &shared.stats));
             let pool = &*shared.pool;
-            let outputs = run_fused_on(plan.scheme, pat, &bodies, threads, insp.as_ref(), pool);
+            let outputs = run_fused_on(plan.scheme, pat, &bodies, threads, insp.as_deref(), pool);
             (outputs, 0)
         }
     };
@@ -1007,7 +1013,7 @@ fn execute_single(
             body: &job.spec.body,
             threads,
             scheme,
-            inspection: insp.as_ref(),
+            inspection: insp.as_deref(),
         };
         let backend: &dyn Backend = match (scheme, &shared.pclr, &shared.simd) {
             (Scheme::Pclr, Some(pclr), _) => pclr,
@@ -1248,10 +1254,14 @@ mod tests {
         let stats = RuntimeStats::default();
         let mut cache = InspectionCache::new(4);
         let pat = pattern(31);
-        cache.analyze(&pat, 3, &stats);
-        cache.analyze(&pat, 3, &stats);
-        cache.analyze(&pat, 3, &stats);
+        let first = cache.analyze(&pat, 3, &stats);
+        let second = cache.analyze(&pat, 3, &stats);
+        let third = cache.analyze(&pat, 3, &stats);
         assert_eq!(stats.snapshot().inspections, 1, "same Arc + width must hit");
+        assert!(
+            Arc::ptr_eq(&first, &second) && Arc::ptr_eq(&second, &third),
+            "a hit must share the cached inspection, not copy it"
+        );
         cache.analyze(&pat, 2, &stats);
         assert_eq!(stats.snapshot().inspections, 2, "new width must analyze");
         // A dead Arc whose address gets reused must not serve a stale

@@ -170,6 +170,11 @@ impl PatternSignature {
     /// loop's drift check uses) and hashing the domain buckets together
     /// with the SPMD width the job will run at — schemes and calibrations
     /// measured at different widths must never share a profile entry.
+    ///
+    /// This walks the sampled prefix (a truncated copy, a
+    /// `num_elements`-sized histogram, a sort per row), so the runtime
+    /// calls it once per pattern allocation and width and memoizes the
+    /// result; the memoized value is always the one this returns.
     pub fn of(pat: &AccessPattern, sample_iters: usize, threads: usize) -> Self {
         let chars = PatternChars::measure(&pat.truncate_iterations(sample_iters));
         let key = DomainKey::of(&chars);

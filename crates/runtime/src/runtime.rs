@@ -16,7 +16,7 @@
 
 use crate::backend::{PclrBackend, PclrConfig, SimdBackend, SoftwareBackend};
 use crate::completion::{CompletionSet, CompletionSink};
-use crate::dispatch::{dispatcher_loop, finish, Exit};
+use crate::dispatch::{dispatcher_loop, finish, Exit, PatternCache};
 use crate::error::JobError;
 use crate::intern::PatternInterner;
 use crate::job::{JobHandle, JobResult, JobSpec, JobState, PatternSignature};
@@ -31,6 +31,7 @@ use smartapps_core::toolbox::DomainKey;
 use smartapps_core::DecisionRecord;
 use smartapps_reductions::{simd_feasible, DecisionModel, ModelInput, Scheme, SpmdExecutor};
 use smartapps_telemetry::Exemplar;
+use smartapps_workloads::AccessPattern;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -46,6 +47,10 @@ const MAX_SPMD_THREADS: usize = 250;
 /// simulated cycles for classes seen on both backends); the table resets
 /// when it fills — pairing is opportunistic, not an index.
 const MAX_CYCLE_PAIRS: usize = 1024;
+
+/// Pattern allocations (per SPMD width) whose submit-side signature the
+/// runtime remembers — as many as a dispatcher's inspection cache holds.
+const SIGNATURE_MEMO_CAP: usize = 64;
 
 /// Knobs of the online calibration loop (`docs/MODEL.md`).
 ///
@@ -104,7 +109,9 @@ pub struct RuntimeConfig {
     /// outputs).  `1` disables fusion; the privatizing schemes allocate
     /// K-fold private storage, so this also bounds memory.
     pub max_fuse: usize,
-    /// Iterations sampled when computing pattern signatures.
+    /// Iterations sampled when computing pattern signatures — sampled
+    /// once per pattern allocation and SPMD width: resubmitting the same
+    /// `Arc` reuses the signature its first submission computed.
     pub sample_iters: usize,
     /// Profile store location: loaded (if present) at startup, saved at
     /// shutdown.  `None` keeps profiles in memory only.
@@ -237,6 +244,9 @@ pub(crate) struct Shared {
     /// Whether the pre-scheduling simplification pass runs
     /// ([`RuntimeConfig::simplify`]).
     pub(crate) simplify: bool,
+    /// Submit-side signatures of *valid* patterns per (allocation, SPMD
+    /// width); see [`Shared::sign`].
+    signatures: Mutex<PatternCache<usize, PatternSignature>>,
 }
 
 /// Panic health of one workload class: how many of its most recent bodies
@@ -385,6 +395,26 @@ impl Shared {
         }
         self.quarantine_map().remove(&sig.0);
     }
+
+    fn signature_memo(&self) -> MutexGuard<'_, PatternCache<usize, PatternSignature>> {
+        self.signatures.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The signature `pat` is queued under at `threads`, or why it is
+    /// rejected.  Validation and [`PatternSignature::of`] run on the first
+    /// submission of an allocation at a width; later submissions of the
+    /// same `Arc` hit the memo.  Only a valid pattern is memoized, and a
+    /// hit vouches for exactly the content that was validated (the memo's
+    /// live `Weak` freezes the allocation, see [`PatternCache`]).
+    fn sign(&self, pat: &Arc<AccessPattern>, threads: usize) -> Result<PatternSignature, String> {
+        if let Some(&sig) = self.signature_memo().get(pat, threads) {
+            return Ok(sig);
+        }
+        pat.validate()?;
+        let sig = PatternSignature::of(pat, self.sample_iters, threads);
+        self.signature_memo().insert(pat, threads, sig);
+        Ok(sig)
+    }
 }
 
 /// The persistent reduction service.
@@ -442,6 +472,7 @@ impl Runtime {
             telemetry: RuntimeTelemetry::new(),
             interner: PatternInterner::new(config.pattern_intern_capacity),
             simplify: config.simplify,
+            signatures: Mutex::new(PatternCache::new(SIGNATURE_MEMO_CAP)),
         });
         let dispatchers = (0..n_dispatchers)
             .map(|d| {
@@ -487,7 +518,12 @@ impl Runtime {
     /// with [`JobErrorKind::Shutdown`](crate::JobErrorKind::Shutdown)
     /// instead of executing.
     ///
-    /// [`AccessPattern`]: smartapps_workloads::AccessPattern
+    /// Validation and [`PatternSignature::of`] run on the first submission
+    /// of a pattern allocation at an SPMD width; resubmitting the same
+    /// `Arc` at that width reuses the result.  Rejection is unchanged by
+    /// this: an invalid pattern is never remembered, so every submission
+    /// of it is rejected, and a pattern changed through `Arc::make_mut`
+    /// lands in a new allocation and is validated afresh.
     pub fn submit(&self, spec: JobSpec) -> JobHandle {
         let state = JobState::new();
         let signature = self.submit_sink(spec, CompletionSink::Handle(state.clone()));
@@ -514,7 +550,10 @@ impl Runtime {
     /// [`Completion`](crate::Completion) on the set, carrying the same
     /// [`JobResult`] (fused, offloaded, quarantined, or failed) a
     /// [`JobHandle`] would have seen.  Returns the signature the job was
-    /// queued under.
+    /// queued under ([`PatternSignature(0)`](PatternSignature) for a
+    /// rejected job); validation and signing are memoized per pattern
+    /// allocation and width exactly as in [`submit`](Runtime::submit),
+    /// with the same rejection semantics.
     pub fn submit_tagged(
         &self,
         spec: JobSpec,
@@ -541,9 +580,10 @@ impl Runtime {
             .collect()
     }
 
-    /// The shared submission path: validate, sign, queue — or complete
-    /// the sink immediately with the rejection/shutdown error.  Every
-    /// sink is completed exactly once, here or by a dispatcher.
+    /// The shared submission path: sign (validating on a memo miss),
+    /// queue — or complete the sink immediately with the
+    /// rejection/shutdown error.  Every sink is completed exactly once,
+    /// here or by a dispatcher.
     fn submit_sink(&self, mut spec: JobSpec, sink: CompletionSink) -> PatternSignature {
         let threads = spec
             .threads
@@ -551,19 +591,16 @@ impl Runtime {
             .clamp(1, MAX_SPMD_THREADS);
         spec.threads = Some(threads);
         RuntimeStats::add(&self.shared.stats.submitted, 1);
-        if let Err(e) = spec.pattern.validate() {
-            let error = JobError::rejected(format!("invalid access pattern: {e}"));
-            let sig = PatternSignature(0);
-            finish(
-                &self.shared,
-                sig,
-                sink,
-                Exit::failed(&spec.body, error),
-                None,
-            );
-            return sig;
-        }
-        let sig = PatternSignature::of(&spec.pattern, self.shared.sample_iters, threads);
+        let sig = match self.shared.sign(&spec.pattern, threads) {
+            Ok(sig) => sig,
+            Err(e) => {
+                let error = JobError::rejected(format!("invalid access pattern: {e}"));
+                let sig = PatternSignature(0);
+                let exit = Exit::failed(&spec.body, error);
+                finish(&self.shared, sig, sink, exit, None);
+                return sig;
+            }
+        };
         if let Err(job) = self.shared.queue.push(QueuedJob {
             spec,
             sig,
@@ -2200,6 +2237,81 @@ pub(crate) mod tests {
         check_exits(&rt, &seen, &[(50, Via::Single)]);
         assert_eq!(seen[&50].result.scheme, Scheme::Simd);
         assert_eq!(rt.stats().simd_offloads, 1);
+    }
+
+    /// Run an i64 job over `pat` at `threads`; its signature and result.
+    fn signed(
+        rt: &Runtime,
+        pat: &Arc<AccessPattern>,
+        threads: usize,
+    ) -> (PatternSignature, JobResult) {
+        let h =
+            rt.submit(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)).with_threads(threads));
+        (h.signature(), h.wait())
+    }
+
+    #[test]
+    fn signature_memo_scopes_an_allocation_by_width() {
+        let rt = Runtime::with_workers(2);
+        let pat = pattern(301);
+        let of = |t| PatternSignature::of(&pat, rt.shared.sample_iters, t);
+        assert_ne!(of(2), of(3), "the width is part of the class");
+        let sigs = [2, 3, 2, 3].map(|t| signed(&rt, &pat, t).0);
+        assert_eq!(sigs, [of(2), of(3), of(2), of(3)]);
+    }
+
+    #[test]
+    fn signature_memo_gives_equal_content_the_first_allocations_signature() {
+        let rt = Runtime::with_workers(2);
+        let pat = pattern(303);
+        let twin = Arc::new(AccessPattern::clone(&pat));
+        assert_eq!(signed(&rt, &pat, 2).0, signed(&rt, &twin, 2).0);
+    }
+
+    #[test]
+    fn signature_memo_never_remembers_an_invalid_pattern() {
+        let rt = Runtime::with_workers(2);
+        let broken = Arc::new(AccessPattern {
+            num_elements: 2,
+            iter_ptr: vec![0, 1],
+            indices: vec![7],
+        });
+        let kinds: Vec<_> = (0..2)
+            .map(|_| signed(&rt, &broken, 2).1.error.map(|e| e.kind))
+            .collect();
+        assert_eq!(kinds, vec![Some(JobErrorKind::Rejected); 2]);
+    }
+
+    #[test]
+    fn signature_memo_revalidates_a_pattern_changed_through_make_mut() {
+        let rt = Runtime::with_workers(2);
+        let mut pat = pattern(305);
+        assert!(signed(&rt, &pat, 2).1.error.is_none());
+        // The memo's live `Weak` (or a clone the dispatcher still holds)
+        // makes `make_mut` write to a new allocation the memo never saw.
+        let n = pat.num_elements as u32;
+        Arc::make_mut(&mut pat).indices[0] = n;
+        let kind = signed(&rt, &pat, 2).1.error.map(|e| e.kind);
+        assert_eq!(kind, Some(JobErrorKind::Rejected));
+    }
+
+    #[test]
+    fn signature_memo_equals_pattern_signature_of() {
+        // Persisted profile stores are keyed by `PatternSignature::of`;
+        // a memo hit must queue under the very same key as the miss.
+        let rt = Runtime::with_workers(2);
+        let pats = [
+            pattern(301),
+            pattern(303),
+            pattern(305),
+            sparse_pattern(307),
+            window_pattern(1024, 2048, 16, 5),
+        ];
+        for pat in &pats {
+            let of = PatternSignature::of(pat, rt.shared.sample_iters, 2);
+            let sigs = [signed(&rt, pat, 2).0, signed(&rt, pat, 2).0];
+            assert_eq!(sigs, [of, of]);
+        }
     }
 
     #[test]

@@ -21,7 +21,15 @@ use smartapps::workloads::pattern::sequential_reduce_i64;
 use smartapps::workloads::{
     contribution_i64, AccessPattern, Distribution, PatternChars, PatternSpec,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Both tests judge schemes by measured wall time; run concurrently, each
+/// would measure the other's SPMD regions as well as its own.  Every test
+/// holds this lock, so the binary runs them one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// A dense, cache-resident, high-reuse class: honest models send it to
 /// the privatizing family (`rep`/`ll`/`sel`, or their lane-striped
@@ -65,6 +73,7 @@ fn config(path: &std::path::Path, calibration: CalibrationConfig) -> RuntimeConf
 
 #[test]
 fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join("smartapps-calibration-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("store-{}.txt", std::process::id()));
@@ -192,6 +201,7 @@ fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
 /// occasional >4x wall-clock outlier, and a single one must not evict.
 #[test]
 fn honest_model_is_not_rerouted_by_passive_calibration() {
+    let _serial = serial();
     let rt = Runtime::new(RuntimeConfig {
         workers: 2,
         dispatchers: 1,
