@@ -18,7 +18,7 @@
 //! | `ll`   | full array × P + links | O(touched)              | large array, moderate sparsity |
 //! | `sel`  | conflicting elems only | O(conflicts)            | sparse, low contention |
 //! | `lw`   | none (owner computes)  | none (iter replication) | feasible loops, moderate MO |
-//! | `hash` | per-thread hash table  | O(distinct)             | extremely sparse (SP ≪ 1%) |
+//! | `hash` | touched set × P        | O(distinct)             | extremely sparse (SP ≪ 1%) |
 //!
 //! **One kernel, any K.**  Each scheme is written once, generic over its
 //! body set.  A single job ([`run_scheme_on`](crate::run_scheme_on))
@@ -27,7 +27,7 @@
 //! ([`run_fused_on`](crate::run_fused_on)) passes K [`FusedBody`]s and
 //! walks the pattern **once** for all of them: the traversal, the address
 //! generation, the touched-line links, the conflict and ownership tests
-//! and the hash probe are paid once per reference, and only the body
+//! and the slot lookup are paid once per reference, and only the body
 //! evaluations and updates scale with K.  Private storage is stride-K
 //! interleaved — all K partial values of an element adjacent — so one
 //! touched line serves the whole batch; it also grows K-fold, so callers
@@ -37,7 +37,15 @@
 //! sequential loop over `body_k` bit for bit on integer monoids and within
 //! floating-point tolerance otherwise — and, because both entry points
 //! run the same kernel, output `k` of a fused sweep is the single run of
-//! `body_k`.
+//! `body_k`.  Every merge but `ll`'s combines in a fixed order, so those
+//! kernels are also run-to-run bit-identical on floating point.
+//!
+//! `hash` reduces over the touched set numbered once by
+//! [`Inspector::localize`]: a [`LocalIndex`] gives every reference the
+//! dense slot of its element, so private storage is `K × distinct` per
+//! thread with no probe and no growth.  A caller that reuses the pattern
+//! passes the index in (the runtime caches one per pattern allocation);
+//! otherwise each run localizes for itself.
 //!
 //! Threading runs one SPMD block task per logical processor through a
 //! [`SpmdExecutor`] — [`SpawnExecutor`](crate::SpawnExecutor) forks fresh
@@ -45,15 +53,15 @@
 //! the service path.  Block scheduling matches the paper's block-scheduled
 //! loops.
 
-use crate::inspect::{ConflictInfo, Inspection, Inspector, OwnerLists};
+use crate::inspect::{Analyses, ConflictInfo, Inspector, LocalIndex, OwnerLists};
 use crate::scheme::{RedElem, Scheme, UnsafeSlice};
 use crate::spmd::SpmdExecutor;
 use parking_lot::Mutex;
 use smartapps_workloads::pattern::AccessPattern;
 use smartapps_workloads::{block_range, elem_block_range};
 
-/// Number of lock stripes used by merge phases that combine into shared
-/// storage (`ll`, `hash`).
+/// Number of lock stripes the `ll` merge combines into shared storage
+/// under.
 const MERGE_STRIPES: usize = 256;
 
 /// Elements per touched-line bucket in the `ll` scheme (one cache line of
@@ -106,20 +114,31 @@ pub fn seq<T: RedElem>(pat: &AccessPattern, body: &(impl Fn(usize, usize) -> T +
 }
 
 /// Visit `(i, r, x)` — iteration, reference slot, element — for every
-/// reference of the iterations `iters`, in order.  The pattern's arrays
-/// are borrowed once up front, so `f`'s stores cannot force a reload of
-/// them on every reference.
+/// reference of the iterations `iters`, in order.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // slicing each iteration costs more than indexing
 fn each_ref(
     pat: &AccessPattern,
     iters: impl IntoIterator<Item = usize>,
+    f: impl FnMut(usize, usize, usize),
+) {
+    each_keyed(pat, &pat.indices, iters, f);
+}
+
+/// [`each_ref`] with `keys[r]` in place of the element (`hash` passes its
+/// dense slots).  The arrays are borrowed once up front, so `f`'s stores
+/// cannot force a reload of them on every reference.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // slicing each iteration costs more than indexing
+fn each_keyed(
+    pat: &AccessPattern,
+    keys: &[u32],
+    iters: impl IntoIterator<Item = usize>,
     mut f: impl FnMut(usize, usize, usize),
 ) {
-    let (iter_ptr, indices) = (&pat.iter_ptr[..], &pat.indices[..]);
+    let iter_ptr = &pat.iter_ptr[..];
     for i in iters {
         for r in iter_ptr[i] as usize..iter_ptr[i + 1] as usize {
-            f(i, r, indices[r] as usize);
+            f(i, r, keys[r] as usize);
         }
     }
 }
@@ -127,8 +146,9 @@ fn each_ref(
 /// Execute `scheme` over `pat` once for the whole body set, combining
 /// output `k` into `outs[k]` (one neutral-initialized `num_elements`
 /// array per body) — the one scheme dispatch behind both public entry
-/// points.  `sel` and `lw` need an inspection; the caller's is reused when
-/// supplied, otherwise one is computed here.
+/// points.  `sel` and `lw` need an inspection and `hash` a
+/// [`LocalIndex`]; the caller's are reused when supplied, otherwise the
+/// missing one is computed here, per call.
 ///
 /// # Panics
 ///
@@ -139,18 +159,25 @@ pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
     bodies: &B,
     threads: usize,
-    insp: Option<&Inspection>,
+    analyses: Analyses<'_>,
     exec: &(impl SpmdExecutor + ?Sized),
     outs: &(impl AsRef<[UnsafeSlice<'o, T>]> + ?Sized),
 ) {
     assert!(threads >= 1 || scheme == Scheme::Seq);
-    let own;
-    let insp = match (scheme, insp) {
+    let (own_insp, own_local);
+    let insp = match (scheme, analyses.inspection) {
         (Scheme::Sel | Scheme::Lw, None) => {
-            own = Inspector::analyze(pat, threads);
-            Some(&own)
+            own_insp = Inspector::analyze(pat, threads);
+            Some(&own_insp)
         }
         (_, insp) => insp,
+    };
+    let local = match (scheme, analyses.local) {
+        (Scheme::Hash, None) => {
+            own_local = Inspector::localize(pat);
+            Some(&own_local)
+        }
+        (_, local) => local,
     };
     let slices = outs.as_ref();
     match scheme {
@@ -159,7 +186,7 @@ pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
         Scheme::Ll => ll_sweep(pat, bodies, threads, exec, slices),
         Scheme::Sel => sel_sweep(pat, bodies, threads, &insp.unwrap().conflicts, exec, slices),
         Scheme::Lw => lw_sweep(pat, bodies, threads, &insp.unwrap().owners, exec, slices),
-        Scheme::Hash => hash_sweep(pat, bodies, threads, exec, slices),
+        Scheme::Hash => hash_sweep(pat, bodies, threads, local.unwrap(), exec, slices),
         Scheme::Pclr => {
             panic!("Scheme::Pclr has no software kernel; route it to a PCLR execution backend")
         }
@@ -374,105 +401,55 @@ fn lw_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     });
 }
 
-/// Sentinel for an empty [`HashAcc`] slot.
-const EMPTY: u32 = u32::MAX;
-
-/// The `hash` scheme's open-addressing accumulation table (linear
-/// probing, power-of-two capacity): K values per key, stored adjacently,
-/// so one probe per reference serves every body.  Every call names K, so a
-/// single job's constant 1 folds into the probe.
-struct HashAcc<T> {
-    keys: Vec<u32>,
-    vals: Vec<T>,
-    mask: usize,
-    len: usize,
-}
-
-impl<T: RedElem> HashAcc<T> {
-    /// A table with room for at least `cap` keys of `k` values each.
-    fn with_capacity(cap: usize, k: usize) -> Self {
-        let size = (cap.max(8) * 2).next_power_of_two();
-        HashAcc {
-            keys: vec![EMPTY; size],
-            vals: vec![T::neutral(); size * k],
-            mask: size - 1,
-            len: 0,
-        }
-    }
-
-    /// The `k` values of `key`, claiming a slot (and growing first if
-    /// needed) for a new key.
-    #[inline(always)]
-    fn values(&mut self, key: u32, k: usize) -> &mut [T] {
-        debug_assert_ne!(key, EMPTY);
-        if self.len * 10 >= self.keys.len() * 7 {
-            self.grow(k);
-        }
-        // Multiplicative hashing (Fibonacci): cheap and adequate for array
-        // indices.
-        let mut s = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize & self.mask;
-        loop {
-            let existing = self.keys[s];
-            if existing == key {
-                break;
-            }
-            if existing == EMPTY {
-                self.keys[s] = key;
-                self.len += 1;
-                break;
-            }
-            s = (s + 1) & self.mask;
-        }
-        &mut self.vals[s * k..][..k]
-    }
-
-    #[cold]
-    fn grow(&mut self, k: usize) {
-        let mut bigger = HashAcc::<T>::with_capacity(self.keys.len(), k);
-        for (key, vals) in self.iter(k) {
-            bigger.values(key, k).copy_from_slice(vals);
-        }
-        *self = bigger;
-    }
-
-    /// Occupied `(key, values)` pairs, in slot order.
-    fn iter(&self, k: usize) -> impl Iterator<Item = (u32, &[T])> + '_ {
-        self.keys
-            .iter()
-            .zip(self.vals.chunks_exact(k))
-            .filter(|(key, _)| **key != EMPTY)
-            .map(|(key, vals)| (*key, vals))
-    }
-}
-
-/// `hash`: per-thread hash-table accumulation, merged under stripe locks.
-/// The table keeps the working set proportional to the *referenced*
-/// elements, which is what makes it win on extremely sparse patterns like
-/// SPICE ("the hash table reduces the allocated and processed space to
-/// such an extent that ... the performance improves dramatically").
+/// `hash`: dense private accumulation over the touched set.  The
+/// [`LocalIndex`] numbers every referenced element once, so each thread
+/// accumulates into a `K × distinct` array indexed by the reference's slot
+/// — no probe, no growth — and the merge walks blocks of slots, combining
+/// the threads' partials in fixed thread order without locks.  The working
+/// set stays proportional to the *referenced* elements, which is what
+/// makes it win on extremely sparse patterns like SPICE ("the hash table
+/// reduces the allocated and processed space to such an extent that ...
+/// the performance improves dramatically").
 fn hash_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
     bodies: &B,
     threads: usize,
+    local: &LocalIndex,
     exec: &(impl SpmdExecutor + ?Sized),
     outs: &[UnsafeSlice<'_, T>],
 ) {
-    let stripes: Vec<Mutex<()>> = (0..MERGE_STRIPES).map(|_| Mutex::new(())).collect();
-    let stripes = &stripes;
+    let distinct = local.elements.len();
+    // Loop phase.
+    let mut privates: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
+    {
+        let slots = UnsafeSlice::new(&mut privates);
+        let slots = &slots;
+        exec.spmd(threads, &|t| {
+            let k = bodies.k();
+            let mut w = vec![T::neutral(); k * distinct];
+            let mine = block_range(pat.num_iterations(), t, threads);
+            each_keyed(pat, &local.slot_of_ref, mine, |i, r, s| {
+                let base = s * k;
+                bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
+            });
+            // SAFETY: each tid writes only its own slot.
+            unsafe { slots.write(t, w) };
+        });
+    }
+    // Merge phase: blocks of slots, every thread's partial in tid order.
+    let privates = &privates;
     exec.spmd(threads, &|t| {
         let k = bodies.k();
-        let mut table = HashAcc::<T>::with_capacity(64, k);
-        let mine = block_range(pat.num_iterations(), t, threads);
-        each_ref(pat, mine, |i, r, x| {
-            let vals = table.values(x as u32, k);
-            bodies.each(i, r, |kk, v| vals[kk] = T::combine(vals[kk], v));
-        });
-        for (key, vals) in table.iter(k) {
-            let e = key as usize;
-            let _g = stripes[(e / LINK_LINE) % MERGE_STRIPES].lock();
-            for (out, &v) in outs[..k].iter().zip(vals) {
-                // SAFETY: serialized by the stripe lock.
-                unsafe { out.combine_into(e, v) };
+        for s in block_range(distinct, t, threads) {
+            let e = local.elements[s] as usize;
+            for (kk, out) in outs[..k].iter().enumerate() {
+                let mut acc = T::neutral();
+                for p in privates {
+                    acc = T::combine(acc, p[s * k + kk]);
+                }
+                // SAFETY: each element has exactly one slot, and slot
+                // blocks are disjoint across merge threads.
+                unsafe { out.write(e, acc) };
             }
         }
     });
@@ -655,52 +632,6 @@ mod tests {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn acc_table_accumulates_and_grows() {
-        for k in [1usize, 3] {
-            let mut t = HashAcc::<i64>::with_capacity(4, k);
-            for key in 0..1000u32 {
-                for add in [1, 2] {
-                    for (kk, v) in t.values(key, k).iter_mut().enumerate() {
-                        *v += add * (kk as i64 + 1);
-                    }
-                }
-            }
-            assert_eq!(t.len, 1000, "k={k}");
-            let mut keys: Vec<u32> = t.iter(k).map(|(key, _)| key).collect();
-            keys.sort_unstable();
-            assert_eq!(keys, (0..1000).collect::<Vec<_>>(), "k={k}");
-            for (key, vals) in t.iter(k) {
-                for (kk, &v) in vals.iter().enumerate() {
-                    assert_eq!(v, 3 * (kk as i64 + 1), "key {key} k={k} value {kk}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn acc_table_handles_colliding_keys() {
-        // Keys engineered to collide under the multiplicative hash are hard
-        // to construct portably; instead stress a tiny table.
-        let keys = [0u32, 16, 32, 48, 64, 80];
-        for k in [1usize, 3] {
-            let mut t = HashAcc::<i64>::with_capacity(8, k);
-            for add in [None, Some(1)] {
-                for key in keys {
-                    for (kk, v) in t.values(key, k).iter_mut().enumerate() {
-                        *v += add.unwrap_or(key as i64) * (kk as i64 + 1);
-                    }
-                }
-            }
-            let got: std::collections::HashMap<u32, Vec<i64>> =
-                t.iter(k).map(|(key, vals)| (key, vals.to_vec())).collect();
-            for key in keys {
-                let want: Vec<i64> = (1..=k as i64).map(|s| (key as i64 + 1) * s).collect();
-                assert_eq!(got[&key], want, "key {key} k={k}");
             }
         }
     }

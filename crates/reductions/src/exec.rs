@@ -7,7 +7,7 @@
 //! sweep.
 
 use crate::algorithms::{self, FusedBody, One};
-use crate::inspect::{Inspection, Inspector};
+use crate::inspect::{Analyses, Inspection, Inspector};
 use crate::scheme::{RedElem, Scheme, UnsafeSlice};
 use crate::spmd::{SpawnExecutor, SpmdExecutor};
 use smartapps_workloads::pattern::AccessPattern;
@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 
 /// Execute one scheme on freshly spawned threads (the per-call path).
 /// `sel` and `lw` need an inspection; if none is supplied one is computed
-/// (and its cost is the caller's to account).
+/// (and its cost is the caller's to account), as is `hash`'s
+/// [`LocalIndex`](crate::LocalIndex).
 pub fn run_scheme<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
@@ -26,15 +27,8 @@ pub fn run_scheme<T: RedElem>(
     run_scheme_on(scheme, pat, body, threads, insp, &SpawnExecutor)
 }
 
-/// Execute one scheme on the supplied [`SpmdExecutor`] — the pooled
-/// execution path used by `smartapps-runtime`, which routes the SPMD
-/// region onto persistent workers instead of spawning threads per call.
-///
-/// # Panics
-///
-/// Panics for [`Scheme::Pclr`]: the hardware scheme has no software
-/// kernel and must be routed to a PCLR-capable execution backend
-/// (`smartapps-runtime`'s `PclrBackend`).  Likewise for [`Scheme::Simd`].
+/// Execute one scheme on the supplied [`SpmdExecutor`]: [`run_scheme_with`]
+/// reusing at most an inspection.
 pub fn run_scheme_on<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
@@ -43,14 +37,48 @@ pub fn run_scheme_on<T: RedElem>(
     insp: Option<&Inspection>,
     exec: &(impl SpmdExecutor + ?Sized),
 ) -> Vec<T> {
+    run_scheme_with(scheme, pat, body, threads, insp.into(), exec)
+}
+
+/// Execute one scheme on the supplied [`SpmdExecutor`], reusing the
+/// caller's [`Analyses`] — the pooled execution path used by
+/// `smartapps-runtime`, which routes the SPMD region onto persistent
+/// workers instead of spawning threads per call and caches the analyses
+/// per pattern.
+///
+/// # Panics
+///
+/// Panics for [`Scheme::Pclr`]: the hardware scheme has no software
+/// kernel and must be routed to a PCLR-capable execution backend
+/// (`smartapps-runtime`'s `PclrBackend`).  Likewise for [`Scheme::Simd`].
+pub fn run_scheme_with<T: RedElem>(
+    scheme: Scheme,
+    pat: &AccessPattern,
+    body: &(impl Fn(usize, usize) -> T + Sync),
+    threads: usize,
+    analyses: Analyses<'_>,
+    exec: &(impl SpmdExecutor + ?Sized),
+) -> Vec<T> {
     let mut w = vec![T::neutral(); pat.num_elements];
     let out = [UnsafeSlice::new(&mut w)];
-    algorithms::sweep(scheme, pat, &One(body), threads, insp, exec, &out);
+    algorithms::sweep(scheme, pat, &One(body), threads, analyses, exec, &out);
     w
 }
 
+/// [`run_fused_with`] reusing at most an inspection.
+pub fn run_fused_on<T: RedElem>(
+    scheme: Scheme,
+    pat: &AccessPattern,
+    bodies: &[FusedBody<'_, T>],
+    threads: usize,
+    insp: Option<&Inspection>,
+    exec: &(impl SpmdExecutor + ?Sized),
+) -> Vec<Vec<T>> {
+    run_fused_with(scheme, pat, bodies, threads, insp.into(), exec)
+}
+
 /// Execute `scheme` once over `pat`, producing one output array per body
-/// in `bodies` — the multi-output form of [`run_scheme_on`]: one pattern
+/// in `bodies` — the multi-output form of [`run_scheme_with`]: one pattern
 /// traversal, K contribution functions, K result arrays.
 ///
 /// A service coalescing same-class jobs (see `smartapps-runtime`) often
@@ -58,23 +86,23 @@ pub fn run_scheme_on<T: RedElem>(
 /// *different* bodies; walking the pattern once for all of them shares
 /// the traversal, the same insight the polyhedral-reduction line exploits
 /// when it fuses reductions into a single scan.  Output `k` equals
-/// `run_scheme_on(scheme, pat, bodies[k], ..)`.
+/// `run_scheme_with(scheme, pat, bodies[k], ..)`.
 ///
-/// `sel` and `lw` need an inspection; the caller's is reused when
-/// supplied, otherwise one is computed here.  An empty `bodies` slice
-/// yields an empty result vector without touching the pattern.
+/// The caller's [`Analyses`] are reused; a missing one the scheme needs
+/// is computed here.  An empty `bodies` slice yields an empty result
+/// vector without touching the pattern.
 ///
 /// # Panics
 ///
 /// Panics for [`Scheme::Pclr`] (the simulated PCLR machine executes one
 /// reduction per loop, so fused sweeps never route there) and
 /// [`Scheme::Simd`].
-pub fn run_fused_on<T: RedElem>(
+pub fn run_fused_with<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
     bodies: &[FusedBody<'_, T>],
     threads: usize,
-    insp: Option<&Inspection>,
+    analyses: Analyses<'_>,
     exec: &(impl SpmdExecutor + ?Sized),
 ) -> Vec<Vec<T>> {
     if bodies.is_empty() {
@@ -85,7 +113,7 @@ pub fn run_fused_on<T: RedElem>(
         .map(|_| vec![T::neutral(); pat.num_elements])
         .collect();
     let outs: Vec<UnsafeSlice<'_, T>> = ws.iter_mut().map(|w| UnsafeSlice::new(w)).collect();
-    algorithms::sweep(scheme, pat, bodies, threads, insp, exec, &outs);
+    algorithms::sweep(scheme, pat, bodies, threads, analyses, exec, &outs);
     drop(outs);
     ws
 }

@@ -1,5 +1,6 @@
 //! The run-time inspector: pattern characterization and the per-scheme
-//! pre-analyses (conflict marking for `sel`, owner lists for `lw`).
+//! pre-analyses (conflict marking for `sel`, owner lists for `lw`, dense
+//! slot numbering for `hash`).
 //!
 //! "The characterization of the access pattern is performed at compile
 //! time whenever possible, and otherwise, at run-time, during an inspector
@@ -37,6 +38,19 @@ pub struct OwnerLists {
     pub replication: f64,
 }
 
+/// The touched set of a pattern numbered densely, for the `hash` scheme:
+/// every referenced element gets one slot, in first-touch order, so a
+/// thread's private storage is `K × distinct` values indexed by slot
+/// instead of a table probed by element.  It depends on the pattern only,
+/// not on the thread count.
+#[derive(Debug, Clone)]
+pub struct LocalIndex {
+    /// Reference slot -> dense slot of its element.
+    pub slot_of_ref: Vec<u32>,
+    /// Dense slot -> element, in first-touch order.
+    pub elements: Vec<u32>,
+}
+
 /// The complete inspector result.
 #[derive(Debug, Clone)]
 pub struct Inspection {
@@ -46,6 +60,26 @@ pub struct Inspection {
     pub conflicts: ConflictInfo,
     /// Owner lists for `lw`.
     pub owners: OwnerLists,
+}
+
+/// The inspector products one run may reuse.  A scheme that needs a
+/// product it is not handed computes it for that run alone.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Analyses<'a> {
+    /// Conflict and owner analysis, for `sel` and `lw`.
+    pub inspection: Option<&'a Inspection>,
+    /// Dense slot numbering, for `hash`.
+    pub local: Option<&'a LocalIndex>,
+}
+
+impl<'a> From<Option<&'a Inspection>> for Analyses<'a> {
+    /// An inspection alone: `hash` localizes per run.
+    fn from(inspection: Option<&'a Inspection>) -> Self {
+        Analyses {
+            inspection,
+            local: None,
+        }
+    }
 }
 
 /// Inspector entry points.
@@ -98,6 +132,31 @@ impl Inspector {
             num_conflicting: conflicting_elements.len(),
             compact,
             conflicting_elements,
+        }
+    }
+
+    /// Number the touched elements of `pat` densely, in first-touch order
+    /// (one pass).  The element -> slot map is zero-initialized (it stores
+    /// slot + 1), so pages of untouched elements are never faulted in, and
+    /// it is dropped when the pass ends.
+    pub fn localize(pat: &AccessPattern) -> LocalIndex {
+        let mut slot_plus_one = vec![0u32; pat.num_elements];
+        let mut elements = Vec::new();
+        let slot_of_ref = pat
+            .indices
+            .iter()
+            .map(|&x| {
+                let s = &mut slot_plus_one[x as usize];
+                if *s == 0 {
+                    elements.push(x);
+                    *s = elements.len() as u32;
+                }
+                *s - 1
+            })
+            .collect();
+        LocalIndex {
+            slot_of_ref,
+            elements,
         }
     }
 
@@ -235,5 +294,65 @@ mod tests {
         assert_eq!(insp.conflicts.threads, 4);
         assert_eq!(insp.owners.threads, 4);
         assert!(insp.conflicts.num_conflicting <= insp.chars.distinct);
+    }
+
+    fn localize_patterns() -> Vec<AccessPattern> {
+        let generated = |dist, seed| {
+            PatternSpec {
+                num_elements: 4096,
+                iterations: 3000,
+                refs_per_iter: 3,
+                coverage: 0.3,
+                dist,
+                seed,
+            }
+            .generate()
+        };
+        vec![
+            generated(Distribution::Uniform, 1),
+            generated(Distribution::Clustered { window: 16 }, 2),
+            AccessPattern::from_iters(9, &[vec![4, 1], vec![], vec![1, 8, 4]]),
+        ]
+    }
+
+    #[test]
+    fn local_index_maps_every_reference_to_its_element() {
+        for pat in localize_patterns() {
+            let li = Inspector::localize(&pat);
+            assert!(pat
+                .indices
+                .iter()
+                .zip(&li.slot_of_ref)
+                .all(|(&x, &s)| li.elements[s as usize] == x));
+        }
+    }
+
+    #[test]
+    fn local_index_numbers_distinct_elements_in_first_touch_order() {
+        for pat in localize_patterns() {
+            let mut first_touch = Vec::new();
+            for &x in &pat.indices {
+                if !first_touch.contains(&x) {
+                    first_touch.push(x);
+                }
+            }
+            let li = Inspector::localize(&pat);
+            assert!(
+                li.elements == first_touch
+                    && li.elements.len() == PatternChars::measure(&pat).distinct
+            );
+        }
+    }
+
+    #[test]
+    fn local_index_of_empty_and_single_hot_patterns() {
+        let empty = Inspector::localize(&AccessPattern::from_iters(16, &[]));
+        let hot = Inspector::localize(&AccessPattern::from_iters(4, &vec![vec![3u32, 3]; 50]));
+        assert!(
+            empty.slot_of_ref.is_empty()
+                && empty.elements.is_empty()
+                && hot.elements == [3]
+                && hot.slot_of_ref == [0; 100]
+        );
     }
 }

@@ -347,11 +347,11 @@ impl DecisionModel {
                     + k * (r / p) * (q.body_per_ref + upd)
             }
             Scheme::Hash => {
-                // Table entries are ~(8 + 8K) bytes (key + K values); the
-                // resident working set follows the *hot* reference mass
-                // (CH tail), not the raw distinct count — under contention
-                // the table stays cache-sized while arrays do not.  One
-                // probe per reference serves all K outputs.
+                // Prices a probed table of ~(8 + 8K)-byte entries, which
+                // overstates the dense-slot kernel (the constants are not
+                // refit to it): the resident working set follows the
+                // *hot* reference mass (CH tail), not the raw distinct
+                // count.  One lookup per reference serves all K outputs.
                 let d_hot = (c.effective_distinct(0.9) as f64).min(r / p);
                 let loc = q.locality_cost(d_hot * (8.0 + 8.0 * k));
                 body + (r / p) * loc * (q.hash_per_ref + (k - 1.0)) + q.hash_merge_elem * k * d_t

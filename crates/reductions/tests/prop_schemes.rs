@@ -3,7 +3,9 @@
 //! counts and integer monoids (exact equality — no FP tolerance games).
 
 use proptest::prelude::*;
-use smartapps_reductions::{run_scheme, Inspector, Scheme};
+use smartapps_reductions::{
+    run_scheme, run_scheme_with, Analyses, Inspector, Scheme, SpawnExecutor,
+};
 use smartapps_workloads::pattern::{contribution_i64, sequential_reduce_i64};
 use smartapps_workloads::{AccessPattern, Distribution, PatternSpec};
 
@@ -50,6 +52,22 @@ fn body(_i: usize, r: usize) -> i64 {
     contribution_i64(r)
 }
 
+/// `hash` handed a cached [`LocalIndex`](smartapps_reductions::LocalIndex)
+/// and `hash` localizing per call must both equal the oracle.
+fn check_hash_index_paths(pat: &AccessPattern, threads: usize) -> Result<(), TestCaseError> {
+    let oracle = sequential_reduce_i64(pat);
+    let local = Inspector::localize(pat);
+    let supplied = Analyses {
+        inspection: None,
+        local: Some(&local),
+    };
+    let cached = run_scheme_with(Scheme::Hash, pat, &body, threads, supplied, &SpawnExecutor);
+    prop_assert_eq!(&cached, &oracle, "hash, supplied index, x{}", threads);
+    let per_call = run_scheme(Scheme::Hash, pat, &body, threads, None);
+    prop_assert_eq!(&per_call, &oracle, "hash, localized per call, x{}", threads);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -77,6 +95,16 @@ proptest! {
             let got = run_scheme(s, &pat, &body, threads, Some(&insp));
             prop_assert_eq!(&got, &oracle, "{} x{}", s, threads);
         }
+    }
+
+    #[test]
+    fn hash_equals_oracle_with_and_without_a_supplied_index(
+        pat in arb_pattern(),
+        generated in arb_generated(),
+        threads in 1usize..9,
+    ) {
+        check_hash_index_paths(&pat, threads)?;
+        check_hash_index_paths(&generated, threads)?;
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use crate::job::{JobBody, JobOutput};
 use crate::pool::WorkerPool;
 use smartapps_core::calibrate::Correction;
-use smartapps_reductions::{run_scheme_on, simd_reduce_on, Inspection, Scheme};
+use smartapps_reductions::{run_scheme_with, simd_reduce_on, Analyses, Scheme};
 use smartapps_sim::offload::run_reduction;
 use smartapps_sim::{MachineConfig, RedOp};
 use smartapps_workloads::tracegen::{pclr_traces_with_values, TraceParams, ValueFn};
@@ -47,8 +47,10 @@ pub struct ExecRequest<'a> {
     pub threads: usize,
     /// The decided scheme.
     pub scheme: Scheme,
-    /// Inspector analysis, for schemes that need one (`sel`, `lw`).
-    pub inspection: Option<&'a Inspection>,
+    /// Cached inspector products: the inspection for `sel` and `lw`, the
+    /// dense slot numbering for `hash`.  A missing one the scheme needs is
+    /// computed for this run alone.
+    pub analyses: Analyses<'a>,
 }
 
 /// What a backend reports back for one executed job.
@@ -103,20 +105,20 @@ impl Backend for SoftwareBackend {
         let pool: &WorkerPool = &self.pool;
         let t0 = Instant::now();
         let output = match req.body {
-            JobBody::F64(f) => JobOutput::F64(run_scheme_on(
+            JobBody::F64(f) => JobOutput::F64(run_scheme_with(
                 req.scheme,
                 req.pattern,
                 &|i, r| f(i, r),
                 req.threads,
-                req.inspection,
+                req.analyses,
                 pool,
             )),
-            JobBody::I64(f) => JobOutput::I64(run_scheme_on(
+            JobBody::I64(f) => JobOutput::I64(run_scheme_with(
                 req.scheme,
                 req.pattern,
                 &|i, r| f(i, r),
                 req.threads,
-                req.inspection,
+                req.analyses,
                 pool,
             )),
         };
@@ -345,6 +347,7 @@ impl Backend for PclrBackend {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use smartapps_reductions::Inspector;
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
     use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
 
@@ -375,6 +378,33 @@ mod tests {
     }
 
     #[test]
+    fn pooled_hash_f64_runs_are_bit_identical() {
+        // `hash` merges each slot's partials in fixed thread order, so
+        // two pooled runs of one f64 body agree bit for bit.
+        let pat = pattern(9);
+        let local = Inspector::localize(&pat);
+        let spec = JobSpec::f64(pat.clone(), |i, r| contribution(r) / (i as f64 + 3.0));
+        for threads in [2usize, 4] {
+            let b = SoftwareBackend::new(Arc::new(WorkerPool::new(threads)));
+            let req = ExecRequest {
+                pattern: &pat,
+                body: &spec.body,
+                threads,
+                scheme: Scheme::Hash,
+                analyses: Analyses {
+                    inspection: None,
+                    local: Some(&local),
+                },
+            };
+            let bits = || -> Vec<u64> {
+                let out = b.execute(&req).output;
+                out.as_f64().unwrap().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(), bits(), "x{threads}");
+        }
+    }
+
+    #[test]
     fn simd_backend_matches_oracles() {
         let b = SimdBackend::new(Arc::new(WorkerPool::new(3)));
         assert_eq!(b.name(), "simd");
@@ -387,7 +417,7 @@ mod tests {
             body: &spec.body,
             threads: 3,
             scheme: Scheme::Simd,
-            inspection: None,
+            analyses: Analyses::default(),
         });
         assert_eq!(out.output.as_i64().unwrap(), sequential_reduce_i64(&pat));
         assert!(out.sim_cycles.is_none());
@@ -398,7 +428,7 @@ mod tests {
             body: &spec.body,
             threads: 3,
             scheme: Scheme::Simd,
-            inspection: None,
+            analyses: Analyses::default(),
         };
         let a = b.execute(&req);
         let c = b.execute(&req);
@@ -427,7 +457,7 @@ mod tests {
             body: &spec.body,
             threads: 4,
             scheme: Scheme::Pclr,
-            inspection: None,
+            analyses: Analyses::default(),
         });
         assert_eq!(out.output.as_i64().unwrap(), sequential_reduce_i64(&pat));
         let cycles = out.sim_cycles.expect("pclr reports cycles");
@@ -448,7 +478,7 @@ mod tests {
             body: &spec.body,
             threads: 2,
             scheme: Scheme::Pclr,
-            inspection: None,
+            analyses: Analyses::default(),
         });
         let oracle = sequential_reduce(&pat);
         for (a, b) in oracle.iter().zip(out.output.as_f64().unwrap()) {
@@ -468,7 +498,7 @@ mod tests {
             body: &spec.body,
             threads: 4,
             scheme: Scheme::Pclr,
-            inspection: None,
+            analyses: Analyses::default(),
         });
         let mut oracle = vec![0i64; pat.num_elements];
         for (i, r, x) in pat.iter_refs() {
@@ -497,7 +527,7 @@ mod tests {
             body: &spec.body,
             threads: 4,
             scheme: Scheme::Pclr,
-            inspection: None,
+            analyses: Analyses::default(),
         });
         let cycles = out.sim_cycles.unwrap();
         assert_eq!(

@@ -17,8 +17,8 @@ use crate::telemetry::{domain_label, scheme_code};
 use smartapps_core::toolbox::DomainKey;
 use smartapps_core::{DecisionRecord, GateVerdict};
 use smartapps_reductions::{
-    probe_uniform, recognize, run_fused_on, run_scan_group, CostGuard, FusedBody, Inspection,
-    Inspector, ModelInput, ScanElem, ScanMatch, Scheme,
+    probe_uniform, recognize, run_fused_with, run_scan_group, Analyses, CostGuard, FusedBody,
+    Inspection, Inspector, LocalIndex, ModelInput, ScanElem, ScanMatch, Scheme,
 };
 use smartapps_telemetry::{TraceBackend, TraceError, TraceEvent};
 use smartapps_workloads::AccessPattern;
@@ -47,14 +47,20 @@ const DRIFT_EVICT_STRIKES: u8 = 2;
 /// factor, so photo-finish classes do not flip-flop between rechecks.
 const RECHECK_MARGIN: f64 = 0.85;
 
+/// Entries in each dispatcher's `hash` slot-numbering cache.
+const LOCAL_INDEX_CAP: usize = 64;
+
 pub(crate) fn dispatcher_loop(shared: &Shared, id: usize) {
-    let mut cache = PatternCache::new(64);
-    let mut scans = PatternCache::new(32);
+    let mut caches = Caches {
+        inspections: PatternCache::new(64),
+        local: PatternCache::new(LOCAL_INDEX_CAP),
+        scans: PatternCache::new(32),
+    };
     while let Some(pop) = shared.queue.pop_batch_for(id, shared.max_batch) {
         if pop.stolen {
             RuntimeStats::add(&shared.stats.steals, 1);
         }
-        process_batch(shared, &mut cache, &mut scans, pop.jobs);
+        process_batch(shared, &mut caches, pop.jobs);
     }
 }
 
@@ -193,15 +199,17 @@ fn fail_fast(
 /// refuses and `Arc::make_mut` moves the value out — so a hit vouches for
 /// exactly the content the value was computed from.
 ///
-/// Two instances per dispatcher, living across batches (shard affinity
-/// keeps a workload class on one dispatcher, which keeps them warm):
-/// inspector analyses per (pattern, SPMD width), so a profiled `sel`/`lw`
-/// class does not re-inspect on every invocation; and *positive*
-/// recognizer walks per pattern (`X = ()`), keeping the simplification
-/// pass's O(R) walk off the steady-state path.  Negative walks persist
-/// per signature in the profile store (`simp` records) instead and
-/// short-circuit before the walk.  One more instance lives in the
-/// runtime: the submit path's signatures per (pattern, SPMD width).
+/// Three instances per dispatcher ([`Caches`]), living across batches
+/// (shard affinity keeps a workload class on one dispatcher, which keeps
+/// them warm): inspector analyses per (pattern, SPMD width), so a
+/// profiled `sel`/`lw` class does not re-inspect on every invocation;
+/// `hash` slot numberings per pattern (`X = ()`), so a `hash` class
+/// localizes once; and *positive* recognizer walks per pattern, keeping
+/// the simplification pass's O(R) walk off the steady-state path.
+/// Negative walks persist per signature in the profile store (`simp`
+/// records) instead and short-circuit before the walk.  One more instance
+/// lives in the runtime: the submit path's signatures per (pattern, SPMD
+/// width).
 pub(crate) struct PatternCache<X, V> {
     entries: HashMap<(usize, X), (Weak<AccessPattern>, V)>,
     order: VecDeque<(usize, X)>,
@@ -264,6 +272,50 @@ impl InspectionCache {
         let insp = Arc::new(Inspector::analyze(pat, threads));
         self.insert(pat, threads, insp.clone());
         insp
+    }
+}
+
+/// The `hash` slot-numbering instance: per pattern alone, since a
+/// [`LocalIndex`] does not depend on the SPMD width.
+type LocalCache = PatternCache<(), Arc<LocalIndex>>;
+
+impl LocalCache {
+    /// The slot numbering of `pat`, paying a localize pass on a miss
+    /// (counted as an inspection: it is the `hash` scheme's inspector).
+    fn localize(&mut self, pat: &Arc<AccessPattern>, stats: &RuntimeStats) -> Arc<LocalIndex> {
+        if let Some(local) = self.get(pat, ()) {
+            return local.clone();
+        }
+        RuntimeStats::add(&stats.inspections, 1);
+        let local = Arc::new(Inspector::localize(pat));
+        self.insert(pat, (), local.clone());
+        local
+    }
+}
+
+/// A dispatcher's pattern caches.
+struct Caches {
+    inspections: InspectionCache,
+    local: LocalCache,
+    scans: PatternCache<(), ScanMatch>,
+}
+
+impl Caches {
+    /// What a `scheme` kernel over `pat` at `threads` reuses, paying a
+    /// pass on a miss: the inspection for `sel`/`lw`, the slot numbering
+    /// for `hash`, nothing for the rest.
+    fn kernel_analyses(
+        &mut self,
+        scheme: Scheme,
+        pat: &Arc<AccessPattern>,
+        threads: usize,
+        stats: &RuntimeStats,
+    ) -> (Option<Arc<Inspection>>, Option<Arc<LocalIndex>>) {
+        match scheme {
+            Scheme::Sel | Scheme::Lw => (Some(self.inspections.analyze(pat, threads, stats)), None),
+            Scheme::Hash => (None, Some(self.local.localize(pat, stats))),
+            _ => (None, None),
+        }
     }
 }
 
@@ -453,7 +505,7 @@ struct FusePlan {
 
 /// The calibrated fusion gate.  A group of K ≥ 2 same-pattern jobs fuses
 /// when the corrected fanout-K model picks `hash` (analytically validated:
-/// one table probe feeds all K outputs), **or** when it picks another
+/// one slot lookup feeds all K outputs), **or** when it picks another
 /// software scheme *and* measured fused-side evidence backs that
 /// prediction and the corrected fused cost beats K split traversals.
 /// Declined groups occasionally run fused anyway as probes
@@ -596,7 +648,7 @@ fn i64_body(body: &JobBody) -> Option<FusedBody<'_, i64>> {
 /// refutes its uniformity declaration; else outputs plus probe time.
 fn run_kernel<'a, T: ScanElem>(
     shared: &Shared,
-    cache: &mut InspectionCache,
+    caches: &mut Caches,
     kernel: &GroupKernel<'_>,
     group: &'a [QueuedJob],
     pick: fn(&'a JobBody) -> Option<FusedBody<'a, T>>,
@@ -618,12 +670,15 @@ fn run_kernel<'a, T: ScanElem>(
         }
         GroupKernel::Fused(plan) => {
             let threads = threads_of(shared, &group[0].spec);
-            // `sel`/`lw` sweeps need the inspector's analysis; it is
-            // already cached from the gate's own pass.
-            let insp = matches!(plan.scheme, Scheme::Sel | Scheme::Lw)
-                .then(|| cache.analyze(pat, threads, &shared.stats));
+            // A `sel`/`lw` sweep's inspection is already cached from the
+            // gate's own pass; a `hash` sweep localizes once per pattern.
+            let (insp, local) = caches.kernel_analyses(plan.scheme, pat, threads, &shared.stats);
+            let analyses = Analyses {
+                inspection: insp.as_deref(),
+                local: local.as_deref(),
+            };
             let pool = &*shared.pool;
-            let outputs = run_fused_on(plan.scheme, pat, &bodies, threads, insp.as_deref(), pool);
+            let outputs = run_fused_with(plan.scheme, pat, &bodies, threads, analyses, pool);
             (outputs, 0)
         }
     };
@@ -648,7 +703,7 @@ fn run_kernel<'a, T: ScanElem>(
 /// through a path whose own fence pins the panic on the poisoned job.
 fn execute_group(
     shared: &Shared,
-    cache: &mut InspectionCache,
+    caches: &mut Caches,
     ctx: &BatchCtx,
     group: Vec<QueuedJob>,
     kernel: GroupKernel<'_>,
@@ -656,8 +711,8 @@ fn execute_group(
     let k = group.len();
     let t0 = Instant::now();
     let work = fenced(|| match &group[0].spec.body {
-        JobBody::F64(_) => run_kernel(shared, cache, &kernel, &group, f64_body, JobOutput::F64),
-        JobBody::I64(_) => run_kernel(shared, cache, &kernel, &group, i64_body, JobOutput::I64),
+        JobBody::F64(_) => run_kernel(shared, caches, &kernel, &group, f64_body, JobOutput::F64),
+        JobBody::I64(_) => run_kernel(shared, caches, &kernel, &group, i64_body, JobOutput::I64),
     });
     let elapsed = t0.elapsed();
     let executed_at = Instant::now();
@@ -681,7 +736,8 @@ fn execute_group(
             // post per iteration plus one scan, per member) — learning
             // never pays a fresh inspection, mirroring the per-job path.
             let first = &group[0].spec;
-            if let Some(insp) = cache.get(&first.pattern, threads_of(shared, first)) {
+            let threads = threads_of(shared, first);
+            if let Some(insp) = caches.inspections.get(&first.pattern, threads) {
                 let input = ModelInput::from_inspection(insp, first.lw_feasible);
                 let units = (m.rewritten_ops * k) as f64;
                 let domain = DomainKey::of(&insp.chars);
@@ -777,8 +833,7 @@ fn execute_group(
 ///    walks are).
 fn try_simplify(
     shared: &Shared,
-    cache: &mut InspectionCache,
-    scans: &mut PatternCache<(), ScanMatch>,
+    caches: &mut Caches,
     ctx: &mut BatchCtx,
     group: Vec<QueuedJob>,
 ) -> Option<Vec<QueuedJob>> {
@@ -803,7 +858,7 @@ fn try_simplify(
     }
     let gate_t0 = Instant::now();
     let pat = &group[0].spec.pattern;
-    let m = match scans.get(pat, ()) {
+    let m = match caches.scans.get(pat, ()) {
         Some(m) => *m,
         None => {
             // Every `Reject` variant is structural (pattern-only), so
@@ -812,7 +867,7 @@ fn try_simplify(
             shared.profile().set_scan_verdict(sig, walk.is_ok());
             match walk {
                 Ok(m) => {
-                    scans.insert(pat, (), m);
+                    caches.scans.insert(pat, (), m);
                     m
                 }
                 Err(_) => {
@@ -825,7 +880,7 @@ fn try_simplify(
     };
     let recognize_ns = gate_t0.elapsed().as_nanos() as u64;
     let kernel = GroupKernel::Scan { m, recognize_ns };
-    match execute_group(shared, cache, ctx, group, kernel) {
+    match execute_group(shared, caches, ctx, group, kernel) {
         Ok(()) => None,
         Err((group, reason, spent)) => {
             ctx.simplify_probe_ns = recognize_ns + spent.as_nanos() as u64;
@@ -835,12 +890,7 @@ fn try_simplify(
     }
 }
 
-fn process_batch(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    scans: &mut PatternCache<(), ScanMatch>,
-    batch: Vec<QueuedJob>,
-) {
+fn process_batch(shared: &Shared, caches: &mut Caches, batch: Vec<QueuedJob>) {
     let sig = batch[0].sig;
     let dequeued_at = Instant::now();
     let mut ctx = BatchCtx {
@@ -876,7 +926,14 @@ fn process_batch(
 
     // The decision may run the inspector over an arbitrary client
     // pattern, so it is fenced just like execution below.
-    let decision = fenced(|| decide_batch(shared, cache, &groups[0][0], profiled.as_ref()));
+    let decision = fenced(|| {
+        decide_batch(
+            shared,
+            &mut caches.inspections,
+            &groups[0][0],
+            profiled.as_ref(),
+        )
+    });
     ctx.decided_at = Instant::now();
     let decision = match decision {
         Ok(d) => d,
@@ -923,13 +980,15 @@ fn process_batch(
     for group in groups {
         // A declared-uniform group over a recognized scan/window family
         // runs the rewritten plan instead of any scheme sweep.
-        let Some(mut group) = try_simplify(shared, cache, scans, &mut ctx, group) else {
+        let Some(mut group) = try_simplify(shared, caches, &mut ctx, group) else {
             continue;
         };
         // Fusion gate: calibrated fused-vs-split comparison.
-        let plan = fenced(|| plan_fusion(shared, cache, &group)).ok().flatten();
+        let plan = fenced(|| plan_fusion(shared, &mut caches.inspections, &group))
+            .ok()
+            .flatten();
         if let Some(plan) = plan {
-            match execute_group(shared, cache, &ctx, group, GroupKernel::Fused(&plan)) {
+            match execute_group(shared, caches, &ctx, group, GroupKernel::Fused(&plan)) {
                 Ok(()) => continue,
                 // Isolation fallback: re-run each member alone (behind
                 // the batch's own per-job decision) so only the panicking
@@ -938,7 +997,7 @@ fn process_batch(
             }
         }
         for job in group {
-            execute_single(shared, cache, &mut ctx, decision.scheme, job);
+            execute_single(shared, caches, &mut ctx, decision.scheme, job);
         }
     }
 }
@@ -949,7 +1008,7 @@ fn process_batch(
 /// the simulated hardware backend.
 fn execute_single(
     shared: &Shared,
-    cache: &mut InspectionCache,
+    caches: &mut Caches,
     ctx: &mut BatchCtx,
     batch_scheme: Scheme,
     job: QueuedJob,
@@ -987,7 +1046,9 @@ fn execute_single(
     let work = fenced(|| {
         let redecided = masked_lw || masked_pclr || masked_simd;
         let scheme = if redecided {
-            let insp = cache.analyze(&job.spec.pattern, threads, &shared.stats);
+            let insp = caches
+                .inspections
+                .analyze(&job.spec.pattern, threads, &shared.stats);
             let domain = DomainKey::of(&insp.chars);
             let input = ModelInput::from_inspection(&insp, !masked_lw && job.spec.lw_feasible)
                 .with_pclr(!masked_pclr && shared.pclr_admits(&job.spec.pattern))
@@ -1006,14 +1067,17 @@ fn execute_single(
         } else {
             batch_scheme
         };
-        let insp = matches!(scheme, Scheme::Sel | Scheme::Lw)
-            .then(|| cache.analyze(&job.spec.pattern, threads, &shared.stats));
+        let (insp, local) =
+            caches.kernel_analyses(scheme, &job.spec.pattern, threads, &shared.stats);
         let req = ExecRequest {
             pattern: &job.spec.pattern,
             body: &job.spec.body,
             threads,
             scheme,
-            inspection: insp.as_deref(),
+            analyses: Analyses {
+                inspection: insp.as_deref(),
+                local: local.as_deref(),
+            },
         };
         let backend: &dyn Backend = match (scheme, &shared.pclr, &shared.simd) {
             (Scheme::Pclr, Some(pclr), _) => pclr,
@@ -1064,7 +1128,7 @@ fn execute_single(
         // inspection) feeds the calibrator a predicted-vs-measured sample,
         // and software/simulated cost halves pair up to fit cycle→ns.
         let mut class_label = None;
-        if let Some(insp) = cache.get(&job.spec.pattern, threads) {
+        if let Some(insp) = caches.inspections.get(&job.spec.pattern, threads) {
             let domain = DomainKey::of(&insp.chars);
             class_label = Some(domain_label(&domain));
             let input = ModelInput::from_inspection(insp, job.spec.lw_feasible)
@@ -1278,6 +1342,41 @@ mod tests {
         let before = stats.snapshot().inspections;
         cache.analyze(&fresh, 3, &stats);
         assert_eq!(stats.snapshot().inspections, before + 1);
+    }
+
+    #[test]
+    fn local_cache_reuses_and_revalidates() {
+        let stats = RuntimeStats::default();
+        let mut caches = Caches {
+            inspections: InspectionCache::new(4),
+            local: LocalCache::new(4),
+            scans: PatternCache::new(4),
+        };
+        let pat = pattern(33);
+        let first = caches.local.localize(&pat, &stats);
+        let second = caches.local.localize(&pat, &stats);
+        assert_eq!(stats.snapshot().inspections, 1, "same Arc must hit");
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "a hit must share the cached index, not copy it"
+        );
+        // The index does not depend on the SPMD width: a second width
+        // shares it.
+        let (insp, local) = caches.kernel_analyses(Scheme::Hash, &pat, 5, &stats);
+        assert!(insp.is_none() && Arc::ptr_eq(&local.unwrap(), &first));
+        assert_eq!(stats.snapshot().inspections, 1, "a new width must hit");
+        // A dead Arc whose address gets reused gets a fresh pass.
+        let addr = Arc::as_ptr(&pat) as usize;
+        drop(pat);
+        let mut fresh = pattern(34);
+        for _ in 0..64 {
+            if Arc::as_ptr(&fresh) as usize == addr {
+                break;
+            }
+            fresh = pattern(34);
+        }
+        caches.local.localize(&fresh, &stats);
+        assert_eq!(stats.snapshot().inspections, 2);
     }
 
     #[test]

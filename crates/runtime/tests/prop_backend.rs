@@ -9,7 +9,7 @@
 //! and drain a whole machine.
 
 use proptest::prelude::*;
-use smartapps_reductions::Scheme;
+use smartapps_reductions::{Analyses, Scheme};
 use smartapps_runtime::backend::{Backend, ExecRequest, PclrBackend, PclrConfig};
 use smartapps_runtime::JobSpec;
 use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
@@ -62,7 +62,7 @@ fn run_pclr(backend: &PclrBackend, pat: &Arc<AccessPattern>, spec: &JobSpec) -> 
         body: &spec.body,
         threads: backend.config().nodes,
         scheme: Scheme::Pclr,
-        inspection: None,
+        analyses: Analyses::default(),
     });
     (
         out.output.as_i64().unwrap().to_vec(),
@@ -107,7 +107,7 @@ proptest! {
             body: &spec.body,
             threads: 4,
             scheme: Scheme::Pclr,
-            inspection: None,
+            analyses: Analyses::default(),
         });
         let oracle = sequential_reduce(&pat);
         for (e, (a, b)) in oracle.iter().zip(out.output.as_f64().unwrap()).enumerate() {

@@ -14,7 +14,7 @@
 //!   these magnitudes).
 
 use proptest::prelude::*;
-use smartapps_reductions::Scheme;
+use smartapps_reductions::{Analyses, Scheme};
 use smartapps_runtime::backend::{Backend, ExecRequest, SimdBackend};
 use smartapps_runtime::{JobSpec, WorkerPool};
 use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
@@ -71,7 +71,7 @@ fn run_simd_i64(
         body: &spec.body,
         threads,
         scheme: Scheme::Simd,
-        inspection: None,
+        analyses: Analyses::default(),
     });
     assert!(out.sim_cycles.is_none(), "simd is a wall-clock backend");
     out.output.as_i64().unwrap().to_vec()
@@ -89,7 +89,7 @@ fn run_simd_f64(
             body: &spec.body,
             threads,
             scheme: Scheme::Simd,
-            inspection: None,
+            analyses: Analyses::default(),
         })
         .output
         .as_f64()

@@ -5,14 +5,14 @@
 //! persist through the profile store's `corr` records.
 //!
 //! The scenario is a cold-vs-calibrated decision matrix: the model
-//! under-costs `hash` so badly that a dense, cache-resident class —
-//! honest `rep`/`ll` territory — decides onto `hash` when cold.
-//! Exploration slots measure the schemes the model mis-ranks, profile
-//! rechecks re-run the decision under the accumulated corrections (the
-//! paper's "Redecide" adaptation), the class flips off `hash`, and a
-//! restarted service — corrections loaded, zero warm-up traffic — keeps
-//! deciding the measured-faster way even for classes it has never
-//! profiled.
+//! under-costs `rep`'s O(N) init and merge sweeps so badly that an
+//! extremely sparse class over a large array — honest `hash`/`sel`
+//! territory — decides onto `rep` when cold.  Exploration slots measure
+//! the schemes the model mis-ranks, profile rechecks re-run the decision
+//! under the accumulated corrections (the paper's "Redecide" adaptation),
+//! the class flips off `rep`, and a restarted service — corrections
+//! loaded, zero warm-up traffic — keeps deciding the measured-faster way
+//! even for classes it has never profiled.
 
 use smartapps::core::toolbox::DomainKey;
 use smartapps::reductions::{DecisionModel, ModelParams, Scheme};
@@ -33,8 +33,7 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// A dense, cache-resident, high-reuse class: honest models send it to
 /// the privatizing family (`rep`/`ll`/`sel`, or their lane-striped
-/// `simd` variant when the vectorized backend is enabled); the lying
-/// model below sends it to `hash`.
+/// `simd` variant when the vectorized backend is enabled).
 fn dense(iterations: usize) -> Arc<AccessPattern> {
     Arc::new(
         PatternSpec {
@@ -49,13 +48,31 @@ fn dense(iterations: usize) -> Arc<AccessPattern> {
     )
 }
 
-/// A model that lies about `hash`: the per-reference probe is priced at
-/// 2% of its honest constant, so `hash` wins the cold analytic ranking
-/// on dense classes where it measurably loses by a wide margin.
+/// An extremely sparse class: 2 % of a 1 Mi-element array is ever
+/// touched, so a scheme whose storage follows the touched set (`hash`,
+/// `sel`) beats `rep`, which initializes and merges every element of
+/// every thread's private copy, several times over.
+fn sparse(iterations: usize) -> Arc<AccessPattern> {
+    Arc::new(
+        PatternSpec {
+            num_elements: 1 << 20,
+            iterations,
+            refs_per_iter: 2,
+            coverage: 0.02,
+            dist: Distribution::Uniform,
+            seed: 7,
+        }
+        .generate(),
+    )
+}
+
+/// A model that lies about `rep`: its init and merge sweeps are priced
+/// at nothing, so `rep` wins the cold analytic ranking on sparse classes
+/// where it measurably loses by a wide margin.
 fn lying_model() -> DecisionModel {
     DecisionModel::new(ModelParams {
-        hash_per_ref: 0.05,
-        hash_merge_elem: 0.5,
+        init_store: 0.0,
+        rep_merge_elem: 0.0,
         ..ModelParams::default()
     })
 }
@@ -80,12 +97,12 @@ fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
     let _ = std::fs::remove_file(&path);
 
     // 40k iterations: signature bucket log2(40000) = 16.
-    let pat = dense(40_000);
+    let pat = sparse(40_000);
     let oracle = sequential_reduce_i64(&pat);
     let domain = DomainKey::of(&PatternChars::measure(&pat));
 
     // ── Phase 1+2 (cold → measure): the lying model routes the class to
-    // hash; repeats are profile hits that keep feeding the calibrator,
+    // rep; repeats are profile hits that keep feeding the calibrator,
     // every 3rd batch explores an unmeasured scheme, and every 4th
     // profile hit rechecks the entry under the corrected ranking.
     {
@@ -101,8 +118,8 @@ fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
         assert!(r.error.is_none());
         assert_eq!(
             r.scheme,
-            Scheme::Hash,
-            "the mis-calibrated model must pick hash cold"
+            Scheme::Rep,
+            "the mis-calibrated model must pick rep cold"
         );
         let mut last = r.scheme;
         for _ in 0..30 {
@@ -120,19 +137,19 @@ fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
         );
         assert_ne!(
             last,
-            Scheme::Hash,
+            Scheme::Rep,
             "corrections must re-route the class (stats: {stats:?})"
         );
         // The re-route is sticky in this process: the final run rides the
         // re-recorded profile entry.
         let settled = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
-        assert_ne!(settled.scheme, Scheme::Hash);
-        // And the corrected model now ranks hash above the measured
+        assert_ne!(settled.scheme, Scheme::Rep);
+        // And the corrected model now ranks rep above the measured
         // winner in this domain.
         assert!(
-            rt.correction(Scheme::Hash, domain, false)
+            rt.correction(Scheme::Rep, domain, false)
                 > rt.correction(settled.scheme, domain, false),
-            "hash must carry the larger measured/predicted correction"
+            "rep must carry the larger measured/predicted correction"
         );
         rt.shutdown();
     }
@@ -157,14 +174,14 @@ fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
         assert!(r.profile_hit, "restart must remember the class");
         assert_ne!(
             r.scheme,
-            Scheme::Hash,
+            Scheme::Rep,
             "the re-routing must survive the restart"
         );
         assert_eq!(r.output.as_i64().unwrap(), oracle);
 
-        // 25k iterations: bucket log2(25000) = 15 — a fresh signature in
+        // 30k iterations: bucket log2(30000) = 15 — a fresh signature in
         // the same functioning domain.
-        let fresh = dense(25_000);
+        let fresh = sparse(30_000);
         assert_eq!(
             DomainKey::of(&PatternChars::measure(&fresh)),
             domain,
@@ -174,15 +191,12 @@ fn calibration_reroutes_a_class_and_the_rerouting_survives_restart() {
         assert!(!r.profile_hit, "a fresh signature must re-decide");
         assert_ne!(
             r.scheme,
-            Scheme::Hash,
+            Scheme::Rep,
             "persisted corrections must steer the fresh decision"
         );
         assert!(
-            matches!(
-                r.scheme,
-                Scheme::Rep | Scheme::Ll | Scheme::Sel | Scheme::Simd
-            ),
-            "a dense class belongs to the privatizing family, got {}",
+            matches!(r.scheme, Scheme::Hash | Scheme::Sel),
+            "a sparse class belongs to the touched-set schemes, got {}",
             r.scheme
         );
         assert_eq!(r.output.as_i64().unwrap(), sequential_reduce_i64(&fresh));

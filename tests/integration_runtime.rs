@@ -2,6 +2,7 @@
 //! clients hammering one runtime, bit-exact results against the
 //! sequential oracle, and profile-store persistence across a restart.
 
+use smartapps::reductions::Scheme;
 use smartapps::runtime::{JobSpec, ProfileStore, Runtime, RuntimeConfig};
 use smartapps::workloads::pattern::{sequential_reduce, sequential_reduce_i64};
 use smartapps::workloads::{
@@ -252,9 +253,40 @@ fn fused_batch_matches_k_sequential_oracles() {
     let stats = rt.stats();
     assert_eq!(stats.fused_sweeps, 1, "{stats:?}");
     assert_eq!(stats.fused_jobs, K as u64);
-    // One decision for the fused batch: at most one inspection beyond the
-    // warm-up job's.
-    assert!(stats.inspections <= 2, "{stats:?}");
+    // One decision for the fused batch: one inspection beyond the warm-up
+    // job's, plus the one localize pass that numbers the pattern's
+    // touched set for the hash sweep.
+    assert_eq!(stats.inspections, 3, "{stats:?}");
+}
+
+/// A class decided `hash` localizes once per pattern allocation: fifty
+/// runs over one `Arc` share one cached slot numbering, and the pattern
+/// rewritten through `Arc::make_mut` (a new allocation, since the cache's
+/// `Weak` freezes the old one) gets a fresh numbering, not a stale one.
+#[test]
+fn hash_class_localizes_once_per_pattern_allocation() {
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 2,
+        dispatchers: 1,
+        ..RuntimeConfig::default()
+    });
+    let mut pat = pattern(37, 1 << 20, 262_144, 0.02);
+    let oracle = sequential_reduce_i64(&pat);
+    for run in 0..50 {
+        let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
+        assert_eq!(r.scheme, Scheme::Hash, "run {run}");
+        assert_eq!(r.output.as_i64().unwrap(), &oracle[..], "run {run}");
+    }
+    // One inspection for the decision, exactly one more to localize.
+    assert_eq!(rt.stats().inspections, 2, "{:?}", rt.stats());
+    // Shift every reference to the next slot: same class, same signature,
+    // different element per reference.
+    Arc::make_mut(&mut pat).indices.rotate_left(1);
+    let oracle = sequential_reduce_i64(&pat);
+    let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
+    assert_eq!(r.scheme, Scheme::Hash);
+    assert_eq!(r.output.as_i64().unwrap(), &oracle[..]);
+    assert_eq!(rt.stats().inspections, 3, "{:?}", rt.stats());
 }
 
 /// Adaptive feedback loops run on the service's pool and learn into the
