@@ -40,6 +40,13 @@
 //! `body_k`.  Every merge but `ll`'s combines in a fixed order, so those
 //! kernels are also run-to-run bit-identical on floating point.
 //!
+//! **Width 1 is the sequential sweep.**  At one thread every software
+//! scheme, single or fused, runs `seq`'s traversal, before any inspection
+//! or localize pass.  This is bit-identical on floating point too: a lone
+//! thread combines each element's contributions in iteration order from
+//! the neutral element, and a merge only adds `neutral ⊕ x = x`.  So the
+//! private storage, the maps and the merge buy nothing at width 1.
+//!
 //! `hash` reduces over the touched set numbered once by
 //! [`Inspector::localize`]: a [`LocalIndex`] gives every reference the
 //! dense slot of its element, so private storage is `K × distinct` per
@@ -148,7 +155,9 @@ fn each_keyed(
 /// array per body) — the one scheme dispatch behind both public entry
 /// points.  `sel` and `lw` need an inspection and `hash` a
 /// [`LocalIndex`]; the caller's are reused when supplied, otherwise the
-/// missing one is computed here, per call.
+/// missing one is computed here, per call.  At width 1 every software
+/// scheme runs [`seq_sweep`] instead, before any inspection or localize
+/// pass (bit-identical; see the module doc).
 ///
 /// # Panics
 ///
@@ -164,6 +173,9 @@ pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
     outs: &(impl AsRef<[UnsafeSlice<'o, T>]> + ?Sized),
 ) {
     assert!(threads >= 1 || scheme == Scheme::Seq);
+    if threads <= 1 && scheme.is_software() {
+        return seq_sweep(pat, bodies, outs);
+    }
     let (own_insp, own_local);
     let insp = match (scheme, analyses.inspection) {
         (Scheme::Sel | Scheme::Lw, None) => {
@@ -617,7 +629,7 @@ mod tests {
         let scale = |kk: usize| 0.5f64.powi(kk as i32);
         let base = sequential_reduce(&pat);
         for k in [1usize, 3] {
-            for threads in [2usize, 4] {
+            for threads in [1usize, 2, 4] {
                 for s in SOFTWARE {
                     let got = run_k(s, &pat, k, threads, &SpawnExecutor, |kk, r| {
                         contribution(r) * scale(kk)
@@ -625,10 +637,14 @@ mod tests {
                     for (kk, out) in got.iter().enumerate() {
                         for (e, (a, b)) in base.iter().zip(out).enumerate() {
                             let a = a * scale(kk);
-                            assert!(
-                                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                                "{s} x{threads} k={k} output {kk} elem {e}: {a} vs {b}"
-                            );
+                            let at = format!("{s} x{threads} k={k} output {kk} elem {e}");
+                            if threads == 1 {
+                                // Width 1 is the sequential sweep: exact.
+                                assert_eq!(a.to_bits(), b.to_bits(), "{at}: {a} vs {b}");
+                            } else {
+                                let tol = 1e-9 * a.abs().max(1.0);
+                                assert!((a - b).abs() <= tol, "{at}: {a} vs {b}");
+                            }
                         }
                     }
                 }

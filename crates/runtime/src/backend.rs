@@ -24,10 +24,10 @@
 //! bodies propagate to the caller (the dispatcher fences every execution
 //! in `catch_unwind`).
 
-use crate::job::{JobBody, JobOutput};
+use crate::job::{JobBody, JobOutput, Visit};
 use crate::pool::WorkerPool;
 use smartapps_core::calibrate::Correction;
-use smartapps_reductions::{run_scheme_with, simd_reduce_on, Analyses, Scheme};
+use smartapps_reductions::{run_scheme_with, simd_reduce_on, Analyses, Scheme, SimdElem};
 use smartapps_sim::offload::run_reduction;
 use smartapps_sim::{MachineConfig, RedOp};
 use smartapps_workloads::tracegen::{pclr_traces_with_values, TraceParams, ValueFn};
@@ -79,6 +79,39 @@ pub trait Backend: Send + Sync {
     fn execute(&self, req: &ExecRequest<'_>) -> ExecOutcome;
 }
 
+/// A single-job kernel, generic over the body it runs.
+trait Kernel {
+    fn run<T: SimdElem>(&self, body: &(impl Fn(usize, usize) -> T + Sync)) -> Vec<T>;
+}
+
+/// Run `kernel` over `body` and time it.  The body is matched once per
+/// job: a closure body is called through its `dyn` pointer at every
+/// reference, a built-in reaches the kernel as a concrete closure the
+/// kernel inlines.
+fn run_body(body: &JobBody, kernel: impl Kernel) -> ExecOutcome {
+    struct Static<K>(K);
+    impl<K: Kernel> Visit for Static<K> {
+        type Out = JobOutput;
+        fn f64(self, f: impl Fn(usize, usize) -> f64 + Copy + Send + Sync + 'static) -> JobOutput {
+            JobOutput::F64(self.0.run(&f))
+        }
+        fn i64(self, f: impl Fn(usize, usize) -> i64 + Copy + Send + Sync + 'static) -> JobOutput {
+            JobOutput::I64(self.0.run(&f))
+        }
+    }
+    let t0 = Instant::now();
+    let output = match body {
+        JobBody::F64(f) => JobOutput::F64(kernel.run(&|i, r| f(i, r))),
+        JobBody::I64(f) => JobOutput::I64(kernel.run(&|i, r| f(i, r))),
+        JobBody::Builtin(b) => b.visit(Static(kernel)),
+    };
+    ExecOutcome {
+        output,
+        cost: t0.elapsed(),
+        sim_cycles: None,
+    }
+}
+
 /// The software path: the reduction library's scheme kernels on the
 /// persistent worker pool, timed with the host clock.
 pub struct SoftwareBackend {
@@ -102,31 +135,21 @@ impl Backend for SoftwareBackend {
     }
 
     fn execute(&self, req: &ExecRequest<'_>) -> ExecOutcome {
-        let pool: &WorkerPool = &self.pool;
-        let t0 = Instant::now();
-        let output = match req.body {
-            JobBody::F64(f) => JobOutput::F64(run_scheme_with(
-                req.scheme,
-                req.pattern,
-                &|i, r| f(i, r),
-                req.threads,
-                req.analyses,
-                pool,
-            )),
-            JobBody::I64(f) => JobOutput::I64(run_scheme_with(
-                req.scheme,
-                req.pattern,
-                &|i, r| f(i, r),
-                req.threads,
-                req.analyses,
-                pool,
-            )),
-        };
-        ExecOutcome {
-            output,
-            cost: t0.elapsed(),
-            sim_cycles: None,
+        struct Sweep<'r, 'a>(&'r ExecRequest<'a>, &'r WorkerPool);
+        impl Kernel for Sweep<'_, '_> {
+            fn run<T: SimdElem>(&self, body: &(impl Fn(usize, usize) -> T + Sync)) -> Vec<T> {
+                let Sweep(req, pool) = *self;
+                run_scheme_with(
+                    req.scheme,
+                    req.pattern,
+                    body,
+                    req.threads,
+                    req.analyses,
+                    pool,
+                )
+            }
         }
+        run_body(req.body, Sweep(req, &self.pool))
     }
 }
 
@@ -157,27 +180,14 @@ impl Backend for SimdBackend {
 
     fn execute(&self, req: &ExecRequest<'_>) -> ExecOutcome {
         debug_assert_eq!(req.scheme, Scheme::Simd);
-        let pool: &WorkerPool = &self.pool;
-        let t0 = Instant::now();
-        let output = match req.body {
-            JobBody::F64(f) => JobOutput::F64(simd_reduce_on(
-                req.pattern,
-                &|i, r| f(i, r),
-                req.threads,
-                pool,
-            )),
-            JobBody::I64(f) => JobOutput::I64(simd_reduce_on(
-                req.pattern,
-                &|i, r| f(i, r),
-                req.threads,
-                pool,
-            )),
-        };
-        ExecOutcome {
-            output,
-            cost: t0.elapsed(),
-            sim_cycles: None,
+        struct Tree<'r, 'a>(&'r ExecRequest<'a>, &'r WorkerPool);
+        impl Kernel for Tree<'_, '_> {
+            fn run<T: SimdElem>(&self, body: &(impl Fn(usize, usize) -> T + Sync)) -> Vec<T> {
+                let Tree(req, pool) = *self;
+                simd_reduce_on(req.pattern, body, req.threads, pool)
+            }
         }
+        run_body(req.body, Tree(req, &self.pool))
     }
 }
 
@@ -318,6 +328,13 @@ impl Backend for PclrBackend {
                 let f = f.clone();
                 (RedOp::AddI64, Arc::new(move |i, r| f(i, r) as u64))
             }
+            JobBody::Builtin(_) => {
+                let body = req.body.dynamic();
+                return self.execute(&ExecRequest {
+                    body: &body,
+                    ..*req
+                });
+            }
         };
         let params = TraceParams {
             op,
@@ -326,11 +343,10 @@ impl Backend for PclrBackend {
         };
         let traces = pclr_traces_with_values(req.pattern, self.config.nodes, params, vals);
         let sim = run_reduction(self.machine.clone(), traces, req.pattern.num_elements);
-        let output = match req.body {
-            JobBody::F64(_) => {
-                JobOutput::F64(sim.values.iter().map(|&v| f64::from_bits(v)).collect())
-            }
-            JobBody::I64(_) => JobOutput::I64(sim.values.iter().map(|&v| v as i64).collect()),
+        let output = if req.body.is_f64() {
+            JobOutput::F64(sim.values.iter().map(|&v| f64::from_bits(v)).collect())
+        } else {
+            JobOutput::I64(sim.values.iter().map(|&v| v as i64).collect())
         };
         let cycles = sim.cycles();
         let cycle_ns = self.fitted_cycle_ns().ns_per_unit;

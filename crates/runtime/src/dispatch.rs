@@ -303,7 +303,8 @@ struct Caches {
 impl Caches {
     /// What a `scheme` kernel over `pat` at `threads` reuses, paying a
     /// pass on a miss: the inspection for `sel`/`lw`, the slot numbering
-    /// for `hash`, nothing for the rest.
+    /// for `hash`, nothing for the rest — and nothing at width 1, where
+    /// every software scheme runs the sequential sweep.
     fn kernel_analyses(
         &mut self,
         scheme: Scheme,
@@ -311,6 +312,9 @@ impl Caches {
         threads: usize,
         stats: &RuntimeStats,
     ) -> (Option<Arc<Inspection>>, Option<Arc<LocalIndex>>) {
+        if threads == 1 {
+            return (None, None);
+        }
         match scheme {
             Scheme::Sel | Scheme::Lw => (Some(self.inspections.analyze(pat, threads, stats)), None),
             Scheme::Hash => (None, Some(self.local.localize(pat, stats))),
@@ -343,9 +347,10 @@ fn threads_of(shared: &Shared, spec: &JobSpec) -> usize {
 
 /// The empty output matching a body's flavor (for failed jobs).
 fn empty_output(body: &JobBody) -> JobOutput {
-    match body {
-        JobBody::F64(_) => JobOutput::F64(Vec::new()),
-        JobBody::I64(_) => JobOutput::I64(Vec::new()),
+    if body.is_f64() {
+        JobOutput::F64(Vec::new())
+    } else {
+        JobOutput::I64(Vec::new())
     }
 }
 
@@ -594,7 +599,7 @@ fn fuse_groups(
     for job in batch {
         let key: FuseKey = (
             Arc::as_ptr(&job.spec.pattern) as usize,
-            matches!(job.spec.body, JobBody::F64(_)),
+            job.spec.body.is_f64(),
             job.spec.threads.unwrap_or(default_threads).max(1),
             job.spec.lw_feasible,
             job.spec.uniform_body,
@@ -631,33 +636,35 @@ enum GroupKernel<'a> {
 fn f64_body(body: &JobBody) -> Option<FusedBody<'_, f64>> {
     match body {
         JobBody::F64(f) => Some(&**f),
-        JobBody::I64(_) => None,
+        JobBody::I64(_) | JobBody::Builtin(_) => None,
     }
 }
 
 fn i64_body(body: &JobBody) -> Option<FusedBody<'_, i64>> {
     match body {
         JobBody::I64(f) => Some(&**f),
-        JobBody::F64(_) => None,
+        JobBody::F64(_) | JobBody::Builtin(_) => None,
     }
 }
 
-/// Collect a group's bodies in one element flavor (`pick` is `None` for
-/// the other, which [`fuse_groups`] never lets into the group), run
-/// `kernel` over them, and wrap the K outputs.  `None` when a body
-/// refutes its uniformity declaration; else outputs plus probe time.
-fn run_kernel<'a, T: ScanElem>(
+/// Collect a group's bodies in one element flavor, as closures (`pick`
+/// is `None` for the other flavor, which [`fuse_groups`] never lets into
+/// the group), run `kernel` over them, and wrap the K outputs.  `None`
+/// when a body refutes its uniformity declaration; else outputs plus
+/// probe time.
+fn run_kernel<T: ScanElem>(
     shared: &Shared,
     caches: &mut Caches,
     kernel: &GroupKernel<'_>,
-    group: &'a [QueuedJob],
-    pick: fn(&'a JobBody) -> Option<FusedBody<'a, T>>,
+    group: &[QueuedJob],
+    pick: fn(&JobBody) -> Option<FusedBody<'_, T>>,
     wrap: fn(Vec<T>) -> JobOutput,
 ) -> Option<(Vec<JobOutput>, u64)> {
     let pat = &group[0].spec.pattern;
-    let bodies: Vec<FusedBody<'a, T>> = group
+    let dynamic: Vec<_> = group.iter().map(|j| j.spec.body.dynamic()).collect();
+    let bodies: Vec<FusedBody<'_, T>> = dynamic
         .iter()
-        .map(|j| pick(&j.spec.body).unwrap_or_else(|| unreachable!("fuse group mixes flavors")))
+        .map(|b| pick(b).unwrap_or_else(|| unreachable!("fuse group mixes flavors")))
         .collect();
     let (outputs, probe_ns) = match kernel {
         GroupKernel::Scan { .. } => {
@@ -710,9 +717,12 @@ fn execute_group(
 ) -> Result<(), (Vec<QueuedJob>, &'static str, Duration)> {
     let k = group.len();
     let t0 = Instant::now();
-    let work = fenced(|| match &group[0].spec.body {
-        JobBody::F64(_) => run_kernel(shared, caches, &kernel, &group, f64_body, JobOutput::F64),
-        JobBody::I64(_) => run_kernel(shared, caches, &kernel, &group, i64_body, JobOutput::I64),
+    let work = fenced(|| {
+        if group[0].spec.body.is_f64() {
+            run_kernel(shared, caches, &kernel, &group, f64_body, JobOutput::F64)
+        } else {
+            run_kernel(shared, caches, &kernel, &group, i64_body, JobOutput::I64)
+        }
     });
     let elapsed = t0.elapsed();
     let executed_at = Instant::now();

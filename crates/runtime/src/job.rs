@@ -12,7 +12,8 @@ use crate::error::JobError;
 use smartapps_core::toolbox::DomainKey;
 use smartapps_reductions::Scheme;
 use smartapps_workloads::pattern::AccessPattern;
-use smartapps_workloads::PatternChars;
+use smartapps_workloads::{contribution, contribution_i64, PatternChars};
+use std::borrow::Cow;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -29,6 +30,97 @@ pub enum JobBody {
     F64(F64Body),
     /// Integer reduction (bit-equal across schemes).
     I64(I64Body),
+    /// One of the service's built-in bodies.  A single-job kernel matches
+    /// it once per job and runs it as a concrete closure it can inline;
+    /// the fused, scan and PCLR paths call a shared closure made from the
+    /// same value.
+    Builtin(Builtin),
+}
+
+impl JobBody {
+    /// Whether the body produces f64 outputs.
+    pub(crate) fn is_f64(&self) -> bool {
+        match self {
+            JobBody::F64(_) => true,
+            JobBody::I64(_) => false,
+            JobBody::Builtin(b) => b.is_f64(),
+        }
+    }
+
+    /// The body as a shared closure, for the paths that call bodies
+    /// through `dyn`: a closure body as it is, a built-in as the closure
+    /// made from it.
+    pub(crate) fn dynamic(&self) -> Cow<'_, JobBody> {
+        struct Dyn;
+        impl Visit for Dyn {
+            type Out = JobBody;
+            fn f64(
+                self,
+                f: impl Fn(usize, usize) -> f64 + Copy + Send + Sync + 'static,
+            ) -> JobBody {
+                JobBody::F64(Arc::new(f))
+            }
+            fn i64(
+                self,
+                f: impl Fn(usize, usize) -> i64 + Copy + Send + Sync + 'static,
+            ) -> JobBody {
+                JobBody::I64(Arc::new(f))
+            }
+        }
+        match self {
+            JobBody::Builtin(b) => Cow::Owned(b.visit(Dyn)),
+            body => Cow::Borrowed(body),
+        }
+    }
+}
+
+/// The service's built-in contribution bodies, named the way the wire
+/// protocol names them.  `r` is the reference slot and `i` the iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Builtin {
+    /// `contribution_i64(r)` (wire `sum`).
+    Sum,
+    /// `contribution_i64(r) · k`, wrapping (wire `mul:k`).
+    Mul(i64),
+    /// `contribution(r)` (wire `fsum`).
+    FSum,
+    /// `contribution_i64(i)`, iteration-uniform (wire `usum`).
+    Usum,
+    /// `contribution(i)`, iteration-uniform (wire `fusum`).
+    Fusum,
+}
+
+impl Builtin {
+    /// Whether the body produces f64 outputs.
+    pub fn is_f64(self) -> bool {
+        matches!(self, Builtin::FSum | Builtin::Fusum)
+    }
+
+    /// Whether the body depends on the iteration only (see
+    /// [`JobSpec::uniform_body`]).
+    pub fn is_uniform(self) -> bool {
+        matches!(self, Builtin::Usum | Builtin::Fusum)
+    }
+
+    /// Hand `v` this body as a concrete closure.  This is the one place
+    /// each built-in is spelled, so every consumer runs the same function.
+    #[inline(always)]
+    pub(crate) fn visit<V: Visit>(self, v: V) -> V::Out {
+        match self {
+            Builtin::Sum => v.i64(|_i, r| contribution_i64(r)),
+            Builtin::Mul(k) => v.i64(move |_i, r| contribution_i64(r).wrapping_mul(k)),
+            Builtin::FSum => v.f64(|_i, r| contribution(r)),
+            Builtin::Usum => v.i64(|i, _r| contribution_i64(i)),
+            Builtin::Fusum => v.f64(|i, _r| contribution(i)),
+        }
+    }
+}
+
+/// What [`Builtin::visit`] hands a built-in's closure to.
+pub(crate) trait Visit {
+    type Out;
+    fn f64(self, f: impl Fn(usize, usize) -> f64 + Copy + Send + Sync + 'static) -> Self::Out;
+    fn i64(self, f: impl Fn(usize, usize) -> i64 + Copy + Send + Sync + 'static) -> Self::Out;
 }
 
 /// The result array of a finished job.
@@ -51,6 +143,22 @@ impl JobOutput {
 
     /// The i64 array, if this was an i64 job.
     pub fn as_i64(&self) -> Option<&[i64]> {
+        match self {
+            JobOutput::I64(v) => Some(v),
+            JobOutput::F64(_) => None,
+        }
+    }
+
+    /// The f64 array, moved out, if this was an f64 job.
+    pub fn into_f64(self) -> Option<Vec<f64>> {
+        match self {
+            JobOutput::F64(v) => Some(v),
+            JobOutput::I64(_) => None,
+        }
+    }
+
+    /// The i64 array, moved out, if this was an i64 job.
+    pub fn into_i64(self) -> Option<Vec<i64>> {
         match self {
             JobOutput::I64(v) => Some(v),
             JobOutput::F64(_) => None,
@@ -120,6 +228,19 @@ impl JobSpec {
             threads: None,
             lw_feasible: false,
             uniform_body: false,
+        }
+    }
+
+    /// A job running a built-in body with default threading; the
+    /// iteration-uniform built-ins come declared
+    /// [`uniform_body`](JobSpec::uniform_body).
+    pub fn builtin(pattern: Arc<AccessPattern>, body: Builtin) -> Self {
+        JobSpec {
+            pattern,
+            body: JobBody::Builtin(body),
+            threads: None,
+            lw_feasible: false,
+            uniform_body: body.is_uniform(),
         }
     }
 

@@ -94,7 +94,7 @@ pub use backend::{
 pub use completion::{Completion, CompletionSet};
 pub use error::{JobError, JobErrorKind};
 pub use intern::{InternError, Interned, PatternInterner};
-pub use job::{JobBody, JobHandle, JobOutput, JobResult, JobSpec, PatternSignature};
+pub use job::{Builtin, JobBody, JobHandle, JobOutput, JobResult, JobSpec, PatternSignature};
 pub use pool::WorkerPool;
 pub use profile::{ProfileEntry, ProfileStore};
 pub use runtime::{CalibrationConfig, Runtime, RuntimeConfig};

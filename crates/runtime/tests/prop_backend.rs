@@ -1,22 +1,27 @@
-//! Property tests for the PCLR hardware backend: for arbitrary access
-//! patterns, the result read back from the simulated machine equals the
-//! software sequential oracle — bit-exact for integer reductions,
-//! within reassociation tolerance for floating point — and repeated
-//! runs are deterministic down to the cycle count.
+//! Property tests for the execution backends.
 //!
-//! Patterns are kept small: the event-driven simulator runs orders of
-//! magnitude slower than native execution, and these cases each build
-//! and drain a whole machine.
+//! * The PCLR hardware backend: for arbitrary access patterns, the
+//!   result read back from the simulated machine equals the software
+//!   sequential oracle — bit-exact for integer reductions, within
+//!   reassociation tolerance for floating point — and repeated runs are
+//!   deterministic down to the cycle count.  Patterns are kept small: the
+//!   event-driven simulator runs orders of magnitude slower than native
+//!   execution, and these cases each build and drain a whole machine.
+//! * The software backend's built-in bodies: every [`Builtin`], under
+//!   every software scheme and at widths 1, 2, 4 and 7, produces the
+//!   output of the same function submitted as a closure, bit for bit.
+//!   The built-in runs as a concrete closure the kernel inlines, the
+//!   closure through `dyn`; the two may differ in codegen, never in bits.
 
 use proptest::prelude::*;
 use smartapps_reductions::{Analyses, Scheme};
-use smartapps_runtime::backend::{Backend, ExecRequest, PclrBackend, PclrConfig};
-use smartapps_runtime::JobSpec;
+use smartapps_runtime::backend::{Backend, ExecRequest, PclrBackend, PclrConfig, SoftwareBackend};
+use smartapps_runtime::{Builtin, JobOutput, JobSpec, WorkerPool};
 use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
 use smartapps_workloads::{
     contribution, contribution_i64, AccessPattern, Distribution, PatternSpec,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Strategy: small CSR patterns (empty iterations, duplicate indices,
 /// single elements — the shapes that break address/partition math).
@@ -129,5 +134,115 @@ proptest! {
         let (b, cycles_b) = run_pclr(&backend, &pat, &spec);
         prop_assert_eq!(a, b);
         prop_assert_eq!(cycles_a, cycles_b);
+    }
+}
+
+/// Every built-in body, `mul` at a few scales (0, negative, wrapping).
+const BUILTINS: [Builtin; 8] = [
+    Builtin::Sum,
+    Builtin::Mul(3),
+    Builtin::Mul(0),
+    Builtin::Mul(-7),
+    Builtin::Mul(i64::MAX),
+    Builtin::FSum,
+    Builtin::Usum,
+    Builtin::Fusum,
+];
+
+/// The same function as `b`, submitted as a closure.
+fn as_closure(pat: &Arc<AccessPattern>, b: Builtin) -> JobSpec {
+    let pat = pat.clone();
+    match b {
+        Builtin::Sum => JobSpec::i64(pat, |_i, r| contribution_i64(r)),
+        Builtin::Mul(k) => JobSpec::i64(pat, move |_i, r| contribution_i64(r).wrapping_mul(k)),
+        Builtin::FSum => JobSpec::f64(pat, |_i, r| contribution(r)),
+        Builtin::Usum => JobSpec::i64(pat, |i, _r| contribution_i64(i)),
+        Builtin::Fusum => JobSpec::f64(pat, |i, _r| contribution(i)),
+    }
+}
+
+/// The output's bits, flavor-tagged so an i64 result never equals an f64
+/// one.
+fn bits(out: &JobOutput) -> (bool, Vec<u64>) {
+    match out {
+        JobOutput::F64(v) => (true, v.iter().map(|x| x.to_bits()).collect()),
+        JobOutput::I64(v) => (false, v.iter().map(|&x| x as u64).collect()),
+    }
+}
+
+/// One software backend per width, on a pool of that width.
+fn software(threads: usize) -> &'static SoftwareBackend {
+    static POOLS: OnceLock<Vec<(usize, SoftwareBackend)>> = OnceLock::new();
+    let pools = POOLS.get_or_init(|| {
+        [1, 2, 4, 7]
+            .into_iter()
+            .map(|t| (t, SoftwareBackend::new(Arc::new(WorkerPool::new(t)))))
+            .collect()
+    });
+    &pools.iter().find(|(t, _)| *t == threads).unwrap().1
+}
+
+/// Run every built-in and its closure twin under every software scheme
+/// at widths 1, 2, 4 and 7, and require the same bits.  `ll` merges
+/// under stripe locks in arrival order, so with more than two f64
+/// partials per element its sums are not run-to-run bit-identical even
+/// for one body (`docs/MODEL.md`); there the two must agree within the
+/// reassociation tolerance instead.
+fn builtins_match_closures(pat: AccessPattern) -> Result<(), TestCaseError> {
+    let pat = Arc::new(pat);
+    for b in BUILTINS {
+        let builtin = JobSpec::builtin(pat.clone(), b);
+        prop_assert_eq!(builtin.uniform_body, b.is_uniform());
+        let closure = as_closure(&pat, b);
+        for threads in [1usize, 2, 4, 7] {
+            let backend = software(threads);
+            for scheme in Scheme::all_parallel().into_iter().chain([Scheme::Seq]) {
+                let run = |spec: &JobSpec| {
+                    backend
+                        .execute(&ExecRequest {
+                            pattern: &pat,
+                            body: &spec.body,
+                            threads,
+                            scheme,
+                            analyses: Analyses::default(),
+                        })
+                        .output
+                };
+                let (got, want) = (run(&builtin), run(&closure));
+                if scheme == Scheme::Ll && b.is_f64() && threads > 2 {
+                    let (got, want) = (got.as_f64().unwrap(), want.as_f64().unwrap());
+                    prop_assert_eq!(got.len(), want.len());
+                    for (e, (a, c)) in got.iter().zip(want).enumerate() {
+                        prop_assert!(
+                            (a - c).abs() <= 1e-9 * a.abs().max(1.0),
+                            "{:?} {} x{} element {}: {} vs {}",
+                            b,
+                            scheme,
+                            threads,
+                            e,
+                            a,
+                            c
+                        );
+                    }
+                } else {
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {} x{}", b, scheme, threads);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn builtins_equal_their_closures_on_arbitrary_patterns(pat in arb_pattern()) {
+        builtins_match_closures(pat)?;
+    }
+
+    #[test]
+    fn builtins_equal_their_closures_on_generated_patterns(pat in arb_generated()) {
+        builtins_match_closures(pat)?;
     }
 }

@@ -11,12 +11,17 @@
 //!   harness both pin on);
 //! * **f64 stays within the documented reassociation bound** of the
 //!   sequential left-fold oracle (`1e-9` relative per element for
-//!   these magnitudes).
+//!   these magnitudes);
+//! * **a built-in body is its closure**: every
+//!   [`Builtin`](smartapps_runtime::Builtin), at widths 1, 2, 4 and 7,
+//!   produces the output of the same function submitted as a closure,
+//!   bit for bit, though the kernel inlines one and calls the other
+//!   through `dyn`.
 
 use proptest::prelude::*;
 use smartapps_reductions::{Analyses, Scheme};
 use smartapps_runtime::backend::{Backend, ExecRequest, SimdBackend};
-use smartapps_runtime::{JobSpec, WorkerPool};
+use smartapps_runtime::{Builtin, JobOutput, JobSpec, WorkerPool};
 use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
 use smartapps_workloads::{
     contribution, contribution_i64, AccessPattern, Distribution, PatternSpec,
@@ -156,6 +161,63 @@ proptest! {
                 (a - b).abs() <= 1e-9 * a.abs().max(1.0),
                 "element {}: {} vs {}", e, a, b
             );
+        }
+    }
+}
+
+/// The same function as `b`, submitted as a closure.
+fn as_closure(pat: &Arc<AccessPattern>, b: Builtin) -> JobSpec {
+    let pat = pat.clone();
+    match b {
+        Builtin::Sum => JobSpec::i64(pat, |_i, r| contribution_i64(r)),
+        Builtin::Mul(k) => JobSpec::i64(pat, move |_i, r| contribution_i64(r).wrapping_mul(k)),
+        Builtin::FSum => JobSpec::f64(pat, |_i, r| contribution(r)),
+        Builtin::Usum => JobSpec::i64(pat, |i, _r| contribution_i64(i)),
+        Builtin::Fusum => JobSpec::f64(pat, |i, _r| contribution(i)),
+    }
+}
+
+/// The output's bits, flavor-tagged.
+fn bits(out: &JobOutput) -> (bool, Vec<u64>) {
+    match out {
+        JobOutput::F64(v) => (true, v.iter().map(|x| x.to_bits()).collect()),
+        JobOutput::I64(v) => (false, v.iter().map(|&x| x as u64).collect()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn simd_builtins_equal_their_closures(pat in arb_generated(), degenerate in arb_pattern()) {
+        for pat in [pat, degenerate] {
+            let pat = Arc::new(pat);
+            for threads in [1usize, 2, 4, 7] {
+                let backend = SimdBackend::new(Arc::new(WorkerPool::new(threads)));
+                let run = |spec: &JobSpec| {
+                    backend
+                        .execute(&ExecRequest {
+                            pattern: &pat,
+                            body: &spec.body,
+                            threads,
+                            scheme: Scheme::Simd,
+                            analyses: Analyses::default(),
+                        })
+                        .output
+                };
+                for b in [
+                    Builtin::Sum,
+                    Builtin::Mul(-7),
+                    Builtin::Mul(i64::MAX),
+                    Builtin::FSum,
+                    Builtin::Usum,
+                    Builtin::Fusum,
+                ] {
+                    let got = run(&JobSpec::builtin(pat.clone(), b));
+                    let want = run(&as_closure(&pat, b));
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} x{}", b, threads);
+                }
+            }
         }
     }
 }

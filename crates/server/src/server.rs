@@ -1264,30 +1264,15 @@ fn submit_jobs(shared: &ServerShared, conn: &Arc<Conn>, jobs: Vec<SubmitArgs>) {
                 }
             },
         };
-        let spec = match args.body {
-            crate::wire::WireBody::Sum => {
-                JobSpec::i64(pattern, |_i, r| smartapps_workloads::contribution_i64(r))
-            }
-            crate::wire::WireBody::Mul(k) => JobSpec::i64(pattern, move |_i, r| {
-                smartapps_workloads::contribution_i64(r).wrapping_mul(k)
-            }),
-            crate::wire::WireBody::FSum => {
-                JobSpec::f64(pattern, |_i, r| smartapps_workloads::contribution(r))
-            }
-            crate::wire::WireBody::Panic => JobSpec::i64(pattern, |_i, _r| -> i64 {
+        // Every named body runs as a built-in, which a single-job kernel
+        // inlines.  The uniform ones come declared uniform, making
+        // scan/window-shaped patterns eligible for the simplification
+        // pass (docs/MODEL.md).
+        let spec = match args.body.builtin() {
+            Some(b) => JobSpec::builtin(pattern, b),
+            None => JobSpec::i64(pattern, |_i, _r| -> i64 {
                 panic!("wire-requested panic body")
             }),
-            // The uniform bodies carry the caller's declaration through to
-            // the runtime, making scan/window-shaped patterns eligible for
-            // the simplification pass (docs/MODEL.md).
-            crate::wire::WireBody::Usum => {
-                JobSpec::i64(pattern, |i, _r| smartapps_workloads::contribution_i64(i))
-                    .with_uniform_body(true)
-            }
-            crate::wire::WireBody::Fusum => {
-                JobSpec::f64(pattern, |i, _r| smartapps_workloads::contribution(i))
-                    .with_uniform_body(true)
-            }
         };
         let global = shared.next_global.fetch_add(1, Ordering::Relaxed);
         shared
@@ -1364,24 +1349,26 @@ fn deliver(shared: &ServerShared, completion: Completion) {
             profile_hit: r.profile_hit,
             fused_with: r.fused_with,
             batched_with: r.batched_with,
-            payload: if f64body {
-                let values = r.output.as_f64().map(<[f64]>::to_vec).unwrap_or_default();
-                match reply {
-                    ReplyMode::Ack => Payload::ChecksumF64 {
+            // An ack checksums the output in place; a full reply moves it.
+            payload: match (f64body, reply) {
+                (true, ReplyMode::Ack) => {
+                    let values = r.output.as_f64().unwrap_or_default();
+                    Payload::ChecksumF64 {
                         len: values.len(),
-                        sum: checksum_f64(&values),
-                    },
-                    ReplyMode::Full => Payload::FullF64(values),
+                        sum: checksum_f64(values),
+                    }
                 }
-            } else {
-                let values = r.output.as_i64().map(<[i64]>::to_vec).unwrap_or_default();
-                match reply {
-                    ReplyMode::Ack => Payload::Checksum {
+                (true, ReplyMode::Full) => {
+                    Payload::FullF64(r.output.into_f64().unwrap_or_default())
+                }
+                (false, ReplyMode::Ack) => {
+                    let values = r.output.as_i64().unwrap_or_default();
+                    Payload::Checksum {
                         len: values.len(),
-                        sum: checksum(&values),
-                    },
-                    ReplyMode::Full => Payload::Full(values),
+                        sum: checksum(values),
+                    }
                 }
+                (false, ReplyMode::Full) => Payload::Full(r.output.into_i64().unwrap_or_default()),
             },
         },
     };

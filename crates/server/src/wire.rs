@@ -37,6 +37,7 @@ use crate::codec::{
     self, get_vec, put_vec, record, variants, Count, Field, Message, Sink, Source, GLUED,
 };
 use serde::{Deserialize, Serialize};
+use smartapps_runtime::Builtin;
 use smartapps_telemetry::HistSummary;
 use smartapps_workloads::{Distribution, PatternSpec};
 
@@ -180,17 +181,30 @@ pub enum WireBody {
 }
 
 impl WireBody {
+    /// The runtime built-in a named body runs as; `None` for
+    /// [`WireBody::Panic`], which runs as an opaque closure.
+    pub fn builtin(self) -> Option<Builtin> {
+        match self {
+            WireBody::Sum => Some(Builtin::Sum),
+            WireBody::Mul(k) => Some(Builtin::Mul(k)),
+            WireBody::FSum => Some(Builtin::FSum),
+            WireBody::Usum => Some(Builtin::Usum),
+            WireBody::Fusum => Some(Builtin::Fusum),
+            WireBody::Panic => None,
+        }
+    }
+
     /// Whether the body produces f64 outputs (selects the f64 payload
     /// shapes on the `done` response).
     pub fn is_f64(self) -> bool {
-        matches!(self, WireBody::FSum | WireBody::Fusum)
+        self.builtin().is_some_and(Builtin::is_f64)
     }
 
     /// Whether the body is iteration-uniform (submitted with the
     /// [`JobSpec::with_uniform_body`](smartapps_runtime::JobSpec)
     /// declaration, making it simplification-eligible).
     pub fn is_uniform(self) -> bool {
-        matches!(self, WireBody::Usum | WireBody::Fusum)
+        self.builtin().is_some_and(Builtin::is_uniform)
     }
 }
 

@@ -646,3 +646,92 @@ fn protocol_errors_fail_the_connection_not_the_server() {
     drop(close);
     peer.join().expect("fake peer");
 }
+
+/// A digest of a `done` payload's exact bits: length and an FNV-1a fold
+/// of every value's bit pattern (checksums fold their one value).
+fn payload_digest(p: &Payload) -> (usize, u64) {
+    let fold = |bits: &mut dyn Iterator<Item = u64>| {
+        bits.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    match p {
+        Payload::Full(v) => (v.len(), fold(&mut v.iter().map(|&x| x as u64))),
+        Payload::FullF64(v) => (v.len(), fold(&mut v.iter().map(|x| x.to_bits()))),
+        Payload::Checksum { len, sum } => (*len, fold(&mut [*sum as u64].into_iter())),
+        Payload::ChecksumF64 { len, sum } => (*len, fold(&mut [sum.to_bits()].into_iter())),
+    }
+}
+
+/// Every named wire body's `done` payload, full and ack, on one fixed
+/// sparse class at width 1, pinned to the bits the service produced
+/// before named bodies ran as built-ins.  The class is too sparse for
+/// `simd`, so whichever software scheme the service picks, its answer is
+/// the sequential sweep's.
+#[test]
+fn every_wire_body_answers_the_pinned_payload() {
+    let rt = Arc::new(Runtime::new(RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    }));
+    let server = Server::start(rt, ServerConfig::default()).expect("start server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let spec = WireSpec {
+        elements: 20_000,
+        iterations: 1500,
+        refs_per_iter: 2,
+        coverage: 0.05,
+        dist: WireDist::Uniform,
+        seed: 4242,
+    };
+    let bodies = [
+        WireBody::Sum,
+        WireBody::Mul(3),
+        WireBody::Mul(-5),
+        WireBody::FSum,
+        WireBody::Usum,
+        WireBody::Fusum,
+    ];
+    let mut got = Vec::new();
+    for (b, body) in bodies.into_iter().enumerate() {
+        for (m, reply) in [ReplyMode::Full, ReplyMode::Ack].into_iter().enumerate() {
+            let token = (b * 2 + m) as u64;
+            client
+                .submit(SubmitArgs {
+                    token,
+                    reply,
+                    body,
+                    source: WireSource::Gen(spec),
+                })
+                .expect("submit");
+            let d = client.next_done().expect("done");
+            assert_eq!(d.token, token);
+            match d.outcome {
+                DoneOutcome::Ok { payload, .. } => got.push(payload_digest(&payload)),
+                other => panic!("{body:?}: {other:?}"),
+            }
+        }
+    }
+    let pinned: [(usize, u64); 12] = [
+        // sum: full, ack
+        (20_000, 0x086615db3a699052),
+        (20_000, 0x870b4c48db736fdc),
+        // mul:3: full, ack
+        (20_000, 0xd1863ac4d4ade744),
+        (20_000, 0x3ee02e6a5cd22be2),
+        // mul:-5: full, ack
+        (20_000, 0xfddc075569cadd8c),
+        (20_000, 0x0912758f516f20ca),
+        // fsum: full, ack
+        (20_000, 0x124a3e2421f20da5),
+        (20_000, 0xe0437a382c01b7df),
+        // usum: full, ack
+        (20_000, 0x5ec587f9db6d3499),
+        (20_000, 0x8692ad48daa679af),
+        // fusum: full, ack
+        (20_000, 0xdf035dd221f20da5),
+        (20_000, 0xe044bd7b8601b7df),
+    ];
+    assert_eq!(got, pinned);
+    server.shutdown();
+}

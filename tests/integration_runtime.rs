@@ -3,7 +3,7 @@
 //! sequential oracle, and profile-store persistence across a restart.
 
 use smartapps::reductions::Scheme;
-use smartapps::runtime::{JobSpec, ProfileStore, Runtime, RuntimeConfig};
+use smartapps::runtime::{Builtin, JobSpec, ProfileStore, Runtime, RuntimeConfig};
 use smartapps::workloads::pattern::{sequential_reduce, sequential_reduce_i64};
 use smartapps::workloads::{
     contribution, contribution_i64, AccessPattern, Distribution, PatternSpec,
@@ -287,6 +287,37 @@ fn hash_class_localizes_once_per_pattern_allocation() {
     assert_eq!(r.scheme, Scheme::Hash);
     assert_eq!(r.output.as_i64().unwrap(), &oracle[..]);
     assert_eq!(rt.stats().inspections, 3, "{:?}", rt.stats());
+}
+
+/// At width 1 every software scheme runs the sequential sweep, so a
+/// class decided `hash` or `sel` pays the decision's inspection and
+/// nothing else: no localize pass and no kernel-side inspection over
+/// twenty runs on one `Arc`, and every answer oracle-exact.
+#[test]
+fn width_one_classes_inspect_only_to_decide() {
+    for (pat, scheme) in [
+        (pattern(37, 1 << 20, 65_536, 0.02), Scheme::Hash),
+        (pattern(38, 20_000, 1500, 0.05), Scheme::Sel),
+    ] {
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 1,
+            dispatchers: 1,
+            ..RuntimeConfig::default()
+        });
+        let oracle = sequential_reduce_i64(&pat);
+        for run in 0..20 {
+            let r = rt.run(JobSpec::builtin(pat.clone(), Builtin::Sum));
+            if run == 0 {
+                assert_eq!(r.scheme, scheme, "the class's decision");
+            }
+            assert_eq!(
+                r.output.as_i64().unwrap(),
+                &oracle[..],
+                "{scheme} run {run}"
+            );
+        }
+        assert_eq!(rt.stats().inspections, 1, "{scheme}: {:?}", rt.stats());
+    }
 }
 
 /// Adaptive feedback loops run on the service's pool and learn into the
