@@ -259,8 +259,8 @@ fn main() {
         }
         println!("{}", t.render());
         println!(
-            "(hot elements concentrate stripe-lock traffic in `ll`/`hash` merges;\n\
-             fully privatized schemes are contention-immune)"
+            "(no merge takes a lock, so hot elements serialize nothing: skew only\n\
+             changes how many elements `sel` privatizes and `ll`/`hash` merge)"
         );
     }
 }

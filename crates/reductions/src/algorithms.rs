@@ -15,7 +15,7 @@
 //! | scheme | private storage        | merge cost              | best when |
 //! |--------|------------------------|-------------------------|-----------|
 //! | `rep`  | full array × P         | O(N) per processor      | dense, high reuse (CHR high) |
-//! | `ll`   | full array × P + links | O(touched)              | large array, moderate sparsity |
+//! | `ll`   | full array × P + lines | O(touched lines)        | large array, moderate sparsity |
 //! | `sel`  | conflicting elems only | O(conflicts)            | sparse, low contention |
 //! | `lw`   | none (owner computes)  | none (iter replication) | feasible loops, moderate MO |
 //! | `hash` | touched set × P        | O(distinct)             | extremely sparse (SP ≪ 1%) |
@@ -26,7 +26,7 @@
 //! so the kernel compiles to the plain single-output loop.  A fused sweep
 //! ([`run_fused_on`](crate::run_fused_on)) passes K [`FusedBody`]s and
 //! walks the pattern **once** for all of them: the traversal, the address
-//! generation, the touched-line links, the conflict and ownership tests
+//! generation, the touched-line marks, the conflict and ownership tests
 //! and the slot lookup are paid once per reference, and only the body
 //! evaluations and updates scale with K.  Private storage is stride-K
 //! interleaved — all K partial values of an element adjacent — so one
@@ -37,8 +37,22 @@
 //! sequential loop over `body_k` bit for bit on integer monoids and within
 //! floating-point tolerance otherwise — and, because both entry points
 //! run the same kernel, output `k` of a fused sweep is the single run of
-//! `body_k`.  Every merge but `ll`'s combines in a fixed order, so those
-//! kernels are also run-to-run bit-identical on floating point.
+//! `body_k`.  Every merge combines an element's partials in tid order
+//! from the neutral element, so every kernel is also run-to-run
+//! bit-identical on floating point.
+//!
+//! **One privatizing kernel.**  `rep`, `ll`, `sel` and `hash` are one
+//! loop-and-merge sweep.  In the loop phase each thread combines into its
+//! own `K × slots` private array; in the merge phase each thread walks a
+//! block of slots and combines every thread's partial in tid order, then
+//! writes the element.  The schemes differ only in compile-time
+//! parameters: the key a reference carries (its element, or its `hash`
+//! slot), which keys get a slot (`sel` updates an element only one thread
+//! touches in place), the element a slot merges into, and whether threads
+//! mark the lines they touch.  `ll` marks each line of eight elements it
+//! touches, one bit per line in the bitmap its merge reads, so the merge
+//! visits only marked lines and combines only the threads that marked
+//! each one.
 //!
 //! **Width 1 is the sequential sweep.**  At one thread every software
 //! scheme, single or fused, runs `seq`'s traversal, before any inspection
@@ -63,13 +77,8 @@
 use crate::inspect::{Analyses, ConflictInfo, Inspector, LocalIndex, OwnerLists};
 use crate::scheme::{RedElem, Scheme, UnsafeSlice};
 use crate::spmd::SpmdExecutor;
-use parking_lot::Mutex;
 use smartapps_workloads::pattern::AccessPattern;
 use smartapps_workloads::{block_range, elem_block_range};
-
-/// Number of lock stripes the `ll` merge combines into shared storage
-/// under.
-const MERGE_STRIPES: usize = 256;
 
 /// Elements per touched-line bucket in the `ll` scheme (one cache line of
 /// f64).
@@ -191,14 +200,18 @@ pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
         }
         (_, local) => local,
     };
-    let slices = outs.as_ref();
+    let (slices, n) = (outs.as_ref(), pat.num_elements);
     match scheme {
         Scheme::Seq => seq_sweep(pat, bodies, outs),
-        Scheme::Rep => rep_sweep(pat, bodies, threads, exec, slices),
-        Scheme::Ll => ll_sweep(pat, bodies, threads, exec, slices),
-        Scheme::Sel => sel_sweep(pat, bodies, threads, &insp.unwrap().conflicts, exec, slices),
+        Scheme::Rep => privatize(pat, bodies, threads, &Replicated::<false>(n), exec, slices),
+        Scheme::Ll => privatize(pat, bodies, threads, &Replicated::<true>(n), exec, slices),
+        Scheme::Sel => {
+            let conflicts = &insp.unwrap().conflicts;
+            assert_eq!(conflicts.threads, threads, "conflict info for wrong P");
+            privatize(pat, bodies, threads, conflicts, exec, slices)
+        }
         Scheme::Lw => lw_sweep(pat, bodies, threads, &insp.unwrap().owners, exec, slices),
-        Scheme::Hash => hash_sweep(pat, bodies, threads, local.unwrap(), exec, slices),
+        Scheme::Hash => privatize(pat, bodies, threads, local.unwrap(), exec, slices),
         Scheme::Pclr => {
             panic!("Scheme::Pclr has no software kernel; route it to a PCLR execution backend")
         }
@@ -225,161 +238,176 @@ fn seq_sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
     });
 }
 
-/// `rep`: fully replicated private arrays + block-parallel merge.
-fn rep_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
+/// What a privatizing scheme decides: which key each reference carries,
+/// which keys get a private slot, and which element each slot merges
+/// into.  [`privatize`] is generic over it, so every scheme still
+/// compiles to its own loop.
+trait Privatized: Sync {
+    /// Whether threads mark the lines of [`LINK_LINE`] slots they touch,
+    /// so the merge visits only marked lines, and only their markers.
+    const MARKS: bool = false;
+    /// Slots per mark bit.  A constant, so the merge divides by a shift.
+    const LINE: usize = if Self::MARKS { LINK_LINE } else { 1 };
+    /// The key of every reference slot.
+    fn keys<'a>(&'a self, pat: &'a AccessPattern) -> &'a [u32];
+    /// Private slots per thread, each K values wide.
+    fn slots(&self) -> usize;
+    /// The private slot of key `x`, or `None` when only the running
+    /// thread ever touches its element, which is then updated in place.
+    fn slot(&self, x: usize) -> Option<usize>;
+    /// The element slot `s` merges into.
+    fn element(&self, s: usize) -> usize;
+}
+
+/// `rep` (`MARKS = false`) and `ll` (`MARKS = true`): one slot per
+/// element of an N-element pattern.
+struct Replicated<const MARKS: bool>(usize);
+
+impl<const M: bool> Privatized for Replicated<M> {
+    const MARKS: bool = M;
+    fn keys<'a>(&'a self, pat: &'a AccessPattern) -> &'a [u32] {
+        &pat.indices
+    }
+    fn slots(&self) -> usize {
+        self.0
+    }
+    #[inline(always)]
+    fn slot(&self, x: usize) -> Option<usize> {
+        Some(x)
+    }
+    #[inline(always)]
+    fn element(&self, s: usize) -> usize {
+        s
+    }
+}
+
+/// `sel`: one slot per conflicting element; an element one thread alone
+/// references is written in place.
+impl Privatized for ConflictInfo {
+    fn keys<'a>(&'a self, pat: &'a AccessPattern) -> &'a [u32] {
+        &pat.indices
+    }
+    fn slots(&self) -> usize {
+        self.num_conflicting
+    }
+    #[inline(always)]
+    fn slot(&self, x: usize) -> Option<usize> {
+        let c = self.compact[x];
+        (c != u32::MAX).then_some(c as usize)
+    }
+    #[inline(always)]
+    fn element(&self, s: usize) -> usize {
+        self.conflicting_elements[s] as usize
+    }
+}
+
+/// `hash`: one slot per touched element, read per reference from the
+/// [`LocalIndex`] — no probe, no growth, so the working set stays
+/// proportional to the *referenced* elements, which is what makes it win
+/// on extremely sparse patterns like SPICE.
+impl Privatized for LocalIndex {
+    fn keys<'a>(&'a self, _: &'a AccessPattern) -> &'a [u32] {
+        &self.slot_of_ref
+    }
+    fn slots(&self) -> usize {
+        self.elements.len()
+    }
+    #[inline(always)]
+    fn slot(&self, s: usize) -> Option<usize> {
+        Some(s)
+    }
+    #[inline(always)]
+    fn element(&self, s: usize) -> usize {
+        self.elements[s] as usize
+    }
+}
+
+/// The privatizing kernel of `rep`, `ll`, `sel` and `hash`.
+///
+/// Loop phase: each thread walks its iteration block, combining every
+/// contribution into its own `K × slots` private array (an element
+/// without a slot in place), and marks the lines it touches if the scheme
+/// marks.  Merge phase: each thread takes a block of 64-line groups and,
+/// for every line some thread marked (every line, when the scheme does
+/// not mark), combines the markers' partials in tid order from the
+/// neutral element, then writes the result.  The order is fixed, so the
+/// output is run-to-run bit-identical, and no lock is taken.  A marking
+/// merge does the combines of the lines touched, plus a scan of one
+/// bitmap word per 64 lines per thread; packing a thread's marks into
+/// that bitmap costs it O(lines), beside its O(slots) neutral fill.
+fn privatize<T: RedElem, B: Bodies<T> + ?Sized, S: Privatized>(
     pat: &AccessPattern,
     bodies: &B,
     threads: usize,
+    scheme: &S,
     exec: &(impl SpmdExecutor + ?Sized),
     outs: &[UnsafeSlice<'_, T>],
 ) {
-    let n = pat.num_elements;
-    // Loop phase: every thread owns a fully replicated array, initialized
-    // to the neutral element (this allocation + sweep is the Init cost the
-    // paper charges to the software scheme).
-    let mut privates: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
+    let slots = scheme.slots();
+    let words = slots.div_ceil(S::LINE * 64);
+    // Loop phase: the private arrays' allocation and neutral fill is the
+    // Init cost the paper charges to software schemes.
+    let mut privates: Vec<(Vec<T>, Vec<u64>)> = (0..threads).map(|_| Default::default()).collect();
     {
-        let slots = UnsafeSlice::new(&mut privates);
-        let slots = &slots;
+        let parts = UnsafeSlice::new(&mut privates);
+        let parts = &parts;
         exec.spmd(threads, &|t| {
             let k = bodies.k();
-            let mut w = vec![T::neutral(); k * n];
+            let mut w = vec![T::neutral(); k * slots];
+            let mut touched = vec![false; if S::MARKS { slots.div_ceil(S::LINE) } else { 0 }];
             let mine = block_range(pat.num_iterations(), t, threads);
-            each_ref(pat, mine, |i, r, x| {
-                let base = x * k;
-                bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
+            each_keyed(pat, scheme.keys(pat), mine, |i, r, x| {
+                match scheme.slot(x) {
+                    Some(s) => {
+                        if S::MARKS {
+                            // A byte store: testing and setting a bit here
+                            // costs the loop a third more on dense patterns.
+                            touched[s / S::LINE] = true;
+                        }
+                        let base = s * k;
+                        bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
+                    }
+                    // SAFETY: the scheme gives an element no slot only when
+                    // this thread alone touches it, in any output.
+                    None => bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(x, v) }),
+                }
             });
-            // SAFETY: each tid writes only its own slot.
-            unsafe { slots.write(t, w) };
+            // Packed once per thread, O(lines), into the merge's bitmap.
+            let marks = touched
+                .chunks(64)
+                .map(|c| c.iter().rev().fold(0, |m, &b| m << 1 | b as u64));
+            // SAFETY: each tid writes only its own entry.
+            unsafe { parts.write(t, (w, marks.collect())) };
         });
     }
-    // Merge phase: element blocks across threads; every thread reads all P
-    // partial arrays over its block — the non-scaling step.
+    // Merge phase: every thread reads all P partials over its groups —
+    // the step that does not scale.
     let privates = &privates;
     exec.spmd(threads, &|t| {
         let k = bodies.k();
-        for e in elem_block_range(n, t, threads) {
-            for (kk, out) in outs[..k].iter().enumerate() {
-                let mut acc = T::neutral();
-                for p in privates {
-                    acc = T::combine(acc, p[e * k + kk]);
+        for g in block_range(words, t, threads) {
+            let marked = |p: &(Vec<T>, Vec<u64>)| if S::MARKS { p.1[g] } else { u64::MAX };
+            let mut todo = privates.iter().fold(0, |a, p| a | marked(p));
+            // Walk runs of adjacent lines, so an unmarking scheme's
+            // group is one plain slot loop (cut at `slots`).
+            while todo != 0 {
+                let first = todo.trailing_zeros();
+                let run = (todo >> first).trailing_ones();
+                todo &= !(u64::MAX >> (64 - run) << first);
+                let (lo, hi) = (g * 64 + first as usize, g * 64 + (first + run) as usize);
+                for s in lo * S::LINE..(hi * S::LINE).min(slots) {
+                    let (e, b) = (scheme.element(s), s / S::LINE % 64);
+                    for (kk, out) in outs[..k].iter().enumerate() {
+                        let mut acc = T::neutral();
+                        for p in privates.iter().filter(|p| marked(p) >> b & 1 != 0) {
+                            acc = T::combine(acc, p.0[s * k + kk]);
+                        }
+                        // SAFETY: an element has at most one slot, groups
+                        // are disjoint across merge threads, and the loop
+                        // phase updated in place only elements without one.
+                        unsafe { out.write(e, acc) };
+                    }
                 }
-                // SAFETY: element blocks are disjoint across threads.
-                unsafe { out.write(e, acc) };
-            }
-        }
-    });
-}
-
-/// `ll`: replicated buffers with links — private arrays plus **one**
-/// touched-line list per thread (all K outputs touch the same lines), so
-/// the merge walks only written storage, line by line under stripe locks.
-fn ll_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
-    pat: &AccessPattern,
-    bodies: &B,
-    threads: usize,
-    exec: &(impl SpmdExecutor + ?Sized),
-    outs: &[UnsafeSlice<'_, T>],
-) {
-    let n = pat.num_elements;
-    let n_lines = n.div_ceil(LINK_LINE);
-    let stripes: Vec<Mutex<()>> = (0..MERGE_STRIPES).map(|_| Mutex::new(())).collect();
-    let stripes = &stripes;
-    exec.spmd(threads, &|t| {
-        let k = bodies.k();
-        let mut w = vec![T::neutral(); k * n];
-        let mut touched_line = vec![false; n_lines];
-        // Sized up front, so recording a line never calls into the
-        // allocator from the loop.
-        let mut links = vec![0u32; n_lines];
-        let mut touched = 0;
-        let mine = block_range(pat.num_iterations(), t, threads);
-        each_ref(pat, mine, |i, r, x| {
-            let line = x / LINK_LINE;
-            if !touched_line[line] {
-                touched_line[line] = true;
-                links[touched] = line as u32;
-                touched += 1;
-            }
-            let base = x * k;
-            bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
-        });
-        for &line in &links[..touched] {
-            let lo = line as usize * LINK_LINE;
-            let hi = (lo + LINK_LINE).min(n);
-            let _g = stripes[line as usize % MERGE_STRIPES].lock();
-            for (e, vals) in (lo..hi).zip(w[lo * k..hi * k].chunks_exact(k)) {
-                for (out, &v) in outs[..k].iter().zip(vals) {
-                    // SAFETY: the stripe lock serializes all access to
-                    // this line across threads, for every output.
-                    unsafe { out.combine_into(e, v) };
-                }
-            }
-        }
-    });
-}
-
-/// `sel`: selective privatization.  The inspector's conflict analysis
-/// marks elements referenced by more than one thread; only those get
-/// (compact) private storage.  Non-conflicting elements are updated
-/// directly in the shared outputs — each has exactly one writing thread,
-/// however many outputs it feeds.
-fn sel_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
-    pat: &AccessPattern,
-    bodies: &B,
-    threads: usize,
-    conflicts: &ConflictInfo,
-    exec: &(impl SpmdExecutor + ?Sized),
-    outs: &[UnsafeSlice<'_, T>],
-) {
-    assert_eq!(
-        conflicts.threads, threads,
-        "conflict info computed for wrong P"
-    );
-    let nc = conflicts.num_conflicting;
-    // Loop phase.
-    let mut privates: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    {
-        let slots = UnsafeSlice::new(&mut privates);
-        let slots = &slots;
-        exec.spmd(threads, &|t| {
-            let k = bodies.k();
-            let mut priv_c = vec![T::neutral(); k * nc];
-            let mine = block_range(pat.num_iterations(), t, threads);
-            each_ref(pat, mine, |i, r, x| {
-                let c = conflicts.compact[x];
-                if c != u32::MAX {
-                    let base = c as usize * k;
-                    bodies.each(i, r, |kk, v| {
-                        priv_c[base + kk] = T::combine(priv_c[base + kk], v)
-                    });
-                } else {
-                    // SAFETY: non-conflicting element — exactly one thread
-                    // (this one) ever touches index x, in any output.
-                    bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(x, v) });
-                }
-            });
-            // SAFETY: each tid writes only its own slot.
-            unsafe { slots.write(t, priv_c) };
-        });
-    }
-    // Merge phase: only the compact conflicting region.
-    let privates = &privates;
-    let conflict_elems = &conflicts.conflicting_elements;
-    exec.spmd(threads, &|t| {
-        let k = bodies.k();
-        for ci in block_range(nc, t, threads) {
-            let e = conflict_elems[ci] as usize;
-            for (kk, out) in outs[..k].iter().enumerate() {
-                let mut acc = T::neutral();
-                for p in privates {
-                    acc = T::combine(acc, p[ci * k + kk]);
-                }
-                // SAFETY: each conflicting element has exactly one compact
-                // slot, compact blocks are disjoint across merge threads,
-                // and loop threads never wrote conflicting elements
-                // directly.
-                unsafe { out.combine_into(e, acc) };
             }
         }
     });
@@ -413,60 +441,6 @@ fn lw_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     });
 }
 
-/// `hash`: dense private accumulation over the touched set.  The
-/// [`LocalIndex`] numbers every referenced element once, so each thread
-/// accumulates into a `K × distinct` array indexed by the reference's slot
-/// — no probe, no growth — and the merge walks blocks of slots, combining
-/// the threads' partials in fixed thread order without locks.  The working
-/// set stays proportional to the *referenced* elements, which is what
-/// makes it win on extremely sparse patterns like SPICE ("the hash table
-/// reduces the allocated and processed space to such an extent that ...
-/// the performance improves dramatically").
-fn hash_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
-    pat: &AccessPattern,
-    bodies: &B,
-    threads: usize,
-    local: &LocalIndex,
-    exec: &(impl SpmdExecutor + ?Sized),
-    outs: &[UnsafeSlice<'_, T>],
-) {
-    let distinct = local.elements.len();
-    // Loop phase.
-    let mut privates: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
-    {
-        let slots = UnsafeSlice::new(&mut privates);
-        let slots = &slots;
-        exec.spmd(threads, &|t| {
-            let k = bodies.k();
-            let mut w = vec![T::neutral(); k * distinct];
-            let mine = block_range(pat.num_iterations(), t, threads);
-            each_keyed(pat, &local.slot_of_ref, mine, |i, r, s| {
-                let base = s * k;
-                bodies.each(i, r, |kk, v| w[base + kk] = T::combine(w[base + kk], v));
-            });
-            // SAFETY: each tid writes only its own slot.
-            unsafe { slots.write(t, w) };
-        });
-    }
-    // Merge phase: blocks of slots, every thread's partial in tid order.
-    let privates = &privates;
-    exec.spmd(threads, &|t| {
-        let k = bodies.k();
-        for s in block_range(distinct, t, threads) {
-            let e = local.elements[s] as usize;
-            for (kk, out) in outs[..k].iter().enumerate() {
-                let mut acc = T::neutral();
-                for p in privates {
-                    acc = T::combine(acc, p[s * k + kk]);
-                }
-                // SAFETY: each element has exactly one slot, and slot
-                // blocks are disjoint across merge threads.
-                unsafe { out.write(e, acc) };
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,6 +470,17 @@ mod tests {
             seed,
         }
         .generate()
+    }
+
+    /// 1 029 elements: 129 `ll` lines over three bitmap words, the last
+    /// word and line partial.  Every iteration touches one element of a
+    /// sweep, whose lines each belong to the one thread whose block
+    /// reaches them, and one of 16 hot elements that every thread touches.
+    fn wide_pattern() -> AccessPattern {
+        let iters: Vec<Vec<u32>> = (0..1400u32)
+            .map(|i| vec![i * 1029 / 1400, i % 16])
+            .collect();
+        AccessPattern::from_iters(1029, &iters)
     }
 
     /// Run `scheme` for bodies `scale(kk) · contribution(r)`, kk < k: K = 1
@@ -542,13 +527,15 @@ mod tests {
 
     #[test]
     fn all_schemes_match_sequential_oracle() {
-        let pat = pattern(42);
-        for k in [1usize, 3] {
-            let oracles = oracles_i64(&pat, k);
-            for threads in [1usize, 2, 4, 7] {
-                for s in SOFTWARE {
-                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, scaled_i64);
-                    assert_eq!(got, oracles, "{s} x{threads} k={k}");
+        for pat in [pattern(42), wide_pattern()] {
+            for k in [1usize, 3] {
+                let oracles = oracles_i64(&pat, k);
+                for threads in [1usize, 2, 4, 7] {
+                    for s in SOFTWARE {
+                        let got = run_k(s, &pat, k, threads, &SpawnExecutor, scaled_i64);
+                        let n = pat.num_elements;
+                        assert_eq!(got, oracles, "{s} x{threads} k={k} n={n}");
+                    }
                 }
             }
         }
@@ -568,12 +555,14 @@ mod tests {
 
     #[test]
     fn schemes_are_executor_agnostic() {
-        let pat = pattern(11);
-        for k in [1usize, 3] {
-            let oracles = oracles_i64(&pat, k);
-            for s in SOFTWARE {
-                let got = run_k(s, &pat, k, 4, &SerialExec, scaled_i64);
-                assert_eq!(got, oracles, "{s} serial k={k}");
+        for pat in [pattern(11), wide_pattern()] {
+            for k in [1usize, 3] {
+                let oracles = oracles_i64(&pat, k);
+                for s in SOFTWARE {
+                    let got = run_k(s, &pat, k, 4, &SerialExec, scaled_i64);
+                    let n = pat.num_elements;
+                    assert_eq!(got, oracles, "{s} serial k={k} n={n}");
+                }
             }
         }
     }
@@ -629,11 +618,19 @@ mod tests {
         let scale = |kk: usize| 0.5f64.powi(kk as i32);
         let base = sequential_reduce(&pat);
         for k in [1usize, 3] {
-            for threads in [1usize, 2, 4] {
+            for threads in [1usize, 2, 4, 7] {
                 for s in SOFTWARE {
-                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, |kk, r| {
-                        contribution(r) * scale(kk)
-                    });
+                    let body = |kk, r| contribution(r) * scale(kk);
+                    let got = run_k(s, &pat, k, threads, &SpawnExecutor, body);
+                    if threads > 1 {
+                        // Every merge combines in a fixed order, so a
+                        // second run gives the same bits.
+                        let again = run_k(s, &pat, k, threads, &SpawnExecutor, body);
+                        let bits = |v: &[Vec<f64>]| -> Vec<u64> {
+                            v.iter().flatten().map(|x| x.to_bits()).collect()
+                        };
+                        assert_eq!(bits(&got), bits(&again), "{s} x{threads} k={k} rerun");
+                    }
                     for (kk, out) in got.iter().enumerate() {
                         for (e, (a, b)) in base.iter().zip(out).enumerate() {
                             let a = a * scale(kk);

@@ -48,7 +48,8 @@ pub struct ModelParams {
     pub rep_merge_elem: f64,
     /// Per-reference link-bitmap maintenance overhead of `ll`.
     pub ll_link_overhead: f64,
-    /// Per-touched-line merge cost of `ll` (8 combines + stripe lock).
+    /// Per-touched-line merge cost of `ll`: the line's 8 partials of each
+    /// thread that marked it, combined in tid order, and 8 stores.
     pub ll_merge_line: f64,
     /// Per-reference compact-map indirection overhead of `sel`.
     pub sel_indirect: f64,
@@ -312,7 +313,7 @@ impl DecisionModel {
                 // Touched lines per thread: disjoint regions when the
                 // pattern partitions cleanly (low conflicts), shared
                 // everywhere when it scatters (high conflicts).  Fused
-                // outputs touch identical lines, so the link list is
+                // outputs touch identical lines, so the line bitmap is
                 // shared; the buffers and merges are not.
                 let lines = c.distinct_lines as f64;
                 let cf = if d > 0.0 {

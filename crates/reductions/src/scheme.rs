@@ -18,7 +18,7 @@ pub enum Scheme {
     /// followed by a global merge.
     Rep,
     /// `ll` — replicated buffer with links: private arrays plus a
-    /// touched-line list so the merge visits only written lines.
+    /// touched-line bitmap so the merge visits only written lines.
     Ll,
     /// `sel` — selective privatization: only elements referenced by more
     /// than one processor are privatized; the rest are written in place.

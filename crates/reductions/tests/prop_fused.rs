@@ -88,10 +88,8 @@ fn check_all_schemes(pat: &AccessPattern, threads: usize, k: usize) -> Result<()
 }
 
 /// Output k of `run_fused(s, bodies)` against `run_scheme(s, bodies[k])`
-/// for every software scheme.  i64 must match bit for bit everywhere.  So
-/// must f64 wherever the merge order is fixed: one thread, or any scheme
-/// but `ll`, which combines under stripe locks in the order threads
-/// arrive, so there only tolerance holds.
+/// for every software scheme, bit for bit on i64 and on f64: every merge
+/// combines in a fixed order.
 fn check_fused_vs_single(
     pat: &AccessPattern,
     threads: usize,
@@ -119,7 +117,6 @@ fn check_fused_vs_single(
     for s in std::iter::once(Scheme::Seq).chain(Scheme::all_parallel()) {
         let fused_i = run_fused(s, pat, &ints, threads, Some(&insp));
         let fused_f = run_fused(s, pat, &floats, threads, Some(&insp));
-        let fixed_order = threads == 1 || s != Scheme::Ll;
         for kk in 0..k {
             let single_i = run_scheme(s, pat, &ints[kk], threads, Some(&insp));
             prop_assert_eq!(
@@ -131,30 +128,15 @@ fn check_fused_vs_single(
                 kk
             );
             let single_f = run_scheme(s, pat, &floats[kk], threads, Some(&insp));
-            if fixed_order {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(
-                    bits(&fused_f[kk]),
-                    bits(&single_f),
-                    "{} x{} f64 output {}",
-                    s,
-                    threads,
-                    kk
-                );
-            } else {
-                for (e, (a, b)) in single_f.iter().zip(&fused_f[kk]).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                        "{} x{} f64 output {} elem {}: {} vs {}",
-                        s,
-                        threads,
-                        kk,
-                        e,
-                        a,
-                        b
-                    );
-                }
-            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&fused_f[kk]),
+                bits(&single_f),
+                "{} x{} f64 output {}",
+                s,
+                threads,
+                kk
+            );
         }
     }
     Ok(())

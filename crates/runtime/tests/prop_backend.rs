@@ -183,11 +183,7 @@ fn software(threads: usize) -> &'static SoftwareBackend {
 }
 
 /// Run every built-in and its closure twin under every software scheme
-/// at widths 1, 2, 4 and 7, and require the same bits.  `ll` merges
-/// under stripe locks in arrival order, so with more than two f64
-/// partials per element its sums are not run-to-run bit-identical even
-/// for one body (`docs/MODEL.md`); there the two must agree within the
-/// reassociation tolerance instead.
+/// at widths 1, 2, 4 and 7, and require the same bits.
 fn builtins_match_closures(pat: AccessPattern) -> Result<(), TestCaseError> {
     let pat = Arc::new(pat);
     for b in BUILTINS {
@@ -209,24 +205,7 @@ fn builtins_match_closures(pat: AccessPattern) -> Result<(), TestCaseError> {
                         .output
                 };
                 let (got, want) = (run(&builtin), run(&closure));
-                if scheme == Scheme::Ll && b.is_f64() && threads > 2 {
-                    let (got, want) = (got.as_f64().unwrap(), want.as_f64().unwrap());
-                    prop_assert_eq!(got.len(), want.len());
-                    for (e, (a, c)) in got.iter().zip(want).enumerate() {
-                        prop_assert!(
-                            (a - c).abs() <= 1e-9 * a.abs().max(1.0),
-                            "{:?} {} x{} element {}: {} vs {}",
-                            b,
-                            scheme,
-                            threads,
-                            e,
-                            a,
-                            c
-                        );
-                    }
-                } else {
-                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {} x{}", b, scheme, threads);
-                }
+                prop_assert_eq!(bits(&got), bits(&want), "{:?} {} x{}", b, scheme, threads);
             }
         }
     }
