@@ -8,7 +8,7 @@
 use crate::backend::{Backend, ExecRequest};
 use crate::completion::CompletionSink;
 use crate::error::{JobError, JobErrorKind};
-use crate::job::{JobBody, JobOutput, JobResult, JobSpec, PatternSignature};
+use crate::job::{JobBody, JobOutput, JobResult, PatternSignature};
 use crate::profile::ProfileEntry;
 use crate::queue::QueuedJob;
 use crate::runtime::Shared;
@@ -17,15 +17,12 @@ use crate::telemetry::{domain_label, scheme_code};
 use smartapps_core::toolbox::DomainKey;
 use smartapps_core::{DecisionRecord, GateVerdict};
 use smartapps_reductions::{
-    probe_uniform, recognize, run_fused_with, run_scan_group, Analyses, CostGuard, FusedBody,
-    Inspection, Inspector, LocalIndex, ModelInput, ScanElem, ScanMatch, Scheme,
+    probe_uniform, recognize, run_fused_with, run_scan_group, CostGuard, FusedBody, ModelInput,
+    ScanElem, ScanMatch, Scheme,
 };
 use smartapps_telemetry::{TraceBackend, TraceError, TraceEvent};
-use smartapps_workloads::AccessPattern;
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Measured-over-predicted ratio beyond which a profile entry is treated
@@ -47,20 +44,12 @@ const DRIFT_EVICT_STRIKES: u8 = 2;
 /// factor, so photo-finish classes do not flip-flop between rechecks.
 const RECHECK_MARGIN: f64 = 0.85;
 
-/// Entries in each dispatcher's `hash` slot-numbering cache.
-const LOCAL_INDEX_CAP: usize = 64;
-
 pub(crate) fn dispatcher_loop(shared: &Shared, id: usize) {
-    let mut caches = Caches {
-        inspections: PatternCache::new(64),
-        local: PatternCache::new(LOCAL_INDEX_CAP),
-        scans: PatternCache::new(32),
-    };
     while let Some(pop) = shared.queue.pop_batch_for(id, shared.max_batch) {
         if pop.stolen {
             RuntimeStats::add(&shared.stats.steals, 1);
         }
-        process_batch(shared, &mut caches, pop.jobs);
+        process_batch(shared, pop.jobs);
     }
 }
 
@@ -183,143 +172,11 @@ fn fail_fast(
         }
         finish(
             shared,
-            job.sig,
+            job.facts.sig,
             job.sink,
             Exit::failed(&job.spec.body, error.clone()),
             Some((ctx, job.submitted_at, record.clone())),
         );
-    }
-}
-
-/// A small FIFO cache of per-pattern analyses, keyed by the pattern's
-/// *allocation address* plus an extra key `X`.  An address can be reused
-/// after the original `Arc` dies, so an entry only hits when its stored
-/// [`Weak`] still upgrades to *the same allocation* the job carries.  A
-/// live `Weak` also freezes the allocation's content — `Arc::get_mut`
-/// refuses and `Arc::make_mut` moves the value out — so a hit vouches for
-/// exactly the content the value was computed from.
-///
-/// Three instances per dispatcher ([`Caches`]), living across batches
-/// (shard affinity keeps a workload class on one dispatcher, which keeps
-/// them warm): inspector analyses per (pattern, SPMD width), so a
-/// profiled `sel`/`lw` class does not re-inspect on every invocation;
-/// `hash` slot numberings per pattern (`X = ()`), so a `hash` class
-/// localizes once; and *positive* recognizer walks per pattern, keeping
-/// the simplification pass's O(R) walk off the steady-state path.
-/// Negative walks persist per signature in the profile store (`simp`
-/// records) instead and short-circuit before the walk.  One more instance
-/// lives in the runtime: the submit path's signatures per (pattern, SPMD
-/// width).
-pub(crate) struct PatternCache<X, V> {
-    entries: HashMap<(usize, X), (Weak<AccessPattern>, V)>,
-    order: VecDeque<(usize, X)>,
-    cap: usize,
-}
-
-impl<X: Copy + Eq + Hash, V> PatternCache<X, V> {
-    pub(crate) fn new(cap: usize) -> Self {
-        PatternCache {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// The value cached for this exact pattern allocation, if any.
-    pub(crate) fn get(&self, pat: &Arc<AccessPattern>, extra: X) -> Option<&V> {
-        let (weak, value) = self.entries.get(&(Arc::as_ptr(pat) as usize, extra))?;
-        weak.upgrade()
-            .is_some_and(|live| Arc::ptr_eq(&live, pat))
-            .then_some(value)
-    }
-
-    /// Cache `value`, replacing a (necessarily stale) entry under the
-    /// same key or else evicting the oldest entry once full.
-    pub(crate) fn insert(&mut self, pat: &Arc<AccessPattern>, extra: X, value: V) {
-        let key = (Arc::as_ptr(pat) as usize, extra);
-        if self.entries.contains_key(&key) {
-            self.order.retain(|k| *k != key);
-        } else if self.order.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-            }
-        }
-        self.order.push_back(key);
-        self.entries.insert(key, (Arc::downgrade(pat), value));
-    }
-}
-
-/// The inspector-analysis instance: keyed by SPMD width.  Entries are
-/// shared, so a hit costs a refcount, not a copy of the
-/// `num_elements`-sized conflict map and owner lists.
-type InspectionCache = PatternCache<usize, Arc<Inspection>>;
-
-impl InspectionCache {
-    /// The inspection of `pat` at `threads`, paying (and counting) an
-    /// inspector pass on a miss.  Learning paths use `get` instead: a
-    /// calibration sample is worth a map lookup, not a pattern walk (a
-    /// restarted service keeps its zero-inspection steady state).
-    fn analyze(
-        &mut self,
-        pat: &Arc<AccessPattern>,
-        threads: usize,
-        stats: &RuntimeStats,
-    ) -> Arc<Inspection> {
-        if let Some(insp) = self.get(pat, threads) {
-            return insp.clone();
-        }
-        RuntimeStats::add(&stats.inspections, 1);
-        let insp = Arc::new(Inspector::analyze(pat, threads));
-        self.insert(pat, threads, insp.clone());
-        insp
-    }
-}
-
-/// The `hash` slot-numbering instance: per pattern alone, since a
-/// [`LocalIndex`] does not depend on the SPMD width.
-type LocalCache = PatternCache<(), Arc<LocalIndex>>;
-
-impl LocalCache {
-    /// The slot numbering of `pat`, paying a localize pass on a miss
-    /// (counted as an inspection: it is the `hash` scheme's inspector).
-    fn localize(&mut self, pat: &Arc<AccessPattern>, stats: &RuntimeStats) -> Arc<LocalIndex> {
-        if let Some(local) = self.get(pat, ()) {
-            return local.clone();
-        }
-        RuntimeStats::add(&stats.inspections, 1);
-        let local = Arc::new(Inspector::localize(pat));
-        self.insert(pat, (), local.clone());
-        local
-    }
-}
-
-/// A dispatcher's pattern caches.
-struct Caches {
-    inspections: InspectionCache,
-    local: LocalCache,
-    scans: PatternCache<(), ScanMatch>,
-}
-
-impl Caches {
-    /// What a `scheme` kernel over `pat` at `threads` reuses, paying a
-    /// pass on a miss: the inspection for `sel`/`lw`, the slot numbering
-    /// for `hash`, nothing for the rest — and nothing at width 1, where
-    /// every software scheme runs the sequential sweep.
-    fn kernel_analyses(
-        &mut self,
-        scheme: Scheme,
-        pat: &Arc<AccessPattern>,
-        threads: usize,
-        stats: &RuntimeStats,
-    ) -> (Option<Arc<Inspection>>, Option<Arc<LocalIndex>>) {
-        if threads == 1 {
-            return (None, None);
-        }
-        match scheme {
-            Scheme::Sel | Scheme::Lw => (Some(self.inspections.analyze(pat, threads, stats)), None),
-            Scheme::Hash => (None, Some(self.local.localize(pat, stats))),
-            _ => (None, None),
-        }
     }
 }
 
@@ -337,12 +194,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// every pending handle.
 fn fenced<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-}
-
-/// The SPMD width a job runs at (pinned at submission; the pool width
-/// covers specs queued without one).
-fn threads_of(shared: &Shared, spec: &JobSpec) -> usize {
-    spec.threads.unwrap_or(shared.pool.width()).max(1)
 }
 
 /// The empty output matching a body's flavor (for failed jobs).
@@ -408,7 +259,6 @@ struct BatchDecision {
 ///   the paper's "Redecide" adaptation driven by calibration.
 fn decide_batch(
     shared: &Shared,
-    cache: &mut InspectionCache,
     first: &QueuedJob,
     profiled: Option<&ProfileEntry>,
 ) -> BatchDecision {
@@ -431,10 +281,9 @@ fn decide_batch(
             return keep(e.scheme);
         }
     }
-    let threads = threads_of(shared, &first.spec);
-    let insp = cache.analyze(&first.spec.pattern, threads, &shared.stats);
+    let insp = first.facts.inspection(&first.spec.pattern, &shared.stats);
     let domain = DomainKey::of(&insp.chars);
-    let input = ModelInput::from_inspection(&insp, first.spec.lw_feasible)
+    let input = ModelInput::from_inspection(insp, first.spec.lw_feasible)
         .with_pclr(shared.pclr_admits(&first.spec.pattern))
         .with_simd(shared.simd_admits(&insp.chars));
     let cal = shared.calibrator();
@@ -492,7 +341,7 @@ fn decide_batch(
     record.explored = decision.explored;
     record.rechecked = decision.rechecked;
     record.quarantine = GateVerdict::declined("clear");
-    shared.telemetry.record_decision(first.sig.0, record);
+    shared.telemetry.record_decision(first.facts.sig.0, record);
     decision
 }
 
@@ -516,27 +365,23 @@ struct FusePlan {
 /// Declined groups occasionally run fused anyway as probes
 /// (`CalibrationConfig::probe_fused_every`) so the fused side of the
 /// `ll`/`rep` regimes can be measured at all.
-fn plan_fusion(
-    shared: &Shared,
-    cache: &mut InspectionCache,
-    group: &[QueuedJob],
-) -> Option<FusePlan> {
+fn plan_fusion(shared: &Shared, group: &[QueuedJob]) -> Option<FusePlan> {
     // Each branch stamps its verdict on the class's decision record
     // (`docs/OBSERVABILITY.md` lists the reason vocabulary).
     let verdict = |v: GateVerdict| {
         shared
             .telemetry
-            .amend_decision(group[0].sig.0, move |r| r.fusion = v);
+            .amend_decision(group[0].facts.sig.0, move |r| r.fusion = v);
     };
     if group.len() < 2 {
         verdict(GateVerdict::declined("group-of-one"));
         return None;
     }
     let k = group.len();
-    let threads = threads_of(shared, &group[0].spec);
-    let insp = cache.analyze(&group[0].spec.pattern, threads, &shared.stats);
+    let lead = &group[0];
+    let insp = lead.facts.inspection(&lead.spec.pattern, &shared.stats);
     let domain = DomainKey::of(&insp.chars);
-    let input = ModelInput::from_inspection(&insp, group[0].spec.lw_feasible);
+    let input = ModelInput::from_inspection(insp, lead.spec.lw_feasible);
     let fused_input = input.clone().with_fanout(k);
     let cal = shared.calibrator();
     let fused_rank = cal.rank(&fused_input, domain);
@@ -589,18 +434,14 @@ fn plan_fusion(
 /// so they can legally share one traversal (and one simplification
 /// verdict).  Groups are capped at `max_fuse`; first-seen order is
 /// preserved, so `batch[0]` leads the first group.
-fn fuse_groups(
-    batch: Vec<QueuedJob>,
-    max_fuse: usize,
-    default_threads: usize,
-) -> Vec<Vec<QueuedJob>> {
+fn fuse_groups(batch: Vec<QueuedJob>, max_fuse: usize) -> Vec<Vec<QueuedJob>> {
     type FuseKey = (usize, bool, usize, bool, bool);
     let mut keyed: Vec<(FuseKey, Vec<QueuedJob>)> = Vec::new();
     for job in batch {
         let key: FuseKey = (
             Arc::as_ptr(&job.spec.pattern) as usize,
             job.spec.body.is_f64(),
-            job.spec.threads.unwrap_or(default_threads).max(1),
+            job.facts.threads,
             job.spec.lw_feasible,
             job.spec.uniform_body,
         );
@@ -654,7 +495,6 @@ fn i64_body(body: &JobBody) -> Option<FusedBody<'_, i64>> {
 /// probe time.
 fn run_kernel<T: ScanElem>(
     shared: &Shared,
-    caches: &mut Caches,
     kernel: &GroupKernel<'_>,
     group: &[QueuedJob],
     pick: fn(&JobBody) -> Option<FusedBody<'_, T>>,
@@ -676,14 +516,11 @@ fn run_kernel<T: ScanElem>(
             (run_scan_group(pat, &bodies), probe_ns)
         }
         GroupKernel::Fused(plan) => {
-            let threads = threads_of(shared, &group[0].spec);
-            // A `sel`/`lw` sweep's inspection is already cached from the
+            let facts = &group[0].facts;
+            // A `sel`/`lw` sweep's inspection is already filled by the
             // gate's own pass; a `hash` sweep localizes once per pattern.
-            let (insp, local) = caches.kernel_analyses(plan.scheme, pat, threads, &shared.stats);
-            let analyses = Analyses {
-                inspection: insp.as_deref(),
-                local: local.as_deref(),
-            };
+            let analyses = facts.kernel_analyses(plan.scheme, pat, &shared.stats);
+            let threads = facts.threads;
             let pool = &*shared.pool;
             let outputs = run_fused_with(plan.scheme, pat, &bodies, threads, analyses, pool);
             (outputs, 0)
@@ -710,7 +547,6 @@ fn run_kernel<T: ScanElem>(
 /// through a path whose own fence pins the panic on the poisoned job.
 fn execute_group(
     shared: &Shared,
-    caches: &mut Caches,
     ctx: &BatchCtx,
     group: Vec<QueuedJob>,
     kernel: GroupKernel<'_>,
@@ -719,9 +555,9 @@ fn execute_group(
     let t0 = Instant::now();
     let work = fenced(|| {
         if group[0].spec.body.is_f64() {
-            run_kernel(shared, caches, &kernel, &group, f64_body, JobOutput::F64)
+            run_kernel(shared, &kernel, &group, f64_body, JobOutput::F64)
         } else {
-            run_kernel(shared, caches, &kernel, &group, i64_body, JobOutput::I64)
+            run_kernel(shared, &kernel, &group, i64_body, JobOutput::I64)
         }
     });
     let elapsed = t0.elapsed();
@@ -745,10 +581,8 @@ fn execute_group(
             // Priced against the *rewritten* plan (one difference-array
             // post per iteration plus one scan, per member) — learning
             // never pays a fresh inspection, mirroring the per-job path.
-            let first = &group[0].spec;
-            let threads = threads_of(shared, first);
-            if let Some(insp) = caches.inspections.get(&first.pattern, threads) {
-                let input = ModelInput::from_inspection(insp, first.lw_feasible);
+            if let Some(insp) = group[0].facts.inspection.get() {
+                let input = ModelInput::from_inspection(insp, group[0].spec.lw_feasible);
                 let units = (m.rewritten_ops * k) as f64;
                 let domain = DomainKey::of(&insp.chars);
                 shared.learn(Scheme::Seq, domain, false, Some(units), &input, elapsed);
@@ -795,7 +629,7 @@ fn execute_group(
         RuntimeStats::add(member_counter, 1);
         finish(
             shared,
-            job.sig,
+            job.facts.sig,
             job.sink,
             Exit {
                 output,
@@ -831,10 +665,10 @@ fn execute_group(
 ///    rejected classes stay rejected across restarts.  Positive or
 ///    absent verdicts never skip the walk: signatures can collide, so a
 ///    stale `1` may cost a wasted walk but can never mis-rewrite.
-/// 2. The recognizer walks the CSR pattern (positive walks cached per
-///    allocation in `scans`); a match means every iteration's
-///    references form one ascending contiguous run and the cost guard
-///    accepted the original-vs-rewritten work ratio.
+/// 2. The recognizer walks the CSR pattern (a positive walk is
+///    remembered in the allocation's registry entry); a match means
+///    every iteration's references form one ascending contiguous run and
+///    the cost guard accepted the original-vs-rewritten work ratio.
 /// 3. The group runs through [`execute_group`]'s scan kernel, which
 ///    first probes the uniform-body declaration ([`probe_uniform`],
 ///    defense in depth): sampled rows are evaluated across *all* their
@@ -843,7 +677,6 @@ fn execute_group(
 ///    walks are).
 fn try_simplify(
     shared: &Shared,
-    caches: &mut Caches,
     ctx: &mut BatchCtx,
     group: Vec<QueuedJob>,
 ) -> Option<Vec<QueuedJob>> {
@@ -867,17 +700,17 @@ fn try_simplify(
         return Some(group);
     }
     let gate_t0 = Instant::now();
-    let pat = &group[0].spec.pattern;
-    let m = match caches.scans.get(pat, ()) {
+    let facts = &group[0].facts;
+    let m = match facts.allocation.scan.get() {
         Some(m) => *m,
         None => {
             // Every `Reject` variant is structural (pattern-only), so
             // either verdict is safe to persist per signature.
-            let walk = recognize(pat, &CostGuard::default());
+            let walk = recognize(&group[0].spec.pattern, &CostGuard::default());
             shared.profile().set_scan_verdict(sig, walk.is_ok());
             match walk {
                 Ok(m) => {
-                    caches.scans.insert(pat, (), m);
+                    let _ = facts.allocation.scan.set(m);
                     m
                 }
                 Err(_) => {
@@ -890,7 +723,7 @@ fn try_simplify(
     };
     let recognize_ns = gate_t0.elapsed().as_nanos() as u64;
     let kernel = GroupKernel::Scan { m, recognize_ns };
-    match execute_group(shared, caches, ctx, group, kernel) {
+    match execute_group(shared, ctx, group, kernel) {
         Ok(()) => None,
         Err((group, reason, spent)) => {
             ctx.simplify_probe_ns = recognize_ns + spent.as_nanos() as u64;
@@ -900,8 +733,8 @@ fn try_simplify(
     }
 }
 
-fn process_batch(shared: &Shared, caches: &mut Caches, batch: Vec<QueuedJob>) {
-    let sig = batch[0].sig;
+fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
+    let sig = batch[0].facts.sig;
     let dequeued_at = Instant::now();
     let mut ctx = BatchCtx {
         sig,
@@ -932,18 +765,11 @@ fn process_batch(shared: &Shared, caches: &mut Caches, batch: Vec<QueuedJob>) {
         RuntimeStats::add(&shared.stats.profile_hits, 1);
     }
 
-    let groups = fuse_groups(batch, shared.max_fuse, shared.pool.width());
+    let groups = fuse_groups(batch, shared.max_fuse);
 
     // The decision may run the inspector over an arbitrary client
     // pattern, so it is fenced just like execution below.
-    let decision = fenced(|| {
-        decide_batch(
-            shared,
-            &mut caches.inspections,
-            &groups[0][0],
-            profiled.as_ref(),
-        )
-    });
+    let decision = fenced(|| decide_batch(shared, &groups[0][0], profiled.as_ref()));
     ctx.decided_at = Instant::now();
     let decision = match decision {
         Ok(d) => d,
@@ -990,15 +816,13 @@ fn process_batch(shared: &Shared, caches: &mut Caches, batch: Vec<QueuedJob>) {
     for group in groups {
         // A declared-uniform group over a recognized scan/window family
         // runs the rewritten plan instead of any scheme sweep.
-        let Some(mut group) = try_simplify(shared, caches, &mut ctx, group) else {
+        let Some(mut group) = try_simplify(shared, &mut ctx, group) else {
             continue;
         };
         // Fusion gate: calibrated fused-vs-split comparison.
-        let plan = fenced(|| plan_fusion(shared, &mut caches.inspections, &group))
-            .ok()
-            .flatten();
+        let plan = fenced(|| plan_fusion(shared, &group)).ok().flatten();
         if let Some(plan) = plan {
-            match execute_group(shared, caches, &ctx, group, GroupKernel::Fused(&plan)) {
+            match execute_group(shared, &ctx, group, GroupKernel::Fused(&plan)) {
                 Ok(()) => continue,
                 // Isolation fallback: re-run each member alone (behind
                 // the batch's own per-job decision) so only the panicking
@@ -1007,7 +831,7 @@ fn process_batch(shared: &Shared, caches: &mut Caches, batch: Vec<QueuedJob>) {
             }
         }
         for job in group {
-            execute_single(shared, caches, &mut ctx, decision.scheme, job);
+            execute_single(shared, &mut ctx, decision.scheme, job);
         }
     }
 }
@@ -1016,22 +840,17 @@ fn process_batch(shared: &Shared, caches: &mut Caches, batch: Vec<QueuedJob>) {
 /// to the scalar software backend, the vectorized SIMD backend (for
 /// [`Scheme::Simd`] decisions), or — for [`Scheme::Pclr`] decisions —
 /// the simulated hardware backend.
-fn execute_single(
-    shared: &Shared,
-    caches: &mut Caches,
-    ctx: &mut BatchCtx,
-    batch_scheme: Scheme,
-    job: QueuedJob,
-) {
+fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job: QueuedJob) {
     // The quarantine is re-checked per job, not only per batch: a class
     // can cross the panic threshold *mid-batch* (or in a batch racing on
     // a stolen shard), and every job dispatched after that must fail
     // fast rather than re-run a body the ledger already condemned.
-    if let Some(count) = shared.quarantine_blocked(job.sig) {
+    if let Some(count) = shared.quarantine_blocked(job.facts.sig) {
         fail_fast(shared, ctx, [job], &JobError::quarantined(count));
         return;
     }
-    let threads = threads_of(shared, &job.spec);
+    let facts = &job.facts;
+    let threads = facts.threads;
     // A batch-mate (or stale profile) may have chosen a scheme this job
     // cannot run: owner-computes where it is illegal, or the hardware
     // scheme with the backend disabled or the job over its admission
@@ -1056,11 +875,9 @@ fn execute_single(
     let work = fenced(|| {
         let redecided = masked_lw || masked_pclr || masked_simd;
         let scheme = if redecided {
-            let insp = caches
-                .inspections
-                .analyze(&job.spec.pattern, threads, &shared.stats);
+            let insp = facts.inspection(&job.spec.pattern, &shared.stats);
             let domain = DomainKey::of(&insp.chars);
-            let input = ModelInput::from_inspection(&insp, !masked_lw && job.spec.lw_feasible)
+            let input = ModelInput::from_inspection(insp, !masked_lw && job.spec.lw_feasible)
                 .with_pclr(!masked_pclr && shared.pclr_admits(&job.spec.pattern))
                 .with_simd(!masked_simd && shared.simd_admits(&insp.chars));
             let cal = shared.calibrator();
@@ -1072,22 +889,17 @@ fn execute_single(
             drop(cal);
             record.winner = scheme;
             record.quarantine = GateVerdict::declined("clear");
-            shared.telemetry.record_decision(job.sig.0, record);
+            shared.telemetry.record_decision(job.facts.sig.0, record);
             scheme
         } else {
             batch_scheme
         };
-        let (insp, local) =
-            caches.kernel_analyses(scheme, &job.spec.pattern, threads, &shared.stats);
         let req = ExecRequest {
             pattern: &job.spec.pattern,
             body: &job.spec.body,
             threads,
             scheme,
-            analyses: Analyses {
-                inspection: insp.as_deref(),
-                local: local.as_deref(),
-            },
+            analyses: facts.kernel_analyses(scheme, &job.spec.pattern, &shared.stats),
         };
         let backend: &dyn Backend = match (scheme, &shared.pclr, &shared.simd) {
             (Scheme::Pclr, Some(pclr), _) => pclr,
@@ -1134,11 +946,11 @@ fn execute_single(
             RuntimeStats::add(&shared.stats.simd_offloads, 1);
         }
         // Close the measure→correct loop: every clean execution whose
-        // characterization is already cached (learning never pays a fresh
+        // characterization is already filled (learning never pays a fresh
         // inspection) feeds the calibrator a predicted-vs-measured sample,
         // and software/simulated cost halves pair up to fit cycle→ns.
         let mut class_label = None;
-        if let Some(insp) = caches.inspections.get(&job.spec.pattern, threads) {
+        if let Some(insp) = facts.inspection.get() {
             let domain = DomainKey::of(&insp.chars);
             class_label = Some(domain_label(&domain));
             let input = ModelInput::from_inspection(insp, job.spec.lw_feasible)
@@ -1184,11 +996,11 @@ fn execute_single(
     }
 
     let tel = &shared.telemetry;
-    tel.amend_decision(job.sig.0, |r| r.backend = backend_name);
-    let record = tel.decision(job.sig.0);
+    tel.amend_decision(job.facts.sig.0, |r| r.backend = backend_name);
+    let record = tel.decision(job.facts.sig.0);
     finish(
         shared,
-        job.sig,
+        job.facts.sig,
         job.sink,
         Exit {
             output: match outcome {
@@ -1217,6 +1029,7 @@ fn execute_single(
 mod tests {
     use super::*;
     use crate::job::{JobHandle, JobSpec, JobState};
+    use crate::registry::tests::unregistered;
     use crate::runtime::tests::{direct_uniform_i64, pattern, sparse_pattern, window_pattern};
     use crate::runtime::{Runtime, RuntimeConfig};
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
@@ -1324,77 +1137,11 @@ mod tests {
     }
 
     #[test]
-    fn inspection_cache_reuses_and_revalidates() {
-        let stats = RuntimeStats::default();
-        let mut cache = InspectionCache::new(4);
-        let pat = pattern(31);
-        let first = cache.analyze(&pat, 3, &stats);
-        let second = cache.analyze(&pat, 3, &stats);
-        let third = cache.analyze(&pat, 3, &stats);
-        assert_eq!(stats.snapshot().inspections, 1, "same Arc + width must hit");
-        assert!(
-            Arc::ptr_eq(&first, &second) && Arc::ptr_eq(&second, &third),
-            "a hit must share the cached inspection, not copy it"
-        );
-        cache.analyze(&pat, 2, &stats);
-        assert_eq!(stats.snapshot().inspections, 2, "new width must analyze");
-        // A dead Arc whose address gets reused must not serve a stale
-        // inspection: the Weak upgrade guard forces a fresh analysis.
-        let addr = Arc::as_ptr(&pat) as usize;
-        drop(pat);
-        let mut fresh = pattern(32);
-        for _ in 0..64 {
-            if Arc::as_ptr(&fresh) as usize == addr {
-                break;
-            }
-            fresh = pattern(32);
-        }
-        let before = stats.snapshot().inspections;
-        cache.analyze(&fresh, 3, &stats);
-        assert_eq!(stats.snapshot().inspections, before + 1);
-    }
-
-    #[test]
-    fn local_cache_reuses_and_revalidates() {
-        let stats = RuntimeStats::default();
-        let mut caches = Caches {
-            inspections: InspectionCache::new(4),
-            local: LocalCache::new(4),
-            scans: PatternCache::new(4),
-        };
-        let pat = pattern(33);
-        let first = caches.local.localize(&pat, &stats);
-        let second = caches.local.localize(&pat, &stats);
-        assert_eq!(stats.snapshot().inspections, 1, "same Arc must hit");
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "a hit must share the cached index, not copy it"
-        );
-        // The index does not depend on the SPMD width: a second width
-        // shares it.
-        let (insp, local) = caches.kernel_analyses(Scheme::Hash, &pat, 5, &stats);
-        assert!(insp.is_none() && Arc::ptr_eq(&local.unwrap(), &first));
-        assert_eq!(stats.snapshot().inspections, 1, "a new width must hit");
-        // A dead Arc whose address gets reused gets a fresh pass.
-        let addr = Arc::as_ptr(&pat) as usize;
-        drop(pat);
-        let mut fresh = pattern(34);
-        for _ in 0..64 {
-            if Arc::as_ptr(&fresh) as usize == addr {
-                break;
-            }
-            fresh = pattern(34);
-        }
-        caches.local.localize(&fresh, &stats);
-        assert_eq!(stats.snapshot().inspections, 2);
-    }
-
-    #[test]
     fn fuse_groups_split_by_pattern_flavor_and_cap() {
         let pat_a = pattern(71);
         let pat_b = pattern(72);
         let mk = |spec: JobSpec| QueuedJob {
-            sig: PatternSignature(1),
+            facts: unregistered(PatternSignature(1), 4),
             sink: CompletionSink::Handle(JobState::new()),
             spec,
             submitted_at: Instant::now(),
@@ -1406,7 +1153,7 @@ mod tests {
             mk(JobSpec::i64(pat_b.clone(), |_i, r| contribution_i64(r))),
             mk(JobSpec::i64(pat_a.clone(), |_i, r| contribution_i64(r))),
         ];
-        let groups = fuse_groups(batch, 8, 4);
+        let groups = fuse_groups(batch, 8);
         // i64-on-A x3, f64-on-A x1, i64-on-B x1.
         assert_eq!(groups.len(), 3);
         assert_eq!(groups[0].len(), 3);
@@ -1416,7 +1163,7 @@ mod tests {
         let batch: Vec<QueuedJob> = (0..7)
             .map(|_| mk(JobSpec::i64(pat_a.clone(), |_i, r| contribution_i64(r))))
             .collect();
-        let groups = fuse_groups(batch, 3, 4);
+        let groups = fuse_groups(batch, 3);
         let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
         assert_eq!(sizes, vec![3, 3, 1]);
     }

@@ -84,6 +84,7 @@ pub mod job;
 pub mod pool;
 pub mod profile;
 pub(crate) mod queue;
+pub(crate) mod registry;
 pub mod runtime;
 pub mod stats;
 pub mod telemetry;

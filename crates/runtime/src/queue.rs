@@ -11,8 +11,11 @@
 //! Each dispatcher pops from its own shards in round-robin order (no class
 //! it owns can starve another) and receives, in one pop, up to `max_batch`
 //! queued jobs carrying the first job's signature.  Affinity keeps a
-//! workload class on one dispatcher — its inspection cache stays warm and
-//! two dispatchers never race to decide the same class.
+//! workload class's batches on one dispatcher while it keeps up, so they
+//! run in submission order.  It is not exclusive: a thief decides the
+//! batch it steals, so two dispatchers may decide one class at once.
+//! What they share is the job's pattern-registry entry, whose products
+//! are filled once however many dispatchers ask.
 //!
 //! **Work stealing.**  When a dispatcher's own shards drain while work
 //! remains queued elsewhere, it steals one batch from the *longest*
@@ -23,18 +26,20 @@
 
 use crate::completion::CompletionSink;
 use crate::job::{JobSpec, PatternSignature};
+use crate::registry::WidthFacts;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// One queued job: the spec, its signature, the completion sink the
-/// finished result is routed through (handle slot, completion queue, or
-/// callback — see [`CompletionSink`]), and the submission instant the
-/// telemetry layer measures queue-wait from.
+/// One queued job: the spec, its pattern-registry entry (signature,
+/// width and the inspector products dispatchers share), the completion
+/// sink the finished result is routed through (handle slot, completion
+/// queue, or callback — see [`CompletionSink`]), and the submission
+/// instant the telemetry layer measures queue-wait from.
 pub(crate) struct QueuedJob {
     pub spec: JobSpec,
-    pub sig: PatternSignature,
+    pub facts: Arc<WidthFacts>,
     pub sink: CompletionSink,
     pub submitted_at: Instant,
 }
@@ -100,7 +105,7 @@ impl ShardedQueue {
         if self.closed.load(Ordering::Acquire) {
             return Err(job);
         }
-        let shard = self.shard_of(job.sig);
+        let shard = self.shard_of(job.facts.sig);
         // The pending increment happens while the shard lock is held:
         // a popper that drains this job from the shard is then guaranteed
         // to observe its increment too, so the counter can never go
@@ -122,14 +127,14 @@ impl ShardedQueue {
     fn drain_shard(&self, shard: usize, max_batch: usize) -> Option<Vec<QueuedJob>> {
         let mut q = self.shards[shard].lock().unwrap_or_else(|p| p.into_inner());
         let first = q.pop_front()?;
-        let sig = first.sig;
+        let sig = first.facts.sig;
         let mut batch = vec![first];
         if max_batch > 1 {
             // Coalesce same-signature jobs wherever they sit in this
             // shard's FIFO; other signatures keep their order.
             let mut rest = VecDeque::with_capacity(q.len());
             while let Some(job) = q.pop_front() {
-                if batch.len() < max_batch && job.sig == sig {
+                if batch.len() < max_batch && job.facts.sig == sig {
                     batch.push(job);
                 } else {
                     rest.push_back(job);
@@ -235,9 +240,9 @@ impl ShardedQueue {
 mod tests {
     use super::*;
     use crate::job::{JobBody, JobOutput, JobResult, JobState};
+    use crate::registry::tests::unregistered;
     use smartapps_reductions::Scheme;
     use smartapps_workloads::pattern::AccessPattern;
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn job(sig: u64) -> QueuedJob {
@@ -250,7 +255,7 @@ mod tests {
                 lw_feasible: false,
                 uniform_body: false,
             },
-            sig: PatternSignature(sig),
+            facts: unregistered(PatternSignature(sig), 1),
             sink: CompletionSink::Handle(JobState::new()),
             submitted_at: Instant::now(),
         }
@@ -273,10 +278,10 @@ mod tests {
         // Shard 0 holds sigs 8 (x4) and 12 (x1); first pop batches all 8s.
         let batch = pop(&q, 16).unwrap();
         assert_eq!(batch.len(), 4);
-        assert!(batch.iter().all(|j| j.sig == PatternSignature(8)));
+        assert!(batch.iter().all(|j| j.facts.sig == PatternSignature(8)));
         let batch = pop(&q, 16).unwrap();
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].sig, PatternSignature(12));
+        assert_eq!(batch[0].facts.sig, PatternSignature(12));
         assert_eq!(q.len(), 0);
     }
 
@@ -297,7 +302,7 @@ mod tests {
         assert!(q.push(job(0)).is_ok()); // shard 0
         assert!(q.push(job(1)).is_ok()); // shard 1
         assert!(q.push(job(2)).is_ok()); // shard 0
-        let sigs: Vec<u64> = (0..3).map(|_| pop(&q, 1).unwrap()[0].sig.0).collect();
+        let sigs: Vec<u64> = (0..3).map(|_| pop(&q, 1).unwrap()[0].facts.sig.0).collect();
         // Each shard gets a turn before shard 0 is revisited.
         assert_eq!(sigs, vec![0, 1, 2]);
     }
@@ -309,10 +314,10 @@ mod tests {
         assert!(q.push(job(1)).is_ok()); // shard 1 → owner 1
         let p0 = q.pop_batch_for(0, 4).unwrap();
         assert!(!p0.stolen);
-        assert_eq!(p0.jobs[0].sig.0, 0);
+        assert_eq!(p0.jobs[0].facts.sig.0, 0);
         let p1 = q.pop_batch_for(1, 4).unwrap();
         assert!(!p1.stolen);
-        assert_eq!(p1.jobs[0].sig.0, 1);
+        assert_eq!(p1.jobs[0].facts.sig.0, 1);
     }
 
     #[test]
@@ -328,11 +333,11 @@ mod tests {
         let p = q.pop_batch_for(1, 16).unwrap();
         assert!(p.stolen, "foreign shard pop must count as a steal");
         assert_eq!(p.jobs.len(), 3, "steal takes the overloaded shard");
-        assert!(p.jobs.iter().all(|j| j.sig.0 == 2));
+        assert!(p.jobs.iter().all(|j| j.facts.sig.0 == 2));
         // The remaining job is still owner 0's to take, unstolen.
         let p = q.pop_batch_for(0, 16).unwrap();
         assert!(!p.stolen);
-        assert_eq!(p.jobs[0].sig.0, 0);
+        assert_eq!(p.jobs[0].facts.sig.0, 0);
     }
 
     #[test]
@@ -342,10 +347,10 @@ mod tests {
         assert!(q.push(job(0)).is_ok()); // owner 0's shard
         let p = q.pop_batch_for(1, 4).unwrap();
         assert!(!p.stolen, "own work must win over a steal");
-        assert_eq!(p.jobs[0].sig.0, 1);
+        assert_eq!(p.jobs[0].facts.sig.0, 1);
         let p = q.pop_batch_for(1, 4).unwrap();
         assert!(p.stolen, "now only foreign work remains");
-        assert_eq!(p.jobs[0].sig.0, 0);
+        assert_eq!(p.jobs[0].facts.sig.0, 0);
     }
 
     #[test]
@@ -393,12 +398,12 @@ mod tests {
         };
         let handle = crate::job::JobHandle {
             state: state.clone(),
-            signature: j.sig,
+            signature: j.facts.sig,
         };
         assert!(q.push(j).is_ok());
         let batch = pop(&q, 1).unwrap();
         batch[0].sink.complete(
-            batch[0].sig,
+            batch[0].facts.sig,
             JobResult {
                 output: JobOutput::I64(vec![]),
                 scheme: Scheme::Seq,

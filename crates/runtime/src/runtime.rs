@@ -10,19 +10,24 @@
 //! back into the store.  Several jobs of a batch reducing over the *same*
 //! pattern run as one **fused sweep** — one traversal producing every
 //! output (see `smartapps_reductions::run_fused_on`) — instead of merely sharing
-//! the decision.  The worker pool does the heavy lifting; each dispatcher
+//! the decision.  Every inspector product is remembered once per pattern
+//! allocation, in the runtime's pattern registry (the `registry` module):
+//! submission signs a job there and the job carries its entry, so
+//! whichever dispatcher pops it reuses what any other already paid.
+//! The worker pool does the heavy lifting; each dispatcher
 //! participates as `tid 0` of its own SPMD regions, so no core idles
 //! while it "waits".
 
 use crate::backend::{PclrBackend, PclrConfig, SimdBackend, SoftwareBackend};
 use crate::completion::{CompletionSet, CompletionSink};
-use crate::dispatch::{dispatcher_loop, finish, Exit, PatternCache};
+use crate::dispatch::{dispatcher_loop, finish, Exit};
 use crate::error::JobError;
 use crate::intern::PatternInterner;
 use crate::job::{JobHandle, JobResult, JobSpec, JobState, PatternSignature};
 use crate::pool::WorkerPool;
 use crate::profile::ProfileStore;
 use crate::queue::{QueuedJob, ShardedQueue};
+use crate::registry::{PatternCache, Registry, WidthFacts};
 use crate::stats::{RuntimeStats, StatsSnapshot};
 use crate::telemetry::{RuntimeTelemetry, SlowJob};
 use smartapps_core::adaptive::AdaptiveReduction;
@@ -48,8 +53,8 @@ const MAX_SPMD_THREADS: usize = 250;
 /// when it fills — pairing is opportunistic, not an index.
 const MAX_CYCLE_PAIRS: usize = 1024;
 
-/// Pattern allocations (per SPMD width) whose submit-side signature the
-/// runtime remembers — as many as a dispatcher's inspection cache holds.
+/// Pattern allocations the registry remembers (signatures per width and
+/// every inspector product; see the `registry` module).
 const SIGNATURE_MEMO_CAP: usize = 64;
 
 /// Knobs of the online calibration loop (`docs/MODEL.md`).
@@ -244,9 +249,10 @@ pub(crate) struct Shared {
     /// Whether the pre-scheduling simplification pass runs
     /// ([`RuntimeConfig::simplify`]).
     pub(crate) simplify: bool,
-    /// Submit-side signatures of *valid* patterns per (allocation, SPMD
-    /// width); see [`Shared::sign`].
-    signatures: Mutex<PatternCache<usize, PatternSignature>>,
+    /// The pattern registry: per *valid* pattern allocation, its
+    /// signature per SPMD width and its inspector products; see
+    /// [`Shared::sign`].
+    registry: Mutex<Registry>,
 }
 
 /// Panic health of one workload class: how many of its most recent bodies
@@ -396,24 +402,27 @@ impl Shared {
         self.quarantine_map().remove(&sig.0);
     }
 
-    fn signature_memo(&self) -> MutexGuard<'_, PatternCache<usize, PatternSignature>> {
-        self.signatures.lock().unwrap_or_else(|p| p.into_inner())
+    /// Lock the registry (poison-tolerant: every update under the lock
+    /// leaves it valid).
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The signature `pat` is queued under at `threads`, or why it is
-    /// rejected.  Validation and [`PatternSignature::of`] run on the first
-    /// submission of an allocation at a width; later submissions of the
-    /// same `Arc` hit the memo.  Only a valid pattern is memoized, and a
-    /// hit vouches for exactly the content that was validated (the memo's
-    /// live `Weak` freezes the allocation, see [`PatternCache`]).
-    fn sign(&self, pat: &Arc<AccessPattern>, threads: usize) -> Result<PatternSignature, String> {
-        if let Some(&sig) = self.signature_memo().get(pat, threads) {
-            return Ok(sig);
+    /// The registry entry `pat` is queued under at `threads` — its
+    /// signature and the products dispatchers fill — or why it is
+    /// rejected.  Validation and [`PatternSignature::of`] run outside the
+    /// lock on the first submission of an allocation at a width; later
+    /// submissions of the same `Arc` hit.  Only a valid pattern is
+    /// registered, and a hit vouches for exactly the content that was
+    /// validated (the registry's live `Weak` freezes the allocation, see
+    /// [`PatternCache`]).
+    fn sign(&self, pat: &Arc<AccessPattern>, threads: usize) -> Result<Arc<WidthFacts>, String> {
+        if let Some(facts) = self.registry().lookup(pat, threads) {
+            return Ok(facts);
         }
         pat.validate()?;
         let sig = PatternSignature::of(pat, self.sample_iters, threads);
-        self.signature_memo().insert(pat, threads, sig);
-        Ok(sig)
+        Ok(self.registry().register(pat, threads, sig))
     }
 }
 
@@ -472,7 +481,7 @@ impl Runtime {
             telemetry: RuntimeTelemetry::new(),
             interner: PatternInterner::new(config.pattern_intern_capacity),
             simplify: config.simplify,
-            signatures: Mutex::new(PatternCache::new(SIGNATURE_MEMO_CAP)),
+            registry: Mutex::new(PatternCache::new(SIGNATURE_MEMO_CAP)),
         });
         let dispatchers = (0..n_dispatchers)
             .map(|d| {
@@ -580,7 +589,7 @@ impl Runtime {
             .collect()
     }
 
-    /// The shared submission path: sign (validating on a memo miss),
+    /// The shared submission path: sign (validating on a registry miss),
     /// queue — or complete the sink immediately with the
     /// rejection/shutdown error.  Every sink is completed exactly once,
     /// here or by a dispatcher.
@@ -591,8 +600,8 @@ impl Runtime {
             .clamp(1, MAX_SPMD_THREADS);
         spec.threads = Some(threads);
         RuntimeStats::add(&self.shared.stats.submitted, 1);
-        let sig = match self.shared.sign(&spec.pattern, threads) {
-            Ok(sig) => sig,
+        let facts = match self.shared.sign(&spec.pattern, threads) {
+            Ok(facts) => facts,
             Err(e) => {
                 let error = JobError::rejected(format!("invalid access pattern: {e}"));
                 let sig = PatternSignature(0);
@@ -601,9 +610,10 @@ impl Runtime {
                 return sig;
             }
         };
+        let sig = facts.sig;
         if let Err(job) = self.shared.queue.push(QueuedJob {
             spec,
-            sig,
+            facts,
             sink,
             submitted_at: Instant::now(),
         }) {
@@ -815,6 +825,7 @@ pub(crate) mod tests {
     use crate::completion::Completion;
     use crate::dispatch::DRIFT_MIN_RUNS;
     use crate::error::JobErrorKind;
+    use crate::registry::tests::unregistered;
     use smartapps_core::GateVerdict;
     use smartapps_reductions::Inspector;
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
@@ -2106,7 +2117,7 @@ pub(crate) mod tests {
         queue.register();
         let smuggled = rt.shared.queue.push(QueuedJob {
             spec: JobSpec::i64(broken, |_i, _r| 1),
-            sig: PatternSignature(0xbad),
+            facts: unregistered(PatternSignature(0xbad), 2),
             sink: CompletionSink::Queue { token: 6, queue },
             submitted_at: Instant::now(),
         });
@@ -2287,8 +2298,8 @@ pub(crate) mod tests {
         let rt = Runtime::with_workers(2);
         let mut pat = pattern(305);
         assert!(signed(&rt, &pat, 2).1.error.is_none());
-        // The memo's live `Weak` (or a clone the dispatcher still holds)
-        // makes `make_mut` write to a new allocation the memo never saw.
+        // The registry's live `Weak` (or a clone the dispatcher still holds)
+        // makes `make_mut` write to a new allocation it never saw.
         let n = pat.num_elements as u32;
         Arc::make_mut(&mut pat).indices[0] = n;
         let kind = signed(&rt, &pat, 2).1.error.map(|e| e.kind);

@@ -42,7 +42,10 @@ pub struct StatsSnapshot {
     pub coalesced: u64,
     /// Batches served straight from the profile store (no inspection).
     pub profile_hits: u64,
-    /// Full inspector passes paid.
+    /// Inspector products filled, one count each: an inspection per
+    /// (pattern allocation, SPMD width) and a `hash` slot numbering
+    /// (`LocalIndex`) per allocation, paid when first needed and shared
+    /// by every dispatcher through the runtime's pattern registry.
     pub inspections: u64,
     /// Profile entries evicted after calibration drift.
     pub evictions: u64,

@@ -182,17 +182,21 @@ fn flooded_shard_is_drained_by_stealing_peers() {
         max_fuse: 1,
         ..RuntimeConfig::default()
     }));
-    let pat = pattern(31, 2000, 4000, 0.9);
+    // Sparse enough that width 2 runs a kernel reusing an inspector
+    // product (`sel` or `hash`), not one that needs none.
+    let pat = pattern(38, 20_000, 1500, 0.05);
     let oracle = sequential_reduce_i64(&pat);
     // All 60 jobs carry the same signature → the same shard → one owner;
     // the other three dispatchers have nothing of their own to do.
     let handles: Vec<_> = (0..60)
         .map(|_| rt.submit(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r))))
         .collect();
+    let mut schemes = Vec::new();
     for h in handles {
         let r = h.wait();
         assert!(r.error.is_none());
         assert_eq!(r.output.as_i64().unwrap(), &oracle[..]);
+        schemes.push(r.scheme);
     }
     let stats = rt.stats();
     assert_eq!(stats.completed, 60);
@@ -200,6 +204,18 @@ fn flooded_shard_is_drained_by_stealing_peers() {
         stats.steals > 0,
         "idle dispatchers must steal from the flooded shard: {stats:?}"
     );
+    // Every dispatcher that touches the allocation reuses the products
+    // the first one paid for: one inspection for the decision (which a
+    // `sel`/`lw` kernel reuses), plus one localize pass if any job ran
+    // `hash` — however many thieves decided or ran a batch.
+    assert!(
+        schemes
+            .iter()
+            .all(|s| matches!(s, Scheme::Sel | Scheme::Lw | Scheme::Hash)),
+        "{schemes:?}"
+    );
+    let localized = schemes.contains(&Scheme::Hash) as u64;
+    assert_eq!(stats.inspections, 1 + localized, "{schemes:?} {stats:?}");
 }
 
 /// Fused execution: K same-pattern sparse jobs with K different
