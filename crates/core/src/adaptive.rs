@@ -26,7 +26,8 @@ use crate::calibrate::Calibrator;
 use crate::monitor::PhaseDetector;
 use crate::toolbox::{Adaptation, Deviation, DomainKey, Optimizer};
 use smartapps_reductions::{
-    run_scheme_on, Inspection, Inspector, ModelInput, Scheme, SpawnExecutor, SpmdExecutor,
+    run_scheme_with, Analyses, Inspection, Inspector, ModelInput, Scheme, SpawnExecutor,
+    SpmdExecutor,
 };
 use smartapps_workloads::pattern::AccessPattern;
 use smartapps_workloads::{drift, PatternChars};
@@ -163,12 +164,15 @@ impl AdaptiveReduction {
         let st = self.state.as_ref().unwrap();
         let (scheme, raw_units, domain) = (st.scheme, st.raw_units, st.domain);
         // 3. Execute.  sel/lw must match the *current* pattern exactly, so
-        // the stored inspection is reused only when it was taken this call
-        // or the scheme needs none.
-        let insp = (characterized || !matches!(scheme, Scheme::Sel | Scheme::Lw))
-            .then_some(&st.inspection);
+        // the stored inspection is reused only when it was taken this
+        // call.  hash is handed no slot numbering: it numbers the pattern
+        // in every run, so its samples all cost the same.
+        let analyses = Analyses {
+            inspection: characterized.then_some(&st.inspection),
+            local: None,
+        };
         let t0 = Instant::now();
-        let out = run_scheme_on(scheme, pat, body, self.threads, insp, &*self.exec);
+        let out = run_scheme_with(scheme, pat, body, self.threads, analyses, &*self.exec);
         let elapsed = t0.elapsed();
         // 4. Evaluate against the estimate in force before this sample,
         // then learn from it.  No estimate yet reads as on target.

@@ -46,10 +46,11 @@
 //! own `K × slots` private array; in the merge phase each thread walks a
 //! block of slots and combines every thread's partial in tid order, then
 //! writes the element.  The schemes differ only in compile-time
-//! parameters: the key a reference carries (its element, or its `hash`
-//! slot), which keys get a slot (`sel` updates an element only one thread
-//! touches in place), the element a slot merges into, and whether threads
-//! mark the lines they touch.  `ll` marks each line of eight elements it
+//! parameters: the key a reference carries (its element for `rep` and
+//! `ll`, its touched-set slot for `sel` and `hash`), which keys get a
+//! private slot (`sel` updates an element only one thread touches in
+//! place), the element a slot merges into, and whether threads mark the
+//! lines they touch.  `ll` marks each line of eight elements it
 //! touches, one bit per line in the bitmap its merge reads, so the merge
 //! visits only marked lines and combines only the threads that marked
 //! each one.
@@ -62,11 +63,12 @@
 //! private storage, the maps and the merge buy nothing at width 1.
 //!
 //! `hash` reduces over the touched set numbered once by
-//! [`Inspector::localize`]: a [`LocalIndex`] gives every reference the
-//! dense slot of its element, so private storage is `K × distinct` per
-//! thread with no probe and no growth.  A caller that reuses the pattern
-//! passes the index in (the runtime caches one per pattern allocation);
-//! otherwise each run localizes for itself.
+//! [`LocalIndex::of`]: a [`LocalIndex`] gives every reference the dense
+//! slot of its element, so private storage is `K × distinct` per thread
+//! with no probe and no growth.  `sel` keys by the same slots.  A caller
+//! that reuses the pattern passes the index in, or an inspection, which
+//! carries the index it was derived from (the runtime caches one per
+//! pattern allocation); otherwise each run localizes for itself.
 //!
 //! Threading runs one SPMD block task per logical processor through a
 //! [`SpmdExecutor`] — [`SpawnExecutor`](crate::SpawnExecutor) forks fresh
@@ -74,7 +76,7 @@
 //! the service path.  Block scheduling matches the paper's block-scheduled
 //! loops.
 
-use crate::inspect::{Analyses, ConflictInfo, Inspector, LocalIndex, OwnerLists};
+use crate::inspect::{Analyses, Inspection, Inspector, LocalIndex};
 use crate::scheme::{RedElem, Scheme, UnsafeSlice};
 use crate::spmd::SpmdExecutor;
 use smartapps_workloads::pattern::AccessPattern;
@@ -195,7 +197,7 @@ pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
     };
     let local = match (scheme, analyses.local) {
         (Scheme::Hash, None) => {
-            own_local = Inspector::localize(pat);
+            own_local = LocalIndex::of(pat);
             Some(&own_local)
         }
         (_, local) => local,
@@ -206,11 +208,11 @@ pub(crate) fn sweep<'o, T: RedElem, B: Bodies<T> + ?Sized>(
         Scheme::Rep => privatize(pat, bodies, threads, &Replicated::<false>(n), exec, slices),
         Scheme::Ll => privatize(pat, bodies, threads, &Replicated::<true>(n), exec, slices),
         Scheme::Sel => {
-            let conflicts = &insp.unwrap().conflicts;
-            assert_eq!(conflicts.threads, threads, "conflict info for wrong P");
-            privatize(pat, bodies, threads, conflicts, exec, slices)
+            let insp = insp.unwrap();
+            assert_eq!(insp.threads, threads, "inspection for wrong P");
+            privatize(pat, bodies, threads, insp, exec, slices)
         }
-        Scheme::Lw => lw_sweep(pat, bodies, threads, &insp.unwrap().owners, exec, slices),
+        Scheme::Lw => lw_sweep(pat, bodies, threads, insp.unwrap(), exec, slices),
         Scheme::Hash => privatize(pat, bodies, threads, local.unwrap(), exec, slices),
         Scheme::Pclr => {
             panic!("Scheme::Pclr has no software kernel; route it to a PCLR execution backend")
@@ -252,9 +254,9 @@ trait Privatized: Sync {
     fn keys<'a>(&'a self, pat: &'a AccessPattern) -> &'a [u32];
     /// Private slots per thread, each K values wide.
     fn slots(&self) -> usize;
-    /// The private slot of key `x`, or `None` when only the running
-    /// thread ever touches its element, which is then updated in place.
-    fn slot(&self, x: usize) -> Option<usize>;
+    /// The private slot of key `x`, or, as the error, its element when
+    /// only the running thread ever touches it: it is updated in place.
+    fn slot(&self, x: usize) -> Result<usize, usize>;
     /// The element slot `s` merges into.
     fn element(&self, s: usize) -> usize;
 }
@@ -272,8 +274,8 @@ impl<const M: bool> Privatized for Replicated<M> {
         self.0
     }
     #[inline(always)]
-    fn slot(&self, x: usize) -> Option<usize> {
-        Some(x)
+    fn slot(&self, x: usize) -> Result<usize, usize> {
+        Ok(x)
     }
     #[inline(always)]
     fn element(&self, s: usize) -> usize {
@@ -281,23 +283,26 @@ impl<const M: bool> Privatized for Replicated<M> {
     }
 }
 
-/// `sel`: one slot per conflicting element; an element one thread alone
-/// references is written in place.
-impl Privatized for ConflictInfo {
-    fn keys<'a>(&'a self, pat: &'a AccessPattern) -> &'a [u32] {
-        &pat.indices
+/// `sel`: keyed by touched-set slot, one private slot per conflicting
+/// slot; a slot one thread alone references is written in place, to its
+/// element.
+impl Privatized for Inspection {
+    fn keys<'a>(&'a self, _: &'a AccessPattern) -> &'a [u32] {
+        &self.local.slot_of_ref
     }
     fn slots(&self) -> usize {
-        self.num_conflicting
+        self.conflicts.conflicting_elements.len()
     }
     #[inline(always)]
-    fn slot(&self, x: usize) -> Option<usize> {
-        let c = self.compact[x];
-        (c != u32::MAX).then_some(c as usize)
+    fn slot(&self, s: usize) -> Result<usize, usize> {
+        match self.conflicts.compact[s] {
+            u32::MAX => Err(self.local.elements[s] as usize),
+            c => Ok(c as usize),
+        }
     }
     #[inline(always)]
-    fn element(&self, s: usize) -> usize {
-        self.conflicting_elements[s] as usize
+    fn element(&self, c: usize) -> usize {
+        self.conflicts.conflicting_elements[c] as usize
     }
 }
 
@@ -313,8 +318,8 @@ impl Privatized for LocalIndex {
         self.elements.len()
     }
     #[inline(always)]
-    fn slot(&self, s: usize) -> Option<usize> {
-        Some(s)
+    fn slot(&self, s: usize) -> Result<usize, usize> {
+        Ok(s)
     }
     #[inline(always)]
     fn element(&self, s: usize) -> usize {
@@ -344,6 +349,9 @@ fn privatize<T: RedElem, B: Bodies<T> + ?Sized, S: Privatized>(
     outs: &[UnsafeSlice<'_, T>],
 ) {
     let slots = scheme.slots();
+    // `sel`'s in-place writes are race-free only for its own pattern.
+    let refs = scheme.keys(pat).len();
+    assert_eq!(refs, pat.num_references(), "analyses of another pattern");
     let words = slots.div_ceil(S::LINE * 64);
     // Loop phase: the private arrays' allocation and neutral fill is the
     // Init cost the paper charges to software schemes.
@@ -358,7 +366,7 @@ fn privatize<T: RedElem, B: Bodies<T> + ?Sized, S: Privatized>(
             let mine = block_range(pat.num_iterations(), t, threads);
             each_keyed(pat, scheme.keys(pat), mine, |i, r, x| {
                 match scheme.slot(x) {
-                    Some(s) => {
+                    Ok(s) => {
                         if S::MARKS {
                             // A byte store: testing and setting a bit here
                             // costs the loop a third more on dense patterns.
@@ -369,7 +377,7 @@ fn privatize<T: RedElem, B: Bodies<T> + ?Sized, S: Privatized>(
                     }
                     // SAFETY: the scheme gives an element no slot only when
                     // this thread alone touches it, in any output.
-                    None => bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(x, v) }),
+                    Err(e) => bodies.each(i, r, |kk, v| unsafe { outs[kk].combine_into(e, v) }),
                 }
             });
             // Packed once per thread, O(lines), into the merge's bitmap.
@@ -418,19 +426,20 @@ fn privatize<T: RedElem, B: Bodies<T> + ?Sized, S: Privatized>(
 /// referenced elements (iteration replication), and each thread commits
 /// only the updates into its own partition — no private arrays, no merge.
 /// The ownership test and index load are paid once for all K outputs.
+/// The owner lists are the inspection's, built on its first `lw` run.
 fn lw_sweep<T: RedElem, B: Bodies<T> + ?Sized>(
     pat: &AccessPattern,
     bodies: &B,
     threads: usize,
-    owners: &OwnerLists,
+    insp: &Inspection,
     exec: &(impl SpmdExecutor + ?Sized),
     outs: &[UnsafeSlice<'_, T>],
 ) {
-    assert_eq!(owners.threads, threads, "owner lists computed for wrong P");
-    let n = pat.num_elements;
+    assert_eq!(insp.threads, threads, "owner lists computed for wrong P");
+    let (n, iters_of) = (pat.num_elements, insp.owner_lists(pat));
     exec.spmd(threads, &|t| {
         let my = elem_block_range(n, t, threads);
-        let iters = owners.iters_of[t].iter().map(|&i| i as usize);
+        let iters = iters_of[t].iter().map(|&i| i as usize);
         each_ref(pat, iters, |i, r, x| {
             if my.contains(&x) {
                 // SAFETY: x is owned by this thread's disjoint element
@@ -579,6 +588,23 @@ mod tests {
         // No bodies: no outputs, and the pattern is never touched.
         let none: Vec<FusedBody<'_, i64>> = Vec::new();
         assert!(run_fused_on(Scheme::Rep, &pattern(24), &none, 4, None, &SpawnExecutor).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "analyses of another pattern")]
+    fn analyses_of_another_pattern_are_refused() {
+        // An inspection carries its slot numbering, which `hash` and `sel`
+        // key by: one of a pattern with fewer references is refused.
+        let insp = Inspector::analyze(&pattern(1), 2);
+        let body = |_i: usize, r: usize| contribution_i64(r);
+        run_scheme_on(
+            Scheme::Hash,
+            &wide_pattern(),
+            &body,
+            2,
+            Some(&insp),
+            &SpawnExecutor,
+        );
     }
 
     #[test]

@@ -14,9 +14,10 @@ use smartapps_workloads::pattern::AccessPattern;
 use std::time::{Duration, Instant};
 
 /// Execute one scheme on freshly spawned threads (the per-call path).
-/// `sel` and `lw` need an inspection; if none is supplied one is computed
-/// (and its cost is the caller's to account), as is `hash`'s
-/// [`LocalIndex`](crate::LocalIndex).
+/// `sel` and `lw` need an inspection and `hash` a
+/// [`LocalIndex`](crate::LocalIndex), which a supplied inspection carries;
+/// a missing one is computed per call (and its cost is the caller's to
+/// account).
 pub fn run_scheme<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
@@ -28,7 +29,7 @@ pub fn run_scheme<T: RedElem>(
 }
 
 /// Execute one scheme on the supplied [`SpmdExecutor`]: [`run_scheme_with`]
-/// reusing at most an inspection.
+/// reusing at most an inspection and its slot numbering.
 pub fn run_scheme_on<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
@@ -65,7 +66,7 @@ pub fn run_scheme_with<T: RedElem>(
     w
 }
 
-/// [`run_fused_with`] reusing at most an inspection.
+/// [`run_fused_with`] reusing at most an inspection and its slot numbering.
 pub fn run_fused_on<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
@@ -138,15 +139,16 @@ pub struct Timing {
     pub elapsed: Duration,
 }
 
-/// Measure a scheme: run `reps` repetitions and keep the fastest (loops in
-/// the paper's codes are invoked repeatedly; the steady-state invocation
-/// time is what the rankings compare).
+/// Measure a scheme on freshly spawned threads, reusing `analyses`: run
+/// `reps` repetitions and keep the fastest (loops in the paper's codes are
+/// invoked repeatedly; the steady-state invocation time is what the
+/// rankings compare).
 pub fn time_scheme<T: RedElem>(
     scheme: Scheme,
     pat: &AccessPattern,
     body: &(impl Fn(usize, usize) -> T + Sync),
     threads: usize,
-    insp: Option<&Inspection>,
+    analyses: Analyses<'_>,
     reps: usize,
 ) -> (Vec<T>, Timing) {
     assert!(reps >= 1);
@@ -154,7 +156,7 @@ pub fn time_scheme<T: RedElem>(
     let mut out = Vec::new();
     for _ in 0..reps {
         let t0 = Instant::now();
-        out = run_scheme(scheme, pat, body, threads, insp);
+        out = run_scheme_with(scheme, pat, body, threads, analyses, &SpawnExecutor);
         let dt = t0.elapsed();
         if dt < best {
             best = dt;
@@ -173,6 +175,11 @@ pub fn time_scheme<T: RedElem>(
 /// timings sorted fastest-first (the experimental ranking of Figure 3) and
 /// the sequential time for speedup computation.
 ///
+/// Every scheme reuses one inspection, whose cost is left out as
+/// amortized.  `hash` is handed no slot numbering, so each of its runs
+/// pays its localize walk, as a run without a cached numbering does: with
+/// one, `hash` on a dense pattern is `rep` renumbered and can tie it.
+///
 /// Schemes whose results disagree with the sequential oracle (beyond FP
 /// tolerance) panic — a wrong answer must never win a ranking.
 pub fn rank_schemes(
@@ -183,13 +190,17 @@ pub fn rank_schemes(
     reps: usize,
 ) -> (Vec<Timing>, Duration) {
     let insp = Inspector::analyze(pat, threads);
-    let (oracle, seq_t) = time_scheme(Scheme::Seq, pat, body, 1, None, reps);
+    let analyses = Analyses {
+        inspection: Some(&insp),
+        local: None,
+    };
+    let (oracle, seq_t) = time_scheme(Scheme::Seq, pat, body, 1, Analyses::default(), reps);
     let mut timings = Vec::new();
     for s in Scheme::all_parallel() {
         if s == Scheme::Lw && !lw_feasible {
             continue;
         }
-        let (out, t) = time_scheme(s, pat, body, threads, Some(&insp), reps);
+        let (out, t) = time_scheme(s, pat, body, threads, analyses, reps);
         for (e, (a, b)) in oracle.iter().zip(out.iter()).enumerate() {
             assert!(
                 (a - b).abs() <= 1e-9 * a.abs().max(1.0),
@@ -244,7 +255,7 @@ mod tests {
     fn time_scheme_returns_fastest_rep() {
         let p = pat();
         let body = |_i: usize, r: usize| contribution(r);
-        let (_, t) = time_scheme(Scheme::Rep, &p, &body, 2, None, 3);
+        let (_, t) = time_scheme(Scheme::Rep, &p, &body, 2, Analyses::default(), 3);
         assert!(t.elapsed > Duration::ZERO);
         assert_eq!(t.scheme, Scheme::Rep);
     }

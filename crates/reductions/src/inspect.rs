@@ -1,65 +1,54 @@
 //! The run-time inspector: pattern characterization and the per-scheme
-//! pre-analyses (conflict marking for `sel`, owner lists for `lw`, dense
-//! slot numbering for `hash`).
+//! pre-analyses (conflicting slots for `sel`, replication and owner lists
+//! for `lw`, the dense slot numbering for `hash`).
 //!
 //! "The characterization of the access pattern is performed at compile
 //! time whenever possible, and otherwise, at run-time, during an inspector
 //! phase or during speculative execution."  Here it is the inspector
-//! phase: one pass over the reference stream, after which the decision
-//! model (`crate::model`) picks a scheme and the chosen executor may reuse
-//! the analyses.
+//! phase.  It numbers the touched set first, in one localize walk of the
+//! reference stream ([`LocalIndex::of`]), and derives the
+//! characterization from slots ([`PatternChars::derive`]); neither depends
+//! on the thread count, so a caller that keeps them pays the pair once per
+//! pattern.  Then, per width, one walk of the slot stream in block order
+//! finds the conflicting slots and counts `lw`'s replication.  Every kept
+//! product is O(references + distinct); the N-sized arrays, localize's
+//! element -> slot map and a flag per line for `distinct_lines`, live only
+//! while their walk runs.  `lw`'s owner lists are built on the first `lw`
+//! run, not by the inspection.  The decision model (`crate::model`) then
+//! picks a scheme, and the chosen executor reuses the analyses.
 
 use smartapps_workloads::pattern::AccessPattern;
+pub use smartapps_workloads::LocalIndex;
 use smartapps_workloads::{block_range, elem_block_range, PatternChars};
+use std::sync::{Arc, OnceLock};
 
-/// Which elements are referenced by more than one thread under block
+/// Which touched slots more than one thread references under block
 /// scheduling (the privatization set of the `sel` scheme).
 #[derive(Debug, Clone)]
 pub struct ConflictInfo {
-    /// Thread count the analysis was computed for.
-    pub threads: usize,
-    /// Number of conflicting elements.
-    pub num_conflicting: usize,
-    /// Element -> compact conflict slot, or `u32::MAX` for non-conflicting.
+    /// Slot -> conflict index, or `u32::MAX` for a slot one thread alone
+    /// references.
     pub compact: Vec<u32>,
-    /// Compact slot -> element.
+    /// Conflict index -> element.
     pub conflicting_elements: Vec<u32>,
 }
 
-/// Which iterations each thread must execute under owner-computes
-/// (iteration replication of the `lw` scheme).
-#[derive(Debug, Clone)]
-pub struct OwnerLists {
-    /// Thread count the analysis was computed for.
-    pub threads: usize,
-    /// Per-thread iteration lists (ascending).
-    pub iters_of: Vec<Vec<u32>>,
-    /// Replication factor: total listed iterations / loop iterations.
-    pub replication: f64,
-}
-
-/// The touched set of a pattern numbered densely, for the `hash` scheme:
-/// every referenced element gets one slot, in first-touch order, so a
-/// thread's private storage is `K × distinct` values indexed by slot
-/// instead of a table probed by element.  It depends on the pattern only,
-/// not on the thread count.
-#[derive(Debug, Clone)]
-pub struct LocalIndex {
-    /// Reference slot -> dense slot of its element.
-    pub slot_of_ref: Vec<u32>,
-    /// Dense slot -> element, in first-touch order.
-    pub elements: Vec<u32>,
-}
-
-/// The complete inspector result.
+/// The complete inspector result at one thread count.
 #[derive(Debug, Clone)]
 pub struct Inspection {
+    /// Thread count the width pass was computed for.
+    pub threads: usize,
+    /// The pattern's slot numbering, which `sel` and `hash` key by.
+    pub local: Arc<LocalIndex>,
     /// Section 4 characterization measures.
     pub chars: PatternChars,
     /// Conflict analysis for `sel`.
     pub conflicts: ConflictInfo,
-    /// Owner lists for `lw`.
-    pub owners: OwnerLists,
+    /// `lw`'s iteration replication factor: owner-list entries / loop
+    /// iterations.
+    pub replication: f64,
+    /// `lw`'s per-thread iteration lists, built on the first `lw` run.
+    iters_of: OnceLock<Vec<Vec<u32>>>,
 }
 
 /// The inspector products one run may reuse.  A scheme that needs a
@@ -73,11 +62,11 @@ pub struct Analyses<'a> {
 }
 
 impl<'a> From<Option<&'a Inspection>> for Analyses<'a> {
-    /// An inspection alone: `hash` localizes per run.
+    /// An inspection and the slot numbering it was derived from.
     fn from(inspection: Option<&'a Inspection>) -> Self {
         Analyses {
             inspection,
-            local: None,
+            local: inspection.map(|insp| &*insp.local),
         }
     }
 }
@@ -85,111 +74,106 @@ impl<'a> From<Option<&'a Inspection>> for Analyses<'a> {
 /// Inspector entry points.
 pub struct Inspector;
 
-/// Sentinel: element not yet referenced.
+/// Sentinel: slot not yet referenced.
 const UNOWNED: u8 = u8::MAX;
-/// Sentinel: element referenced by at least two threads.
+/// Sentinel: slot referenced by at least two threads.
 const CONFLICT: u8 = u8::MAX - 1;
 
 impl Inspector {
     /// Run the full inspector for a block-scheduled loop on `threads`
-    /// threads.
+    /// threads: localize, derive the characterization, then the width
+    /// pass.
     pub fn analyze(pat: &AccessPattern, threads: usize) -> Inspection {
-        assert!((1..=250).contains(&threads), "thread count {threads}");
-        Inspection {
-            chars: PatternChars::measure(pat),
-            conflicts: Self::conflicts(pat, threads),
-            owners: Self::owners(pat, threads),
-        }
+        let (local, chars) = Self::number(pat);
+        Self::at_width(pat, local, chars, threads)
     }
 
-    /// Conflict analysis only.
-    pub fn conflicts(pat: &AccessPattern, threads: usize) -> ConflictInfo {
-        let n = pat.num_elements;
-        let mut owner = vec![UNOWNED; n];
+    /// The width-free half of an inspection: `pat`'s slot numbering and
+    /// the characterization derived from it.
+    pub fn number(pat: &AccessPattern) -> (Arc<LocalIndex>, PatternChars) {
+        let local = LocalIndex::of(pat);
+        let chars = PatternChars::derive(pat, &local);
+        (Arc::new(local), chars)
+    }
+
+    /// The width pass over `pat`, numbered by `local` and characterized
+    /// by `chars`: one walk of the slot stream in block order.  Each slot
+    /// keeps the thread that references it, or a conflict mark once a second
+    /// one does; and a stamp per `lw` owner counts the (iteration, owner)
+    /// pairs that replication charges, the owner of a slot's element
+    /// looked up once per slot.
+    pub fn at_width(
+        pat: &AccessPattern,
+        local: Arc<LocalIndex>,
+        chars: PatternChars,
+        threads: usize,
+    ) -> Inspection {
+        assert!((1..=250).contains(&threads), "thread count {threads}");
+        let home = lw_homes(pat, &local, threads);
+        let mut owner = vec![UNOWNED; local.elements.len()];
+        let (mut hit, mut listed) = (vec![u32::MAX; threads], 0usize);
+        let iters = pat.num_iterations();
         for t in 0..threads {
-            for i in block_range(pat.num_iterations(), t, threads) {
-                for r in pat.ref_range(i) {
-                    let x = pat.indices[r] as usize;
-                    match owner[x] {
-                        UNOWNED => owner[x] = t as u8,
-                        CONFLICT => {}
-                        o if o as usize == t => {}
-                        _ => owner[x] = CONFLICT,
+            let tb = t as u8;
+            for i in block_range(iters, t, threads) {
+                for &s in &local.slot_of_ref[pat.ref_range(i)] {
+                    let o = &mut owner[s as usize];
+                    let alone = *o == UNOWNED || *o == tb;
+                    *o = if alone { tb } else { CONFLICT };
+                    let h = &mut hit[home[s as usize] as usize];
+                    listed += usize::from(*h != i as u32);
+                    *h = i as u32;
+                }
+            }
+        }
+        let (mut compact, mut conflicting_elements) = (vec![u32::MAX; owner.len()], Vec::new());
+        for (s, _) in owner.iter().enumerate().filter(|&(_, &o)| o == CONFLICT) {
+            compact[s] = conflicting_elements.len() as u32;
+            conflicting_elements.push(local.elements[s]);
+        }
+        Inspection {
+            threads,
+            local,
+            chars,
+            conflicts: ConflictInfo {
+                compact,
+                conflicting_elements,
+            },
+            replication: listed as f64 / iters.max(1) as f64,
+            iters_of: OnceLock::new(),
+        }
+    }
+}
+
+/// `lw`'s owner of every slot: the thread whose line-aligned element
+/// block holds the slot's element.
+fn lw_homes(pat: &AccessPattern, local: &LocalIndex, threads: usize) -> Vec<u8> {
+    let bounds: Vec<usize> = (0..threads)
+        .map(|t| elem_block_range(pat.num_elements, t, threads).end)
+        .collect();
+    let home = |x: &u32| bounds.partition_point(|&b| b <= *x as usize) as u8;
+    local.elements.iter().map(home).collect()
+}
+
+impl Inspection {
+    /// `lw`'s per-thread iteration lists (ascending): thread `t` runs
+    /// every iteration that references an element of its block.  `pat`
+    /// must be the pattern this inspection was taken of; the lists are
+    /// built on the first call and kept.
+    pub fn owner_lists(&self, pat: &AccessPattern) -> &[Vec<u32>] {
+        self.iters_of.get_or_init(|| {
+            let home = lw_homes(pat, &self.local, self.threads);
+            let mut iters_of = vec![Vec::new(); self.threads];
+            for i in 0..pat.num_iterations() {
+                for &s in &self.local.slot_of_ref[pat.ref_range(i)] {
+                    let list: &mut Vec<u32> = &mut iters_of[home[s as usize] as usize];
+                    if list.last() != Some(&(i as u32)) {
+                        list.push(i as u32);
                     }
                 }
             }
-        }
-        let mut compact = vec![u32::MAX; n];
-        let mut conflicting_elements = Vec::new();
-        for (x, &o) in owner.iter().enumerate() {
-            if o == CONFLICT {
-                compact[x] = conflicting_elements.len() as u32;
-                conflicting_elements.push(x as u32);
-            }
-        }
-        ConflictInfo {
-            threads,
-            num_conflicting: conflicting_elements.len(),
-            compact,
-            conflicting_elements,
-        }
-    }
-
-    /// Number the touched elements of `pat` densely, in first-touch order
-    /// (one pass).  The element -> slot map is zero-initialized (it stores
-    /// slot + 1), so pages of untouched elements are never faulted in, and
-    /// it is dropped when the pass ends.
-    pub fn localize(pat: &AccessPattern) -> LocalIndex {
-        let mut slot_plus_one = vec![0u32; pat.num_elements];
-        let mut elements = Vec::new();
-        let slot_of_ref = pat
-            .indices
-            .iter()
-            .map(|&x| {
-                let s = &mut slot_plus_one[x as usize];
-                if *s == 0 {
-                    elements.push(x);
-                    *s = elements.len() as u32;
-                }
-                *s - 1
-            })
-            .collect();
-        LocalIndex {
-            slot_of_ref,
-            elements,
-        }
-    }
-
-    /// Owner-list analysis only.
-    pub fn owners(pat: &AccessPattern, threads: usize) -> OwnerLists {
-        let n = pat.num_elements;
-        // Element -> owning thread, from the line-aligned block partition.
-        let bounds: Vec<usize> = (0..threads)
-            .map(|t| elem_block_range(n, t, threads).end)
-            .collect();
-        let owner_of = |x: usize| -> usize { bounds.partition_point(|&b| b <= x) };
-        let mut iters_of: Vec<Vec<u32>> = vec![Vec::new(); threads];
-        let mut listed = 0usize;
-        let mut hit: Vec<u32> = vec![u32::MAX; threads];
-        for i in 0..pat.num_iterations() {
-            for r in pat.ref_range(i) {
-                let t = owner_of(pat.indices[r] as usize);
-                if hit[t] != i as u32 {
-                    hit[t] = i as u32;
-                    iters_of[t].push(i as u32);
-                    listed += 1;
-                }
-            }
-        }
-        OwnerLists {
-            threads,
-            iters_of,
-            replication: if pat.num_iterations() > 0 {
-                listed as f64 / pat.num_iterations() as f64
-            } else {
-                0.0
-            },
-        }
+            iters_of
+        })
     }
 }
 
@@ -202,13 +186,22 @@ mod tests {
     fn conflicts_on_hand_built_pattern() {
         // 2 threads, 4 iterations (2 each).  Element 0 touched by both
         // halves -> conflict; 1 only by thread 0; 2 only by thread 1.
+        // First touch numbers element x as slot x here.
         let pat = AccessPattern::from_iters(3, &[vec![0, 1], vec![1], vec![0, 2], vec![2]]);
-        let c = Inspector::conflicts(&pat, 2);
-        assert_eq!(c.num_conflicting, 1);
+        let c = Inspector::analyze(&pat, 2).conflicts;
         assert_eq!(c.conflicting_elements, vec![0]);
-        assert_eq!(c.compact[0], 0);
-        assert_eq!(c.compact[1], u32::MAX);
-        assert_eq!(c.compact[2], u32::MAX);
+        assert_eq!(c.compact, vec![0, u32::MAX, u32::MAX]);
+    }
+
+    #[test]
+    fn compact_map_is_keyed_by_slot() {
+        // First touch numbers element 5 as slot 0 and element 2 as slot
+        // 1; only element 2 is referenced by both threads.
+        let pat = AccessPattern::from_iters(6, &[vec![5, 2], vec![2]]);
+        let insp = Inspector::analyze(&pat, 2);
+        assert_eq!(insp.local.elements, vec![5, 2]);
+        assert_eq!(insp.conflicts.compact, vec![u32::MAX, 0]);
+        assert_eq!(insp.conflicts.conflicting_elements, vec![2]);
     }
 
     #[test]
@@ -222,8 +215,8 @@ mod tests {
             seed: 1,
         }
         .generate();
-        let c = Inspector::conflicts(&pat, 1);
-        assert_eq!(c.num_conflicting, 0);
+        let c = Inspector::analyze(&pat, 1).conflicts;
+        assert!(c.conflicting_elements.is_empty());
     }
 
     #[test]
@@ -238,7 +231,10 @@ mod tests {
                 seed: 3,
             }
             .generate();
-            Inspector::conflicts(&pat, 8).num_conflicting
+            Inspector::analyze(&pat, 8)
+                .conflicts
+                .conflicting_elements
+                .len()
         };
         let uniform = mk(Distribution::Uniform);
         let clustered = mk(Distribution::Clustered { window: 32 });
@@ -251,12 +247,15 @@ mod tests {
     #[test]
     fn owner_lists_cover_every_iteration_once_per_owner() {
         let pat = AccessPattern::from_iters(16, &[vec![0, 15], vec![0, 0], vec![8], vec![15, 0]]);
-        let o = Inspector::owners(&pat, 2);
+        let insp = Inspector::analyze(&pat, 2);
+        let lists = insp.owner_lists(&pat);
         // Thread 0 owns elements 0..8, thread 1 owns 8..16.
-        assert_eq!(o.iters_of[0], vec![0, 1, 3]);
-        assert_eq!(o.iters_of[1], vec![0, 2, 3]);
+        assert_eq!(lists[0], vec![0, 1, 3]);
+        assert_eq!(lists[1], vec![0, 2, 3]);
         // Iterations 0 and 3 are replicated to both threads.
-        assert!((o.replication - 6.0 / 4.0).abs() < 1e-12);
+        assert!((insp.replication - 6.0 / 4.0).abs() < 1e-12);
+        // Built once: a second call returns the same lists.
+        assert!(std::ptr::eq(lists, insp.owner_lists(&pat)));
     }
 
     #[test]
@@ -271,10 +270,10 @@ mod tests {
         }
         .generate();
         for threads in [1usize, 2, 4, 8] {
-            let o = Inspector::owners(&pat, threads);
-            assert!(o.replication >= 1.0 - 1e-12);
-            assert!(o.replication <= 3.0 + 1e-12, "at most MO owners");
-            assert!(o.replication <= threads as f64 + 1e-12);
+            let r = Inspector::analyze(&pat, threads).replication;
+            assert!(r >= 1.0 - 1e-12);
+            assert!(r <= 3.0 + 1e-12, "at most MO owners");
+            assert!(r <= threads as f64 + 1e-12);
         }
     }
 
@@ -291,68 +290,22 @@ mod tests {
         .generate();
         let insp = Inspector::analyze(&pat, 4);
         assert_eq!(insp.chars.references, pat.num_references());
-        assert_eq!(insp.conflicts.threads, 4);
-        assert_eq!(insp.owners.threads, 4);
-        assert!(insp.conflicts.num_conflicting <= insp.chars.distinct);
-    }
-
-    fn localize_patterns() -> Vec<AccessPattern> {
-        let generated = |dist, seed| {
-            PatternSpec {
-                num_elements: 4096,
-                iterations: 3000,
-                refs_per_iter: 3,
-                coverage: 0.3,
-                dist,
-                seed,
-            }
-            .generate()
-        };
-        vec![
-            generated(Distribution::Uniform, 1),
-            generated(Distribution::Clustered { window: 16 }, 2),
-            AccessPattern::from_iters(9, &[vec![4, 1], vec![], vec![1, 8, 4]]),
-        ]
+        assert_eq!(insp.threads, 4);
+        assert_eq!(insp.owner_lists(&pat).len(), 4);
+        assert_eq!(insp.conflicts.compact.len(), insp.chars.distinct);
+        assert!(insp.conflicts.conflicting_elements.len() <= insp.chars.distinct);
     }
 
     #[test]
-    fn local_index_maps_every_reference_to_its_element() {
-        for pat in localize_patterns() {
-            let li = Inspector::localize(&pat);
-            assert!(pat
-                .indices
-                .iter()
-                .zip(&li.slot_of_ref)
-                .all(|(&x, &s)| li.elements[s as usize] == x));
-        }
-    }
-
-    #[test]
-    fn local_index_numbers_distinct_elements_in_first_touch_order() {
-        for pat in localize_patterns() {
-            let mut first_touch = Vec::new();
-            for &x in &pat.indices {
-                if !first_touch.contains(&x) {
-                    first_touch.push(x);
-                }
-            }
-            let li = Inspector::localize(&pat);
-            assert!(
-                li.elements == first_touch
-                    && li.elements.len() == PatternChars::measure(&pat).distinct
-            );
-        }
-    }
-
-    #[test]
-    fn local_index_of_empty_and_single_hot_patterns() {
-        let empty = Inspector::localize(&AccessPattern::from_iters(16, &[]));
-        let hot = Inspector::localize(&AccessPattern::from_iters(4, &vec![vec![3u32, 3]; 50]));
-        assert!(
-            empty.slot_of_ref.is_empty()
-                && empty.elements.is_empty()
-                && hot.elements == [3]
-                && hot.slot_of_ref == [0; 100]
-        );
+    fn analyses_from_an_inspection_carry_its_slot_numbering() {
+        let pat = AccessPattern::from_iters(9, &[vec![4, 1], vec![], vec![1, 8, 4]]);
+        let insp = Inspector::analyze(&pat, 2);
+        let analyses = Analyses::from(Some(&insp));
+        // `hash` reads `analyses.local` and `sel` its inspection's
+        // numbering: both are the inspection's own, so neither localizes.
+        assert!(std::ptr::eq(analyses.inspection.unwrap(), &insp));
+        assert!(std::ptr::eq(analyses.local.unwrap(), &*insp.local));
+        let none = Analyses::from(None);
+        assert!(none.inspection.is_none() && none.local.is_none());
     }
 }

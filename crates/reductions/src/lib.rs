@@ -55,7 +55,7 @@ pub use exec::{
     rank_schemes, run_fused, run_fused_on, run_fused_with, run_scheme, run_scheme_on,
     run_scheme_with, time_scheme, Timing,
 };
-pub use inspect::{Analyses, ConflictInfo, Inspection, Inspector, LocalIndex, OwnerLists};
+pub use inspect::{Analyses, ConflictInfo, Inspection, Inspector, LocalIndex};
 pub use model::{DecisionModel, ModelInput, ModelParams, Prediction};
 pub use scheme::{RedElem, Scheme, UnsafeSlice};
 pub use simd::{simd_feasible, simd_reduce, simd_reduce_on, SimdElem, SIMD_LANES};

@@ -15,9 +15,11 @@
 //!   per-reference link-maintenance overhead, and a merge proportional to
 //!   the touched lines;
 //! * `sel` — an inspector pass, a per-reference indirection through the
-//!   element→compact map (whose footprint scales with N, the reason `sel`
-//!   degrades on huge arrays it does not pay O(N) sweeps for), and a merge
-//!   proportional to the conflicting elements;
+//!   slot→conflict-index map, and a merge proportional to the conflicting
+//!   elements.  The map is charged a footprint of 4 bytes per array
+//!   element, as when it was indexed by element; it is now per touched
+//!   element, so this overcharges `sel` on large sparse arrays, kept so
+//!   decisions do not move until the model is refit (ROADMAP item 7);
 //! * `lw` — an inspector pass plus *iteration replication*: the loop body
 //!   re-executes once per owner of each iteration's references;
 //! * `hash` — a per-reference hashing overhead with a working set
@@ -194,9 +196,9 @@ impl ModelInput {
     pub fn from_inspection(insp: &Inspection, lw_feasible: bool) -> Self {
         ModelInput {
             chars: insp.chars.clone(),
-            conflicting: insp.conflicts.num_conflicting,
-            replication: insp.owners.replication,
-            threads: insp.conflicts.threads,
+            conflicting: insp.conflicts.conflicting_elements.len(),
+            replication: insp.replication,
+            threads: insp.threads,
             lw_feasible,
             fanout: 1,
             pclr_available: false,
@@ -327,10 +329,12 @@ impl DecisionModel {
             }
             Scheme::Sel => {
                 let conf = input.conflicting as f64;
-                // The compact map (4 bytes/element over the whole array,
-                // shared by all outputs) plus K copies of the
+                // The conflict-index map, charged at 4 bytes per array
+                // element (shared by all outputs), plus K copies of the
                 // directly-updated shared elements; the indirection is
-                // paid once per reference.
+                // paid once per reference.  The map is per touched
+                // element now, so `n * 4.0` overcharges it; kept until
+                // the model is refit, so decisions do not move.
                 let upd = q.locality_cost(n * 4.0 + k * d_t * 8.0);
                 insp + body + (r / p) * (k * upd + q.sel_indirect) + q.sel_merge_elem * k * conf
             }

@@ -363,7 +363,7 @@ impl Backend for PclrBackend {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use smartapps_reductions::Inspector;
+    use smartapps_reductions::LocalIndex;
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
     use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
 
@@ -398,7 +398,7 @@ mod tests {
         // `hash` merges each slot's partials in fixed thread order, so
         // two pooled runs of one f64 body agree bit for bit.
         let pat = pattern(9);
-        let local = Inspector::localize(&pat);
+        let local = LocalIndex::of(&pat);
         let spec = JobSpec::f64(pat.clone(), |i, r| contribution(r) / (i as f64 + 3.0));
         for threads in [2usize, 4] {
             let b = SoftwareBackend::new(Arc::new(WorkerPool::new(threads)));

@@ -518,7 +518,8 @@ fn run_kernel<T: ScanElem>(
         GroupKernel::Fused(plan) => {
             let facts = &group[0].facts;
             // A `sel`/`lw` sweep's inspection is already filled by the
-            // gate's own pass; a `hash` sweep localizes once per pattern.
+            // gate's own pass; a `hash` sweep reuses the slot numbering
+            // that pass built.
             let analyses = facts.kernel_analyses(plan.scheme, pat, &shared.stats);
             let threads = facts.threads;
             let pool = &*shared.pool;

@@ -3,17 +3,20 @@
 //!
 //! Submission signs a job's pattern here (`Shared::sign`) and the
 //! queued job carries the [`WidthFacts`] it got back, so every dispatcher
-//! — the shard's owner or a thief — reads and fills the same products:
-//! the inspection per (allocation, SPMD width), and per allocation the
-//! `hash` slot numbering and a positive simplification walk.  Each
-//! product is filled once, on first use, and the fills of the inspector
-//! passes count in `runtime.inspections`.  Dispatchers keep no pattern
-//! state of their own.
+//! — the shard's owner or a thief — reads and fills the same products.
+//! Per allocation: the slot numbering with the characterization derived
+//! from it, and a positive simplification walk.  Per (allocation, SPMD
+//! width): the inspection, whose width pass reuses the allocation's
+//! numbering, so a new width pays only that pass.  Each product is filled
+//! once, on first use.  `runtime.inspections` counts one per inspection
+//! filled (the numbering included when that fill pays it), plus one per
+//! numbering filled alone, for a `hash` run no inspection preceded (a
+//! profile hit).  Dispatchers keep no pattern state of their own.
 
 use crate::job::PatternSignature;
 use crate::stats::RuntimeStats;
 use smartapps_reductions::{Analyses, Inspection, Inspector, LocalIndex, ScanMatch, Scheme};
-use smartapps_workloads::AccessPattern;
+use smartapps_workloads::{AccessPattern, PatternChars};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -81,8 +84,9 @@ impl<V> PatternCache<V> {
 /// first use and shared by every width, job and dispatcher.
 #[derive(Default)]
 pub(crate) struct PatternFacts {
-    /// The `hash` slot numbering (it does not depend on the width).
-    local: OnceLock<LocalIndex>,
+    /// The slot numbering and the characterization derived from it: the
+    /// width-free half of every inspection, and `hash`'s slots.
+    numbered: OnceLock<(Arc<LocalIndex>, PatternChars)>,
     /// A *positive* recognizer walk, set only on a match.  A negative one
     /// persists per signature as the profile store's `simp … 0` verdict.
     pub(crate) scan: OnceLock<ScanMatch>,
@@ -103,22 +107,24 @@ pub(crate) struct WidthFacts {
 }
 
 impl WidthFacts {
-    /// The inspection of `pat` at this width, paying (and counting) the
-    /// inspector pass on first use.  A concurrent caller waits for that
-    /// pass instead of repeating it; a panicking pass leaves the cell
-    /// empty.
+    /// The inspection of `pat` at this width, paying (and counting) it on
+    /// first use: the width pass, and the allocation's numbering if no
+    /// width has filled it yet.  A concurrent caller waits for that fill
+    /// instead of repeating it; a panicking fill leaves the cell empty.
     pub(crate) fn inspection(&self, pat: &AccessPattern, stats: &RuntimeStats) -> &Inspection {
         self.inspection.get_or_init(|| {
             RuntimeStats::add(&stats.inspections, 1);
-            Inspector::analyze(pat, self.threads)
+            let numbered = &self.allocation.numbered;
+            let (local, chars) = numbered.get_or_init(|| Inspector::number(pat));
+            Inspector::at_width(pat, local.clone(), chars.clone(), self.threads)
         })
     }
 
     /// What a `scheme` kernel over `pat` reuses, paying a pass on first
-    /// use: the inspection for `sel`/`lw`, the slot numbering for `hash`
-    /// (a localize pass, counted as an inspection: it is the `hash`
-    /// scheme's inspector), nothing for the rest — and nothing at width
-    /// 1, where every software scheme runs the sequential sweep.
+    /// use: the inspection for `sel`/`lw`, the allocation's slot numbering
+    /// for `hash` (the one an inspection built, or a localize walk of its
+    /// own, counted as an inspection), nothing for the rest — and nothing
+    /// at width 1, where every software scheme runs the sequential sweep.
     pub(crate) fn kernel_analyses(
         &self,
         scheme: Scheme,
@@ -130,13 +136,16 @@ impl WidthFacts {
         }
         match scheme {
             Scheme::Sel | Scheme::Lw => Some(self.inspection(pat, stats)).into(),
-            Scheme::Hash => Analyses {
-                inspection: None,
-                local: Some(self.allocation.local.get_or_init(|| {
+            Scheme::Hash => {
+                let (local, _) = self.allocation.numbered.get_or_init(|| {
                     RuntimeStats::add(&stats.inspections, 1);
-                    Inspector::localize(pat)
-                })),
-            },
+                    Inspector::number(pat)
+                });
+                Analyses {
+                    inspection: None,
+                    local: Some(local),
+                }
+            }
             _ => Analyses::default(),
         }
     }
@@ -235,8 +244,17 @@ pub(crate) mod tests {
             std::ptr::eq(first, second) && std::ptr::eq(second, third),
             "a hit must share the cached inspection, not copy it"
         );
-        registered(&mut reg, &pat, 2).inspection(&pat, &stats);
+        // `hash` reuses the numbering the inspection built.
+        let hash = a.kernel_analyses(Scheme::Hash, &pat, &stats);
+        assert!(std::ptr::eq(hash.local.unwrap(), &*first.local));
+        assert_eq!(stats.snapshot().inspections, 1);
+        let narrow = registered(&mut reg, &pat, 2);
+        let narrow = narrow.inspection(&pat, &stats);
         assert_eq!(stats.snapshot().inspections, 2, "new width must analyze");
+        assert!(
+            Arc::ptr_eq(&first.local, &narrow.local),
+            "a new width re-runs only the width pass, on the shared numbering"
+        );
         // A dead Arc whose address gets reused must not serve a stale
         // inspection: the Weak upgrade guard forces a fresh analysis.
         let addr = Arc::as_ptr(&pat) as usize;
@@ -268,12 +286,17 @@ pub(crate) mod tests {
         // shares it.
         assert_eq!(local(&registered(&mut reg, &pat, 5), &pat), first);
         assert_eq!(stats.snapshot().inspections, 1, "a new width must hit");
+        // An inspection after it pays the width pass alone, on that index.
+        let insp = registered(&mut reg, &pat, 3);
+        let insp = insp.inspection(&pat, &stats);
+        assert_eq!(stats.snapshot().inspections, 2);
+        assert_eq!(&*insp.local as *const LocalIndex, first);
         // A dead Arc whose address gets reused gets a fresh pass.
         let addr = Arc::as_ptr(&pat) as usize;
         drop(pat);
         let fresh = reuse_address(addr, 34);
         local(&registered(&mut reg, &fresh, 3), &fresh);
-        assert_eq!(stats.snapshot().inspections, 2);
+        assert_eq!(stats.snapshot().inspections, 3);
     }
 
     #[test]

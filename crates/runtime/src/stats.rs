@@ -42,10 +42,13 @@ pub struct StatsSnapshot {
     pub coalesced: u64,
     /// Batches served straight from the profile store (no inspection).
     pub profile_hits: u64,
-    /// Inspector products filled, one count each: an inspection per
-    /// (pattern allocation, SPMD width) and a `hash` slot numbering
-    /// (`LocalIndex`) per allocation, paid when first needed and shared
-    /// by every dispatcher through the runtime's pattern registry.
+    /// Inspector fills, paid when first needed and shared by every
+    /// dispatcher through the runtime's pattern registry: one per
+    /// inspection filled, per (pattern allocation, SPMD width), its
+    /// allocation's slot numbering and characterization included when it
+    /// pays them; plus one per slot numbering (`LocalIndex`) filled alone,
+    /// for a `hash` run no inspection of the allocation preceded (a
+    /// profile hit).
     pub inspections: u64,
     /// Profile entries evicted after calibration drift.
     pub evictions: u64,

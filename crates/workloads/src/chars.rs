@@ -17,8 +17,9 @@
 //! * **DIM** — the ratio between the reduction array dimension and the
 //!   cache size.
 //!
-//! These are computed here from an [`AccessPattern`] — the same computation
-//! the run-time inspector performs in `smartapps-reductions::inspect`.
+//! These are derived here from an [`AccessPattern`]'s [`LocalIndex`] — the
+//! derivation the run-time inspector in `smartapps-reductions::inspect`
+//! shares.
 
 use crate::pattern::AccessPattern;
 use serde::{Deserialize, Serialize};
@@ -55,64 +56,97 @@ pub struct PatternChars {
 /// clamps the tail).
 pub const CH_BUCKETS: usize = 64;
 
-impl PatternChars {
-    /// Characterize a pattern (one full inspector pass).
-    pub fn measure(pat: &AccessPattern) -> Self {
-        let mut per_elem = vec![0u32; pat.num_elements];
-        for &x in &pat.indices {
-            per_elem[x as usize] += 1;
+/// The touched set of a pattern numbered densely: every referenced
+/// element gets one slot, in first-touch order.  The characterization
+/// and every inspector product derive from slots, and the `hash` scheme
+/// keeps `K × distinct` private values per thread indexed by slot instead
+/// of a table probed by element.  It depends on the pattern only, not on
+/// the thread count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LocalIndex {
+    /// Reference slot -> dense slot of its element.
+    pub slot_of_ref: Vec<u32>,
+    /// Dense slot -> element, in first-touch order.
+    pub elements: Vec<u32>,
+}
+
+impl LocalIndex {
+    /// Number the touched elements of `pat` (one walk of the reference
+    /// stream).  The element -> slot map is zero-initialized (it stores
+    /// slot + 1), so pages of untouched elements are never faulted in, and
+    /// it is dropped when the walk ends.
+    pub fn of(pat: &AccessPattern) -> Self {
+        let mut slot_plus_one = vec![0u32; pat.num_elements];
+        let mut elements = Vec::new();
+        let slot_of_ref = pat
+            .indices
+            .iter()
+            .map(|&x| {
+                let s = &mut slot_plus_one[x as usize];
+                if *s == 0 {
+                    elements.push(x);
+                    *s = elements.len() as u32;
+                }
+                *s - 1
+            })
+            .collect();
+        LocalIndex {
+            slot_of_ref,
+            elements,
         }
-        let distinct = per_elem.iter().filter(|&&c| c > 0).count();
-        let distinct_lines = per_elem
-            .chunks(8)
-            .filter(|ch| ch.iter().any(|&c| c > 0))
-            .count();
+    }
+}
+
+impl PatternChars {
+    /// Characterize a pattern: number its touched set, then derive.
+    pub fn measure(pat: &AccessPattern) -> Self {
+        Self::derive(pat, &LocalIndex::of(pat))
+    }
+
+    /// Characterize `pat` from its slot numbering, in one walk of the slot
+    /// stream: per-slot counts give `distinct`, CH and the maximum, and a
+    /// last-seen-iteration stamp per slot gives MO without a sort.  The
+    /// slots' elements give `distinct_lines`, through a transient zeroed
+    /// flag per line.
+    pub fn derive(pat: &AccessPattern, local: &LocalIndex) -> Self {
+        let iters = pat.num_iterations();
+        let distinct = local.elements.len();
+        // Per slot: its references, and the last iteration + 1 that
+        // referenced it (0: none yet).
+        let mut seen = vec![(0u32, 0u32); distinct];
+        let mut mo_sum = 0usize;
+        for (i, w) in pat.iter_ptr.windows(2).enumerate() {
+            let stamp = i as u32 + 1;
+            for &s in &local.slot_of_ref[w[0] as usize..w[1] as usize] {
+                let (count, last) = &mut seen[s as usize];
+                *count += 1;
+                mo_sum += usize::from(*last != stamp);
+                *last = stamp;
+            }
+        }
         let mut ch = vec![0usize; CH_BUCKETS];
         let mut max_refs = 0usize;
-        for &c in &per_elem {
-            if c > 0 {
-                let b = (c as usize - 1).min(CH_BUCKETS - 1);
-                ch[b] += 1;
-                max_refs = max_refs.max(c as usize);
-            }
+        for &(c, _) in &seen {
+            ch[(c as usize - 1).min(CH_BUCKETS - 1)] += 1;
+            max_refs = max_refs.max(c as usize);
         }
-        // MO: average distinct elements per iteration.
-        let iters = pat.num_iterations();
-        let mut mo_sum = 0usize;
-        let mut scratch: Vec<u32> = Vec::new();
-        for i in 0..iters {
-            let refs = pat.refs(i);
-            if refs.len() <= 1 {
-                mo_sum += refs.len();
-            } else {
-                scratch.clear();
-                scratch.extend_from_slice(refs);
-                scratch.sort_unstable();
-                scratch.dedup();
-                mo_sum += scratch.len();
-            }
+        let mut lines = vec![false; pat.num_elements.div_ceil(8)];
+        let mut distinct_lines = 0usize;
+        for &x in &local.elements {
+            let line = &mut lines[x as usize >> 3];
+            distinct_lines += usize::from(!*line);
+            *line = true;
         }
+        let ratio = |a: usize, b: usize| if b > 0 { a as f64 / b as f64 } else { 0.0 };
         PatternChars {
             num_elements: pat.num_elements,
             iterations: iters,
             references: pat.num_references(),
             distinct,
             distinct_lines,
-            mo: if iters > 0 {
-                mo_sum as f64 / iters as f64
-            } else {
-                0.0
-            },
-            con: if distinct > 0 {
-                iters as f64 / distinct as f64
-            } else {
-                0.0
-            },
-            sp: if pat.num_elements > 0 {
-                distinct as f64 / pat.num_elements as f64
-            } else {
-                0.0
-            },
+            mo: ratio(mo_sum, iters),
+            con: ratio(iters, distinct),
+            sp: ratio(distinct, pat.num_elements),
             ch,
             max_refs_per_element: max_refs,
         }
@@ -366,5 +400,66 @@ mod tests {
         assert_eq!(c.mo, 0.0);
         assert_eq!(c.con, 0.0);
         assert_eq!(c.chd().iter().sum::<f64>(), 0.0);
+    }
+
+    fn localize_patterns() -> Vec<AccessPattern> {
+        use crate::{Distribution, PatternSpec};
+        let generated = |dist, seed| {
+            PatternSpec {
+                num_elements: 4096,
+                iterations: 3000,
+                refs_per_iter: 3,
+                coverage: 0.3,
+                dist,
+                seed,
+            }
+            .generate()
+        };
+        vec![
+            generated(Distribution::Uniform, 1),
+            generated(Distribution::Clustered { window: 16 }, 2),
+            AccessPattern::from_iters(9, &[vec![4, 1], vec![], vec![1, 8, 4]]),
+        ]
+    }
+
+    #[test]
+    fn local_index_maps_every_reference_to_its_element() {
+        for pat in localize_patterns() {
+            let li = LocalIndex::of(&pat);
+            assert!(pat
+                .indices
+                .iter()
+                .zip(&li.slot_of_ref)
+                .all(|(&x, &s)| li.elements[s as usize] == x));
+        }
+    }
+
+    #[test]
+    fn local_index_numbers_distinct_elements_in_first_touch_order() {
+        for pat in localize_patterns() {
+            let mut first_touch = Vec::new();
+            for &x in &pat.indices {
+                if !first_touch.contains(&x) {
+                    first_touch.push(x);
+                }
+            }
+            let li = LocalIndex::of(&pat);
+            assert!(
+                li.elements == first_touch
+                    && li.elements.len() == PatternChars::measure(&pat).distinct
+            );
+        }
+    }
+
+    #[test]
+    fn local_index_of_empty_and_single_hot_patterns() {
+        let empty = LocalIndex::of(&AccessPattern::from_iters(16, &[]));
+        let hot = LocalIndex::of(&AccessPattern::from_iters(4, &vec![vec![3u32, 3]; 50]));
+        assert!(
+            empty.slot_of_ref.is_empty()
+                && empty.elements.is_empty()
+                && hot.elements == [3]
+                && hot.slot_of_ref == [0; 100]
+        );
     }
 }

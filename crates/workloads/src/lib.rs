@@ -26,7 +26,7 @@ pub mod pattern;
 pub mod tracegen;
 
 pub use apps::{fig3_rows, table2_rows, AppShape, Fig3Row, Table2Row};
-pub use chars::{drift, PatternChars};
+pub use chars::{drift, LocalIndex, PatternChars};
 pub use mesh::{Distribution, PatternSpec};
 pub use pattern::{
     contribution, contribution_i64, sequential_reduce, sequential_reduce_i64, AccessPattern,

@@ -205,17 +205,16 @@ fn flooded_shard_is_drained_by_stealing_peers() {
         "idle dispatchers must steal from the flooded shard: {stats:?}"
     );
     // Every dispatcher that touches the allocation reuses the products
-    // the first one paid for: one inspection for the decision (which a
-    // `sel`/`lw` kernel reuses), plus one localize pass if any job ran
-    // `hash` — however many thieves decided or ran a batch.
+    // the first one paid for: one inspection for the decision, which a
+    // `sel`/`lw` kernel reuses and whose slot numbering a `hash` kernel
+    // reuses — however many thieves decided or ran a batch.
     assert!(
         schemes
             .iter()
             .all(|s| matches!(s, Scheme::Sel | Scheme::Lw | Scheme::Hash)),
         "{schemes:?}"
     );
-    let localized = schemes.contains(&Scheme::Hash) as u64;
-    assert_eq!(stats.inspections, 1 + localized, "{schemes:?} {stats:?}");
+    assert_eq!(stats.inspections, 1, "{schemes:?} {stats:?}");
 }
 
 /// Fused execution: K same-pattern sparse jobs with K different
@@ -270,13 +269,13 @@ fn fused_batch_matches_k_sequential_oracles() {
     assert_eq!(stats.fused_sweeps, 1, "{stats:?}");
     assert_eq!(stats.fused_jobs, K as u64);
     // One decision for the fused batch: one inspection beyond the warm-up
-    // job's, plus the one localize pass that numbers the pattern's
-    // touched set for the hash sweep.
-    assert_eq!(stats.inspections, 3, "{stats:?}");
+    // job's, whose slot numbering the hash sweep reuses.
+    assert_eq!(stats.inspections, 2, "{stats:?}");
 }
 
-/// A class decided `hash` localizes once per pattern allocation: fifty
-/// runs over one `Arc` share one cached slot numbering, and the pattern
+/// A class decided `hash` localizes once per pattern allocation, inside
+/// the decision's inspection: fifty runs over one `Arc` share the slot
+/// numbering that inspection built, and the pattern
 /// rewritten through `Arc::make_mut` (a new allocation, since the cache's
 /// `Weak` freezes the old one) gets a fresh numbering, not a stale one.
 #[test]
@@ -293,8 +292,8 @@ fn hash_class_localizes_once_per_pattern_allocation() {
         assert_eq!(r.scheme, Scheme::Hash, "run {run}");
         assert_eq!(r.output.as_i64().unwrap(), &oracle[..], "run {run}");
     }
-    // One inspection for the decision, exactly one more to localize.
-    assert_eq!(rt.stats().inspections, 2, "{:?}", rt.stats());
+    // One inspection for the decision, whose numbering every run reuses.
+    assert_eq!(rt.stats().inspections, 1, "{:?}", rt.stats());
     // Shift every reference to the next slot: same class, same signature,
     // different element per reference.
     Arc::make_mut(&mut pat).indices.rotate_left(1);
@@ -302,12 +301,12 @@ fn hash_class_localizes_once_per_pattern_allocation() {
     let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
     assert_eq!(r.scheme, Scheme::Hash);
     assert_eq!(r.output.as_i64().unwrap(), &oracle[..]);
-    assert_eq!(rt.stats().inspections, 3, "{:?}", rt.stats());
+    assert_eq!(rt.stats().inspections, 2, "{:?}", rt.stats());
 }
 
 /// At width 1 every software scheme runs the sequential sweep, so a
-/// class decided `hash` or `sel` pays the decision's inspection and
-/// nothing else: no localize pass and no kernel-side inspection over
+/// class decided `hash` or `sel` pays the decision's inspection (its
+/// localize walk included) and nothing else: no kernel-side pass over
 /// twenty runs on one `Arc`, and every answer oracle-exact.
 #[test]
 fn width_one_classes_inspect_only_to_decide() {
