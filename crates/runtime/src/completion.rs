@@ -16,6 +16,15 @@
 //! [`drain`](CompletionSet::drain), matching each [`Completion`] back to
 //! its submission by token.
 //!
+//! **Delivery granularity.**  A dispatcher hands over its completions
+//! per *batch*, not per job: every member of one coalesced batch is
+//! counted and traced as it finishes, and its event is held until the
+//! batch ends, then delivered to each set in one step — one lock, one
+//! consumer notify and one wake-hook call per chunk that fits under the
+//! bound.  A batch-mate's event therefore waits for the batch's last
+//! kernel.  Submit-thread completions and `JobHandle`s are delivered at
+//! once.
+//!
 //! **Delivery contract.**  Every accepted submission produces *exactly
 //! one* completion event — including submissions rejected before
 //! queueing, jobs failed by shutdown or quarantine, and members of fused
@@ -81,8 +90,9 @@ pub(crate) struct CompletionQueue {
     /// Wakes producers when the consumer frees queue space.
     producer: Condvar,
     capacity: usize,
-    /// Optional out-of-band consumer wake-up, invoked after every
-    /// enqueue *in addition to* the condvar notify.  Consumers that
+    /// Optional out-of-band consumer wake-up, invoked once per delivery
+    /// call (a batch chunk or a submit-thread event) *in addition to*
+    /// the condvar notify.  Consumers that
     /// block somewhere other than [`wait_any`](CompletionSet::wait_any)
     /// — a server reactor parked in `epoll_wait` — register a hook
     /// ([`CompletionSet::set_wake_hook`]) that interrupts their blocking
@@ -111,29 +121,36 @@ impl CompletionQueue {
     }
 
     /// Register one submission routed to this queue (pairs with the
-    /// eventual [`push`](Self::push); keeps `wait_any` from reporting an
+    /// eventual delivery of its event; keeps `wait_any` from reporting an
     /// empty set while jobs are still executing).
     pub(crate) fn register(&self) {
         self.lock().in_flight += 1;
     }
 
-    /// Deliver one completion, blocking while the queue is full.  Called
-    /// from dispatcher threads (and from the submitting thread for
-    /// rejected-before-queueing submissions).  If the consumer abandoned
-    /// the set, the event is discarded instead of blocking forever.
-    pub(crate) fn push(&self, completion: Completion) {
-        let mut g = self.lock();
-        while g.events.len() >= self.capacity && !g.abandoned {
-            g = self.producer.wait(g).unwrap_or_else(|p| p.into_inner());
+    /// Deliver a dispatcher batch's completions for this queue, in order.
+    /// Each chunk that fits under `capacity` costs one lock, one
+    /// consumer notify and one wake-hook call; between chunks the
+    /// producer blocks until the consumer frees space.  If the consumer
+    /// abandoned the set, the undelivered rest is discarded (and leaves
+    /// `in_flight`) instead of blocking forever.
+    pub(crate) fn push_batch(&self, events: Vec<Completion>) {
+        let mut events = events.into_iter();
+        while events.len() > 0 {
+            let mut g = self.lock();
+            while g.events.len() >= self.capacity && !g.abandoned {
+                g = self.producer.wait(g).unwrap_or_else(|p| p.into_inner());
+            }
+            if g.abandoned {
+                g.in_flight = g.in_flight.saturating_sub(events.len());
+                return;
+            }
+            let room = self.capacity - g.events.len();
+            g.events.extend(events.by_ref().take(room));
+            drop(g);
+            // A chunk may serve several popping threads.
+            self.consumer.notify_all();
+            self.invoke_wake_hook();
         }
-        if g.abandoned {
-            g.in_flight = g.in_flight.saturating_sub(1);
-            return;
-        }
-        g.events.push_back(completion);
-        drop(g);
-        self.consumer.notify_one();
-        self.invoke_wake_hook();
     }
 
     /// Deliver one completion **without** blocking on the bound.  Used
@@ -269,12 +286,14 @@ impl CompletionSet {
         }
     }
 
-    /// Register an out-of-band wake-up called after every completion is
-    /// enqueued (in addition to the internal condvar notify), replacing
-    /// any previous hook.  For consumers that block outside
+    /// Register an out-of-band wake-up called once per delivery call —
+    /// each chunk of a dispatcher batch, each submit-thread completion —
+    /// after its events are enqueued (in addition to the internal
+    /// condvar notify), replacing any previous hook.  One call may stand
+    /// for several events.  For consumers that block outside
     /// [`wait_any`](Self::wait_any) — a server reactor parked in
-    /// `epoll_wait` registers an eventfd write here, then drains
-    /// [`poll`](Self::poll) to empty on each wake-up.  The hook runs on
+    /// `epoll_wait` registers an eventfd write here, then takes every
+    /// ready event with [`drain`](Self::drain) on each wake-up.  The hook runs on
     /// the completing (dispatcher or submitting) thread with no queue
     /// locks held; it must be cheap and must not block.
     pub fn set_wake_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
@@ -303,7 +322,9 @@ impl CompletionSet {
         let out: Vec<Completion> = g.events.drain(..).collect();
         g.in_flight = g.in_flight.saturating_sub(n);
         drop(g);
-        self.queue.producer.notify_all();
+        if n > 0 {
+            self.queue.producer.notify_all();
+        }
         out
     }
 }
@@ -344,32 +365,70 @@ pub(crate) enum CompletionSink {
 }
 
 impl CompletionSink {
-    /// Deliver the finished result.  Exactly-once per job is the caller's
-    /// invariant (each queued job completes once); this only routes.
-    pub(crate) fn complete(&self, signature: PatternSignature, result: JobResult) {
+    /// Deliver a dispatcher-finished result.  A handle completes now; a
+    /// queue event is held in `pending` and handed over with the rest
+    /// of its batch.  Exactly-once per job is the caller's invariant
+    /// (each queued job completes once); this only routes.
+    pub(crate) fn complete(
+        self,
+        signature: PatternSignature,
+        result: JobResult,
+        pending: &mut PendingDeliveries,
+    ) {
         match self {
             CompletionSink::Handle(state) => state.complete(result),
-            CompletionSink::Queue { token, queue } => queue.push(Completion {
-                token: *token,
+            CompletionSink::Queue { token, queue } => pending.hold(
+                queue,
+                Completion {
+                    token,
+                    signature,
+                    result,
+                },
+            ),
+        }
+    }
+
+    /// Deliver on the *submitting* thread (rejected-before-queueing and
+    /// shutdown-raced submissions): at once, and never blocking on a
+    /// full queue — the submitter may be the set's only consumer, and
+    /// blocking it would deadlock the very thread that must drain the
+    /// event.
+    pub(crate) fn complete_inline(self, signature: PatternSignature, result: JobResult) {
+        match self {
+            CompletionSink::Handle(state) => state.complete(result),
+            CompletionSink::Queue { token, queue } => queue.push_now(Completion {
+                token,
                 signature,
                 result,
             }),
         }
     }
+}
 
-    /// Deliver on the *submitting* thread (rejected-before-queueing and
-    /// shutdown-raced submissions): like [`complete`](Self::complete)
-    /// but never blocks on a full queue — the submitter may be the
-    /// set's only consumer, and blocking it would deadlock the very
-    /// thread that must drain the event.
-    pub(crate) fn complete_inline(&self, signature: PatternSignature, result: JobResult) {
-        match self {
-            CompletionSink::Queue { token, queue } => queue.push_now(Completion {
-                token: *token,
-                signature,
-                result,
-            }),
-            _ => self.complete(signature, result),
+/// The queue events of one dispatcher batch, finished but not yet
+/// handed over: held per queue, in finish order, and delivered with one
+/// [`push_batch`](CompletionQueue::push_batch) per queue when the guard
+/// is dropped — unwinding included — so no exit path of a batch can
+/// lose an event it already finished.
+#[derive(Default)]
+pub(crate) struct PendingDeliveries {
+    queues: Vec<(Arc<CompletionQueue>, Vec<Completion>)>,
+}
+
+impl PendingDeliveries {
+    fn hold(&mut self, queue: Arc<CompletionQueue>, completion: Completion) {
+        // A batch feeds one set or a few: a linear scan beats a map.
+        match self.queues.iter_mut().find(|(q, _)| Arc::ptr_eq(q, &queue)) {
+            Some((_, events)) => events.push(completion),
+            None => self.queues.push((queue, vec![completion])),
+        }
+    }
+}
+
+impl Drop for PendingDeliveries {
+    fn drop(&mut self) {
+        for (queue, events) in self.queues.drain(..) {
+            queue.push_batch(events);
         }
     }
 }
@@ -405,8 +464,7 @@ mod tests {
         assert!(set.wait_any().is_none(), "nothing in flight: dry");
         q.register();
         q.register();
-        q.push(done(1));
-        q.push(done(2));
+        q.push_batch(vec![done(1), done(2)]);
         assert_eq!(set.ready(), 2);
         assert_eq!(set.in_flight(), 2);
         assert_eq!(set.poll().unwrap().token, 1);
@@ -425,7 +483,7 @@ mod tests {
             std::thread::spawn(move || set.wait_any())
         };
         std::thread::sleep(Duration::from_millis(20));
-        q.push(done(7));
+        q.push_batch(vec![done(7)]);
         let c = consumer.join().unwrap().expect("must deliver");
         assert_eq!(c.token, 7);
     }
@@ -439,7 +497,7 @@ mod tests {
         assert!(set.wait_timeout(Duration::from_millis(30)).is_none());
         assert!(t0.elapsed() >= Duration::from_millis(25));
         assert_eq!(set.in_flight(), 1, "job still owed an event");
-        q.push(done(3));
+        q.push_batch(vec![done(3)]);
         assert_eq!(
             set.wait_timeout(Duration::from_millis(30)).unwrap().token,
             3
@@ -452,11 +510,11 @@ mod tests {
         let q = set.queue();
         q.register();
         q.register();
-        q.push(done(1));
+        q.push_batch(vec![done(1)]);
         let producer = {
             let q = q.clone();
             std::thread::spawn(move || {
-                q.push(done(2)); // must block until the consumer pops
+                q.push_batch(vec![done(2)]); // must block until the consumer pops
             })
         };
         std::thread::sleep(Duration::from_millis(20));
@@ -472,39 +530,146 @@ mod tests {
         let q = set.queue();
         q.register();
         q.register();
-        q.push(done(1));
+        q.push_batch(vec![done(1)]);
         let producer = {
             let q = q.clone();
-            std::thread::spawn(move || q.push(done(2)))
+            std::thread::spawn(move || q.push_batch(vec![done(2)]))
         };
         std::thread::sleep(Duration::from_millis(20));
         drop(set);
         producer.join().unwrap(); // abandoned queue must not deadlock
-        q.push(done(3)); // and further pushes are discarded, not stuck
+        q.push_batch(vec![done(3)]); // and further pushes are discarded, not stuck
+    }
+
+    /// A hook that counts its calls.
+    fn counting_hook(set: &CompletionSet) -> Arc<std::sync::atomic::AtomicUsize> {
+        let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let h = hits.clone();
+        set.set_wake_hook(move || {
+            h.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        hits
     }
 
     #[test]
     fn wake_hook_fires_on_every_enqueue_path() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::Ordering;
         let set = CompletionSet::with_capacity(8);
-        let hits = Arc::new(AtomicUsize::new(0));
-        {
-            let hits = hits.clone();
-            set.set_wake_hook(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            });
-        }
+        let hits = counting_hook(&set);
         let q = set.queue();
-        q.register();
-        q.register();
-        q.push(done(1)); // dispatcher path
-        q.push_now(done(2)); // submitting-thread path
+        for _ in 0..4 {
+            q.register();
+        }
+        // Dispatcher path: one call per delivery, however many events.
+        q.push_batch(vec![done(1), done(2), done(3)]);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        q.push_now(done(4)); // submitting-thread path
         assert_eq!(hits.load(Ordering::SeqCst), 2);
         set.clear_wake_hook();
         q.register();
-        q.push(done(3));
+        q.push_batch(vec![done(5)]);
         assert_eq!(hits.load(Ordering::SeqCst), 2, "cleared hook stays quiet");
-        assert_eq!(set.drain().len(), 3);
+        assert_eq!(set.drain().len(), 5);
+    }
+
+    #[test]
+    fn batch_over_capacity_arrives_whole_and_in_order() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let set = Arc::new(CompletionSet::with_capacity(1));
+        let hits = counting_hook(&set);
+        let q = set.queue();
+        for _ in 0..5 {
+            q.register();
+        }
+        let finished = Arc::new(AtomicBool::new(false));
+        let producer = {
+            let (q, finished) = (q.clone(), finished.clone());
+            std::thread::spawn(move || {
+                q.push_batch((0..5).map(done).collect());
+                finished.store(true, Ordering::SeqCst);
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(set.ready(), 1, "one chunk fits under the bound");
+        assert!(
+            !finished.load(Ordering::SeqCst),
+            "producer blocks between chunks"
+        );
+        let tokens: Vec<u64> = (0..5).map(|_| set.wait_any().unwrap().token).collect();
+        producer.join().unwrap();
+        assert_eq!(tokens, vec![0, 1, 2, 3, 4]);
+        assert_eq!(hits.load(Ordering::SeqCst), 5, "one wake per chunk");
+        assert_eq!(set.in_flight(), 0);
+        assert!(set.wait_any().is_none());
+    }
+
+    #[test]
+    fn abandoning_the_set_mid_batch_releases_the_undelivered_rest() {
+        let set = CompletionSet::with_capacity(2);
+        let q = set.queue();
+        for _ in 0..5 {
+            q.register();
+        }
+        let producer = {
+            let q = q.clone();
+            std::thread::spawn(move || q.push_batch((0..5).map(done).collect()))
+        };
+        // Two events fit; whether the producer is already parked on the
+        // third or not, the drop leaves it the same three to release.
+        while set.ready() < 2 {
+            std::thread::yield_now();
+        }
+        drop(set);
+        // The producer must not deadlock.
+        producer.join().unwrap();
+        // The three events that never reached the queue left `in_flight`;
+        // the two the drop discarded were delivered and still count.
+        assert_eq!(q.lock().in_flight, 2);
+    }
+
+    #[test]
+    fn pending_deliveries_deliver_per_set_when_dropped() {
+        use std::sync::atomic::Ordering;
+        let (a, b) = (
+            CompletionSet::with_capacity(8),
+            CompletionSet::with_capacity(8),
+        );
+        let (hits_a, hits_b) = (counting_hook(&a), counting_hook(&b));
+        let sink = |set: &CompletionSet, token| {
+            set.queue().register();
+            CompletionSink::Queue {
+                token,
+                queue: set.queue(),
+            }
+        };
+        let hold = |sink: CompletionSink, pending: &mut PendingDeliveries| {
+            let c = done(0);
+            sink.complete(c.signature, c.result, pending);
+        };
+        {
+            let mut pending = PendingDeliveries::default();
+            for t in 0..3 {
+                hold(sink(&a, t), &mut pending);
+                hold(sink(&b, 10 + t), &mut pending);
+            }
+            assert_eq!((a.ready(), b.ready()), (0, 0), "held until the batch ends");
+        } // dropped: the batch ends
+        let tokens = |set: &CompletionSet| set.drain().iter().map(|c| c.token).collect::<Vec<_>>();
+        assert_eq!(tokens(&a), vec![0, 1, 2]);
+        assert_eq!(tokens(&b), vec![10, 11, 12]);
+        assert_eq!(hits_a.load(Ordering::SeqCst), 1, "one delivery per set");
+        assert_eq!(hits_b.load(Ordering::SeqCst), 1, "one delivery per set");
+
+        // Unwinding drops the guard too: a finished event survives a
+        // panic later in its batch.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut pending = PendingDeliveries::default();
+            hold(sink(&a, 7), &mut pending);
+            panic!("batch dies after its first job finished");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(tokens(&a), vec![7]);
+        assert_eq!(a.in_flight(), 0);
     }
 
     #[test]
@@ -513,7 +678,7 @@ mod tests {
         let q = set.queue();
         for t in 0..5 {
             q.register();
-            q.push(done(t));
+            q.push_batch(vec![done(t)]);
         }
         let all = set.drain();
         assert_eq!(all.len(), 5);

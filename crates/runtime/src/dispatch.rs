@@ -6,7 +6,7 @@
 //! the pipeline and tabulates what each exit passes in.
 
 use crate::backend::{Backend, ExecRequest};
-use crate::completion::CompletionSink;
+use crate::completion::{CompletionSink, PendingDeliveries};
 use crate::error::{JobError, JobErrorKind};
 use crate::job::{JobBody, JobOutput, JobResult, PatternSignature};
 use crate::profile::ProfileEntry;
@@ -89,64 +89,68 @@ impl Exit {
             simplify_ns: 0,
         }
     }
+
+    /// What the client sees of this exit.
+    fn into_result(self, batched_with: usize) -> JobResult {
+        JobResult {
+            output: self.output,
+            scheme: self.scheme,
+            elapsed: self.elapsed,
+            sim_cycles: self.sim_cycles,
+            profile_hit: self.profile_hit,
+            batched_with,
+            fused_with: self.group.saturating_sub(1),
+            error: self.error,
+        }
+    }
 }
 
 /// The single job exit.  Counts the completion, traces the lifecycle,
 /// and only then wakes the sink, so a client reading stats or the trace
 /// ring right after its completion never finds its own job missing.
 /// `via` is the dispatcher-side half of the exit: the job's batch, its
-/// submission instant, and the decision record its trace carries.
-/// Submit-thread exits pass `None`; they are not traced and deliver
-/// inline — the submitter may be the completion set's only consumer, so
-/// they must never block on its bound.
+/// submission instant, and the decision record its trace carries.  A
+/// queue event is held in the batch's [`PendingDeliveries`] and handed
+/// over with its batch-mates when the batch ends (a handle completes at
+/// once).  Submit-thread exits pass `None`; they are not traced and
+/// deliver inline — the submitter may be the completion set's only
+/// consumer, so they must never block on its bound.
 pub(crate) fn finish(
     shared: &Shared,
     sig: PatternSignature,
     sink: CompletionSink,
     exit: Exit,
-    via: Option<(&BatchCtx, Instant, Option<Arc<DecisionRecord>>)>,
+    via: Option<(&mut BatchCtx, Instant, Option<Arc<DecisionRecord>>)>,
 ) {
     RuntimeStats::add(&shared.stats.completed, 1);
-    let batch = via.as_ref().map(|via| via.0);
-    if let Some((batch, submitted_at, record)) = via {
-        let tel = &shared.telemetry;
-        let ran = exit.executed_at;
-        tel.record_lifecycle(
-            &TraceEvent {
-                signature: sig.0,
-                submitted_ns: tel.instant_ns(submitted_at),
-                queued_ns: tel.instant_ns(batch.dequeued_at),
-                decided_ns: ran.map_or(0, |_| tel.instant_ns(batch.decided_at)),
-                executed_ns: ran.map_or(0, |at| tel.instant_ns(at)),
-                completed_ns: tel.now_ns(),
-                scheme: ran.map_or(u8::MAX, |_| scheme_code(exit.scheme)),
-                backend: exit.backend,
-                error: match exit.error.as_ref().map(|e| e.kind) {
-                    None => TraceError::None,
-                    Some(JobErrorKind::Quarantined) => TraceError::Quarantined,
-                    Some(_) => TraceError::Panicked,
-                },
-                fused: exit.group.min(u16::MAX as usize) as u16,
-                simplify_ns: exit.simplify_ns,
-            },
-            record,
-        );
-    }
-    let result = JobResult {
-        output: exit.output,
-        scheme: exit.scheme,
-        elapsed: exit.elapsed,
-        sim_cycles: exit.sim_cycles,
-        profile_hit: exit.profile_hit,
-        batched_with: batch.map_or(0, |b| b.batched_with),
-        fused_with: exit.group.saturating_sub(1),
-        error: exit.error,
+    let Some((batch, submitted_at, record)) = via else {
+        sink.complete_inline(sig, exit.into_result(0));
+        return;
     };
-    if batch.is_some() {
-        sink.complete(sig, result);
-    } else {
-        sink.complete_inline(sig, result);
-    }
+    let tel = &shared.telemetry;
+    let ran = exit.executed_at;
+    tel.record_lifecycle(
+        &TraceEvent {
+            signature: sig.0,
+            submitted_ns: tel.instant_ns(submitted_at),
+            queued_ns: tel.instant_ns(batch.dequeued_at),
+            decided_ns: ran.map_or(0, |_| tel.instant_ns(batch.decided_at)),
+            executed_ns: ran.map_or(0, |at| tel.instant_ns(at)),
+            completed_ns: tel.now_ns(),
+            scheme: ran.map_or(u8::MAX, |_| scheme_code(exit.scheme)),
+            backend: exit.backend,
+            error: match exit.error.as_ref().map(|e| e.kind) {
+                None => TraceError::None,
+                Some(JobErrorKind::Quarantined) => TraceError::Quarantined,
+                Some(_) => TraceError::Panicked,
+            },
+            fused: exit.group.min(u16::MAX as usize) as u16,
+            simplify_ns: exit.simplify_ns,
+        },
+        record,
+    );
+    let result = exit.into_result(batch.batched_with);
+    sink.complete(sig, result, &mut batch.pending);
 }
 
 /// Fail `jobs` of one batch fast with `error`, before any kernel runs: a
@@ -154,7 +158,7 @@ pub(crate) fn finish(
 /// threshold mid-batch) or a poisoned scheme decision.
 fn fail_fast(
     shared: &Shared,
-    ctx: &BatchCtx,
+    ctx: &mut BatchCtx,
     jobs: impl IntoIterator<Item = QueuedJob>,
     error: &JobError,
 ) {
@@ -175,7 +179,7 @@ fn fail_fast(
             job.facts.sig,
             job.sink,
             Exit::failed(&job.spec.body, error.clone()),
-            Some((ctx, job.submitted_at, record.clone())),
+            Some((&mut *ctx, job.submitted_at, record.clone())),
         );
     }
 }
@@ -230,6 +234,10 @@ pub(crate) struct BatchCtx {
     /// stage instead of inflating `exec`.  Reset per group by
     /// [`try_simplify`]; 0 when the gate never ran.
     simplify_probe_ns: u64,
+    /// The batch's finished queue events, delivered per completion set
+    /// when the batch ends — on every exit of [`process_batch`],
+    /// unwinding included, because the guard delivers on drop.
+    pending: PendingDeliveries,
 }
 
 /// The outcome of [`decide_batch`]: which scheme the batch runs, and
@@ -548,7 +556,7 @@ fn run_kernel<T: ScanElem>(
 /// through a path whose own fence pins the panic on the poisoned job.
 fn execute_group(
     shared: &Shared,
-    ctx: &BatchCtx,
+    ctx: &mut BatchCtx,
     group: Vec<QueuedJob>,
     kernel: GroupKernel<'_>,
 ) -> Result<(), (Vec<QueuedJob>, &'static str, Duration)> {
@@ -644,7 +652,7 @@ fn execute_group(
                 executed_at: Some(executed_at),
                 simplify_ns,
             },
-            Some((ctx, job.submitted_at, record.clone())),
+            Some((&mut *ctx, job.submitted_at, record.clone())),
         );
     }
     Ok(())
@@ -747,6 +755,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
         evicted_this_batch: false,
         explored: false,
         simplify_probe_ns: 0,
+        pending: PendingDeliveries::default(),
     };
     RuntimeStats::add(&shared.stats.batches, 1);
     RuntimeStats::add(&shared.stats.coalesced, ctx.batched_with as u64);
@@ -755,7 +764,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
     // `quarantine_after` times in a row fails fast — no inspection, no
     // decision, no worker sweep — until unquarantined or TTL-expired.
     if let Some(count) = shared.quarantine_blocked(sig) {
-        fail_fast(shared, &ctx, batch, &JobError::quarantined(count));
+        fail_fast(shared, &mut ctx, batch, &JobError::quarantined(count));
         return;
     }
 
@@ -780,7 +789,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
             shared.note_panic(sig);
             let msg = format!("scheme decision panicked: {}", panic_message(&*payload));
             let jobs = groups.into_iter().flatten();
-            fail_fast(shared, &ctx, jobs, &JobError::panic(msg));
+            fail_fast(shared, &mut ctx, jobs, &JobError::panic(msg));
             return;
         }
     };
@@ -823,7 +832,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
         // Fusion gate: calibrated fused-vs-split comparison.
         let plan = fenced(|| plan_fusion(shared, &group)).ok().flatten();
         if let Some(plan) = plan {
-            match execute_group(shared, &ctx, group, GroupKernel::Fused(&plan)) {
+            match execute_group(shared, &mut ctx, group, GroupKernel::Fused(&plan)) {
                 Ok(()) => continue,
                 // Isolation fallback: re-run each member alone (behind
                 // the batch's own per-job decision) so only the panicking

@@ -401,9 +401,9 @@ mod tests {
             signature: j.facts.sig,
         };
         assert!(q.push(j).is_ok());
-        let batch = pop(&q, 1).unwrap();
-        batch[0].sink.complete(
-            batch[0].facts.sig,
+        let j = pop(&q, 1).unwrap().pop().unwrap();
+        j.sink.complete(
+            j.facts.sig,
             JobResult {
                 output: JobOutput::I64(vec![]),
                 scheme: Scheme::Seq,
@@ -414,6 +414,7 @@ mod tests {
                 fused_with: 0,
                 error: None,
             },
+            &mut crate::completion::PendingDeliveries::default(),
         );
         assert!(handle.try_wait().is_some());
     }

@@ -112,9 +112,12 @@ pub enum Stage {
     Simplify,
     /// Decision → backend execution done, minus the simplify probe.
     Exec,
-    /// Execution done → completion handed to the sink.
+    /// Execution done → the job leaves the dispatcher (a completion-set
+    /// event is then held until its batch is delivered; that hold is
+    /// not part of this stage).
     Completion,
-    /// Completion → reply bytes written (recorded by the server).
+    /// One reply's encode plus its share of the write that carried it
+    /// (recorded by the server).
     Write,
 }
 

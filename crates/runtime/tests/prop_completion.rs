@@ -228,4 +228,72 @@ proptest! {
         prop_assert_eq!(seen, tagged, "tagged tokens delivered exactly once each");
         rt.shutdown();
     }
+
+    #[test]
+    fn batches_larger_than_the_set_deliver_exactly_once(
+        jobs in 8usize..48,
+        capacity in 1usize..5,
+        poison in 0usize..64,
+        drain in any::<bool>(),
+    ) {
+        // Dispatchers hand a batch's events over together, in chunks
+        // that fit under the bound: one coalesced batch of up to 32
+        // same-class jobs meets a set of 1–4 slots, so the producer
+        // blocks between chunks while the lone consumer pops.  Every
+        // token must still arrive exactly once, the queue must never
+        // hold more than its capacity, and a poisoned member (when
+        // `poison < jobs`) fails alone.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            shards: 4,
+            dispatchers: 2,
+            ..RuntimeConfig::default()
+        });
+        let set = CompletionSet::with_capacity(capacity);
+        let pat = class_pattern(jobs % CLASSES);
+        let oracle = sequential_reduce_i64(&pat);
+        let specs: Vec<(u64, JobSpec)> = (0..jobs)
+            .map(|j| {
+                let spec = if j == poison {
+                    JobSpec::i64(pat.clone(), |_i, _r| panic!("prop poison"))
+                } else {
+                    JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r))
+                };
+                (j as u64, spec)
+            })
+            .collect();
+        rt.submit_batch_tagged(specs, &set);
+
+        let mut received: HashMap<u64, Completion> = HashMap::new();
+        while set.in_flight() > 0 {
+            prop_assert!(set.ready() <= capacity, "queue overran its bound");
+            let got = if drain {
+                set.drain()
+            } else {
+                set.wait_timeout(std::time::Duration::from_millis(5)).into_iter().collect()
+            };
+            for c in got {
+                prop_assert!(
+                    received.insert(c.token, c.clone()).is_none(),
+                    "token {} delivered twice", c.token
+                );
+            }
+            if drain {
+                std::thread::yield_now();
+            }
+        }
+        prop_assert_eq!(received.len(), jobs, "lost or phantom completions");
+        for (tok, c) in &received {
+            if *tok as usize == poison {
+                prop_assert_eq!(
+                    c.result.error.as_ref().map(|e| e.kind),
+                    Some(JobErrorKind::Panic)
+                );
+            } else {
+                prop_assert!(c.result.error.is_none(), "token {}: {:?}", tok, c.result.error);
+                prop_assert_eq!(c.result.output.as_i64().unwrap(), &oracle[..]);
+            }
+        }
+        rt.shutdown();
+    }
 }

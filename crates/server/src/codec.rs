@@ -307,9 +307,16 @@ pub(crate) fn from_text<M: Message>(line: &str) -> Result<M, String> {
 }
 
 pub(crate) fn to_frame<M: Message>(m: &M) -> Vec<u8> {
-    let mut s = BinSink::new(M::KINDS[m.row()].0);
+    let mut out = Vec::with_capacity(64);
+    append_frame(m, &mut out);
+    out
+}
+
+/// Append one frame to `out`, after the bytes already there.
+fn append_frame<M: Message>(m: &M, out: &mut Vec<u8>) {
+    let mut s = BinSink::append(std::mem::take(out), M::KINDS[m.row()].0);
     m.put_fields(&mut s);
-    s.finish()
+    *out = s.finish();
 }
 
 #[inline]
@@ -336,13 +343,21 @@ pub(crate) enum Proto {
 impl Proto {
     /// One message, ready for the socket (a text line ends in `\n`).
     pub(crate) fn encode<M: Message>(self, m: &M) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(m, &mut out);
+        out
+    }
+
+    /// One message appended to `out`, after the bytes of earlier
+    /// messages bound for the same socket.  A frame is built in place,
+    /// so a long payload is not copied again.
+    pub(crate) fn encode_into<M: Message>(self, m: &M, out: &mut Vec<u8>) {
         match self {
             Proto::Text => {
-                let mut line = to_text(m);
-                line.push('\n');
-                line.into_bytes()
+                out.extend_from_slice(to_text(m).as_bytes());
+                out.push(b'\n');
             }
-            Proto::Bin => to_frame(m),
+            Proto::Bin => append_frame(m, out),
         }
     }
 
@@ -578,24 +593,31 @@ impl Source for TextSource<'_> {
 // ---------------------------------------------------------------------
 
 /// Builds one frame in one buffer: a length placeholder, the kind byte
-/// and the body, with the length patched in at the end.
+/// and the body, with the length patched in at the end.  The frame may
+/// follow other bytes in the buffer (`start` is where it begins).
 pub(crate) struct BinSink {
     out: Vec<u8>,
+    start: usize,
 }
 
 const HEADER: usize = crate::wire2::FRAME_HEADER_BYTES;
 
 impl BinSink {
     pub(crate) fn new(kind: u8) -> Self {
-        let mut out = Vec::with_capacity(64);
+        Self::append(Vec::with_capacity(64), kind)
+    }
+
+    /// A frame that starts after the bytes already in `out`.
+    fn append(mut out: Vec<u8>, kind: u8) -> Self {
+        let start = out.len();
         out.extend_from_slice(&[0; HEADER]);
         out.push(kind);
-        BinSink { out }
+        BinSink { out, start }
     }
 
     pub(crate) fn finish(mut self) -> Vec<u8> {
-        let len = (self.out.len() - HEADER) as u32;
-        self.out[..HEADER].copy_from_slice(&len.to_le_bytes());
+        let len = (self.out.len() - self.start - HEADER) as u32;
+        self.out[self.start..self.start + HEADER].copy_from_slice(&len.to_le_bytes());
         self.out
     }
 

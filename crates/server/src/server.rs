@@ -16,11 +16,12 @@
 //!              │  readiness-blocked reads,    ┌─────┴──────────┐
 //!              │  parse, submit ─────────────►│ CompletionSet  │
 //!              │                              │ (bounded MPSC) │
-//!              │  poll ◄──wake-hook───────────┴────────────────┘
-//!              ▼
+//!              │  drain ◄──wake-hook──────────┴────────────────┘
+//!              ▼   (one wake per dispatcher batch)
 //!        pending table: global token → (conn, client token, reply mode)
 //!              │
-//!              └─► encode `done`, write (or buffer) to the owning socket
+//!              └─► per connection: encode its `done`s into one buffer,
+//!                  one write (or buffer) to the socket per pass
 //! ```
 //!
 //! **Readiness, not polling.**  Each reactor owns one `epoll` instance
@@ -30,7 +31,7 @@
 //! [`REACTOR_IDLE_WAKEUPS`] counter is the regression guard).  Three
 //! things wake it: socket readiness (readable bytes, writable space,
 //! hangup), the acceptor handing it a new connection (inbox + waker),
-//! and the completion queue's wake hook (a dispatcher finished a job).
+//! and the completion queue's wake hook (a dispatcher finished a batch).
 //! Any reactor may *deliver* any completion; only the owner touches a
 //! connection's read half and epoll registration, so foreign reactors
 //! request interest changes through the owner's attention list + waker.
@@ -459,12 +460,12 @@ impl Server {
             rt,
             cfg,
         });
-        // Completion pushes must interrupt epoll-blocked reactors.  The
-        // hook round-robins single wakes (waking all R per completion
-        // would stampede); any woken reactor drains the queue to empty,
-        // so one wake per push suffices.  The closure captures only the
-        // wakers — capturing `shared` would cycle through the
-        // CompletionSet that stores the hook.
+        // Completion deliveries must interrupt epoll-blocked reactors.
+        // The hook round-robins single wakes (waking all R per delivery
+        // would stampede); any woken reactor drains every ready event,
+        // so one wake per delivery (a dispatcher batch) suffices.  The
+        // closure captures only the wakers — capturing `shared` would
+        // cycle through the CompletionSet that stores the hook.
         {
             let wakers: Vec<Arc<Waker>> = shared.reactors.iter().map(|h| h.waker.clone()).collect();
             let rr = AtomicUsize::new(0);
@@ -761,10 +762,12 @@ fn reactor_loop(shared: &Arc<ServerShared>, r: usize) {
         });
 
         // Demultiplex finished jobs back to their sockets (any reactor
-        // may deliver any completion); drain to empty so a single wake
-        // covers every queued event.
-        while let Some(c) = shared.set.poll() {
-            deliver(shared, c);
+        // may deliver any completion): one drain takes every ready
+        // event, and each connection gets one write for its share.
+        // Events landing after the drain rang a waker of their own.
+        let ready = shared.set.drain();
+        if !ready.is_empty() {
+            deliver(shared, ready);
             did_work = true;
         }
 
@@ -989,8 +992,9 @@ fn handle_request(shared: &ServerShared, conn: &Arc<Conn>, request: Request) {
                 // outstanding `done`s may be sitting in the shared set,
                 // and on a single-reactor service no one else can drain
                 // them until this handler returns.
-                if let Some(c) = shared.set.poll() {
-                    deliver(shared, c);
+                let ready = shared.set.drain();
+                if !ready.is_empty() {
+                    deliver(shared, ready);
                     continue;
                 }
                 std::thread::yield_now();
@@ -1314,28 +1318,91 @@ fn reject(shared: &ServerShared, conn: &Arc<Conn>, token: u64, message: &str) {
     conn.completed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Route one completion from the shared set back to its socket.
-fn deliver(shared: &ServerShared, completion: Completion) {
-    let Some(PendingReply {
-        conn,
-        token,
-        reply,
-        f64body,
-        submitted_at,
-    }) = shared
-        .pending
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .remove(&completion.token)
-    else {
-        return; // unknown global token: nothing to route
+/// Route a drained run of completions back to their sockets.  One
+/// pending-table lock resolves the whole run; each connection then gets
+/// its share in one [`deliver_conn`], in completion order.
+fn deliver(shared: &ServerShared, completions: Vec<Completion>) {
+    let mut routed: Vec<(PendingReply, Completion)> = {
+        let mut pending = shared.pending.lock().unwrap_or_else(|p| p.into_inner());
+        completions
+            .into_iter()
+            // An unknown global token has nothing to route to.
+            .filter_map(|c| pending.remove(&c.token).map(|reply| (reply, c)))
+            .collect()
     };
-    let Some(conn) = shared.conn(conn) else {
-        return; // connection was reaped; drop the response
+    // Stable: each connection's replies keep their completion order.
+    routed.sort_by_key(|(reply, _)| reply.conn);
+    let mut routed = routed.into_iter().peekable();
+    while let Some(first) = routed.next() {
+        let id = first.0.conn;
+        let mut replies = vec![first];
+        while let Some(next) = routed.next_if(|(reply, _)| reply.conn == id) {
+            replies.push(next);
+        }
+        deliver_conn(shared, id, replies);
+    }
+}
+
+/// Encode one connection's `done` replies into one buffer, hand it to
+/// [`write_raw`] once, and only then take them off the connection's
+/// in-flight count — the order that keeps the drain barrier exact: a
+/// `drained` reply or an `upgrade` ack can only follow every `done`.
+fn deliver_conn(shared: &ServerShared, id: u64, replies: Vec<(PendingReply, Completion)>) {
+    let Some(conn) = shared.conn(id) else {
+        return; // connection was reaped; drop the responses
     };
-    let request_ns = submitted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    conn.request_ns.record(request_ns);
-    conn.request_ns_all.record(request_ns);
+    let n = replies.len();
+    let live = !conn.is_dead();
+    let proto = conn.proto();
+    let mut buf = Vec::new();
+    let mut encode_ns = Vec::with_capacity(n);
+    for (reply, completion) in replies {
+        let request_ns = reply
+            .submitted_at
+            .elapsed()
+            .as_nanos()
+            .min(u64::MAX as u128) as u64;
+        conn.request_ns.record(request_ns);
+        conn.request_ns_all.record(request_ns);
+        if live {
+            let msg = done_msg(reply, completion);
+            let t0 = Instant::now();
+            proto.encode_into(&Response::Done(msg), &mut buf);
+            encode_ns.push(t0.elapsed().as_nanos() as u64);
+        }
+    }
+    if live {
+        // The server-side tail the runtime's trace cannot see: each reply
+        // is charged its own encode plus an equal share of the one write
+        // that carried it to the socket/buffer.
+        let write_t0 = Instant::now();
+        write_raw(shared, &conn, &buf);
+        let share = write_t0.elapsed().as_nanos() as u64 / n as u64;
+        let tel = shared.rt.telemetry();
+        for ns in encode_ns {
+            tel.record_stage(Stage::Write, ns.saturating_add(share));
+        }
+    }
+    conn.completed.fetch_add(n as u64, Ordering::Relaxed);
+    let left = conn.in_flight.fetch_sub(n, Ordering::SeqCst) - n;
+    if left == 0 {
+        if conn.drain_pending.swap(false, Ordering::SeqCst) && !conn.is_dead() {
+            write_response(
+                shared,
+                &conn,
+                &Response::Drained(conn.completed.load(Ordering::Relaxed)),
+            );
+        }
+        if conn.is_dead() {
+            // Its owner may be parked with nothing left to wake it;
+            // nudge so the conn is reaped promptly.
+            shared.nudge_owner(conn.id);
+        }
+    }
+}
+
+/// The `done` message one completion answers with.
+fn done_msg(reply: PendingReply, completion: Completion) -> DoneMsg {
     let r = completion.result;
     let outcome = match r.error {
         Some(e) => DoneOutcome::Err {
@@ -1350,7 +1417,7 @@ fn deliver(shared: &ServerShared, completion: Completion) {
             fused_with: r.fused_with,
             batched_with: r.batched_with,
             // An ack checksums the output in place; a full reply moves it.
-            payload: match (f64body, reply) {
+            payload: match (reply.f64body, reply.reply) {
                 (true, ReplyMode::Ack) => {
                     let values = r.output.as_f64().unwrap_or_default();
                     Payload::ChecksumF64 {
@@ -1372,31 +1439,9 @@ fn deliver(shared: &ServerShared, completion: Completion) {
             },
         },
     };
-    if !conn.is_dead() {
-        // The server-side tail the runtime's trace cannot see: completion
-        // popped off the set → reply bytes handed to the socket/buffer.
-        let write_t0 = Instant::now();
-        write_response(shared, &conn, &Response::Done(DoneMsg { token, outcome }));
-        shared.rt.telemetry().record_stage(
-            Stage::Write,
-            write_t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
-    }
-    conn.completed.fetch_add(1, Ordering::Relaxed);
-    let left = conn.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
-    if left == 0 {
-        if conn.drain_pending.swap(false, Ordering::SeqCst) && !conn.is_dead() {
-            write_response(
-                shared,
-                &conn,
-                &Response::Drained(conn.completed.load(Ordering::Relaxed)),
-            );
-        }
-        if conn.is_dead() {
-            // Its owner may be parked with nothing left to wake it;
-            // nudge so the conn is reaped promptly.
-            shared.nudge_owner(conn.id);
-        }
+    DoneMsg {
+        token: reply.token,
+        outcome,
     }
 }
 

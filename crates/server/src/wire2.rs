@@ -221,6 +221,38 @@ mod tests {
     }
 
     #[test]
+    fn replies_appended_to_one_buffer_match_standalone_encodings() {
+        use crate::codec::Proto;
+        use crate::wire::{DoneMsg, DoneOutcome, Payload};
+        let done = Response::Done(DoneMsg {
+            token: 9,
+            outcome: DoneOutcome::Ok {
+                scheme: "rep".into(),
+                elapsed_ns: 1234,
+                profile_hit: true,
+                fused_with: 0,
+                batched_with: 2,
+                payload: Payload::FullF64(vec![0.5, -1.25, 3.0]),
+            },
+        });
+        let replies = [done.clone(), Response::Drained(4), done];
+        for proto in [Proto::Bin, Proto::Text] {
+            let mut appended = Vec::new();
+            let mut standalone = Vec::new();
+            for r in &replies {
+                proto.encode_into(r, &mut appended);
+                match proto {
+                    Proto::Bin => standalone.extend_from_slice(&encode_response(r)),
+                    Proto::Text => {
+                        standalone.extend_from_slice(format!("{}\n", r.encode()).as_bytes())
+                    }
+                }
+            }
+            assert_eq!(appended, standalone);
+        }
+    }
+
+    #[test]
     fn framebuf_rejects_zero_and_oversized_lengths() {
         let mut fb = FrameBuf::new();
         fb.extend(&[0, 0, 0, 0]);

@@ -284,6 +284,144 @@ fn upgrade_succeeds_with_a_slow_job_still_in_flight() {
     server.shutdown();
 }
 
+/// Which barrier closes a pipelined window in [`barrier_follows_every_done`].
+#[derive(Clone, Copy, Debug)]
+enum Barrier {
+    Upgrade,
+    Drain,
+}
+
+/// Pipeline a window of 16 fast jobs, then a barrier request, 50 times
+/// over on a 2-reactor server.  Replies are coalesced per connection and
+/// any reactor may deliver them, so the barrier is exact only if a
+/// connection's in-flight count drops *after* its replies are written:
+/// every `done` must arrive before the `upgraded` ack or the `drained`
+/// line, and the ack must be the last text line on the connection.
+/// The jobs are cheap but their full replies are long (a few thousand
+/// values each), so a coalesced write takes long enough for a barrier
+/// that jumps it to show.
+fn barrier_follows_every_done(barrier: Barrier) {
+    const WINDOW: u64 = 16;
+    const ROUNDS: u64 = 50;
+    let wide = |seed: u64| WireSpec {
+        elements: 4096,
+        ..small_spec(seed)
+    };
+    let job = |token: u64, seed: u64| SubmitArgs {
+        token,
+        reply: ReplyMode::Full,
+        source: WireSource::Gen(wide(seed)),
+        ..submit(token, seed)
+    };
+    let rt = Arc::new(Runtime::with_workers(2));
+    let server = Server::start(
+        rt,
+        ServerConfig {
+            reactors: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("start");
+    let addr = server.local_addr();
+    let expected: Vec<Vec<i64>> = (0..4)
+        .map(|seed| sequential_reduce_i64(&wide(seed).to_pattern_spec().generate()))
+        .collect();
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+    // The drain variant keeps one connection, so `drained` also checks
+    // the running `done` count.
+    let (mut stream, mut reader) = connect();
+    for round in 0..ROUNDS {
+        if let Barrier::Upgrade = barrier {
+            (stream, reader) = connect();
+        }
+        let mut script = String::new();
+        for t in 0..WINDOW {
+            let token = round * WINDOW + t;
+            let mut line = Request::Submit(job(token, t % 4)).encode();
+            line.push('\n');
+            script.push_str(&line);
+        }
+        script.push_str(match barrier {
+            Barrier::Upgrade => "upgrade bin\n",
+            Barrier::Drain => "drain\n",
+        });
+        stream.write_all(script.as_bytes()).expect("write");
+
+        let mut seen = HashMap::new();
+        while seen.len() < WINDOW as usize {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read done");
+            let Ok(Response::Done(d)) = Response::parse(&line) else {
+                panic!(
+                    "{barrier:?} round {round}: got {line:?} with {} of {WINDOW} dones read",
+                    seen.len()
+                );
+            };
+            assert!(
+                d.token / WINDOW == round && seen.insert(d.token, ()).is_none(),
+                "{barrier:?} round {round}: foreign or duplicate token {}",
+                d.token
+            );
+            let want = &expected[(d.token % WINDOW % 4) as usize];
+            assert!(
+                matches!(
+                    d.outcome,
+                    DoneOutcome::Ok {
+                        payload: Payload::Full(ref values),
+                        ..
+                    } if values == want
+                ),
+                "{barrier:?} round {round}: bad outcome for token {}",
+                d.token
+            );
+        }
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read barrier reply");
+        match barrier {
+            Barrier::Upgrade => {
+                assert_eq!(Response::parse(&line), Ok(Response::Upgraded), "{line:?}");
+                // Nothing textual may follow the ack: the next bytes must
+                // be the frame answering a binary submit.
+                let token = 1_000_000 + round;
+                stream
+                    .write_all(&encode_request(&Request::Submit(submit(token, 0))))
+                    .expect("write frame");
+                let BinMsg::Response(r) = read_frame(&mut reader).expect("frame") else {
+                    panic!("round {round}: expected a done frame");
+                };
+                assert!(
+                    matches!(*r, Response::Done(ref d) if d.token == token),
+                    "round {round}: expected done {token}, got {r:?}"
+                );
+            }
+            Barrier::Drain => assert_eq!(
+                Response::parse(&line),
+                Ok(Response::Drained((round + 1) * WINDOW)),
+                "round {round}"
+            ),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn upgrade_ack_follows_every_coalesced_done() {
+    barrier_follows_every_done(Barrier::Upgrade);
+}
+
+#[test]
+fn drained_follows_every_coalesced_done() {
+    barrier_follows_every_done(Barrier::Drain);
+}
+
 #[test]
 fn binary_garbage_fails_one_connection_not_the_server() {
     let rt = Arc::new(Runtime::with_workers(2));
