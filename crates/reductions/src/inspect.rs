@@ -10,12 +10,13 @@
 //! characterization from slots ([`PatternChars::derive`]); neither depends
 //! on the thread count, so a caller that keeps them pays the pair once per
 //! pattern.  Then, per width, one walk of the slot stream in block order
-//! finds the conflicting slots and counts `lw`'s replication.  Every kept
-//! product is O(references + distinct); the N-sized arrays, localize's
-//! element -> slot map and a flag per line for `distinct_lines`, live only
-//! while their walk runs.  `lw`'s owner lists are built on the first `lw`
-//! run, not by the inspection.  The decision model (`crate::model`) then
-//! picks a scheme, and the chosen executor reuses the analyses.
+//! finds the conflicting slots and counts `lw`'s replication; at width 1
+//! both are known without the walk.  Every kept product is
+//! O(references + distinct); the N-sized arrays, localize's element ->
+//! slot map and a flag per line for `distinct_lines`, live only while
+//! their walk runs.  `lw`'s owner lists are built on the first `lw` run,
+//! not by the inspection.  The decision model (`crate::model`) then picks
+//! a scheme, and the chosen executor reuses the analyses.
 
 use smartapps_workloads::pattern::AccessPattern;
 pub use smartapps_workloads::LocalIndex;
@@ -97,11 +98,10 @@ impl Inspector {
     }
 
     /// The width pass over `pat`, numbered by `local` and characterized
-    /// by `chars`: one walk of the slot stream in block order.  Each slot
-    /// keeps the thread that references it, or a conflict mark once a second
-    /// one does; and a stamp per `lw` owner counts the (iteration, owner)
-    /// pairs that replication charges, the owner of a slot's element
-    /// looked up once per slot.
+    /// by `chars`.  At width 1 it is closed-form: one thread references
+    /// every slot, so none conflicts, and `lw` lists each non-empty
+    /// iteration once.  Wider, it is one walk of the slot stream in block
+    /// order ([`Inspector::walk`]).
     pub fn at_width(
         pat: &AccessPattern,
         local: Arc<LocalIndex>,
@@ -109,7 +109,41 @@ impl Inspector {
         threads: usize,
     ) -> Inspection {
         assert!((1..=250).contains(&threads), "thread count {threads}");
-        let home = lw_homes(pat, &local, threads);
+        let (compact, conflicting_elements, listed) = if threads == 1 {
+            let nonempty = pat.iter_ptr.windows(2).filter(|w| w[0] != w[1]);
+            (
+                vec![u32::MAX; local.elements.len()],
+                Vec::new(),
+                nonempty.count(),
+            )
+        } else {
+            Self::walk(pat, &local, threads)
+        };
+        Inspection {
+            threads,
+            local,
+            chars,
+            conflicts: ConflictInfo {
+                compact,
+                conflicting_elements,
+            },
+            replication: listed as f64 / pat.num_iterations().max(1) as f64,
+            iters_of: OnceLock::new(),
+        }
+    }
+
+    /// One walk of the slot stream in block order: each slot keeps the
+    /// thread that references it, or a conflict mark once a second one
+    /// does; and a stamp per `lw` owner counts the (iteration, owner)
+    /// pairs that replication charges, the owner of a slot's element
+    /// looked up once per slot.  Returns the conflict numbering (`compact`,
+    /// `conflicting_elements`) and the count of listed pairs.
+    fn walk(
+        pat: &AccessPattern,
+        local: &LocalIndex,
+        threads: usize,
+    ) -> (Vec<u32>, Vec<u32>, usize) {
+        let home = lw_homes(pat, local, threads);
         let mut owner = vec![UNOWNED; local.elements.len()];
         let (mut hit, mut listed) = (vec![u32::MAX; threads], 0usize);
         let iters = pat.num_iterations();
@@ -131,17 +165,7 @@ impl Inspector {
             compact[s] = conflicting_elements.len() as u32;
             conflicting_elements.push(local.elements[s]);
         }
-        Inspection {
-            threads,
-            local,
-            chars,
-            conflicts: ConflictInfo {
-                compact,
-                conflicting_elements,
-            },
-            replication: listed as f64 / iters.max(1) as f64,
-            iters_of: OnceLock::new(),
-        }
+        (compact, conflicting_elements, listed)
     }
 }
 

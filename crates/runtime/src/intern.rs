@@ -11,7 +11,12 @@
 //! opaque `u64` handle; every subsequent job references the handle and
 //! the runtime resolves it to the same shared `Arc`.
 //!
-//! Content-hash deduplication matters beyond memory: jobs from
+//! The content hash only picks a bucket: it is word-wise (independent
+//! multiply lanes over pairs of `u32`s, so hashing runs at memory speed
+//! rather than one multiply per byte) and process-local, and equal
+//! content, not an equal hash, decides a dedup.
+//!
+//! Content deduplication matters beyond memory: jobs from
 //! *different* connections that uploaded the *same* structure resolve to
 //! one `Arc<AccessPattern>`, so the queue's same-pattern coalescing and
 //! fused sweeps work across clients exactly as they do for spec-described
@@ -175,27 +180,59 @@ impl std::fmt::Debug for PatternInterner {
     }
 }
 
-/// FNV-1a over the pattern's structural content.  Stable within one
-/// process run is all that is required (handles are never persisted).
-fn content_hash(pattern: &AccessPattern) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+/// Independent multiply chains the content hash runs side by side.
+const LANES: usize = 4;
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// One multiply-rotate round (the xxHash64 round) folding `word` into
+/// `acc`.
+#[inline(always)]
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Fold `words` into the lanes, a pair of `u32`s per lane per step, so
+/// the [`LANES`] multiply chains run independently instead of one chain
+/// per byte.  A last partial step goes in zero-padded; the caller mixes
+/// in the array lengths, which tells the padding apart.
+fn eat(lanes: &mut [u64; LANES], words: &[u32]) {
+    let mut step = |s: &[u32; 2 * LANES]| {
+        for (lane, p) in lanes.iter_mut().zip(s.chunks_exact(2)) {
+            *lane = round(*lane, u64::from(p[0]) | u64::from(p[1]) << 32);
         }
     };
-    eat(&(pattern.num_elements as u64).to_le_bytes());
-    eat(&(pattern.iter_ptr.len() as u64).to_le_bytes());
-    for v in &pattern.iter_ptr {
-        eat(&v.to_le_bytes());
+    let (steps, rest) = words.as_chunks::<{ 2 * LANES }>();
+    steps.iter().for_each(&mut step);
+    if !rest.is_empty() {
+        let mut last = [0; 2 * LANES];
+        last[..rest.len()].copy_from_slice(rest);
+        step(&last);
     }
-    for v in &pattern.indices {
-        eat(&v.to_le_bytes());
-    }
-    h
+}
+
+/// Word-wise hash of the pattern's structural content: `iter_ptr` then
+/// `indices` through [`LANES`] independent lanes, folded together with
+/// `num_elements` and both array lengths.  Process-local: handles are
+/// never persisted, so the function may change between builds (unlike
+/// [`PatternSignature`](crate::PatternSignature), which profile stores
+/// persist).  Dedup is decided by content equality; the hash only picks
+/// the bucket.
+fn content_hash(pattern: &AccessPattern) -> u64 {
+    let mut lanes = [P1; LANES];
+    eat(&mut lanes, &pattern.iter_ptr);
+    eat(&mut lanes, &pattern.indices);
+    let lens = [
+        pattern.num_elements,
+        pattern.iter_ptr.len(),
+        pattern.indices.len(),
+    ];
+    lanes
+        .into_iter()
+        .chain(lens.map(|n| n as u64))
+        .fold(P2, round)
 }
 
 #[cfg(test)]
@@ -303,17 +340,89 @@ mod tests {
 
     #[test]
     fn hash_collisions_do_not_alias_distinct_patterns() {
-        // Force the collision path by interning through the chain lookup:
-        // two different patterns that happen to share a chain entry must
-        // compare unequal and get distinct handles.  (A real FNV collision
-        // is impractical to construct; instead verify the chain compares
-        // content, not just hash, by checking distinct contents always get
-        // distinct handles.)
-        let reg = PatternInterner::new(64);
-        let mut handles = std::collections::HashSet::new();
-        for seed in 0..32 {
-            let got = reg.intern(sample(seed)).unwrap();
-            assert!(handles.insert(got.handle), "handle reused across contents");
+        // Seed `b`'s bucket with `a`'s handle, so that `b` lands in one
+        // chain with `a`: only the content compare tells them apart.
+        let reg = PatternInterner::new(8);
+        let (pa, pb) = (sample(1), sample(2));
+        let a = reg.intern(pa.clone()).unwrap();
+        reg.lock()
+            .by_hash
+            .entry(content_hash(&pb))
+            .or_default()
+            .push(a.handle);
+        let b = reg.intern(pb.clone()).unwrap();
+        assert!(b.fresh, "a colliding chain entry is not a dedup hit");
+        assert_ne!(b.handle, a.handle, "a collision aliased two contents");
+        assert_eq!(reg.lock().by_hash[&content_hash(&pb)], [a.handle, b.handle]);
+        // And `a`'s bucket now leads with `b`'s handle.
+        reg.lock()
+            .by_hash
+            .get_mut(&content_hash(&pa))
+            .unwrap()
+            .insert(0, b.handle);
+        // Each re-upload walks past the other's entry to its own handle.
+        for (p, want) in [(pa, a.handle), (pb, b.handle)] {
+            let again = reg.intern(p).unwrap();
+            assert!(!again.fresh);
+            assert_eq!(again.handle, want);
+            assert!(Arc::ptr_eq(&again.pattern, &reg.get(want).unwrap()));
+        }
+        assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    fn content_hash_frames_its_fields() {
+        let pat = |num_elements, iter_ptr: &[u32], indices: &[u32]| AccessPattern {
+            num_elements,
+            iter_ptr: iter_ptr.to_vec(),
+            indices: indices.to_vec(),
+        };
+        // The same concatenated words, split differently between the
+        // two arrays (no valid pattern can do this, but the hash must
+        // not rely on validation).
+        let words = [0u32, 2, 3, 1, 0, 2, 1, 0, 5, 4];
+        let splits: Vec<u64> = (0..=words.len())
+            .map(|k| content_hash(&pat(8, &words[..k], &words[k..])))
+            .collect();
+        for (i, x) in splits.iter().enumerate() {
+            for y in &splits[i + 1..] {
+                assert_ne!(x, y, "a different split must hash differently");
+            }
+        }
+        // A zero-padded tail is not the same as explicit zeros.
+        assert_ne!(
+            content_hash(&pat(8, &[0, 1], &[3])),
+            content_hash(&pat(8, &[0, 1], &[3, 0]))
+        );
+        // The same arrays over a different `num_elements`: distinct
+        // hashes, and distinct handles once interned.
+        let (p8, p9) = (
+            pat(8, &[0, 2, 3], &[1, 7, 7]),
+            pat(9, &[0, 2, 3], &[1, 7, 7]),
+        );
+        assert_ne!(content_hash(&p8), content_hash(&p9));
+        let reg = PatternInterner::new(8);
+        let (a, b) = (reg.intern(p8.clone()).unwrap(), reg.intern(p9).unwrap());
+        assert!(a.fresh && b.fresh);
+        assert_ne!(a.handle, b.handle);
+        assert_eq!(reg.intern(p8).unwrap().handle, a.handle);
+    }
+
+    #[test]
+    fn content_hash_sees_every_word() {
+        // Flip each word of a pattern that spans several full steps and
+        // a partial one; every flip must move the hash.
+        let base = sample(3);
+        let h = content_hash(&base);
+        for i in 0..base.iter_ptr.len() {
+            let mut p = base.clone();
+            p.iter_ptr[i] ^= 1;
+            assert_ne!(content_hash(&p), h, "iter_ptr[{i}]");
+        }
+        for i in 0..base.indices.len() {
+            let mut p = base.clone();
+            p.indices[i] ^= 1 << (i % 32);
+            assert_ne!(content_hash(&p), h, "indices[{i}]");
         }
     }
 }

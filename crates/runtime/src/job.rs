@@ -275,6 +275,11 @@ pub struct PatternSignature(pub u64);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Byte-wise FNV-1a over a few words.  Unlike the uploaded-pattern
+/// interner's content hash, which lives one process and may change
+/// freely, this one must never change: profile stores persist its
+/// values as `<sig:016x>`, and a different hash would orphan every store
+/// on disk.  It hashes seven words, so its speed does not matter.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = FNV_OFFSET;
     for w in words {
@@ -484,6 +489,20 @@ mod tests {
         // A 64x larger array is a different domain.
         let c = PatternSignature::of(&pat(1, 262_144), 2048, 4);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn signature_values_are_pinned() {
+        // Profile stores persist these values: a change here orphans
+        // every store on disk.
+        let iters: Vec<Vec<u32>> = (0..4000u32)
+            .map(|i| vec![i * 7 % 4096, (i * 13 + 5) % 4096])
+            .collect();
+        let p = AccessPattern::from_iters(4096, &iters);
+        let got: Vec<u64> = [1, 4]
+            .map(|threads| PatternSignature::of(&p, 2048, threads).0)
+            .to_vec();
+        assert_eq!(got, [0xeef6_f992_c743_9bec, 0x9206_a477_a675_bd89]);
     }
 
     #[test]

@@ -36,6 +36,10 @@ pub(crate) enum Count {
 pub(crate) trait Num: Copy + Display + FromStr {
     fn put_le(self, out: &mut Vec<u8>);
     fn take_le(b: &mut &[u8]) -> Option<Self>;
+    /// Every value of `v`, little-endian, appended in one pass.
+    fn put_all_le(v: &[Self], out: &mut Vec<u8>);
+    /// Every value in `b`, whose length is a multiple of the width.
+    fn take_all_le(b: &[u8]) -> Vec<Self>;
 }
 
 macro_rules! num {
@@ -49,6 +53,20 @@ macro_rules! num {
                 *b = tail;
                 Some(<$ty>::from_le_bytes(*head))
             }
+            fn put_all_le(v: &[Self], out: &mut Vec<u8>) {
+                const W: usize = std::mem::size_of::<$ty>();
+                let start = out.len();
+                out.resize(start + v.len() * W, 0);
+                let (chunks, _) = out[start..].as_chunks_mut::<W>();
+                for (c, x) in chunks.iter_mut().zip(v) {
+                    *c = x.to_le_bytes();
+                }
+            }
+            fn take_all_le(b: &[u8]) -> Vec<Self> {
+                let (chunks, rest) = b.as_chunks();
+                debug_assert!(rest.is_empty());
+                chunks.iter().map(|c| <$ty>::from_le_bytes(*c)).collect()
+            }
         }
     )+};
 }
@@ -60,6 +78,11 @@ pub(crate) trait Sink: Sized {
     /// Whether this is the text format (for the one walk that differs).
     const TEXT: bool;
     fn num<N: Num>(&mut self, v: &N);
+    /// Numbers one after another: each as [`num`](Sink::num) would
+    /// write it; binary writes them in one pass.
+    fn nums<N: Num>(&mut self, v: &[N]) {
+        v.iter().for_each(|x| self.num(x));
+    }
     /// An id: 16 hex digits / `u64` LE.
     fn hex(&mut self, v: &u64);
     /// `0`/`1` / one byte.
@@ -89,6 +112,11 @@ pub(crate) trait Source: Sized {
     /// Whether this is the text format.
     const TEXT: bool;
     fn num<N: Num>(&mut self) -> Result<N, String>;
+    /// `n` numbers, each as [`num`](Source::num) would read it; binary
+    /// reads them in one pass.
+    fn nums<N: Num>(&mut self, n: usize) -> Result<Vec<N>, String> {
+        (0..n).map(|_| self.num()).collect()
+    }
     fn hex(&mut self) -> Result<u64, String>;
     fn bool(&mut self) -> Result<bool, String>;
     fn word(&mut self) -> Result<String, String>;
@@ -249,6 +277,19 @@ pub(crate) fn get_vec<R: Source, T: Field>(r: &mut R, count: Count) -> Result<Ve
         v.push(T::get(r)?);
     }
     Ok(v)
+}
+
+/// [`put_vec`] for fixed-width numbers: the same bytes, written in one
+/// pass.
+pub(crate) fn put_nums<S: Sink, N: Num>(s: &mut S, count: Count, v: &[N]) {
+    s.count(count, v.len());
+    s.nums(v);
+}
+
+/// [`get_vec`] for fixed-width numbers, read in one pass.
+pub(crate) fn get_nums<R: Source, N: Num>(r: &mut R, count: Count) -> Result<Vec<N>, String> {
+    let n = r.count(count, N::MIN_BIN)?;
+    r.nums(n)
 }
 
 /// A request or response: one table row per variant, then its fields.
@@ -631,6 +672,9 @@ impl Sink for BinSink {
     fn num<N: Num>(&mut self, v: &N) {
         v.put_le(&mut self.out);
     }
+    fn nums<N: Num>(&mut self, v: &[N]) {
+        N::put_all_le(v, &mut self.out);
+    }
     fn hex(&mut self, v: &u64) {
         self.num(v);
     }
@@ -670,6 +714,15 @@ impl Source for BinSource<'_> {
             let need = std::mem::size_of::<N>();
             format!("frame truncated: need {need} bytes, have {}", self.b.len())
         })
+    }
+    fn nums<N: Num>(&mut self, n: usize) -> Result<Vec<N>, String> {
+        let need = n.saturating_mul(std::mem::size_of::<N>());
+        let (head, tail) = self
+            .b
+            .split_at_checked(need)
+            .ok_or_else(|| format!("frame truncated: need {need} bytes, have {}", self.b.len()))?;
+        self.b = tail;
+        Ok(N::take_all_le(head))
     }
     fn hex(&mut self) -> Result<u64, String> {
         self.num()

@@ -34,7 +34,8 @@
 //! them to nothing.
 
 use crate::codec::{
-    self, get_vec, put_vec, record, variants, Count, Field, Message, Sink, Source, GLUED,
+    self, get_nums, get_vec, put_nums, put_vec, record, variants, Count, Field, Message, Sink,
+    Source, GLUED,
 };
 use serde::{Deserialize, Serialize};
 use smartapps_runtime::Builtin;
@@ -295,13 +296,11 @@ impl Field for UploadArgs {
         if S::TEXT {
             s.count(Count::Bare, self.iter_ptr.len());
             s.count(Count::Bare, self.indices.len());
-            self.iter_ptr
-                .iter()
-                .chain(&self.indices)
-                .for_each(|v| s.num(v));
+            s.nums(&self.iter_ptr);
+            s.nums(&self.indices);
         } else {
-            put_vec(s, Count::Bare, &self.iter_ptr);
-            put_vec(s, Count::Bare, &self.indices);
+            put_nums(s, Count::Bare, &self.iter_ptr);
+            put_nums(s, Count::Bare, &self.indices);
         }
     }
     fn get<R: Source>(r: &mut R) -> Result<Self, String> {
@@ -309,11 +308,9 @@ impl Field for UploadArgs {
         let num_elements = r.field()?;
         let (iter_ptr, indices) = if R::TEXT {
             let (np, ni) = (r.count(Count::Bare, 4)?, r.count(Count::Bare, 4)?);
-            let iter_ptr = (0..np).map(|_| r.num()).collect::<Result<_, _>>()?;
-            let indices = (0..ni).map(|_| r.num()).collect::<Result<_, _>>()?;
-            (iter_ptr, indices)
+            (r.nums(np)?, r.nums(ni)?)
         } else {
-            (get_vec(r, Count::Bare)?, get_vec(r, Count::Bare)?)
+            (get_nums(r, Count::Bare)?, get_nums(r, Count::Bare)?)
         };
         Ok(UploadArgs {
             token,
@@ -495,7 +492,7 @@ impl Field for Payload {
             }
             Payload::Full(values) => {
                 s.tag(PAYLOADS, 1);
-                put_vec(s, Count::Bare, values);
+                put_nums(s, Count::Bare, values);
             }
             Payload::ChecksumF64 { len, sum } => {
                 s.tag(PAYLOADS, 2);
@@ -504,7 +501,7 @@ impl Field for Payload {
             }
             Payload::FullF64(values) => {
                 s.tag(PAYLOADS, 3);
-                put_vec(s, Count::Bare, values);
+                put_nums(s, Count::Bare, values);
             }
         }
     }
@@ -514,12 +511,12 @@ impl Field for Payload {
                 len: r.field()?,
                 sum: r.num()?,
             },
-            1 => Payload::Full(get_vec(r, Count::Bare)?),
+            1 => Payload::Full(get_nums(r, Count::Bare)?),
             2 => Payload::ChecksumF64 {
                 len: r.field()?,
                 sum: r.num()?,
             },
-            _ => Payload::FullF64(get_vec(r, Count::Bare)?),
+            _ => Payload::FullF64(get_nums(r, Count::Bare)?),
         })
     }
 }

@@ -11,8 +11,9 @@
 //!   reject — the binary protocol's reason to exist is exact i64/f64
 //!   transport; text cannot carry NaN payloads, so the text strategies
 //!   leave NaN out).
-//! * **Decoder robustness** — arbitrary byte soup, truncations of valid
-//!   frames at every boundary, lying length headers, every prefix of a
+//! * **Decoder robustness** — arbitrary byte soup, byte soup spliced
+//!   into valid upload frames, truncations of valid frames at every
+//!   boundary, lying length headers, every prefix of a
 //!   valid text line and token soups over the text grammar's vocabulary
 //!   must produce `Err` (failing only the one connection) or a value,
 //!   never a panic and never a runaway allocation.
@@ -110,8 +111,8 @@ fn arb_upload() -> impl Strategy<Value = UploadArgs> {
     (
         any::<u64>(),
         0usize..10_000,
-        proptest::collection::vec(any::<u32>(), 0..20),
-        proptest::collection::vec(any::<u32>(), 0..40),
+        proptest::collection::vec(any::<u32>(), 0..300),
+        proptest::collection::vec(any::<u32>(), 0..400),
     )
         .prop_map(|(token, num_elements, iter_ptr, indices)| UploadArgs {
             token,
@@ -384,6 +385,27 @@ proptest! {
                 Ok(FrameStep::NeedMore) => break,
                 Err(_) => break,
             }
+        }
+    }
+
+    /// Byte soup spliced into a valid upload body, over its counts or
+    /// anywhere in its two arrays: the decoder errs or returns a value
+    /// that re-encodes to exactly the spliced bytes, never panics.
+    #[test]
+    fn upload_soup_never_panics(
+        up in arb_upload(),
+        soup in proptest::collection::vec(any::<u64>(), 1..8),
+        at_seed in any::<u64>(),
+    ) {
+        let soup: Vec<u8> = soup.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let bytes = encode_request(&Request::Upload(up));
+        let (kind, mut body) = split_frame(&bytes);
+        let at = (at_seed as usize) % body.len();
+        let end = (at + soup.len()).min(body.len());
+        body[at..end].copy_from_slice(&soup[..end - at]);
+        if let Ok(req) = decode_request(kind, &body) {
+            let again = encode_request(&req);
+            prop_assert_eq!(split_frame(&again), (kind, body));
         }
     }
 
