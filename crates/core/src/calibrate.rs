@@ -202,11 +202,21 @@ impl Calibrator {
     /// Corrected cost of one scheme (abstract units scaled by the learned
     /// correction; infinite predictions stay infinite).
     pub fn predict(&self, scheme: Scheme, input: &ModelInput, domain: DomainKey) -> f64 {
-        let raw = self.model.predict(scheme, input);
-        if !raw.is_finite() {
-            return raw;
+        self.price(scheme, input, domain).1
+    }
+
+    /// The one pricing of a scheme: `(analytic, corrected)`, where the
+    /// analytic model cost is run once and corrected = analytic ×
+    /// correction (an infinite analytic cost stays infinite).
+    /// [`rank`](Calibrator::rank), [`predict`](Calibrator::predict) and
+    /// [`explain`](Calibrator::explain) all read it.
+    pub(crate) fn price(&self, scheme: Scheme, input: &ModelInput, d: DomainKey) -> (f64, f64) {
+        let analytic = self.model.predict(scheme, input);
+        if !analytic.is_finite() {
+            return (analytic, analytic);
         }
-        raw * self.correction(scheme, domain, input.fanout > 1)
+        let corrected = analytic * self.correction(scheme, d, input.fanout > 1);
+        (analytic, corrected)
     }
 
     /// Full nanosecond estimate for one execution, when calibrated:
@@ -232,14 +242,10 @@ impl Calibrator {
     pub fn rank(&self, input: &ModelInput, domain: DomainKey) -> Vec<(Scheme, f64)> {
         let mut v: Vec<(Scheme, f64)> = Scheme::all_parallel()
             .into_iter()
-            .map(|s| (s, self.predict(s, input, domain)))
+            .chain(input.pclr_available.then_some(Scheme::Pclr))
+            .chain(input.simd_available.then_some(Scheme::Simd))
+            .map(|s| (s, self.price(s, input, domain).1))
             .collect();
-        if input.pclr_available {
-            v.push((Scheme::Pclr, self.predict(Scheme::Pclr, input, domain)));
-        }
-        if input.simd_available {
-            v.push((Scheme::Simd, self.predict(Scheme::Simd, input, domain)));
-        }
         v.sort_by(|a, b| a.1.total_cmp(&b.1));
         v
     }

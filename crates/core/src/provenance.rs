@@ -14,9 +14,11 @@
 //! `explain` and `slowlog` (`docs/OBSERVABILITY.md` has the field
 //! catalog).
 //!
-//! [`Calibrator::explain`] emits the ranking part of the record; the
-//! dispatcher fills in the gate verdicts and execution backend as the
-//! job moves through the pipeline.
+//! [`Calibrator::explain`] prices every candidate once and emits the
+//! ranking part of the record.  The dispatcher completes it — the scheme
+//! the jobs ran, the fanout they ran at, the gate verdicts and the
+//! backend — and publishes it once per decision; a published record is
+//! never amended.
 
 use crate::calibrate::Calibrator;
 use crate::toolbox::DomainKey;
@@ -145,11 +147,13 @@ pub struct DecisionRecord {
     /// Candidate cost table, every scheme the model can price —
     /// including masked ones, so "why not `lw`?" has an answer.
     pub candidates: Vec<CandidateCost>,
-    /// The scheme the ranking chose.
+    /// The scheme the decision chose: the table's best feasible row in
+    /// what [`Calibrator::explain`] returns, the scheme the jobs ran in
+    /// what the runtime publishes.
     pub winner: Scheme,
-    /// Execution backend that ultimately ran the job (`software`,
-    /// `simd`, `pclr`, or `scan` after simplification); `pending` until
-    /// execution.
+    /// Execution backend of the decided scheme (`software`, `simd`,
+    /// `pclr`, or `scan` for a rewritten group); `pending` until the
+    /// dispatcher completes the record.
     pub backend: &'static str,
     /// Whether this decision came from a fresh ranking during
     /// exploration (`true`) rather than steady-state.
@@ -172,15 +176,14 @@ impl Calibrator {
     /// the full candidate table (analytic prior vs corrected cost, all
     /// schemes priced, masked ones marked infeasible), with the winner
     /// chosen exactly as [`Calibrator::rank`] would.  Gate verdicts
-    /// start [`GateVerdict::not_consulted`]; the dispatcher fills them
-    /// in as the job traverses the pipeline.
+    /// start [`GateVerdict::not_consulted`]; the dispatcher sets them
+    /// before it publishes the record.
     pub fn explain(&self, input: &ModelInput, domain: DomainKey) -> DecisionRecord {
         let mut candidates: Vec<CandidateCost> = Scheme::all_parallel()
             .into_iter()
             .chain([Scheme::Pclr, Scheme::Simd])
             .map(|scheme| {
-                let analytic = self.model.predict(scheme, input);
-                let corrected = self.predict(scheme, input, domain);
+                let (analytic, corrected) = self.price(scheme, input, domain);
                 CandidateCost {
                     scheme,
                     analytic,

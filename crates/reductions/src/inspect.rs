@@ -101,7 +101,7 @@ impl Inspector {
     /// by `chars`.  At width 1 it is closed-form: one thread references
     /// every slot, so none conflicts, and `lw` lists each non-empty
     /// iteration once.  Wider, it is one walk of the slot stream in block
-    /// order ([`Inspector::walk`]).
+    /// order (`Inspector::walk`).
     pub fn at_width(
         pat: &AccessPattern,
         local: Arc<LocalIndex>,

@@ -15,13 +15,13 @@ use crate::runtime::Shared;
 use crate::stats::RuntimeStats;
 use crate::telemetry::{domain_label, scheme_code};
 use smartapps_core::toolbox::DomainKey;
-use smartapps_core::{DecisionRecord, GateVerdict};
+use smartapps_core::{CandidateCost, DecisionRecord, GateVerdict};
 use smartapps_reductions::{
-    probe_uniform, recognize, run_fused_with, run_scan_group, CostGuard, FusedBody, ModelInput,
-    ScanElem, ScanMatch, Scheme,
+    probe_uniform, recognize, run_fused_with, run_scan_group, CostGuard, DecisionModel, FusedBody,
+    ModelInput, ScanElem, ScanMatch, Scheme,
 };
 use smartapps_telemetry::{TraceBackend, TraceError, TraceEvent};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,7 +155,8 @@ pub(crate) fn finish(
 
 /// Fail `jobs` of one batch fast with `error`, before any kernel runs: a
 /// quarantined class (per batch, or per job once the class crosses the
-/// threshold mid-batch) or a poisoned scheme decision.
+/// threshold mid-batch) or a poisoned scheme decision.  A quarantine
+/// republishes the class's latest record with the gate fired.
 fn fail_fast(
     shared: &Shared,
     ctx: &mut BatchCtx,
@@ -164,16 +165,14 @@ fn fail_fast(
 ) {
     let tel = &shared.telemetry;
     let quarantined = error.kind == JobErrorKind::Quarantined;
-    if quarantined {
-        tel.amend_decision(ctx.sig.0, |r| {
-            r.quarantine = GateVerdict::fired("panic-streak")
-        });
+    let mut record = tel.decision(ctx.sig.0);
+    if let Some(latest) = record.as_mut().filter(|_| quarantined) {
+        let mut stamped = DecisionRecord::clone(latest);
+        stamped.quarantine = GateVerdict::fired("panic-streak");
+        *latest = tel.record_decision(ctx.sig.0, stamped);
     }
-    let record = tel.decision(ctx.sig.0);
     for job in jobs {
-        if quarantined {
-            RuntimeStats::add(&shared.stats.quarantined, 1);
-        }
+        RuntimeStats::add(&shared.stats.quarantined, quarantined as u64);
         finish(
             shared,
             job.facts.sig,
@@ -213,21 +212,36 @@ fn empty_output(body: &JobBody) -> JobOutput {
 pub(crate) struct BatchCtx {
     sig: PatternSignature,
     batched_with: usize,
-    profile_hit: bool,
+    /// The class's profile entry when the batch's single-job scheme came
+    /// from it (a profile hit neither explored nor rechecked): what
+    /// members report as `profile_hit` and what the drift guard measures.
     profiled: Option<ProfileEntry>,
-    /// When the dispatcher popped this batch and when its scheme decision
-    /// landed — the `queued`/`decided` timestamps of every member's trace
-    /// event (`decided_at` is the pop instant until the decision returns).
+    /// When the dispatcher popped this batch and when its single-job
+    /// decision landed — the `queued`/`decided` timestamps of every
+    /// member's trace event (`decided_at` is the pop instant until the
+    /// decision returns).
     dequeued_at: Instant,
     decided_at: Instant,
     /// Once one job of the batch detects drift and evicts the entry, no
     /// later batch-mate may resurrect it (their measurements rode the same
     /// stale decision) and the logical eviction is counted once.
     evicted_this_batch: bool,
-    /// The batch scheme is an exploration pick (runner-up executed to
-    /// gather a calibration sample): feed the calibrator, never the
-    /// profile store.
+    /// The batch's single-job decision: its scheme, whether that is an
+    /// exploration pick (feed the calibrator, never the profile store),
+    /// its priced record until a job commits it ([`commit`]), and
+    /// the record every job running it carries.
+    scheme: Scheme,
     explored: bool,
+    single: Option<Decision>,
+    record: Option<Arc<DecisionRecord>>,
+    /// The cheapest software split (K = 1) cost of the class, once the
+    /// batch priced it: the fusion gate's "fused < K × split" test reads
+    /// it.
+    split: Option<f64>,
+    /// The gate verdicts of the group in flight, stamped on the record of
+    /// the decision its jobs run.
+    fusion: GateVerdict,
+    simplify: GateVerdict,
     /// Wall time the simplification gate spent on the current group
     /// before handing it back (recognizer walk, uniformity probe, an
     /// abandoned scan) — attributed to the group members' `simplify`
@@ -240,200 +254,196 @@ pub(crate) struct BatchCtx {
     pending: PendingDeliveries,
 }
 
-/// The outcome of [`decide_batch`]: which scheme the batch runs, and
-/// whether the pick was an exploration sample or a calibration recheck
-/// that evicted the profile entry.
-struct BatchDecision {
-    scheme: Scheme,
-    explored: bool,
-    rechecked: bool,
+/// What one [`decide`] chose: the scheme its jobs run and, unless a
+/// profile hit kept the stored scheme without pricing anything, the
+/// record of the choice (candidate table, features at the decision's
+/// fanout, `winner`, `explored`, `rechecked`) that [`publish`] completes
+/// once the jobs run it.
+type Decision = (Scheme, Option<DecisionRecord>);
+
+/// Whether this tick of a `1 / every` cadence is due (`0` never is).
+fn due(ticks: &AtomicU64, every: usize) -> bool {
+    every > 0 && (ticks.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(every as u64)
 }
 
-/// One scheme decision for a coalesced batch.
+/// One pricing of `job`'s class at fanout `k` with `mask` infeasible:
+/// every candidate's analytic and corrected cost, in ranked order
+/// ([`Calibrator::explain`](smartapps_core::Calibrator::explain)).
+/// Inspects `job`'s allocation on first use.  The backend-gated schemes
+/// join only at K = 1: fused sweeps never route to them.
+fn price(shared: &Shared, job: &QueuedJob, k: usize, mask: Option<Scheme>) -> DecisionRecord {
+    let insp = job.facts.inspection(&job.spec.pattern, &shared.stats);
+    let open = |s: Scheme| mask != Some(s);
+    let gated = |s: Scheme| k == 1 && open(s);
+    let input = ModelInput::from_inspection(insp, job.spec.lw_feasible && open(Scheme::Lw))
+        .with_pclr(gated(Scheme::Pclr) && shared.pclr_admits(&job.spec.pattern))
+        .with_simd(gated(Scheme::Simd) && shared.simd_admits(&insp.chars))
+        .with_fanout(k);
+    shared
+        .calibrator()
+        .explain(&input, DomainKey::of(&insp.chars))
+}
+
+/// The corrected cost of the first (so cheapest: rows are in ranked
+/// order) row of a priced table that `pick` accepts; infinite for none.
+fn cheapest(record: &DecisionRecord, pick: impl Fn(&CandidateCost) -> bool) -> f64 {
+    let row = record.candidates.iter().find(|c| pick(c));
+    row.map_or(f64::INFINITY, |c| c.corrected)
+}
+
+/// The one scheme decision of the dispatcher, over (class, fanout `k`,
+/// feasibility `mask`), for the jobs `lead` leads.  A decision prices the
+/// candidates once ([`Calibrator::explain`](smartapps_core::Calibrator::explain))
+/// and every choice below reads that table.
 ///
-/// The fast path: a profile hit runs the stored scheme with no
-/// inspection, a miss pays one inspection and takes the (corrected)
-/// ranking's best.  Two calibration-driven detours, both off by default
-/// ([`CalibrationConfig`](crate::CalibrationConfig)):
-///
-/// * **Exploration** — every `explore_every`-th batch executes the
+/// * **K = 1, no mask** — the batch's single-job decision, made once per
+///   batch at pop.  A profile hit runs the stored scheme with no
+///   inspection and no pricing; a miss pays one inspection and takes the
+///   (corrected) table's best.  Two calibration-driven detours, both off
+///   by default ([`CalibrationConfig`](crate::CalibrationConfig)):
+///   **exploration** — every `explore_every`-th batch picks the
 ///   best-ranked feasible software scheme that still lacks measured
-///   evidence in this functioning domain (never the scheme that would
-///   run anyway), so corrections get the cross-scheme samples they need;
-///   self-terminating once the domain is calibrated.
-/// * **Recheck** — every `recheck_every`-th profile hit re-ranks under
-///   the corrected model; when a measured-confident scheme now beats the
-///   stored one, the entry is evicted (the caller records fresh truth) —
-///   the paper's "Redecide" adaptation driven by calibration.
-fn decide_batch(
+///   evidence in this functioning domain (never the scheme that would run
+///   anyway), so corrections get the cross-scheme samples they need; and
+///   **recheck** — every `recheck_every`-th profile hit re-ranks, and a
+///   measured-confident scheme that beats the stored one by
+///   `RECHECK_MARGIN` displaces it (the paper's "Redecide", driven by
+///   calibration).  The pick is counted and acted on only when a job
+///   runs it ([`commit`]).
+/// * **K ≥ 2** — the calibrated fusion gate.  A group of K same-pattern
+///   jobs fuses when the fanout-K table picks `hash` (analytically
+///   validated: one slot lookup feeds all K outputs), **or** when it
+///   picks another software scheme *and* measured fused-side evidence
+///   backs it *and* the fused cost beats K split traversals (priced by
+///   the batch when it can be, else here).  Declined groups occasionally
+///   run fused anyway as probes (`CalibrationConfig::probe_fused_every`)
+///   so the fused side of the `ll`/`rep` regimes can be measured at all.
+///   `None` when declined; the verdict lands in `ctx.fusion` either way
+///   (`docs/OBSERVABILITY.md` lists the reason vocabulary).
+/// * **A mask** — a job that cannot run the batch's single-job scheme
+///   (owner-computes where it is illegal, the hardware scheme with the
+///   backend disabled or the job over its admission cap) re-decides with
+///   that scheme infeasible.
+fn decide(
     shared: &Shared,
-    first: &QueuedJob,
-    profiled: Option<&ProfileEntry>,
-) -> BatchDecision {
-    let keep = |scheme: Scheme| BatchDecision {
-        scheme,
-        explored: false,
-        rechecked: false,
-    };
-    let explore_now = shared.explore_every > 0 && {
-        let n = shared.explore_ticks.fetch_add(1, Ordering::Relaxed);
-        (n + 1).is_multiple_of(shared.explore_every as u64)
-    };
+    ctx: &mut BatchCtx,
+    lead: &QueuedJob,
+    k: usize,
+    mask: Option<Scheme>,
+) -> Option<Decision> {
+    let single = k == 1 && mask.is_none();
+    let profiled = ctx.profiled.as_ref().filter(|_| single);
+    let explore_now = single && due(&shared.explore_ticks, shared.explore_every);
     // Recheck cadence is per-entry (keyed on its recorded-run count):
     // interleaved classes recheck independently instead of aliasing
     // against a global counter.
     let recheck_now = shared.recheck_every > 0
         && profiled.is_some_and(|e| e.runs.is_multiple_of(shared.recheck_every as u64));
-    if !explore_now && !recheck_now {
-        if let Some(e) = profiled {
-            return keep(e.scheme);
-        }
+    if let Some(e) = profiled.filter(|_| !explore_now && !recheck_now) {
+        return Some((e.scheme, None));
     }
-    let insp = first.facts.inspection(&first.spec.pattern, &shared.stats);
-    let domain = DomainKey::of(&insp.chars);
-    let input = ModelInput::from_inspection(insp, first.spec.lw_feasible)
-        .with_pclr(shared.pclr_admits(&first.spec.pattern))
-        .with_simd(shared.simd_admits(&insp.chars));
-    let cal = shared.calibrator();
-    let ranking = cal.rank(&input, domain);
-    let decision = (|| {
-        if explore_now {
-            let would_run = profiled.map_or(ranking[0].0, |e| e.scheme);
-            // Class-level confidence gates the slot: a scheme measured in
-            // *other* domains still lacks samples here, and corrections do
-            // not transfer across domains without them.
-            let target = ranking.iter().find(|(s, c)| {
-                c.is_finite()
-                    && s.is_software()
-                    && *s != would_run
-                    && cal.class_confidence(*s, domain, false) < 0.5
-            });
-            if let Some(&(target, _)) = target {
-                RuntimeStats::add(&shared.stats.explored, 1);
-                return BatchDecision {
-                    explored: true,
-                    ..keep(target)
-                };
-            }
-        }
-        match profiled {
-            Some(e) => {
-                let (best, best_cost) = ranking[0];
-                let entry_cost = ranking
-                    .iter()
-                    .find(|(s, _)| *s == e.scheme)
-                    .map_or(f64::INFINITY, |(_, c)| *c);
-                if recheck_now
-                    && best != e.scheme
-                    && cal.evidence(best, domain, false)
-                    && best_cost < RECHECK_MARGIN * entry_cost
-                {
-                    return BatchDecision {
-                        rechecked: true,
-                        ..keep(best)
-                    };
-                }
-                keep(e.scheme)
-            }
-            None => keep(ranking[0].0),
-        }
-    })();
-    // Every fresh ranking leaves its uncollapsed provenance in the
-    // ledger: the winner is the scheme the batch actually runs (which an
-    // exploration slot or a kept profile entry may pull away from the
-    // table's top row), and quarantine is stamped `clear` because a
-    // blocked class would have failed fast before reaching the decision.
-    let mut record = cal.explain(&input, domain);
-    drop(cal);
-    record.winner = decision.scheme;
-    record.explored = decision.explored;
-    record.rechecked = decision.rechecked;
-    record.quarantine = GateVerdict::declined("clear");
-    shared.telemetry.record_decision(first.facts.sig.0, record);
-    decision
-}
-
-/// A fusion decision for one fusable group: which scheme sweeps, in which
-/// functioning domain, at what raw (uncorrected) predicted cost — the
-/// calibration sample the sweep's measurement is compared against.
-struct FusePlan {
-    scheme: Scheme,
-    domain: DomainKey,
-    predicted_units: f64,
-    /// The fanout-K model input the prediction was made from (kept for
-    /// the post-sweep calibration sample).
-    input: ModelInput,
-}
-
-/// The calibrated fusion gate.  A group of K ≥ 2 same-pattern jobs fuses
-/// when the corrected fanout-K model picks `hash` (analytically validated:
-/// one slot lookup feeds all K outputs), **or** when it picks another
-/// software scheme *and* measured fused-side evidence backs that
-/// prediction and the corrected fused cost beats K split traversals.
-/// Declined groups occasionally run fused anyway as probes
-/// (`CalibrationConfig::probe_fused_every`) so the fused side of the
-/// `ll`/`rep` regimes can be measured at all.
-fn plan_fusion(shared: &Shared, group: &[QueuedJob]) -> Option<FusePlan> {
-    // Each branch stamps its verdict on the class's decision record
-    // (`docs/OBSERVABILITY.md` lists the reason vocabulary).
-    let verdict = |v: GateVerdict| {
-        shared
-            .telemetry
-            .amend_decision(group[0].facts.sig.0, move |r| r.fusion = v);
-    };
-    if group.len() < 2 {
-        verdict(GateVerdict::declined("group-of-one"));
-        return None;
-    }
-    let k = group.len();
-    let lead = &group[0];
-    let insp = lead.facts.inspection(&lead.spec.pattern, &shared.stats);
-    let domain = DomainKey::of(&insp.chars);
-    let input = ModelInput::from_inspection(insp, lead.spec.lw_feasible);
-    let fused_input = input.clone().with_fanout(k);
-    let cal = shared.calibrator();
-    let fused_rank = cal.rank(&fused_input, domain);
-    let Some(&(scheme, fused_cost)) = fused_rank
-        .iter()
-        .find(|(s, c)| s.is_software() && c.is_finite())
-    else {
-        drop(cal);
-        verdict(GateVerdict::declined("no-feasible-scheme"));
-        return None;
-    };
-    let predicted_units = cal.model.predict(scheme, &fused_input);
-    let fuse_reason = if scheme == Scheme::Hash {
-        Some("hash-trusted")
-    } else {
-        let split_best = cal
-            .rank(&input, domain)
-            .first()
-            .map_or(f64::INFINITY, |r| r.1);
-        (cal.fused_evidence(scheme, domain) && fused_cost < k as f64 * split_best)
-            .then_some("measured-evidence")
-    };
-    drop(cal);
-    let probe = || {
-        let due = shared.probe_fused_every > 0 && {
-            let n = shared.declined_fuses.fetch_add(1, Ordering::Relaxed);
-            (n + 1).is_multiple_of(shared.probe_fused_every as u64)
+    let mut record = price(shared, lead, k, mask);
+    let domain = record.domain;
+    if single {
+        let cal = shared.calibrator();
+        ctx.split = Some(cheapest(&record, |c| c.scheme.is_software()));
+        let best = record.winner;
+        let would_run = profiled.map_or(best, |e| e.scheme);
+        // Class-level confidence gates the exploration slot: a scheme
+        // measured in *other* domains still lacks samples here, and
+        // corrections do not transfer across domains without them.
+        let target = record.candidates.iter().find(|c| {
+            explore_now
+                && c.feasible
+                && c.scheme.is_software()
+                && c.scheme != would_run
+                && cal.class_confidence(c.scheme, domain, false) < 0.5
+        });
+        record.explored = target.is_some();
+        record.rechecked = !record.explored
+            && recheck_now
+            && best != would_run
+            && cal.evidence(best, domain, false)
+            && cheapest(&record, |c| c.scheme == best)
+                < RECHECK_MARGIN * cheapest(&record, |c| c.scheme == would_run);
+        let kept = if record.rechecked { best } else { would_run };
+        record.winner = target.map_or(kept, |c| c.scheme);
+    } else if k > 1 {
+        let software = |c: &&CandidateCost| c.feasible && c.scheme.is_software();
+        let Some(&best) = record.candidates.iter().find(software) else {
+            ctx.fusion = GateVerdict::declined("no-feasible-scheme");
+            return None;
         };
-        if due {
-            RuntimeStats::add(&shared.stats.fuse_probes, 1);
+        record.winner = best.scheme;
+        let trusted = best.scheme == Scheme::Hash;
+        let evidenced = !trusted && shared.calibrator().fused_evidence(best.scheme, domain);
+        let measured = evidenced && {
+            let split = ctx.split.get_or_insert_with(|| {
+                cheapest(&price(shared, lead, 1, None), |c| c.scheme.is_software())
+            });
+            best.corrected < k as f64 * *split
+        };
+        let probe = !trusted && !measured && due(&shared.declined_fuses, shared.probe_fused_every);
+        RuntimeStats::add(&shared.stats.fuse_probes, probe as u64);
+        ctx.fusion = match (trusted, measured, probe) {
+            (true, ..) => GateVerdict::fired("hash-trusted"),
+            (_, true, _) => GateVerdict::fired("measured-evidence"),
+            (.., true) => GateVerdict::fired("probe"),
+            _ => GateVerdict::declined("no-fused-evidence"),
+        };
+        if !ctx.fusion.fired {
+            return None;
         }
-        due.then_some("probe")
+    }
+    Some((record.winner, Some(record)))
+}
+
+/// Publish a decision's record, completed with the verdicts of the gates
+/// its group went through and the backend its scheme runs on (`scan` for
+/// a rewritten group): the one ledger write a decision makes.  Quarantine
+/// reads `clear`, because a blocked class fails fast before any decision.
+fn publish(shared: &Shared, ctx: &BatchCtx, mut record: DecisionRecord) -> Arc<DecisionRecord> {
+    record.backend = match record.winner {
+        _ if ctx.simplify.fired => "scan",
+        Scheme::Pclr => "pclr",
+        Scheme::Simd => "simd",
+        _ => "software",
     };
-    let Some(reason) = fuse_reason.or_else(probe) else {
-        verdict(GateVerdict::declined("no-fused-evidence"));
-        return None;
-    };
-    verdict(GateVerdict::fired(reason));
-    Some(FusePlan {
-        scheme,
-        domain,
-        predicted_units,
-        input: fused_input,
-    })
+    record.fusion = ctx.fusion;
+    record.simplify = ctx.simplify;
+    record.quarantine = GateVerdict::declined("clear");
+    shared.telemetry.record_decision(ctx.sig.0, record)
+}
+
+/// The record a job running the batch's single-job scheme carries.  The
+/// first such job commits the decision: an exploration pick is counted,
+/// a recheck evicts the entry it displaced (the batch's executions
+/// record fresh truth), and the record is published.  A profile hit
+/// priced nothing, so its jobs carry the class's latest record while
+/// that record is this decision's; after another decision (a fused
+/// sweep's, say) the hit prices from the inspection `job` already holds,
+/// so the record it publishes names the scheme its jobs run.
+fn commit(shared: &Shared, ctx: &mut BatchCtx, job: &QueuedJob) -> Option<Arc<DecisionRecord>> {
+    if let Some((scheme, priced)) = ctx.single.take() {
+        let priced = priced.or_else(|| {
+            ctx.record = shared.telemetry.decision(ctx.sig.0);
+            let latest = ctx.record.as_ref()?;
+            let ours = latest.winner == scheme && latest.features.fanout == 1;
+            job.facts.inspection.get().filter(|_| !ours)?;
+            let mut record = price(shared, job, 1, None);
+            record.winner = scheme;
+            Some(record)
+        });
+        if let Some(record) = priced {
+            RuntimeStats::add(&shared.stats.explored, record.explored as u64);
+            if record.rechecked {
+                shared.profile().evict(ctx.sig);
+                RuntimeStats::add(&shared.stats.evictions, 1);
+            }
+            ctx.record = Some(publish(shared, ctx, record));
+        }
+    }
+    ctx.record.clone()
 }
 
 /// Partition a same-signature batch into fusable groups: members of one
@@ -443,10 +453,9 @@ fn plan_fusion(shared: &Shared, group: &[QueuedJob]) -> Option<FusePlan> {
 /// verdict).  Groups are capped at `max_fuse`; first-seen order is
 /// preserved, so `batch[0]` leads the first group.
 fn fuse_groups(batch: Vec<QueuedJob>, max_fuse: usize) -> Vec<Vec<QueuedJob>> {
-    type FuseKey = (usize, bool, usize, bool, bool);
-    let mut keyed: Vec<(FuseKey, Vec<QueuedJob>)> = Vec::new();
+    let mut keyed: Vec<(_, Vec<QueuedJob>)> = Vec::new();
     for job in batch {
-        let key: FuseKey = (
+        let key = (
             Arc::as_ptr(&job.spec.pattern) as usize,
             job.spec.body.is_f64(),
             job.facts.threads,
@@ -472,14 +481,15 @@ fn fuse_groups(batch: Vec<QueuedJob>, max_fuse: usize) -> Vec<Vec<QueuedJob>> {
 
 /// The kernel a fusable group runs through (both turn one walk of the
 /// shared pattern into K outputs), with what its accounting needs.
-enum GroupKernel<'a> {
+enum GroupKernel {
     /// The rewritten plan: probe every body's uniformity declaration,
     /// then K difference arrays over one row walk plus one prefix scan
     /// per output.  Carries the recognizer's match and its wall time.
     Scan { m: ScanMatch, recognize_ns: u64 },
-    /// One fused sweep under the gate's plan, accumulating every member's
-    /// output through stride-K private storage.
-    Fused(&'a FusePlan),
+    /// One fused sweep of the fusion gate's scheme at the group's K (with
+    /// that decision's priced record), accumulating every member's output
+    /// through stride-K private storage.
+    Fused(Scheme, DecisionRecord),
 }
 
 fn f64_body(body: &JobBody) -> Option<FusedBody<'_, f64>> {
@@ -503,7 +513,7 @@ fn i64_body(body: &JobBody) -> Option<FusedBody<'_, i64>> {
 /// probe time.
 fn run_kernel<T: ScanElem>(
     shared: &Shared,
-    kernel: &GroupKernel<'_>,
+    kernel: &GroupKernel,
     group: &[QueuedJob],
     pick: fn(&JobBody) -> Option<FusedBody<'_, T>>,
     wrap: fn(Vec<T>) -> JobOutput,
@@ -523,16 +533,17 @@ fn run_kernel<T: ScanElem>(
             let probe_ns = probe_t0.elapsed().as_nanos() as u64;
             (run_scan_group(pat, &bodies), probe_ns)
         }
-        GroupKernel::Fused(plan) => {
+        &GroupKernel::Fused(scheme, _) => {
             let facts = &group[0].facts;
             // A `sel`/`lw` sweep's inspection is already filled by the
             // gate's own pass; a `hash` sweep reuses the slot numbering
             // that pass built.
-            let analyses = facts.kernel_analyses(plan.scheme, pat, &shared.stats);
-            let threads = facts.threads;
+            let analyses = facts.kernel_analyses(scheme, pat, &shared.stats);
             let pool = &*shared.pool;
-            let outputs = run_fused_with(plan.scheme, pat, &bodies, threads, analyses, pool);
-            (outputs, 0)
+            (
+                run_fused_with(scheme, pat, &bodies, facts.threads, analyses, pool),
+                0,
+            )
         }
     };
     Some((outputs.into_iter().map(wrap).collect(), probe_ns))
@@ -540,25 +551,30 @@ fn run_kernel<T: ScanElem>(
 
 /// The single group executor: run a fusable group (same pattern, flavor,
 /// width, `lw` mask, uniformity declaration) through `kernel` behind one
-/// panic fence, account the run, and finish every member.
+/// panic fence, account the run, publish its decision record, and finish
+/// every member.
 ///
 /// A clean run feeds the *calibrator* (a scan in rewritten-plan units, a
 /// sweep as a fused sample) but never the profile store, which holds
 /// single-job scheme-sweep truth: a rewritten plan and a fanout-K
-/// decision are different operating points.  Members report the run's
-/// whole wall time, no profile hit (the recognizer / the fanout-aware
-/// model decided, not the store), and `fused_with = K - 1`; a scan
-/// reports [`Scheme::Seq`] (sequential semantics, deterministic order).
+/// decision are different operating points.  Its record is priced at the
+/// group's K: the gate's own for a sweep, one pricing for a scan, whose
+/// winner is [`Scheme::Seq`] and whose backend is `scan`.  Members report
+/// the run's whole wall time, no profile hit (the recognizer / the
+/// fanout-aware model decided, not the store), and `fused_with = K - 1`;
+/// a scan reports [`Scheme::Seq`] (sequential semantics, deterministic
+/// order).
 ///
 /// A panicking body — or one refuting its uniformity declaration — loses
 /// the shared run, never the answer: the group comes back with the reason
-/// and the time spent, no counter touched, for the caller to re-run
-/// through a path whose own fence pins the panic on the poisoned job.
+/// and the time spent, no counter touched and no record published, for
+/// the caller to re-run through a path whose own fence pins the panic on
+/// the poisoned job.
 fn execute_group(
     shared: &Shared,
     ctx: &mut BatchCtx,
     group: Vec<QueuedJob>,
-    kernel: GroupKernel<'_>,
+    kernel: GroupKernel,
 ) -> Result<(), (Vec<QueuedJob>, &'static str, Duration)> {
     let k = group.len();
     let t0 = Instant::now();
@@ -584,56 +600,50 @@ fn execute_group(
     // Member counters are bumped per *completed* member, not `+= k` up
     // front, so `fused_jobs` is exactly the jobs whose result reports
     // `fused_with > 0` — an abandoned sweep contributes nothing.
-    let (scheme, backend, simplify_ns, member_counter) = match kernel {
+    let scan = matches!(kernel, GroupKernel::Scan { .. });
+    let (scheme, simplify_ns, record) = match kernel {
         GroupKernel::Scan { m, recognize_ns } => {
             tel.record_simplify(m.shape.label(), elapsed_ns);
-            // Priced against the *rewritten* plan (one difference-array
-            // post per iteration plus one scan, per member) — learning
-            // never pays a fresh inspection, mirroring the per-job path.
-            if let Some(insp) = group[0].facts.inspection.get() {
-                let input = ModelInput::from_inspection(insp, group[0].spec.lw_feasible);
+            // The gate fired under the recognized shape and preempted the
+            // fusion gate.  Learning is priced against the *rewritten*
+            // plan (one difference-array post per iteration plus one
+            // scan, per member).  The recognizer walk plus the uniformity
+            // probe is the `simplify` stage; the scan itself stays in
+            // `exec`.
+            ctx.simplify = GateVerdict::fired(m.shape.label());
+            ctx.fusion = GateVerdict::not_consulted();
+            let priced = fenced(|| price(shared, &group[0], k, None)).ok();
+            let record = priced.map(|mut record| {
                 let units = (m.rewritten_ops * k) as f64;
-                let domain = DomainKey::of(&insp.chars);
-                shared.learn(Scheme::Seq, domain, false, Some(units), &input, elapsed);
-            }
-            // Provenance: the gate fired under the recognized shape, and
-            // the scan backend (not any scheme sweep) ran the group.  The
-            // recognizer walk plus the uniformity probe is the `simplify`
-            // stage; the scan itself stays in `exec`.
-            tel.amend_decision(ctx.sig.0, |r| {
-                r.simplify = GateVerdict::fired(m.shape.label());
-                r.backend = "scan";
+                shared.learn(Scheme::Seq, record.domain, false, |_| units, elapsed);
+                record.winner = Scheme::Seq;
+                publish(shared, ctx, record)
             });
-            let gate_ns = recognize_ns + probe_ns;
-            (
-                Scheme::Seq,
-                TraceBackend::Scan,
-                gate_ns,
-                &stats.simplified_jobs,
-            )
+            (Scheme::Seq, recognize_ns + probe_ns, record)
         }
-        GroupKernel::Fused(plan) => {
+        GroupKernel::Fused(scheme, record) => {
             RuntimeStats::add(&stats.fused_sweeps, 1);
             // One sweep = one execution sample (the sweep's wall time,
             // under the class of the gate's own characterization), and
             // the fused-side calibration sample the fusion gate's
-            // fused-vs-split comparison learns from.
-            tel.record_exec(plan.scheme, Some(&domain_label(&plan.domain)), elapsed_ns);
-            let units = Some(plan.predicted_units);
-            shared.learn(plan.scheme, plan.domain, true, units, &plan.input, elapsed);
-            tel.amend_decision(ctx.sig.0, |r| r.backend = "software");
-            let gate_ns = ctx.simplify_probe_ns;
-            (
-                plan.scheme,
-                TraceBackend::Software,
-                gate_ns,
-                &stats.fused_jobs,
-            )
+            // fused-vs-split comparison learns from, against the raw
+            // fanout-K cost the gate predicted.
+            let domain = record.domain;
+            let row = record.candidates.iter().find(|c| c.scheme == scheme);
+            let units = row.map_or(f64::NAN, |c| c.analytic);
+            tel.record_exec(scheme, Some(&domain_label(&domain)), elapsed_ns);
+            shared.learn(scheme, domain, true, |_| units, elapsed);
+            let record = Some(publish(shared, ctx, record));
+            (scheme, ctx.simplify_probe_ns, record)
         }
+    };
+    let (backend, member_counter) = if scan {
+        (TraceBackend::Scan, &stats.simplified_jobs)
+    } else {
+        (TraceBackend::Software, &stats.fused_jobs)
     };
     // A clean run means every body in the group ran clean.
     shared.note_clean(ctx.sig);
-    let record = tel.decision(ctx.sig.0);
     for (job, output) in group.into_iter().zip(outputs) {
         RuntimeStats::add(member_counter, 1);
         finish(
@@ -662,7 +672,7 @@ fn execute_group(
 /// the fusion gate.  Returns `None` when the group executed through the
 /// rewritten plan (outputs delivered, nothing left to do) and
 /// `Some(group)` to pass it through to the normal fusion/per-job
-/// pipeline untouched.
+/// pipeline untouched, its verdict in `ctx.simplify`.
 ///
 /// Eligibility is opt-in: only jobs *declaring* an iteration-uniform
 /// body ([`JobSpec::with_uniform_body`](crate::JobSpec::with_uniform_body))
@@ -693,50 +703,44 @@ fn try_simplify(
     // walk, uniformity probe, an abandoned scan) is charged to the
     // group's `simplify` stage, not buried in `exec`.
     ctx.simplify_probe_ns = 0;
+    ctx.simplify = GateVerdict::not_consulted();
     if !shared.simplify || !group[0].spec.uniform_body {
         return Some(group);
     }
     let sig = ctx.sig;
     let k = group.len() as u64;
-    let decline = |reason: &'static str| {
-        shared
-            .telemetry
-            .amend_decision(sig.0, |r| r.simplify = GateVerdict::declined(reason));
+    let decline = |ctx: &mut BatchCtx, reason: &'static str| {
+        ctx.simplify = GateVerdict::declined(reason);
         RuntimeStats::add(&shared.stats.simplify_rejects, k);
     };
     if shared.profile().scan_verdict(sig) == Some(false) {
-        decline("persisted-negative");
+        decline(ctx, "persisted-negative");
         return Some(group);
     }
     let gate_t0 = Instant::now();
-    let facts = &group[0].facts;
-    let m = match facts.allocation.scan.get() {
-        Some(m) => *m,
+    let scan = &group[0].facts.allocation.scan;
+    let walk = match scan.get() {
+        Some(&m) => Ok(m),
         None => {
             // Every `Reject` variant is structural (pattern-only), so
             // either verdict is safe to persist per signature.
             let walk = recognize(&group[0].spec.pattern, &CostGuard::default());
             shared.profile().set_scan_verdict(sig, walk.is_ok());
-            match walk {
-                Ok(m) => {
-                    let _ = facts.allocation.scan.set(m);
-                    m
-                }
-                Err(_) => {
-                    ctx.simplify_probe_ns = gate_t0.elapsed().as_nanos() as u64;
-                    decline("recognizer-miss");
-                    return Some(group);
-                }
-            }
+            walk.map(|m| *scan.get_or_init(|| m))
         }
     };
     let recognize_ns = gate_t0.elapsed().as_nanos() as u64;
+    let Ok(m) = walk else {
+        ctx.simplify_probe_ns = recognize_ns;
+        decline(ctx, "recognizer-miss");
+        return Some(group);
+    };
     let kernel = GroupKernel::Scan { m, recognize_ns };
     match execute_group(shared, ctx, group, kernel) {
         Ok(()) => None,
         Err((group, reason, spent)) => {
             ctx.simplify_probe_ns = recognize_ns + spent.as_nanos() as u64;
-            decline(reason);
+            decline(ctx, reason);
             Some(group)
         }
     }
@@ -748,12 +752,17 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
     let mut ctx = BatchCtx {
         sig,
         batched_with: batch.len() - 1,
-        profile_hit: false,
         profiled: None,
         dequeued_at,
         decided_at: dequeued_at,
         evicted_this_batch: false,
+        scheme: Scheme::Seq,
         explored: false,
+        single: None,
+        record: None,
+        split: None,
+        fusion: GateVerdict::not_consulted(),
+        simplify: GateVerdict::not_consulted(),
         simplify_probe_ns: 0,
         pending: PendingDeliveries::default(),
     };
@@ -768,80 +777,62 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
         return;
     }
 
-    // One scheme decision per batch: profile hit, or inspect + model.
-    let profiled = shared.profile().get(sig).cloned();
-    let profile_hit = profiled.is_some();
-    if profile_hit {
-        RuntimeStats::add(&shared.stats.profile_hits, 1);
-    }
-
+    ctx.profiled = shared.profile().get(sig).cloned();
+    RuntimeStats::add(&shared.stats.profile_hits, ctx.profiled.is_some() as u64);
     let groups = fuse_groups(batch, shared.max_fuse);
 
-    // The decision may run the inspector over an arbitrary client
-    // pattern, so it is fenced just like execution below.
-    let decision = fenced(|| decide_batch(shared, &groups[0][0], profiled.as_ref()));
+    // The batch's single-job decision, from the calibrator's state at pop.
+    // It may run the inspector over an arbitrary client pattern, so it is
+    // fenced just like execution below.
+    let decision = fenced(|| decide(shared, &mut ctx, &groups[0][0], 1, None));
     ctx.decided_at = Instant::now();
-    let decision = match decision {
-        Ok(d) => d,
-        Err(payload) => {
-            // The whole batch shares the poisoned decision input; fail it
-            // (one poisoned decision = one strike against the class).
-            shared.note_panic(sig);
-            let msg = format!("scheme decision panicked: {}", panic_message(&*payload));
-            let jobs = groups.into_iter().flatten();
-            fail_fast(shared, &mut ctx, jobs, &JobError::panic(msg));
-            return;
-        }
+    let Ok(Some((scheme, priced))) = decision else {
+        // The whole batch shares the poisoned decision input; fail it
+        // (one poisoned decision = one strike against the class).
+        shared.note_panic(sig);
+        let why = decision.map_or_else(|p| panic_message(&*p), |_| "no decision".into());
+        let error = JobError::panic(format!("scheme decision panicked: {why}"));
+        fail_fast(shared, &mut ctx, groups.into_iter().flatten(), &error);
+        return;
     };
-
-    // The decision latency belongs to the scheme it picked; every member
-    // waited from its own submission until this pop.
-    let tel = &shared.telemetry;
-    tel.record_decide(
-        decision.scheme,
-        ctx.decided_at.duration_since(dequeued_at).as_nanos() as u64,
-    );
-    for job in groups.iter().flatten() {
-        tel.record_queue_wait(
-            decision.scheme,
-            dequeued_at
-                .saturating_duration_since(job.submitted_at)
-                .as_nanos() as u64,
-        );
-    }
-
-    // A recheck that evicted the entry turns this batch back into a model
-    // decision (its executions record fresh profile truth); an
-    // exploration pick likewise did not come from the store, so neither
-    // may report `profile_hit` to clients.
-    if !decision.rechecked && !decision.explored {
-        ctx.profile_hit = profile_hit;
-        ctx.profiled = profiled;
-    }
-    ctx.explored = decision.explored;
-    if decision.rechecked {
-        shared.profile().evict(sig);
-        RuntimeStats::add(&shared.stats.evictions, 1);
-    }
+    // The decision latency belongs to the scheme it picked.
+    let decide_ns = (ctx.decided_at - dequeued_at).as_nanos() as u64;
+    shared.telemetry.record_decide(scheme, decide_ns);
+    // An exploration pick or a recheck did not come from the store, so
+    // neither may report `profile_hit` to clients or be measured against
+    // the entry.
+    ctx.explored = priced.as_ref().is_some_and(|r| r.explored);
+    let from_store = !priced.as_ref().is_some_and(|r| r.explored || r.rechecked);
+    ctx.profiled = ctx.profiled.take().filter(|_| from_store);
+    ctx.scheme = scheme;
+    ctx.single = Some((scheme, priced));
     for group in groups {
         // A declared-uniform group over a recognized scan/window family
         // runs the rewritten plan instead of any scheme sweep.
         let Some(mut group) = try_simplify(shared, &mut ctx, group) else {
             continue;
         };
-        // Fusion gate: calibrated fused-vs-split comparison.
-        let plan = fenced(|| plan_fusion(shared, &group)).ok().flatten();
-        if let Some(plan) = plan {
-            match execute_group(shared, &mut ctx, group, GroupKernel::Fused(&plan)) {
-                Ok(()) => continue,
-                // Isolation fallback: re-run each member alone (behind
-                // the batch's own per-job decision) so only the panicking
-                // body reports an error.
-                Err((members, ..)) => group = members,
+        ctx.fusion = GateVerdict::declined("group-of-one");
+        // A group of K ≥ 2 is decided at its K alone; a declined group,
+        // and one whose sweep a body abandoned (each member re-run alone
+        // so only the panicking body reports an error), runs on the
+        // batch's single-job decision.
+        if group.len() > 1 {
+            match fenced(|| decide(shared, &mut ctx, &group[0], group.len(), None)) {
+                Ok(None) => {}
+                Ok(Some((scheme, Some(record)))) => {
+                    let kernel = GroupKernel::Fused(scheme, record);
+                    match execute_group(shared, &mut ctx, group, kernel) {
+                        Ok(()) => continue,
+                        Err((members, ..)) => group = members,
+                    }
+                    ctx.fusion = GateVerdict::declined("panicked");
+                }
+                _ => ctx.fusion = GateVerdict::declined("panicked"),
             }
         }
         for job in group {
-            execute_single(shared, &mut ctx, decision.scheme, job);
+            execute_single(shared, &mut ctx, job);
         }
     }
 }
@@ -850,7 +841,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
 /// to the scalar software backend, the vectorized SIMD backend (for
 /// [`Scheme::Simd`] decisions), or — for [`Scheme::Pclr`] decisions —
 /// the simulated hardware backend.
-fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job: QueuedJob) {
+fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
     // The quarantine is re-checked per job, not only per batch: a class
     // can cross the panic threshold *mid-batch* (or in a batch racing on
     // a stolen shard), and every job dispatched after that must fail
@@ -860,54 +851,47 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job
         return;
     }
     let facts = &job.facts;
-    let threads = facts.threads;
     // A batch-mate (or stale profile) may have chosen a scheme this job
-    // cannot run: owner-computes where it is illegal, or the hardware
-    // scheme with the backend disabled or the job over its admission
-    // cap.  Such jobs re-decide with the offending scheme masked off.
-    let masked_lw = batch_scheme == Scheme::Lw && !job.spec.lw_feasible;
-    let masked_pclr = batch_scheme == Scheme::Pclr && !shared.pclr_admits(&job.spec.pattern);
-    let masked_simd = batch_scheme == Scheme::Simd && shared.simd.is_none();
+    // cannot run; such a job re-decides with that scheme masked off.
+    let batch_scheme = ctx.scheme;
+    let runnable = match batch_scheme {
+        Scheme::Lw => job.spec.lw_feasible,
+        Scheme::Pclr => shared.pclr_admits(&job.spec.pattern),
+        Scheme::Simd => shared.simd.is_some(),
+        _ => true,
+    };
+    let mask = (!runnable).then_some(batch_scheme);
 
     // A *persisted* decision this service cannot execute (a hardware
     // entry with the backend disabled, a `simd` entry on a scalar-only
     // service) is dead weight: re-decided executions never feed the
     // store, so the entry would mask forever.  Evict it — the next batch
     // misses the profile and records an executable scheme.
-    if (masked_pclr || masked_simd) && ctx.profile_hit && !ctx.evicted_this_batch {
+    let dead_entry = matches!(mask, Some(Scheme::Pclr | Scheme::Simd));
+    if dead_entry && ctx.profiled.is_some() && !ctx.evicted_this_batch {
         shared.profile().evict(ctx.sig);
         RuntimeStats::add(&shared.stats.evictions, 1);
         ctx.evicted_this_batch = true;
     }
+    let mut record = mask.is_none().then(|| commit(shared, ctx, &job)).flatten();
 
     // A panicking user body (or an inspector tripping over a malformed
-    // pattern) becomes the job's error and the service keeps draining.
+    // pattern) becomes the job's error and the service keeps draining; it
+    // reports the batch scheme on the software backend.
+    let mut ran = (batch_scheme, "software", Duration::ZERO);
     let work = fenced(|| {
-        let redecided = masked_lw || masked_pclr || masked_simd;
-        let scheme = if redecided {
-            let insp = facts.inspection(&job.spec.pattern, &shared.stats);
-            let domain = DomainKey::of(&insp.chars);
-            let input = ModelInput::from_inspection(insp, !masked_lw && job.spec.lw_feasible)
-                .with_pclr(!masked_pclr && shared.pclr_admits(&job.spec.pattern))
-                .with_simd(!masked_simd && shared.simd_admits(&insp.chars));
-            let cal = shared.calibrator();
-            let scheme = cal.rank(&input, domain)[0].0;
-            // A re-decide under a feasibility mask is a real ranking: it
-            // replaces the class's ledger record (whose candidate table
-            // shows the offending scheme as infeasible).
-            let mut record = cal.explain(&input, domain);
-            drop(cal);
-            record.winner = scheme;
-            record.quarantine = GateVerdict::declined("clear");
-            shared.telemetry.record_decision(job.facts.sig.0, record);
-            scheme
-        } else {
-            batch_scheme
-        };
+        let mut scheme = batch_scheme;
+        // A re-decide under a feasibility mask is a decision of its own:
+        // it publishes a record whose candidate table shows the offending
+        // scheme as infeasible.
+        if let Some((picked, priced)) = mask.and_then(|_| decide(shared, ctx, &job, 1, mask)) {
+            record = priced.map(|r| publish(shared, ctx, r));
+            scheme = picked;
+        }
         let req = ExecRequest {
             pattern: &job.spec.pattern,
             body: &job.spec.body,
-            threads,
+            threads: facts.threads,
             scheme,
             analyses: facts.kernel_analyses(scheme, &job.spec.pattern, &shared.stats),
         };
@@ -919,24 +903,16 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job
         debug_assert!(backend.supports(scheme), "{} vs {scheme}", backend.name());
         let backend_t0 = Instant::now();
         let outcome = backend.execute(&req);
-        let wall = backend_t0.elapsed();
-        (outcome, scheme, redecided, wall, backend.name())
+        ran = (scheme, backend.name(), backend_t0.elapsed());
+        outcome
     });
     let executed_at = Instant::now();
-
-    let (outcome, scheme, redecided, backend_wall, backend_name, error) = match work {
-        Ok((outcome, scheme, redecided, wall, name)) => {
-            (Some(outcome), scheme, redecided, wall, name, None)
-        }
-        Err(payload) => (
-            None,
-            batch_scheme,
-            false,
-            Duration::ZERO,
-            "software",
-            Some(JobError::panic(panic_message(&*payload))),
-        ),
-    };
+    let error = work
+        .as_ref()
+        .err()
+        .map(|p| JobError::panic(panic_message(&**p)));
+    let outcome = work.ok();
+    let (scheme, backend_name, backend_wall) = ran;
     // The cost sample the profile calibrates on: backend-reported
     // (simulated time for pclr, wall time otherwise).
     let elapsed = outcome.as_ref().map_or(Duration::ZERO, |o| o.cost);
@@ -952,22 +928,22 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job
         shared.note_panic(ctx.sig);
     } else {
         shared.note_clean(ctx.sig);
-        if scheme == Scheme::Simd {
-            RuntimeStats::add(&shared.stats.simd_offloads, 1);
-        }
+        RuntimeStats::add(&shared.stats.simd_offloads, (scheme == Scheme::Simd) as u64);
         // Close the measure→correct loop: every clean execution whose
         // characterization is already filled (learning never pays a fresh
         // inspection) feeds the calibrator a predicted-vs-measured sample,
         // and software/simulated cost halves pair up to fit cycle→ns.
-        let mut class_label = None;
-        if let Some(insp) = facts.inspection.get() {
+        let class_label = facts.inspection.get().map(|insp| {
             let domain = DomainKey::of(&insp.chars);
-            class_label = Some(domain_label(&domain));
+            // The backend-gated schemes price only for themselves, so
+            // flagging the one that ran reproduces its decision's price.
             let input = ModelInput::from_inspection(insp, job.spec.lw_feasible)
-                .with_pclr(scheme == Scheme::Pclr || shared.pclr_admits(&job.spec.pattern))
-                .with_simd(scheme == Scheme::Simd || shared.simd_admits(&insp.chars));
-            shared.learn(scheme, domain, false, None, &input, elapsed);
-        }
+                .with_pclr(scheme == Scheme::Pclr)
+                .with_simd(scheme == Scheme::Simd);
+            let units = |model: &DecisionModel| model.predict(scheme, &input);
+            shared.learn(scheme, domain, false, units, elapsed);
+            domain_label(&domain)
+        });
         let refs = job.spec.pattern.num_references();
         let elapsed_ns = elapsed.as_nanos() as u64;
         shared.pair_cycle_sample(ctx.sig, refs, elapsed_ns as f64, sim_cycles);
@@ -978,7 +954,7 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job
         // Feed the profile only from non-substituted, non-exploration
         // executions (an exploration pick is a calibration sample, not
         // the class's best-known scheme).
-        if !redecided && !ctx.explored {
+        if mask.is_none() && !ctx.explored {
             let mut store = shared.profile();
             // Phase-change guard: a profiled class now running far slower
             // than its calibration predicts is suspect.  A suspect sample
@@ -1000,29 +976,23 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, batch_scheme: Scheme, job
                 }
             } else if !ctx.evicted_this_batch {
                 store.clear_drift(ctx.sig);
-                store.record(ctx.sig, scheme, threads, refs, elapsed);
+                store.record(ctx.sig, scheme, facts.threads, refs, elapsed);
             }
         }
     }
 
-    let tel = &shared.telemetry;
-    tel.amend_decision(job.facts.sig.0, |r| r.backend = backend_name);
-    let record = tel.decision(job.facts.sig.0);
     finish(
         shared,
         job.facts.sig,
         job.sink,
         Exit {
-            output: match outcome {
-                Some(o) => o.output,
-                None => empty_output(&job.spec.body),
-            },
+            output: outcome.map_or_else(|| empty_output(&job.spec.body), |o| o.output),
             scheme,
             elapsed,
             sim_cycles,
             // This job's decision came from the store only if it was not
             // re-decided under a feasibility mask.
-            profile_hit: ctx.profile_hit && !redecided,
+            profile_hit: ctx.profiled.is_some() && mask.is_none(),
             error,
             group: 1,
             // Tagged from the backend that actually ran the job, so simd
@@ -1043,7 +1013,9 @@ mod tests {
     use crate::runtime::tests::{direct_uniform_i64, pattern, sparse_pattern, window_pattern};
     use crate::runtime::{Runtime, RuntimeConfig};
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
-    use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
+    use smartapps_workloads::{
+        contribution, contribution_i64, AccessPattern, Distribution, PatternSpec,
+    };
 
     #[test]
     fn fused_group_outputs_match_per_body_oracles() {
@@ -1094,6 +1066,166 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.fused_sweeps, 1);
         assert_eq!(stats.fused_jobs, 6);
+        // The class's record is the one decision the group ran: the gate's
+        // at K = 6, published once and carried by every member.
+        let sig = rt.signature_of(&pat);
+        let rec = rt
+            .explain(sig)
+            .expect("the fused decision publishes a record");
+        assert_eq!(
+            rec.winner,
+            Scheme::Hash,
+            "winner is the scheme the group ran"
+        );
+        assert_eq!(rec.features.fanout, 6, "decided at the group's K");
+        assert_eq!(rec.fusion, GateVerdict::fired("hash-trusted"));
+        assert_eq!(rec.simplify, GateVerdict::not_consulted());
+        assert_eq!(rec.quarantine, GateVerdict::declined("clear"));
+        assert_eq!(rec.backend, "software");
+        assert!(!rec.explored && !rec.rechecked);
+        assert_eq!(rec.flips, 0);
+        let slow = rt.slowlog(64);
+        let carried: Vec<_> = slow.iter().filter(|e| e.class == sig.0).collect();
+        assert!(!carried.is_empty());
+        for ex in carried {
+            assert!(Arc::ptr_eq(ex.payload.record.as_ref().unwrap(), &rec));
+        }
+    }
+
+    /// The deterministic-fusing recipe of the test above: one busy
+    /// dispatcher (a large warm-up job of another class), then six
+    /// same-pattern jobs over `pat` queued behind it, so they coalesce
+    /// into one batch and meet the fusion gate together.
+    fn run_fused_group(
+        rt: &Runtime,
+        pat: &Arc<AccessPattern>,
+        warm_seed: u64,
+        lw_feasible: bool,
+    ) -> Vec<JobResult> {
+        let big = Arc::new(
+            PatternSpec {
+                num_elements: 60_000,
+                iterations: 1_200_000,
+                refs_per_iter: 2,
+                coverage: 1.0,
+                dist: Distribution::Uniform,
+                seed: warm_seed,
+            }
+            .generate(),
+        );
+        let warm = rt.submit(JobSpec::i64(big, |_i, r| contribution_i64(r)));
+        let handles: Vec<JobHandle> = (0..6)
+            .map(|kk| {
+                let scale = kk as i64 + 1;
+                let spec = JobSpec::i64(pat.clone(), move |_i, r| {
+                    contribution_i64(r).wrapping_mul(scale)
+                });
+                rt.submit(spec.with_lw_feasible(lw_feasible))
+            })
+            .collect();
+        assert!(warm.wait().error.is_none());
+        handles.into_iter().map(|h| h.wait()).collect()
+    }
+
+    fn fusing_runtime(calibration: crate::CalibrationConfig) -> Runtime {
+        Runtime::new(RuntimeConfig {
+            workers: 3,
+            dispatchers: 1,
+            max_batch: 32,
+            max_fuse: 8,
+            calibration,
+            ..RuntimeConfig::default()
+        })
+    }
+
+    #[test]
+    fn decision_flips_count_only_executed_scheme_changes() {
+        // The class runs alone once (a K = 1 decision), then its group
+        // fuses on every pass (a declined group runs as a probe), under
+        // whichever scheme the fanout-K table picks as calibration moves
+        // it.  Each pass publishes the one decision it ran, and the
+        // ledger flips exactly when the executed scheme changed.
+        let rt = fusing_runtime(crate::CalibrationConfig {
+            probe_fused_every: 1,
+            ..Default::default()
+        });
+        let pat = sparse_pattern(65);
+        let sig = rt.signature_of(&pat);
+        let alone = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
+        let mut ran = vec![alone.scheme];
+        let mut coalesced = true;
+        assert_eq!(rt.explain(sig).unwrap().winner, alone.scheme);
+        for pass in 0..3 {
+            let results = run_fused_group(&rt, &pat, 95 + pass, false);
+            // A member that slips out of the batch (a loaded host) runs
+            // alone on the profile hit and may publish one more decision,
+            // which can only add changes to the executed sequence.
+            coalesced &= results.iter().all(|r| r.fused_with == 5);
+            let mut swept: Vec<Scheme> = results
+                .iter()
+                .filter(|r| r.fused_with > 0)
+                .map(|r| r.scheme)
+                .collect();
+            swept.dedup();
+            assert_eq!(swept.len(), 1, "pass {pass}: one sweep scheme, {swept:?}");
+            ran.push(swept[0]);
+            let rec = rt.explain(sig).unwrap();
+            assert_eq!(rec.winner, swept[0], "pass {pass}");
+            assert!(rec.features.fanout > 1 && rec.fusion.fired, "{rec:?}");
+        }
+        let changes = ran.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        assert!(
+            changes >= 1,
+            "fixture: the split pick is not the fused one {ran:?}"
+        );
+        let flips = rt.explain(sig).unwrap().flips;
+        let text = rt.telemetry().registry().render_prometheus();
+        let counted: u64 = text
+            .lines()
+            .filter(|l| l.starts_with("smartapps_decision_flips{"))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+            .sum();
+        assert_eq!(counted, flips, "{text}");
+        if coalesced {
+            assert_eq!(flips, changes, "{ran:?}");
+        } else {
+            assert!(flips >= changes, "{ran:?}: {flips}");
+        }
+    }
+
+    #[test]
+    fn the_fusion_gate_prices_owner_computes_when_the_group_declares_it() {
+        // `lw` feasibility is the jobs' declaration, not a property of
+        // the fanout: the gate's fanout-K table must price it.
+        let rt = fusing_runtime(Default::default());
+        let pat = sparse_pattern(69);
+        let results = run_fused_group(&rt, &pat, 93, true);
+        assert!(results
+            .iter()
+            .all(|r| r.error.is_none() && r.fused_with == 5));
+        let rec = rt.explain(rt.signature_of(&pat)).unwrap();
+        assert_eq!(rec.features.fanout, 6);
+        let lw = rec.candidates.iter().find(|c| c.scheme == Scheme::Lw);
+        assert!(lw.unwrap().feasible, "{rec:?}");
+    }
+
+    #[test]
+    fn exploration_counts_only_picks_that_run() {
+        // Every batch ticks the exploration cadence, but the fused
+        // group's batch never runs its single-job pick: only the warm-up
+        // job's exploration executes, so only it counts.
+        let rt = fusing_runtime(crate::CalibrationConfig {
+            explore_every: 1,
+            ..Default::default()
+        });
+        let pat = sparse_pattern(61);
+        let results = run_fused_group(&rt, &pat, 91, false);
+        assert!(results.iter().all(|r| r.fused_with == 5));
+        let stats = rt.stats();
+        assert_eq!(stats.fused_sweeps, 1);
+        assert_eq!(stats.explored, 1, "one exploration ran");
+        let rec = rt.explain(rt.signature_of(&pat)).unwrap();
+        assert!(!rec.explored, "the fused record is no exploration");
     }
 
     #[test]

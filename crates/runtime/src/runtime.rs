@@ -34,7 +34,7 @@ use smartapps_core::adaptive::AdaptiveReduction;
 use smartapps_core::calibrate::Calibrator;
 use smartapps_core::toolbox::DomainKey;
 use smartapps_core::DecisionRecord;
-use smartapps_reductions::{simd_feasible, DecisionModel, ModelInput, Scheme, SpmdExecutor};
+use smartapps_reductions::{simd_feasible, DecisionModel, Scheme, SpmdExecutor};
 use smartapps_telemetry::Exemplar;
 use smartapps_workloads::AccessPattern;
 use std::collections::HashMap;
@@ -295,21 +295,21 @@ impl Shared {
 
     /// Feed one clean execution's predicted-vs-measured sample into the
     /// calibrator and the calibration counters, under a single calibrator
-    /// lock.  `predicted_units` is the raw analytic cost — computed here
-    /// from `input` when the caller does not already hold one (the
-    /// per-job path), so the hot path locks once, not twice.
+    /// lock.  `predicted_units` gives the raw analytic cost: the one a
+    /// decision already priced, or — on the per-job path — one computed
+    /// here from the calibrator's model, so the hot path locks once, not
+    /// twice.
     pub(crate) fn learn(
         &self,
         scheme: Scheme,
         domain: DomainKey,
         fused: bool,
-        predicted_units: Option<f64>,
-        input: &ModelInput,
+        predicted_units: impl FnOnce(&DecisionModel) -> f64,
         measured: Duration,
     ) {
         let err = {
             let mut cal = self.calibrator();
-            let raw = predicted_units.unwrap_or_else(|| cal.model.predict(scheme, input));
+            let raw = predicted_units(&cal.model);
             cal.observe(scheme, domain, fused, raw, measured.as_nanos() as f64)
         };
         if let Some(err) = err {
@@ -722,13 +722,13 @@ impl Runtime {
     }
 
     /// The latest [`DecisionRecord`] for workload class `sig` — the
-    /// uncollapsed "why" behind the class's scheme choice: feature
-    /// vector, analytic-vs-corrected candidate cost table, feasibility
-    /// masks, and the gate verdicts the dispatcher stamped as the batch
-    /// moved through the pipeline.  `None` until a ranking has run for
-    /// the class (profile fast-path hits reuse the stored decision
-    /// without re-ranking, so the record may be older than the last
-    /// job).
+    /// uncollapsed "why" behind the scheme the class's jobs last ran
+    /// under a decision: feature vector at the decision's fanout,
+    /// analytic-vs-corrected candidate cost table, feasibility masks, and
+    /// the gate verdicts, published complete once per decision.  `None`
+    /// until a decision has run for the class (profile fast-path hits
+    /// reuse the stored decision without re-ranking, so the record may
+    /// be older than the last job).
     pub fn explain(&self, sig: PatternSignature) -> Option<Arc<DecisionRecord>> {
         self.shared.telemetry.decision(sig.0)
     }
@@ -827,7 +827,7 @@ pub(crate) mod tests {
     use crate::error::JobErrorKind;
     use crate::registry::tests::unregistered;
     use smartapps_core::GateVerdict;
-    use smartapps_reductions::Inspector;
+    use smartapps_reductions::{Inspector, ModelInput};
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
     use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
     use std::time::Duration;
@@ -1296,11 +1296,25 @@ pub(crate) mod tests {
             store.evict(sig);
             store.record(sig, Scheme::Pclr, 2, 1, Duration::from_nanos(1));
         }
+        let first = rt.explain(sig).unwrap();
         let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
         assert!(r.error.is_none(), "{:?}", r.error);
         assert!(r.scheme.is_software(), "masked pclr must fall back");
         assert!(r.sim_cycles.is_none());
         assert!(!r.profile_hit, "a masked decision is not a profile hit");
+        // The masked re-decide is a decision of its own: one published
+        // record, carried by the job, with `pclr` infeasible — and no
+        // record naming the unrunnable scheme on the way, so the winner
+        // never left the software pick.
+        let rec = rt.explain(sig).unwrap();
+        assert!(!Arc::ptr_eq(&rec, &first), "the re-decide published");
+        assert_eq!((rec.winner, rec.backend), (r.scheme, "software"));
+        let pclr = rec.candidates.iter().find(|c| c.scheme == Scheme::Pclr);
+        assert!(!pclr.unwrap().feasible, "the masked scheme is infeasible");
+        assert_eq!((first.winner, rec.flips), (r.scheme, 0));
+        let slow = rt.slowlog(64);
+        let mut carried = slow.iter().filter(|e| e.class == sig.0);
+        assert!(carried.any(|e| Arc::ptr_eq(e.payload.record.as_ref().unwrap(), &rec)));
         assert_eq!(r.output.as_i64().unwrap(), sequential_reduce_i64(&pat));
         assert_eq!(rt.stats().pclr_offloads, 0);
         // The dead hardware entry must not mask forever: it is evicted,
@@ -1823,10 +1837,19 @@ pub(crate) mod tests {
         let sig = sig.unwrap();
         // Strike three has the class quarantined: the next job fails
         // fast without executing its body.
+        let decided = rt
+            .explain(sig)
+            .expect("the panicking jobs' decision was published");
+        assert_eq!(decided.quarantine, GateVerdict::declined("clear"));
         let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
         let err = r.error.expect("quarantined class must fail fast");
         assert_eq!(err.kind, JobErrorKind::Quarantined);
         assert!(err.message.contains("3 consecutive"), "{err}");
+        // `explain` shows the fail-fast: the latest record, republished
+        // with the quarantine gate fired.
+        let rec = rt.explain(sig).unwrap();
+        assert_eq!(rec.quarantine, GateVerdict::fired("panic-streak"));
+        assert_eq!((rec.winner, rec.flips), (decided.winner, decided.flips));
         assert_eq!(rt.stats().quarantined, 1);
         assert_eq!(rt.quarantined_classes(), vec![sig]);
         // Lifting the quarantine restores the class.

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Queue-wait (dequeue minus submit), per scheme.
+/// Queue-wait (dequeue minus submit), per scheme the job ran.
 pub const QUEUE_WAIT_NS: &str = "smartapps_queue_wait_ns";
 /// Scheme-decision latency of a dispatch batch, per scheme decided.
 pub const DECIDE_NS: &str = "smartapps_decide_ns";
@@ -296,13 +296,17 @@ impl RuntimeTelemetry {
     }
 
     /// Record a job's full lifecycle: push the trace event, attribute
-    /// its latency across the stage series (executed jobs only — a job
-    /// rejected before decision has no stages to attribute), and offer
-    /// it to the slow-job exemplar store under its class.
+    /// its latency across the stage series and its queue wait to the
+    /// scheme it ran (executed jobs only — a job rejected before decision
+    /// has no stages to attribute), and offer it to the slow-job exemplar
+    /// store under its class.
     pub fn record_lifecycle(&self, event: &TraceEvent, record: Option<Arc<DecisionRecord>>) {
         self.trace.push(event);
         if event.executed_ns > 0 {
             self.record_stage(Stage::Queue, event.stage_queue());
+            if let Some(scheme) = scheme_from_code(event.scheme) {
+                self.record_queue_wait(scheme, event.stage_queue());
+            }
             self.record_stage(Stage::Decide, event.stage_decide());
             if event.simplify_ns > 0 {
                 self.record_stage(Stage::Simplify, event.stage_simplify());
@@ -320,10 +324,11 @@ impl RuntimeTelemetry {
             .store(self.exemplars.evictions(), Ordering::Relaxed);
     }
 
-    /// Store a class's latest decision record (stamped with `signature`),
-    /// counting a decision flip — and bumping the
+    /// Publish a class's latest decision record (stamped with
+    /// `signature`), counting a decision flip — and bumping the
     /// [`DECISION_FLIPS`] counter — when the winner changed from the
-    /// class's previous record.  Returns the stored record.
+    /// class's previous record.  Returns the stored record; a published
+    /// record is never changed in place.
     pub fn record_decision(
         &self,
         signature: u64,
@@ -351,16 +356,6 @@ impl RuntimeTelemetry {
     /// The latest decision record for a class, if one was ever ranked.
     pub fn decision(&self, signature: u64) -> Option<Arc<DecisionRecord>> {
         self.decisions.lock().unwrap().get(&signature).cloned()
-    }
-
-    /// Amend a class's latest decision record in place (gate verdicts
-    /// and the execution backend land after the ranking).  Exemplars
-    /// already holding the record keep the version they captured.
-    pub fn amend_decision(&self, signature: u64, f: impl FnOnce(&mut DecisionRecord)) {
-        let mut map = self.decisions.lock().unwrap();
-        if let Some(rec) = map.get_mut(&signature) {
-            f(Arc::make_mut(rec));
-        }
     }
 
     /// The `n` slowest retained jobs across all classes, slowest first.
@@ -536,9 +531,6 @@ mod tests {
             .registry()
             .render_prometheus()
             .contains("smartapps_decision_flips"));
-        // Amendments land on the ledger copy.
-        t.amend_decision(42, |r| r.backend = "simd");
-        assert_eq!(t.decision(42).unwrap().backend, "simd");
         assert!(t.decision(999).is_none());
     }
 }

@@ -756,16 +756,17 @@ pub struct ExplainInfo {
     /// Functioning-domain label (the `d..r..s..m..` form the metric
     /// series use).
     pub domain: String,
-    /// The scheme the decision chose (abbreviation).
+    /// The scheme the jobs of the class's latest decision ran
+    /// (abbreviation).
     pub winner: String,
-    /// The backend that executed the class's last decided job
-    /// (`software`, `simd`, `pclr`, `scan`; `pending` before execution).
+    /// The backend that scheme runs on (`software`, `simd`, `pclr`, or
+    /// `scan` for a rewritten group).
     pub backend: String,
     /// The decision came from an exploration slot.
     pub explored: bool,
     /// The decision was a periodic profile recheck.
     pub rechecked: bool,
-    /// Times the class's winning scheme has changed across recorded
+    /// Times the class's winning scheme has changed across published
     /// decisions.
     pub flips: u64,
     /// Fusion-gate verdict.

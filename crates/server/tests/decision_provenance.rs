@@ -8,7 +8,8 @@
 //! * `explain` returns the actual candidate cost table for a flooded
 //!   class, and its winning scheme matches the scheme a freshly
 //!   submitted job's `done` reports (the record is the decision in
-//!   force).
+//!   force) — for a job run alone and for a fused sparse group, whose
+//!   record is the fusion gate's decision at the group's K.
 //! * The window class (uploaded CSR, uniform body) is rewritten by the
 //!   simplification pass: its jobs complete as `seq`/scan and the
 //!   explained record's simplify gate says so, reachable through the
@@ -21,8 +22,8 @@
 
 use smartapps_runtime::{Runtime, RuntimeConfig};
 use smartapps_server::{
-    Client, DoneOutcome, ExplainTarget, ReplyMode, Server, ServerConfig, SubmitArgs, WireBody,
-    WireDist, WireSource, WireSpec,
+    Client, DoneOutcome, ExplainInfo, ExplainTarget, ReplyMode, Server, ServerConfig, SubmitArgs,
+    WireBody, WireDist, WireSource, WireSpec,
 };
 use smartapps_workloads::AccessPattern;
 use std::collections::HashMap;
@@ -294,5 +295,97 @@ fn explain_and_slowlog_over_text_and_binary_wire() {
         );
     }
 
+    server.shutdown();
+}
+
+/// The "explained winner matches the done scheme" check on one more
+/// input: a sparse group of six fused into one sweep (the deterministic
+/// recipe of `integration_server`'s fused test: a big warm-up job keeps
+/// the one dispatcher busy while the group queues behind it).  The
+/// record is the gate's decision at K = 6, over both protocols.
+#[test]
+fn explained_winner_of_a_fused_group_matches_its_done_scheme() {
+    let rt = Arc::new(Runtime::new(RuntimeConfig {
+        workers: 2,
+        dispatchers: 1,
+        max_batch: 32,
+        max_fuse: 8,
+        ..RuntimeConfig::default()
+    }));
+    let server = Server::start(rt.clone(), ServerConfig::default()).expect("start server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let warm = WireSpec {
+        elements: 60_000,
+        iterations: 1_200_000,
+        refs_per_iter: 2,
+        coverage: 1.0,
+        dist: WireDist::Uniform,
+        seed: 91,
+    };
+    let sparse = WireSpec {
+        elements: 400_000,
+        iterations: 4_000,
+        refs_per_iter: 12,
+        coverage: 0.004,
+        dist: WireDist::Uniform,
+        seed: 61,
+    };
+    client
+        .submit(SubmitArgs {
+            token: 100,
+            reply: ReplyMode::Ack,
+            body: WireBody::Sum,
+            source: WireSource::Gen(warm),
+        })
+        .expect("warm submit");
+    let group = (0..6)
+        .map(|k| SubmitArgs {
+            token: k,
+            reply: ReplyMode::Ack,
+            body: WireBody::Mul(k as i64 + 1),
+            source: WireSource::Gen(sparse),
+        })
+        .collect();
+    client.submit_batch(group).expect("group submit");
+    let mut done_schemes = Vec::new();
+    for _ in 0..7 {
+        let done = client.next_done().expect("done");
+        match done.outcome {
+            DoneOutcome::Ok {
+                scheme, fused_with, ..
+            } if done.token < 100 => {
+                assert_eq!(fused_with, 5, "all six must share one sweep");
+                done_schemes.push(scheme);
+            }
+            DoneOutcome::Ok { .. } => {}
+            other => panic!("job {} failed: {other:?}", done.token),
+        }
+    }
+    assert_eq!(done_schemes, vec!["hash"; 6]);
+
+    let sig = rt.signature_of(&sparse.to_pattern_spec().generate());
+    let check = |info: ExplainInfo| {
+        assert_eq!(info.signature, sig.0);
+        assert_eq!(
+            info.winner, done_schemes[0],
+            "explained winner must match the fused group's done scheme"
+        );
+        let fanout = info.features.iter().find(|(n, _)| n == "fanout").unwrap().1;
+        assert_eq!(fanout, 6.0, "the record is the decision at the group's K");
+        assert!(info.fusion.fired, "fusion gate: {}", info.fusion.reason);
+        assert_eq!(info.fusion.reason, "hash-trusted");
+        assert_eq!(info.backend, "software");
+        assert_eq!(info.flips, 0);
+    };
+    let explain = |client: &mut Client| {
+        client
+            .explain(ExplainTarget::Signature(sig.0))
+            .expect("explain")
+            .expect("the fused class has a decision record")
+    };
+    check(explain(&mut client));
+    let mut bin = Client::connect(server.local_addr()).expect("connect bin");
+    bin.upgrade_binary().expect("upgrade");
+    check(explain(&mut bin));
     server.shutdown();
 }
