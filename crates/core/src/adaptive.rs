@@ -174,16 +174,14 @@ impl AdaptiveReduction {
         let t0 = Instant::now();
         let out = run_scheme_with(scheme, pat, body, self.threads, analyses, &*self.exec);
         let elapsed = t0.elapsed();
-        // 4. Evaluate against the estimate in force before this sample,
-        // then learn from it.  No estimate yet reads as on target.
+        // 4. Learn from the sample, evaluating it against the estimate in
+        // force before it (the calibrator's residual).  No estimate yet
+        // reads as on target.
         let measured_ns = elapsed.as_nanos() as f64;
-        let estimate = {
-            let mut cal = self.cal();
-            let estimate = cal.estimate_ns(scheme, domain, false, raw_units);
-            cal.observe(scheme, domain, false, raw_units, measured_ns);
-            estimate
-        };
-        let ratio = estimate.map_or(1.0, |est| measured_ns / est);
+        let observed = self
+            .cal()
+            .observe(scheme, domain, false, raw_units, measured_ns);
+        let ratio = observed.unwrap_or(1.0);
         let adaptation = self.optimizer.adapt(Deviation { ratio });
         match adaptation {
             Adaptation::Keep | Adaptation::Tune => {}

@@ -269,29 +269,22 @@ impl Calibrator {
             .map_or(0.0, |c| c.confidence())
     }
 
-    /// Whether measured evidence backs predictions for a scheme in (or
-    /// near) a domain — the bar the runtime's fusion gate and profile
-    /// recheck require before *acting* on a corrected prediction that
-    /// contradicts the analytic prior.
-    pub fn evidence(&self, scheme: Scheme, domain: DomainKey, fused: bool) -> bool {
-        self.confidence(scheme, domain, fused) >= 0.5
-    }
-
     /// Whether measured *fused* evidence exists for a scheme in (or near)
     /// a domain: the fusion gate requires this before trusting a
     /// corrected fused prediction for schemes outside the analytically
     /// validated `hash` regime.
     pub fn fused_evidence(&self, scheme: Scheme, domain: DomainKey) -> bool {
-        self.evidence(scheme, domain, true)
+        self.confidence(scheme, domain, true) >= 0.5
     }
 
     /// Fold one measured execution in: `predicted_units` is the **raw**
     /// analytic prediction at decision time, `measured_ns` the backend's
     /// cost sample (wall nanoseconds for software, simulated-machine
-    /// nanoseconds for PCLR).  Returns the relative error of the
-    /// *pre-update* calibrated estimate (`|est/measured − 1|`, `0.0` for
-    /// the scale-setting first sample), or `None` when the sample is
-    /// invalid and ignored.
+    /// nanoseconds for PCLR).  Returns the residual of the *pre-update*
+    /// calibrated estimate, `measured / estimate` (`1.0` for the
+    /// scale-setting first sample), or `None` when the sample is invalid
+    /// and ignored.  Its error `|1/r − 1|` is what
+    /// [`mean_abs_error`](Calibrator::mean_abs_error) averages.
     pub fn observe(
         &mut self,
         scheme: Scheme,
@@ -306,9 +299,7 @@ impl Calibrator {
         {
             return None;
         }
-        let err = self
-            .estimate_ns(scheme, domain, fused, predicted_units)
-            .map_or(0.0, |est| (est / measured_ns - 1.0).abs());
+        let est = self.estimate_ns(scheme, domain, fused, predicted_units);
         let sample = measured_ns / predicted_units;
         for level in [
             CorrLevel::Global,
@@ -324,8 +315,8 @@ impl Calibrator {
                 .observe(sample);
         }
         self.updates += 1;
-        self.abs_err_sum += err;
-        Some(err)
+        self.abs_err_sum += est.map_or(0.0, |est| (est / measured_ns - 1.0).abs());
+        Some(est.map_or(1.0, |est| measured_ns / est))
     }
 
     /// Samples accepted since construction (or seeding).
@@ -581,9 +572,8 @@ mod tests {
         let mut early = 0.0;
         let mut late = 0.0;
         for i in 0..40 {
-            let err = cal
-                .observe(Scheme::Ll, d, false, 100.0, 500.0)
-                .unwrap_or(0.0);
+            let residual = cal.observe(Scheme::Ll, d, false, 100.0, 500.0).unwrap();
+            let err = (1.0 / residual - 1.0).abs();
             if i < 5 {
                 early += err;
             } else if i >= 35 {

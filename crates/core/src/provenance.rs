@@ -158,7 +158,8 @@ pub struct DecisionRecord {
     /// Whether this decision came from a fresh ranking during
     /// exploration (`true`) rather than steady-state.
     pub explored: bool,
-    /// Whether this was a periodic profile recheck.
+    /// Whether a profile recheck (on its cadence, or due after a
+    /// drift-suspect sample) displaced the stored scheme with this one.
     pub rechecked: bool,
     /// Fusion-gate verdict for the job's group.
     pub fusion: GateVerdict,

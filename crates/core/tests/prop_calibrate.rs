@@ -152,8 +152,8 @@ proptest! {
         for round in 0..rounds {
             for &(scheme, raw, truth) in &world.schemes {
                 let measured = noisy(raw * truth * world.machine_scale, round);
-                if let Some(e) = cal.observe(scheme, world.domain, false, raw, measured) {
-                    errs.push(e);
+                if let Some(r) = cal.observe(scheme, world.domain, false, raw, measured) {
+                    errs.push((1.0 / r - 1.0).abs());
                 }
             }
         }

@@ -59,7 +59,7 @@ pub struct ExecOutcome {
     pub output: JobOutput,
     /// The backend's cost sample, comparable across backends: wall time
     /// for software execution, simulated machine time for PCLR.  This is
-    /// what the profile store records and drift-checks.
+    /// what the profile store records and the calibrator learns from.
     pub cost: Duration,
     /// Simulated cycles, when the job ran on the PCLR machine.
     pub sim_cycles: Option<u64>,
@@ -267,10 +267,9 @@ impl PclrBackend {
     ///
     /// A large refit retroactively rescales every hardware-routed
     /// class's reported cost (cycles are deterministic; the conversion
-    /// is not pinned), so profiled pclr entries calibrated under the old
-    /// conversion may trip the dispatcher's drift guard once and
-    /// re-record — deliberate: a new time base *is* a phase change for
-    /// stored calibrations.
+    /// is not pinned), so a profiled pclr class may read as drift once
+    /// under the new conversion and be rechecked — deliberate: a new
+    /// time base *is* a phase change for stored calibrations.
     pub fn fit_cycle_ns(&self, sample_ns_per_cycle: f64) {
         if !sample_ns_per_cycle.is_finite() || sample_ns_per_cycle <= 0.0 {
             return;

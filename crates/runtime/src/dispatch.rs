@@ -25,19 +25,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Measured-over-predicted ratio beyond which a profile entry is treated
-/// as stale (phase change) and evicted.
+/// The calibrator's residual (measured over its pre-sample estimate)
+/// beyond which a judged profile hit is suspect of drift (a phase
+/// change): it marks the entry due, and the class's next decision
+/// rechecks it.  Only a recheck that displaces the entry evicts it, so a
+/// lone outlier costs one pricing, never an entry.
 const DRIFT_EVICT_RATIO: f64 = 4.0;
 
-/// Profile entries younger than this many runs are never drift-evicted
-/// (their calibration is still settling).
+/// Profile hits of entries with at least this many runs are judged: they
+/// learn (paying the allocation's inspection if nothing filled it yet)
+/// and their residual is checked for drift.
 pub(crate) const DRIFT_MIN_RUNS: u64 = 3;
-
-/// Consecutive over-ratio samples required before the phase-change guard
-/// evicts.  One wild sample is timing noise (a scheduler hiccup, a
-/// cache-cold run — common on sub-millisecond jobs); a run of them is a
-/// phase change.
-const DRIFT_EVICT_STRIKES: u8 = 2;
 
 /// Hysteresis of the calibration recheck: a profiled scheme is displaced
 /// only when the corrected challenger undercuts it by at least this
@@ -213,8 +211,9 @@ pub(crate) struct BatchCtx {
     sig: PatternSignature,
     batched_with: usize,
     /// The class's profile entry when the batch's single-job scheme came
-    /// from it (a profile hit neither explored nor rechecked): what
-    /// members report as `profile_hit` and what the drift guard measures.
+    /// from it (a profile hit neither explored nor displaced): what
+    /// members report as `profile_hit`, and whether their samples are
+    /// judged for drift.
     profiled: Option<ProfileEntry>,
     /// When the dispatcher popped this batch and when its single-job
     /// decision landed — the `queued`/`decided` timestamps of every
@@ -222,9 +221,8 @@ pub(crate) struct BatchCtx {
     /// decision returns).
     dequeued_at: Instant,
     decided_at: Instant,
-    /// Once one job of the batch detects drift and evicts the entry, no
-    /// later batch-mate may resurrect it (their measurements rode the same
-    /// stale decision) and the logical eviction is counted once.
+    /// Once one job of the batch evicts a dead entry, no later batch-mate
+    /// may resurrect it and the logical eviction is counted once.
     evicted_this_batch: bool,
     /// The batch's single-job decision: its scheme, whether that is an
     /// exploration pick (feed the calibrator, never the profile store),
@@ -306,10 +304,12 @@ fn cheapest(record: &DecisionRecord, pick: impl Fn(&CandidateCost) -> bool) -> f
 ///   evidence in this functioning domain (never the scheme that would run
 ///   anyway), so corrections get the cross-scheme samples they need; and
 ///   **recheck** — every `recheck_every`-th profile hit re-ranks, and a
-///   measured-confident scheme that beats the stored one by
-///   `RECHECK_MARGIN` displaces it (the paper's "Redecide", driven by
-///   calibration).  The pick is counted and acted on only when a job
-///   runs it ([`commit`]).
+///   scheme measured in the class's functioning domain that beats the
+///   stored one by `RECHECK_MARGIN` displaces it (the paper's
+///   "Redecide", driven by calibration).  An entry a drift-suspect sample marked due
+///   (`DRIFT_EVICT_RATIO`) is rechecked the same way on its next hit,
+///   whatever the cadence.  The pick is counted and acted on only when a
+///   job runs it ([`commit`]).
 /// * **K ≥ 2** — the calibrated fusion gate.  A group of K same-pattern
 ///   jobs fuses when the fanout-K table picks `hash` (analytically
 ///   validated: one slot lookup feeds all K outputs), **or** when it
@@ -337,8 +337,9 @@ fn decide(
     // Recheck cadence is per-entry (keyed on its recorded-run count):
     // interleaved classes recheck independently instead of aliasing
     // against a global counter.
-    let recheck_now = shared.recheck_every > 0
-        && profiled.is_some_and(|e| e.runs.is_multiple_of(shared.recheck_every as u64));
+    let cadence =
+        |runs: u64| shared.recheck_every > 0 && runs.is_multiple_of(shared.recheck_every as u64);
+    let recheck_now = profiled.is_some_and(|e| e.due || cadence(e.runs));
     if let Some(e) = profiled.filter(|_| !explore_now && !recheck_now) {
         return Some((e.scheme, None));
     }
@@ -349,21 +350,24 @@ fn decide(
         ctx.split = Some(cheapest(&record, |c| c.scheme.is_software()));
         let best = record.winner;
         let would_run = profiled.map_or(best, |e| e.scheme);
-        // Class-level confidence gates the exploration slot: a scheme
+        // Class-level confidence is what counts as measured here: a scheme
         // measured in *other* domains still lacks samples here, and
-        // corrections do not transfer across domains without them.
+        // corrections do not transfer across domains without them.  The
+        // exploration slot targets a scheme without it; a recheck is
+        // displaced only by a challenger with it.
+        let measured_here = |s: Scheme| cal.class_confidence(s, domain, false) >= 0.5;
         let target = record.candidates.iter().find(|c| {
             explore_now
                 && c.feasible
                 && c.scheme.is_software()
                 && c.scheme != would_run
-                && cal.class_confidence(c.scheme, domain, false) < 0.5
+                && !measured_here(c.scheme)
         });
         record.explored = target.is_some();
         record.rechecked = !record.explored
             && recheck_now
             && best != would_run
-            && cal.evidence(best, domain, false)
+            && measured_here(best)
             && cheapest(&record, |c| c.scheme == best)
                 < RECHECK_MARGIN * cheapest(&record, |c| c.scheme == would_run);
         let kept = if record.rechecked { best } else { would_run };
@@ -418,7 +422,8 @@ fn publish(shared: &Shared, ctx: &BatchCtx, mut record: DecisionRecord) -> Arc<D
 /// The record a job running the batch's single-job scheme carries.  The
 /// first such job commits the decision: an exploration pick is counted,
 /// a recheck evicts the entry it displaced (the batch's executions
-/// record fresh truth), and the record is published.  A profile hit
+/// record fresh truth) or clears the due mark of the entry it kept, and
+/// the record is published.  A profile hit
 /// priced nothing, so its jobs carry the class's latest record while
 /// that record is this decision's; after another decision (a fused
 /// sweep's, say) the hit prices from the inspection `job` already holds,
@@ -439,6 +444,8 @@ fn commit(shared: &Shared, ctx: &mut BatchCtx, job: &QueuedJob) -> Option<Arc<De
             if record.rechecked {
                 shared.profile().evict(ctx.sig);
                 RuntimeStats::add(&shared.stats.evictions, 1);
+            } else if ctx.profiled.as_ref().is_some_and(|e| e.due) {
+                shared.profile().set_due(ctx.sig, false);
             }
             ctx.record = Some(publish(shared, ctx, record));
         }
@@ -874,6 +881,12 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
         ctx.evicted_this_batch = true;
     }
     let mut record = mask.is_none().then(|| commit(shared, ctx, &job)).flatten();
+    // A hit of an established entry is judged for drift, so it must learn:
+    // with no inspection of its allocation in this process (a restart, a
+    // new allocation of a known class) it pays one before its kernel,
+    // which reuses it.
+    let profiled = ctx.profiled.as_ref().filter(|_| mask.is_none());
+    let judged = profiled.is_some_and(|e| e.runs >= DRIFT_MIN_RUNS);
 
     // A panicking user body (or an inspector tripping over a malformed
     // pattern) becomes the job's error and the service keeps draining; it
@@ -887,6 +900,9 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
         if let Some((picked, priced)) = mask.and_then(|_| decide(shared, ctx, &job, 1, mask)) {
             record = priced.map(|r| publish(shared, ctx, r));
             scheme = picked;
+        }
+        if judged {
+            facts.inspection(&job.spec.pattern, &shared.stats);
         }
         let req = ExecRequest {
             pattern: &job.spec.pattern,
@@ -916,6 +932,11 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
     // The cost sample the profile calibrates on: backend-reported
     // (simulated time for pclr, wall time otherwise).
     let elapsed = outcome.as_ref().map_or(Duration::ZERO, |o| o.cost);
+    #[cfg(test)]
+    let elapsed = match (&outcome, &*shared.scripted_cost.lock().unwrap()) {
+        (Some(_), Some(script)) => script(scheme),
+        _ => elapsed,
+    };
     let sim_cycles = outcome.as_ref().and_then(|o| o.sim_cycles);
     if let Some(cycles) = sim_cycles {
         RuntimeStats::add(&shared.stats.pclr_offloads, 1);
@@ -930,9 +951,10 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
         shared.note_clean(ctx.sig);
         RuntimeStats::add(&shared.stats.simd_offloads, (scheme == Scheme::Simd) as u64);
         // Close the measure→correct loop: every clean execution whose
-        // characterization is already filled (learning never pays a fresh
-        // inspection) feeds the calibrator a predicted-vs-measured sample,
-        // and software/simulated cost halves pair up to fit cycle→ns.
+        // characterization is already filled (only a judged hit pays for
+        // one) feeds the calibrator a predicted-vs-measured sample, and
+        // software/simulated cost halves pair up to fit cycle→ns.
+        let mut residual = None;
         let class_label = facts.inspection.get().map(|insp| {
             let domain = DomainKey::of(&insp.chars);
             // The backend-gated schemes price only for themselves, so
@@ -941,7 +963,7 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
                 .with_pclr(scheme == Scheme::Pclr)
                 .with_simd(scheme == Scheme::Simd);
             let units = |model: &DecisionModel| model.predict(scheme, &input);
-            shared.learn(scheme, domain, false, units, elapsed);
+            residual = shared.learn(scheme, domain, false, units, elapsed);
             domain_label(&domain)
         });
         let refs = job.spec.pattern.num_references();
@@ -953,30 +975,13 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
 
         // Feed the profile only from non-substituted, non-exploration
         // executions (an exploration pick is a calibration sample, not
-        // the class's best-known scheme).
-        if mask.is_none() && !ctx.explored {
+        // the class's best-known scheme).  A judged hit measuring far over
+        // the calibrator's estimate marks its entry due for a recheck.
+        if mask.is_none() && !ctx.explored && !ctx.evicted_this_batch {
             let mut store = shared.profile();
-            // Phase-change guard: a profiled class now running far slower
-            // than its calibration predicts is suspect.  A suspect sample
-            // is never recorded (keeping the calibration EMA clean), but
-            // only DRIFT_EVICT_STRIKES *consecutive* ones read as a phase
-            // change, evicting the entry so the next batch re-inspects
-            // instead of trusting stale history.
-            let suspect = !ctx.evicted_this_batch
-                && ctx.profiled.as_ref().is_some_and(|entry| {
-                    entry.runs >= DRIFT_MIN_RUNS
-                        && elapsed.as_secs_f64()
-                            > DRIFT_EVICT_RATIO * entry.predict(refs).as_secs_f64()
-                });
-            if suspect {
-                if store.drift_strike(ctx.sig) >= DRIFT_EVICT_STRIKES {
-                    store.evict(ctx.sig);
-                    RuntimeStats::add(&shared.stats.evictions, 1);
-                    ctx.evicted_this_batch = true;
-                }
-            } else if !ctx.evicted_this_batch {
-                store.clear_drift(ctx.sig);
-                store.record(ctx.sig, scheme, facts.threads, refs, elapsed);
+            store.record(ctx.sig, scheme, facts.threads, refs, elapsed);
+            if judged && residual.is_some_and(|r| r > DRIFT_EVICT_RATIO) {
+                store.set_due(ctx.sig, true);
             }
         }
     }

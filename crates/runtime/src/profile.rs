@@ -4,9 +4,10 @@
 //! The paper's ToolBox keeps "data bases specific to the application and
 //! the system" so optimization decisions improve across runs; the seed
 //! threw that state away at process exit.  [`ProfileStore`] persists it:
-//! a restarted service that sees a known workload class skips the full
-//! inspection and goes straight to the remembered scheme, paying only the
-//! (cheap) signature sampling.
+//! a restarted service that sees a known workload class skips the
+//! decision and goes straight to the remembered scheme.  The entry keeps
+//! no cost estimate: the calibrator learns the class's cost, so a hit the
+//! dispatcher judges for drift pays its allocation's inspection once.
 //!
 //! The on-disk format is a deliberately simple line-oriented text file —
 //! the workspace's serde is a no-op stand-in (see `vendor/serde`), and a
@@ -17,12 +18,15 @@
 //!
 //! ```text
 //! smartapps-profile-v1
-//! <sig:016x> <scheme> <threads> <ns_per_ref:e> <runs> <best_ns>
+//! <sig:016x> <scheme> <threads> <runs> <best_ns>
 //! corr <scheme|*> <domain:08x|*> <s|f> <ns_per_unit:e> <updates>
 //! simp <sig:016x> <0|1>
 //! cyc <cycle_ns:e> <updates>
 //! ```
 //!
+//! An entry line of the older six-field format carries a per-entry
+//! ns-per-reference average between `<threads>` and `<runs>`; the parser
+//! reads such lines and drops that field.
 //! `corr` records persist the online calibrator's learned state (see
 //! `smartapps_core::calibrate` and `docs/MODEL.md`): `*` in the scheme
 //! column is the global ns-per-unit scale, `*` in the domain column a
@@ -48,30 +52,22 @@ use std::time::Duration;
 /// Magic first line of the on-disk format.
 const HEADER: &str = "smartapps-profile-v1";
 
-/// Calibration EMA weight for new measurements.
-const CALIB_ALPHA: f64 = 0.3;
-
-/// What the store remembers about one workload class.
+/// What the store remembers about one workload class.  How long the class
+/// takes is the calibrator's to learn, not the entry's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileEntry {
     /// Best known scheme for the class.
     pub scheme: Scheme,
     /// SPMD width the scheme was measured at.
     pub threads: usize,
-    /// Calibration: EMA of wall-nanoseconds per reduction reference —
-    /// the predictor the dispatcher checks measurements against.
-    pub ns_per_ref: f64,
     /// Executions folded into this entry.
     pub runs: u64,
     /// Fastest observed execution, nanoseconds.
     pub best_ns: u64,
-}
-
-impl ProfileEntry {
-    /// Predicted wall time for a pattern with `refs` references.
-    pub fn predict(&self, refs: usize) -> Duration {
-        Duration::from_nanos((self.ns_per_ref * refs as f64).max(0.0) as u64)
-    }
+    /// A sample of the class measured far over the calibrator's estimate:
+    /// the next decision of the class rechecks the entry (transient —
+    /// never persisted).
+    pub(crate) due: bool,
 }
 
 /// A serializable signature → [`ProfileEntry`] map, plus the calibration
@@ -86,9 +82,6 @@ pub struct ProfileStore {
     /// structural walk still re-runs before any rewrite).
     scan_verdicts: HashMap<u64, bool>,
     cycle_fit: Option<Correction>,
-    /// Consecutive suspected-drift samples per signature, for the
-    /// dispatcher's phase-change guard (transient — never persisted).
-    strikes: HashMap<u64, u8>,
     /// Malformed lines skipped by the most recent parse (not persisted).
     skipped: usize,
 }
@@ -115,73 +108,52 @@ impl ProfileStore {
     }
 
     /// Fold one measured execution into the store.  A first observation
-    /// creates the entry; repeats update the calibration EMA and best
-    /// time, and a different scheme takes the entry over only when it
-    /// beats the incumbent's best.
+    /// creates the entry; repeats update the run count and best time, and
+    /// a different scheme takes the entry over only when it beats the
+    /// incumbent's best.  The entry keeps no per-reference cost (the
+    /// calibrator learns it), so `refs` is not read.
     pub fn record(
         &mut self,
         sig: PatternSignature,
         scheme: Scheme,
         threads: usize,
-        refs: usize,
+        _refs: usize,
         elapsed: Duration,
     ) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        let per_ref = ns as f64 / (refs.max(1)) as f64;
-        match self.entries.get_mut(&sig.0) {
-            None => {
-                self.entries.insert(
-                    sig.0,
-                    ProfileEntry {
-                        scheme,
-                        threads,
-                        ns_per_ref: per_ref,
-                        runs: 1,
-                        best_ns: ns,
-                    },
-                );
-            }
-            Some(e) => {
-                if scheme == e.scheme {
-                    e.ns_per_ref = (1.0 - CALIB_ALPHA) * e.ns_per_ref + CALIB_ALPHA * per_ref;
-                    e.best_ns = e.best_ns.min(ns);
-                    e.runs += 1;
-                } else if ns < e.best_ns {
-                    *e = ProfileEntry {
-                        scheme,
-                        threads,
-                        ns_per_ref: per_ref,
-                        runs: e.runs + 1,
-                        best_ns: ns,
-                    };
-                } else {
-                    e.runs += 1;
-                }
-            }
+        let e = self.entries.entry(sig.0).or_insert(ProfileEntry {
+            scheme,
+            threads,
+            runs: 0,
+            best_ns: ns,
+            due: false,
+        });
+        e.runs += 1;
+        if scheme == e.scheme {
+            e.best_ns = e.best_ns.min(ns);
+        } else if ns < e.best_ns {
+            *e = ProfileEntry {
+                scheme,
+                threads,
+                best_ns: ns,
+                due: false,
+                ..*e
+            };
         }
     }
 
-    /// Drop a signature (the dispatcher evicts entries whose predictions
-    /// have drifted far from measurements — a phase change).
+    /// Drop a signature (the dispatcher evicts an entry a recheck
+    /// displaced, or one naming a backend this service cannot run).
     pub fn evict(&mut self, sig: PatternSignature) -> bool {
-        self.strikes.remove(&sig.0);
         self.entries.remove(&sig.0).is_some()
     }
 
-    /// Count one suspected-drift observation (a measurement far over the
-    /// entry's prediction) against `sig`; returns the consecutive strike
-    /// count including this one.  A healthy sample resets the count via
-    /// [`clear_drift`](ProfileStore::clear_drift); eviction forgets it.
-    pub fn drift_strike(&mut self, sig: PatternSignature) -> u8 {
-        let n = self.strikes.entry(sig.0).or_insert(0);
-        *n = n.saturating_add(1);
-        *n
-    }
-
-    /// Reset the consecutive-drift count for `sig` (a healthy sample
-    /// arrived; whatever looked like drift was noise).
-    pub fn clear_drift(&mut self, sig: PatternSignature) {
-        self.strikes.remove(&sig.0);
+    /// Mark `sig`'s entry due for a recheck, or clear the mark once a
+    /// recheck kept the entry.
+    pub(crate) fn set_due(&mut self, sig: PatternSignature, due: bool) {
+        if let Some(e) = self.entries.get_mut(&sig.0) {
+            e.due = due;
+        }
     }
 
     /// Replace the stored calibration state with an exported calibrator
@@ -244,11 +216,10 @@ impl ProfileStore {
             .iter()
             .map(|(sig, e)| {
                 format!(
-                    "{:016x} {} {} {:e} {} {}",
+                    "{:016x} {} {} {} {}",
                     sig,
                     e.scheme.abbrev(),
                     e.threads,
-                    e.ns_per_ref,
                     e.runs,
                     e.best_ns
                 )
@@ -349,36 +320,33 @@ impl ProfileStore {
         Ok(store)
     }
 
-    /// Parse one `<sig> <scheme> <threads> <ns_per_ref> <runs> <best_ns>`
-    /// line; `None` if any field is missing, trailing junk follows, or a
-    /// field fails validation.
+    /// Parse one `<sig> <scheme> <threads> <runs> <best_ns>` line, or an
+    /// older line with a non-negative ns-per-reference field before
+    /// `<runs>` (read and dropped); `None` if a field is missing, trailing
+    /// junk follows, or a field fails validation.
     fn parse_line(line: &str) -> Option<(u64, ProfileEntry)> {
         let mut f = line.split_ascii_whitespace();
-        let (sig, scheme, threads, calib, runs, best) = (
-            f.next()?,
-            f.next()?,
-            f.next()?,
-            f.next()?,
-            f.next()?,
-            f.next()?,
-        );
+        let (sig, scheme, threads) = (f.next()?, f.next()?, f.next()?);
+        let (mut runs, mut best) = (f.next()?, f.next()?);
+        if let Some(last) = f.next() {
+            // An older line: the field read as `runs` is the dropped one.
+            let old: f64 = runs.parse().ok()?;
+            if !old.is_finite() || old < 0.0 {
+                return None;
+            }
+            (runs, best) = (best, last);
+        }
         if f.next().is_some() {
             return None; // trailing fields: not our format
         }
-        let sig = u64::from_str_radix(sig, 16).ok()?;
-        let scheme = Scheme::from_abbrev(scheme)?;
-        let ns_per_ref: f64 = calib.parse().ok()?;
-        if !ns_per_ref.is_finite() || ns_per_ref < 0.0 {
-            return None;
-        }
         Some((
-            sig,
+            u64::from_str_radix(sig, 16).ok()?,
             ProfileEntry {
-                scheme,
+                scheme: Scheme::from_abbrev(scheme)?,
                 threads: threads.parse().ok()?,
-                ns_per_ref,
                 runs: runs.parse().ok()?,
                 best_ns: best.parse().ok()?,
+                due: false,
             },
         ))
     }
@@ -544,24 +512,24 @@ mod tests {
         let e = s.get(sig(1)).unwrap();
         assert_eq!(e.scheme, Scheme::Rep);
         assert_eq!(e.runs, 1);
-        assert!((e.ns_per_ref - 100.0).abs() < 1e-9);
+        assert_eq!(e.best_ns, 100_000);
 
-        // Same scheme: EMA + best update.
+        // Same scheme: run count + best update.
         s.record(sig(1), Scheme::Rep, 4, 1000, Duration::from_micros(50));
+        s.record(sig(1), Scheme::Rep, 4, 1000, Duration::from_micros(70));
         let e = s.get(sig(1)).unwrap();
-        assert_eq!(e.runs, 2);
+        assert_eq!(e.runs, 3);
         assert_eq!(e.best_ns, 50_000);
-        assert!(e.ns_per_ref < 100.0);
 
         // Slower different scheme: incumbent keeps the entry.
         s.record(sig(1), Scheme::Hash, 4, 1000, Duration::from_micros(500));
-        assert_eq!(s.get(sig(1)).unwrap().scheme, Scheme::Rep);
+        let e = s.get(sig(1)).unwrap();
+        assert_eq!((e.scheme, e.runs, e.best_ns), (Scheme::Rep, 4, 50_000));
 
         // Faster different scheme: takeover.
         s.record(sig(1), Scheme::Sel, 4, 1000, Duration::from_micros(10));
         let e = s.get(sig(1)).unwrap();
-        assert_eq!(e.scheme, Scheme::Sel);
-        assert_eq!(e.best_ns, 10_000);
+        assert_eq!((e.scheme, e.runs, e.best_ns), (Scheme::Sel, 5, 10_000));
     }
 
     #[test]
@@ -601,17 +569,52 @@ mod tests {
              0000000000000001 rep 4 1.5e2 3 77\n\
              0000000000000002 pclr 8 nan 1 10\n\
              0000000000000002 pclr 8 2e0 1 10\n\
-             0000000000000003 hash 2 1e0 1 10 trailing-junk\n"
+             0000000000000003 hash 2 1e0 1 10 trailing-junk\n\
+             0000000000000004 sel 2 5 99\n\
+             0000000000000005 sel 2 1e0 99\n"
         );
         let s = ProfileStore::from_text(&text).unwrap();
-        assert_eq!(s.len(), 2, "both valid lines survive");
+        assert_eq!(s.len(), 3, "every valid line survives");
         assert_eq!(s.get(sig(1)).unwrap().scheme, Scheme::Rep);
         assert_eq!(s.get(sig(2)).unwrap().scheme, Scheme::Pclr);
         assert!(s.get(sig(3)).is_none(), "trailing junk is not our format");
-        assert_eq!(s.last_load_skipped(), 4);
+        assert_eq!(s.get(sig(4)).unwrap().runs, 5);
+        assert!(s.get(sig(5)).is_none(), "runs is an integer");
+        assert_eq!(s.last_load_skipped(), 5);
         let ok_empty = ProfileStore::from_text(&format!("{HEADER}\n")).unwrap();
         assert!(ok_empty.is_empty());
         assert_eq!(ok_empty.last_load_skipped(), 0);
+    }
+
+    #[test]
+    fn a_store_in_the_six_field_entry_format_still_loads() {
+        // Written by the previous format, whose entry lines carried the
+        // per-entry ns-per-reference average as a sixth field.
+        let old = "smartapps-profile-v1\n\
+                   0000000000000007 pclr 4 9.765625e0 1 40000\n\
+                   000000000000002a hash 2 7.6758e1 3 555\n\
+                   00000000deadbeef ll 8 2.405715396578538e1 2 2900000\n\
+                   corr * * s 2.5e0 40\n\
+                   simp 0000000000000007 0\n\
+                   cyc 8e-1 5\n";
+        let s = ProfileStore::from_text(old).unwrap();
+        assert_eq!(s.last_load_skipped(), 0);
+        let entry = |n| {
+            let e = s.get(sig(n)).unwrap();
+            (e.scheme, e.threads, e.runs, e.best_ns)
+        };
+        assert_eq!(entry(7), (Scheme::Pclr, 4, 1, 40_000));
+        assert_eq!(entry(42), (Scheme::Hash, 2, 3, 555));
+        assert_eq!(entry(0xdead_beef), (Scheme::Ll, 8, 2, 2_900_000));
+        assert_eq!(s.calibration_len(), 1);
+        assert_eq!(s.scan_verdict(sig(7)), Some(false));
+        assert_eq!(s.cycle_fit(), Some(Correction::seeded(0.8, 5)));
+        // Saved again, the entries drop the column and read back equal.
+        let text = s.to_text();
+        assert!(text.contains("\n000000000000002a hash 2 3 555\n"), "{text}");
+        let back = ProfileStore::from_text(&text).unwrap();
+        assert_eq!(back.get(sig(42)), s.get(sig(42)));
+        assert_eq!(back.to_text(), text);
     }
 
     #[test]
@@ -634,18 +637,6 @@ mod tests {
         assert!(s.evict(sig(9)));
         assert!(!s.evict(sig(9)));
         assert!(s.get(sig(9)).is_none());
-    }
-
-    #[test]
-    fn drift_strikes_accumulate_reset_and_die_with_the_entry() {
-        let mut s = ProfileStore::new();
-        s.record(sig(4), Scheme::Rep, 4, 100, Duration::from_micros(1));
-        assert_eq!(s.drift_strike(sig(4)), 1);
-        assert_eq!(s.drift_strike(sig(4)), 2);
-        s.clear_drift(sig(4));
-        assert_eq!(s.drift_strike(sig(4)), 1, "a healthy sample resets");
-        s.evict(sig(4));
-        assert_eq!(s.drift_strike(sig(4)), 1, "eviction forgets the count");
     }
 
     #[test]
@@ -795,14 +786,5 @@ mod tests {
             Correction::seeded(4.0, 7)
         );
         assert_eq!(a.cycle_fit(), Some(Correction::seeded(2.0, 8)));
-    }
-
-    #[test]
-    fn prediction_scales_with_refs() {
-        let mut s = ProfileStore::new();
-        s.record(sig(2), Scheme::Rep, 4, 1000, Duration::from_micros(100));
-        let e = s.get(sig(2)).unwrap();
-        assert_eq!(e.predict(1000), Duration::from_micros(100));
-        assert_eq!(e.predict(2000), Duration::from_micros(200));
     }
 }

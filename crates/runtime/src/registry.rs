@@ -99,9 +99,10 @@ pub(crate) struct PatternFacts {
 pub(crate) struct WidthFacts {
     pub(crate) sig: PatternSignature,
     pub(crate) threads: usize,
-    /// Learning reads this cell with `get()` and never fills it: a
-    /// calibration sample is worth a lookup, not a pattern walk (a
-    /// restarted service keeps its zero-inspection steady state).
+    /// Learning reads this cell with `get()`: a calibration sample is
+    /// worth a lookup, not a pattern walk.  Only a judged profile hit
+    /// (one the drift check needs a residual for) fills it, once per
+    /// allocation.
     pub(crate) inspection: OnceLock<Inspection>,
     pub(crate) allocation: Arc<PatternFacts>,
 }

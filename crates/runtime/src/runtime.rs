@@ -253,7 +253,16 @@ pub(crate) struct Shared {
     /// signature per SPMD width and its inspector products; see
     /// [`Shared::sign`].
     registry: Mutex<Registry>,
+    /// Test seam: when set, it replaces the backend cost sample of every
+    /// single job that ran (what the job learns from, records and
+    /// reports), so mechanism tests script what a clock would measure.
+    #[cfg(test)]
+    pub(crate) scripted_cost: Mutex<Option<CostScript>>,
 }
+
+/// A scripted single-job cost per scheme (the test seam's type).
+#[cfg(test)]
+type CostScript = Box<dyn Fn(Scheme) -> Duration + Send>;
 
 /// Panic health of one workload class: how many of its most recent bodies
 /// panicked back-to-back, and — once that crossed the threshold — until
@@ -298,7 +307,8 @@ impl Shared {
     /// lock.  `predicted_units` gives the raw analytic cost: the one a
     /// decision already priced, or — on the per-job path — one computed
     /// here from the calibrator's model, so the hot path locks once, not
-    /// twice.
+    /// twice.  Returns the calibrator's residual (measured over its
+    /// pre-sample estimate), which the dispatcher's drift check reads.
     pub(crate) fn learn(
         &self,
         scheme: Scheme,
@@ -306,20 +316,19 @@ impl Shared {
         fused: bool,
         predicted_units: impl FnOnce(&DecisionModel) -> f64,
         measured: Duration,
-    ) {
-        let err = {
+    ) -> Option<f64> {
+        let residual = {
             let mut cal = self.calibrator();
             let raw = predicted_units(&cal.model);
             cal.observe(scheme, domain, fused, raw, measured.as_nanos() as f64)
-        };
-        if let Some(err) = err {
-            let ppm = (err * 1e6).min(u64::MAX as f64) as u64;
-            RuntimeStats::add(&self.stats.calibration_updates, 1);
-            RuntimeStats::add(&self.stats.pred_err_sum_micros, ppm);
-            // The counters keep the mean; the histogram keeps the
-            // *distribution* of per-sample prediction error.
-            self.telemetry.record_predict_err_ppm(scheme, ppm);
-        }
+        }?;
+        let ppm = ((1.0 / residual - 1.0).abs() * 1e6).min(u64::MAX as f64) as u64;
+        RuntimeStats::add(&self.stats.calibration_updates, 1);
+        RuntimeStats::add(&self.stats.pred_err_sum_micros, ppm);
+        // The counters keep the mean; the histogram keeps the
+        // *distribution* of per-sample prediction error.
+        self.telemetry.record_predict_err_ppm(scheme, ppm);
+        Some(residual)
     }
 
     /// Record one backend observation for the cycle→ns fit: the software
@@ -346,9 +355,9 @@ impl Shared {
             Some(c) => entry.1 = Some(c as f64 / refs as f64),
             None => entry.0 = Some(ns / refs as f64),
         }
-        if let (Some(wall_ns_per_ref), Some(cycles_per_ref)) = *entry {
+        if let (Some(wall_per_ref), Some(cycles_per_ref)) = *entry {
             if cycles_per_ref > 0.0 {
-                pclr.fit_cycle_ns(wall_ns_per_ref / cycles_per_ref);
+                pclr.fit_cycle_ns(wall_per_ref / cycles_per_ref);
             }
         }
     }
@@ -482,6 +491,8 @@ impl Runtime {
             interner: PatternInterner::new(config.pattern_intern_capacity),
             simplify: config.simplify,
             registry: Mutex::new(PatternCache::new(SIGNATURE_MEMO_CAP)),
+            #[cfg(test)]
+            scripted_cost: Mutex::new(None),
         });
         let dispatchers = (0..n_dispatchers)
             .map(|d| {
@@ -825,8 +836,9 @@ pub(crate) mod tests {
     use crate::completion::Completion;
     use crate::dispatch::DRIFT_MIN_RUNS;
     use crate::error::JobErrorKind;
+    use crate::profile::ProfileEntry;
     use crate::registry::tests::unregistered;
-    use smartapps_core::GateVerdict;
+    use smartapps_core::{CandidateCost, GateVerdict};
     use smartapps_reductions::{Inspector, ModelInput};
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
     use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
@@ -1098,57 +1110,275 @@ pub(crate) mod tests {
         assert_eq!(rt.profile_snapshot().get(sig).map(|e| e.runs), Some(1));
     }
 
-    #[test]
-    fn drift_eviction_forces_reinspection() {
-        let rt = Runtime::with_workers(2);
-        let pat = pattern(41);
-        // Establish the class, then poison its calibration so the next
-        // run reads as a >4x slowdown.
-        let handle = rt.submit(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
-        let signature = handle.signature();
-        handle.wait();
-        {
-            let mut store = rt.shared.profile.lock().unwrap();
-            let entry = store.get(signature).unwrap().clone();
-            // Rewrite the entry predicting a near-zero time: the next
-            // execution must look like a drastic slowdown.
-            store.evict(signature);
-            store.record(
-                signature,
-                entry.scheme,
-                entry.threads,
-                usize::MAX,
-                Duration::from_nanos(1),
-            );
-            let e = store.get(signature).unwrap();
-            assert!(e.ns_per_ref < 1e-9);
-            // Age it past DRIFT_MIN_RUNS.
-            for _ in 0..DRIFT_MIN_RUNS {
-                store.record(
-                    signature,
-                    entry.scheme,
-                    entry.threads,
-                    usize::MAX,
-                    Duration::from_nanos(1),
-                );
-            }
+    /// Per-scheme single-job costs for the scripted-cost seam (100 µs
+    /// for a scheme not listed).
+    type Costs = Arc<Mutex<HashMap<Scheme, Duration>>>;
+
+    /// A scalar-only, one-dispatcher service whose single-job cost
+    /// samples come from `costs` instead of a clock.
+    fn scripted(calibration: CalibrationConfig, profile_path: Option<PathBuf>) -> (Runtime, Costs) {
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 2,
+            dispatchers: 1,
+            simd: false,
+            calibration,
+            profile_path,
+            ..RuntimeConfig::default()
+        });
+        let costs = Costs::default();
+        let script = costs.clone();
+        *rt.shared.scripted_cost.lock().unwrap() = Some(Box::new(move |s| {
+            let costs = script.lock().unwrap();
+            costs.get(&s).copied().unwrap_or(Duration::from_micros(100))
+        }));
+        (rt, costs)
+    }
+
+    /// Run one job of `pat`'s class alone.
+    fn run_one(rt: &Runtime, pat: &Arc<AccessPattern>) -> JobResult {
+        let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
+        assert!(r.error.is_none());
+        assert_eq!(r.output.as_i64().unwrap(), sequential_reduce_i64(pat));
+        r
+    }
+
+    /// Feed `n` samples of `scheme` measuring `ns` each, at its analytic
+    /// cost in `rec`, to the calibrator under `domain`.
+    fn observe(
+        rt: &Runtime,
+        rec: &DecisionRecord,
+        domain: DomainKey,
+        scheme: Scheme,
+        ns: f64,
+        n: usize,
+    ) {
+        let units = rec.candidates.iter().find(|c| c.scheme == scheme).unwrap();
+        let mut cal = rt.shared.calibrator();
+        for _ in 0..n {
+            cal.observe(scheme, domain, false, units.analytic, ns);
         }
-        // First over-ratio run: a strike, not an eviction — one wild
-        // sample must never kill a healthy entry.
-        let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
-        assert!(r.profile_hit, "this run rode the poisoned entry");
-        assert_eq!(rt.stats().evictions, 0, "one outlier is noise, not drift");
-        // Second consecutive over-ratio run: phase change.
-        let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
-        assert!(r.profile_hit, "the entry survives the first strike");
-        assert_eq!(rt.stats().evictions, 1, "poisoned calibration must evict");
+    }
+
+    /// The best-ranked feasible software scheme of `rec` other than
+    /// `stored`.
+    fn rival_of(rec: &DecisionRecord, stored: Scheme) -> Scheme {
+        let rival = rec
+            .candidates
+            .iter()
+            .find(|c| c.feasible && c.scheme.is_software() && c.scheme != stored);
+        rival.unwrap().scheme
+    }
+
+    fn entry(rt: &Runtime, sig: PatternSignature) -> ProfileEntry {
+        rt.profile_snapshot().get(sig).cloned().unwrap()
+    }
+
+    #[test]
+    fn one_drift_suspect_sample_prices_one_recheck_and_evicts_nothing() {
+        let (rt, costs) = scripted(CalibrationConfig::default(), None);
+        let pat = pattern(41);
+        let sig = rt.signature_of(&pat);
+        let stored = run_one(&rt, &pat).scheme;
+        for _ in 0..DRIFT_MIN_RUNS {
+            assert!(run_one(&rt, &pat).profile_hit);
+        }
+        let before = rt.explain(sig).unwrap();
+        // A rival that looks far cheaper, measured in another functioning
+        // domain only: no evidence here, so no recheck may act on it.
+        let rival = rival_of(&before, stored);
+        let elsewhere = DomainKey {
+            dim_bucket: before.domain.dim_bucket + 1,
+            ..before.domain
+        };
+        observe(&rt, &before, elsewhere, rival, 1_000.0, 8);
+        // One sample at 5x the calibrator's estimate: suspect, so the
+        // entry is due, and nothing is evicted.
+        costs
+            .lock()
+            .unwrap()
+            .insert(stored, Duration::from_micros(500));
+        assert!(run_one(&rt, &pat).profile_hit);
+        assert!(entry(&rt, sig).due, "a 5x residual marks the entry due");
+        assert!(Arc::ptr_eq(&rt.explain(sig).unwrap(), &before));
+        costs.lock().unwrap().clear();
+        // The next hit rechecks: one pricing, published once.  The rival
+        // ranks first but has no evidence in this domain, so the entry
+        // stays and is no longer due.
+        let r = run_one(&rt, &pat);
+        assert!(r.profile_hit, "a kept entry still serves the hit");
+        assert_eq!(r.scheme, stored);
+        let rechecked = rt.explain(sig).unwrap();
+        assert!(!Arc::ptr_eq(&rechecked, &before), "the recheck priced");
+        assert_eq!(rechecked.candidates[0].scheme, rival, "{rechecked:?}");
+        assert!(!rechecked.rechecked, "{rechecked:?}");
+        assert!(!entry(&rt, sig).due);
+        for _ in 0..3 {
+            assert_eq!(run_one(&rt, &pat).scheme, stored);
+        }
         assert!(
-            rt.profile_snapshot().get(signature).is_none(),
-            "evicted entry must stay evicted until re-decided"
+            Arc::ptr_eq(&rt.explain(sig).unwrap(), &rechecked),
+            "priced once"
         );
-        // Next submission misses the profile and re-inspects.
-        let r2 = rt.run(JobSpec::i64(pat, |_i, r| contribution_i64(r)));
-        assert!(!r2.profile_hit, "post-eviction run must re-decide");
+        let stats = rt.stats();
+        assert_eq!(stats.evictions, 0, "one outlier is noise, not drift");
+        assert_eq!(stats.inspections, 1);
+        assert_eq!(rt.explain(sig).unwrap().flips, 0);
+    }
+
+    #[test]
+    fn a_rival_with_evidence_past_the_margin_displaces_a_drifted_entry_once() {
+        let (rt, costs) = scripted(CalibrationConfig::default(), None);
+        let pat = pattern(43);
+        let sig = rt.signature_of(&pat);
+        let stored = run_one(&rt, &pat).scheme;
+        let rec = rt.explain(sig).unwrap();
+        let rival = rival_of(&rec, stored);
+        // The rival measured at a tenth of the stored scheme's cost, with
+        // evidence (eight samples in the class's domain).
+        observe(&rt, &rec, rec.domain, rival, 10_000.0, 8);
+        costs
+            .lock()
+            .unwrap()
+            .insert(rival, Duration::from_micros(10));
+        for _ in 0..DRIFT_MIN_RUNS {
+            assert_eq!(run_one(&rt, &pat).scheme, stored, "no recheck is due");
+        }
+        assert_eq!(rt.stats().evictions, 0);
+        costs
+            .lock()
+            .unwrap()
+            .insert(stored, Duration::from_millis(5));
+        assert_eq!(run_one(&rt, &pat).scheme, stored);
+        assert!(entry(&rt, sig).due);
+        // The recheck displaces the entry: evicted once, and the batch
+        // runs and records the rival (not from the store).
+        let r = run_one(&rt, &pat);
+        assert_eq!(r.scheme, rival);
+        assert!(!r.profile_hit, "a displaced entry does not serve the hit");
+        let rechecked = rt.explain(sig).unwrap();
+        assert!(rechecked.rechecked && rechecked.winner == rival);
+        assert_eq!(rt.stats().evictions, 1);
+        let e = entry(&rt, sig);
+        assert_eq!((e.scheme, e.runs, e.due), (rival, 1, false));
+        // The rival's entry holds: judged hits on target, no more flips.
+        for _ in 0..6 {
+            let r = run_one(&rt, &pat);
+            assert!(r.profile_hit && r.scheme == rival);
+        }
+        assert_eq!(rt.stats().evictions, 1, "evicted exactly once");
+        assert_eq!(rt.explain(sig).unwrap().flips, 1, "switched exactly once");
+    }
+
+    #[test]
+    fn schemes_alternating_inside_the_recheck_margin_never_flip() {
+        // Every hit rechecks (cadence 1), and the two schemes take turns,
+        // six rounds at a time, at being 10% cheaper: each turn moves the
+        // corrected ranking, never by the margin.
+        let calibration = CalibrationConfig {
+            recheck_every: 1,
+            ..Default::default()
+        };
+        let (rt, costs) = scripted(calibration, None);
+        let pat = pattern(47);
+        let sig = rt.signature_of(&pat);
+        let stored = run_one(&rt, &pat).scheme;
+        let rec = rt.explain(sig).unwrap();
+        let analytic = |s: Scheme| {
+            rec.candidates
+                .iter()
+                .find(|c| c.scheme == s)
+                .unwrap()
+                .analytic
+        };
+        let rival = rec
+            .candidates
+            .iter()
+            .filter(|c| c.feasible && c.scheme.is_software() && c.scheme != stored)
+            .min_by(|a, b| {
+                let gap = |c: &CandidateCost| (c.analytic / analytic(stored)).ln().abs();
+                gap(a).total_cmp(&gap(b))
+            })
+            .unwrap()
+            .scheme;
+        observe(&rt, &rec, rec.domain, rival, 100_000.0, 8);
+        let (mut rival_won, mut stored_won) = (0, 0);
+        for round in 0..24 {
+            let (mine, theirs) = if round / 6 % 2 == 0 {
+                (100, 90)
+            } else {
+                (90, 100)
+            };
+            costs
+                .lock()
+                .unwrap()
+                .insert(stored, Duration::from_micros(mine));
+            observe(&rt, &rec, rec.domain, rival, theirs as f64 * 1e3, 1);
+            let r = run_one(&rt, &pat);
+            assert_eq!(r.scheme, stored, "round {round}");
+            let priced = rt.explain(sig).unwrap();
+            let corrected = |s: Scheme| {
+                let row = priced.candidates.iter().find(|c| c.scheme == s).unwrap();
+                row.corrected
+            };
+            let ratio = corrected(rival) / corrected(stored);
+            assert!(ratio > 0.85, "round {round}: {ratio} is past the margin");
+            rival_won += (ratio < 1.0) as u32;
+            stored_won += (ratio > 1.0) as u32;
+        }
+        assert!(
+            rival_won > 0 && stored_won > 0,
+            "{rival_won} / {stored_won}"
+        );
+        assert_eq!(rt.stats().evictions, 0);
+        assert_eq!(rt.explain(sig).unwrap().flips, 0);
+    }
+
+    #[test]
+    fn a_restarted_hit_on_an_uninspected_allocation_pays_one_inspection_and_is_judged() {
+        let dir = std::env::temp_dir().join("smartapps-runtime-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("judged-restart-{}.txt", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let pat = pattern(49);
+        let stored = {
+            let (rt, _costs) = scripted(CalibrationConfig::default(), Some(path.clone()));
+            let stored = run_one(&rt, &pat).scheme;
+            for _ in 0..DRIFT_MIN_RUNS {
+                run_one(&rt, &pat);
+            }
+            rt.shutdown();
+            stored
+        };
+        let (rt, costs) = scripted(CalibrationConfig::default(), Some(path.clone()));
+        let sig = rt.signature_of(&pat);
+        // A new allocation of the class, never inspected by this process:
+        // the judged hit pays its inspection once, learns, and its 5x
+        // residual (against the persisted corrections) marks it due.
+        let copy = Arc::new(AccessPattern::clone(&pat));
+        costs
+            .lock()
+            .unwrap()
+            .insert(stored, Duration::from_micros(500));
+        let r = run_one(&rt, &copy);
+        assert!(r.profile_hit && r.scheme == stored);
+        let stats = rt.stats();
+        assert_eq!(stats.inspections, 1, "the judged hit inspects once");
+        assert_eq!(stats.calibration_updates, 1, "and learns");
+        assert!(entry(&rt, sig).due, "and is judged");
+        assert!(rt.explain(sig).is_none(), "a hit priced nothing");
+        costs.lock().unwrap().clear();
+        let r = run_one(&rt, &copy);
+        assert!(r.profile_hit && r.scheme == stored);
+        assert_eq!(
+            rt.explain(sig).unwrap().winner,
+            stored,
+            "the recheck priced"
+        );
+        let stats = rt.stats();
+        assert_eq!((stats.inspections, stats.evictions), (1, 0));
+        assert!(!entry(&rt, sig).due);
+        drop(rt);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -46,11 +46,13 @@ pub struct StatsSnapshot {
     /// dispatcher through the runtime's pattern registry: one per
     /// inspection filled, per (pattern allocation, SPMD width), its
     /// allocation's slot numbering and characterization included when it
-    /// pays them; plus one per slot numbering (`LocalIndex`) filled alone,
-    /// for a `hash` run no inspection of the allocation preceded (a
-    /// profile hit).
+    /// pays them (a decision, or a drift-judged profile hit); plus one per
+    /// slot numbering (`LocalIndex`) filled alone, for a `hash` run no
+    /// inspection of the allocation preceded (a profile hit).
     pub inspections: u64,
-    /// Profile entries evicted after calibration drift.
+    /// Profile entries evicted: displaced by a calibration recheck (on
+    /// its cadence, or due after a drift-suspect sample), or naming a
+    /// backend this service cannot run.
     pub evictions: u64,
     /// Batches a dispatcher stole from a peer's shards after draining its
     /// own (see the shard-affine dispatcher design in `queue`).
