@@ -7,14 +7,21 @@
 //! 1. **drift check** — a cheap characterization of a sample of the
 //!    iteration space, compared against the pattern the current decision
 //!    was made for; sustained drift (a phase change of a dynamic code)
-//!    triggers re-characterization;
-//! 2. **decision** — if no decision is current, a full inspector pass and
-//!    the [`Calibrator`]'s corrected ranking pick a scheme;
+//!    triggers re-characterization, the only one after the first;
+//! 2. **decision** — one [`step`] of the adaptation policy the runtime
+//!    service runs too, at K = 1 with the loop's decided state as the
+//!    entry: a full inspector pass and the [`Calibrator`]'s corrected
+//!    ranking when nothing is decided, a recheck of the stored inspection
+//!    when the decision is due, nothing otherwise;
 //! 3. **execution** — the chosen scheme runs;
-//! 4. **evaluation** — measured time is compared against the calibrator's
-//!    estimate and then folded into it; the optimizer escalates (keep /
-//!    tune / re-decide / re-characterize) according to the deviation
-//!    magnitude.
+//! 4. **evaluation** — measured time is folded into the calibrator, and
+//!    its residual against the estimate in force before the sample is
+//!    judged for drift ([`Effects::marks_due`](crate::toolbox::Effects::marks_due)): once the decision has
+//!    [`DRIFT_MIN_RUNS`](crate::toolbox::DRIFT_MIN_RUNS) runs, a sample
+//!    over [`DRIFT_EVICT_RATIO`](crate::toolbox::DRIFT_EVICT_RATIO) times
+//!    its estimate marks the decision due, so the next invocation
+//!    rechecks it (a rival displaces it only past
+//!    [`RECHECK_MARGIN`](crate::toolbox::RECHECK_MARGIN)).
 //!
 //! The loop learns per functioning domain ([`DomainKey`]), exactly like
 //! the runtime service: `loop_id` is a label, not a partition of learned
@@ -24,7 +31,7 @@
 
 use crate::calibrate::Calibrator;
 use crate::monitor::PhaseDetector;
-use crate::toolbox::{Adaptation, Deviation, DomainKey, Optimizer};
+use crate::toolbox::{step, Adaptation, DomainKey, Entry, View};
 use smartapps_reductions::{
     run_scheme_with, Analyses, Inspection, Inspector, ModelInput, Scheme, SpawnExecutor,
     SpmdExecutor,
@@ -45,16 +52,19 @@ pub struct InvocationLog {
     pub drift: f64,
     /// Wall time of the scheme execution.
     pub elapsed: Duration,
-    /// Adaptation decided after evaluation.
+    /// What this invocation did to the decision: re-characterized on a
+    /// phase change, marked it due on a drift-suspect sample, or kept it.
     pub adaptation: Adaptation,
 }
 
 struct Decided {
-    scheme: Scheme,
+    /// The policy's decided state (`None` until the first step).
+    entry: Option<Entry>,
     inspection: Inspection,
+    /// The model input of `inspection`.  It comes from the inspection
+    /// alone, so the backend schemes (`pclr`, `simd`) never enter a table.
+    input: ModelInput,
     sample_chars: PatternChars,
-    /// Uncorrected model cost of `scheme`, the unit the calibrator learns in.
-    raw_units: f64,
     domain: DomainKey,
 }
 
@@ -70,8 +80,6 @@ pub struct AdaptiveReduction {
     /// by default, the runtime service's own when built by
     /// `Runtime::adaptive`.
     pub calibrator: Arc<Mutex<Calibrator>>,
-    /// Deviation → adaptation policy.
-    pub optimizer: Optimizer,
     /// Iterations sampled for the cheap drift check.
     pub sample_iters: usize,
     drift_detector: PhaseDetector,
@@ -101,7 +109,6 @@ impl AdaptiveReduction {
             threads,
             lw_feasible,
             calibrator: Arc::default(),
-            optimizer: Optimizer::default(),
             sample_iters: 2048,
             drift_detector: PhaseDetector::new(0.25, 2),
             state: None,
@@ -111,7 +118,7 @@ impl AdaptiveReduction {
 
     /// The currently decided scheme, if any.
     pub fn current_scheme(&self) -> Option<Scheme> {
-        self.state.as_ref().map(|s| s.scheme)
+        self.state.as_ref().and_then(|s| s.entry).map(|e| e.scheme)
     }
 
     /// Lock the calibrator (poison-tolerant: every update leaves it valid).
@@ -123,16 +130,6 @@ impl AdaptiveReduction {
         PatternChars::measure(&pat.truncate_iterations(self.sample_iters))
     }
 
-    /// The calibrator's best scheme for an inspection and its raw model
-    /// cost.  The input comes from the inspection alone, so the backend
-    /// schemes (`pclr`, `simd`) never enter the ranking.
-    fn decide(&self, inspection: &Inspection, domain: DomainKey) -> (Scheme, f64) {
-        let input = ModelInput::from_inspection(inspection, self.lw_feasible);
-        let cal = self.cal();
-        let scheme = cal.rank(&input, domain)[0].0;
-        (scheme, cal.model.predict(scheme, &input))
-    }
-
     /// Execute one invocation of the loop adaptively.
     pub fn execute(
         &mut self,
@@ -141,28 +138,44 @@ impl AdaptiveReduction {
     ) -> (Vec<f64>, InvocationLog) {
         // 1. Drift check against the decision's pattern.
         let mut measured_drift = 0.0;
+        let mut adaptation = Adaptation::Keep;
         if let Some(st) = &self.state {
             measured_drift = drift(&st.sample_chars, &self.sample_chars(pat));
             if self.drift_detector.observe(measured_drift) {
                 self.state = None; // phase change: re-characterize
+                adaptation = Adaptation::Recharacterize;
             }
         }
-        // 2. Decide if needed.
+        // 2. Decide: characterize if nothing is decided, then step.
         let characterized = self.state.is_none();
         if characterized {
             let inspection = Inspector::analyze(pat, self.threads);
-            let domain = DomainKey::of(&inspection.chars);
-            let (scheme, raw_units) = self.decide(&inspection, domain);
             self.state = Some(Decided {
-                scheme,
+                entry: None,
+                input: ModelInput::from_inspection(&inspection, self.lw_feasible),
                 sample_chars: self.sample_chars(pat),
+                domain: DomainKey::of(&inspection.chars),
                 inspection,
-                raw_units,
-                domain,
             });
         }
         let st = self.state.as_ref().unwrap();
-        let (scheme, raw_units, domain) = (st.scheme, st.raw_units, st.domain);
+        let view = View {
+            k: 1,
+            entry: st.entry,
+            ..View::default()
+        };
+        // With no exploration slot, a single-job step asks for nothing
+        // but the table.
+        let (scheme, fx) = step(&view, None)
+            .or_else(|_| step(&view, Some(&self.cal().explain(&st.input, st.domain))))
+            .expect("a priced single-job step decides");
+        let scheme = scheme.expect("a single-job step runs a scheme");
+        let fresh = Entry {
+            scheme,
+            runs: 0,
+            due: false,
+        };
+        let entry = st.entry.filter(|_| fx.kept).unwrap_or(fresh);
         // 3. Execute.  sel/lw must match the *current* pattern exactly, so
         // the stored inspection is reused only when it was taken this
         // call.  hash is handed no slot numbering: it numbers the pattern
@@ -174,27 +187,23 @@ impl AdaptiveReduction {
         let t0 = Instant::now();
         let out = run_scheme_with(scheme, pat, body, self.threads, analyses, &*self.exec);
         let elapsed = t0.elapsed();
-        // 4. Learn from the sample, evaluating it against the estimate in
-        // force before it (the calibrator's residual).  No estimate yet
-        // reads as on target.
-        let measured_ns = elapsed.as_nanos() as f64;
-        let observed = self
-            .cal()
-            .observe(scheme, domain, false, raw_units, measured_ns);
-        let ratio = observed.unwrap_or(1.0);
-        let adaptation = self.optimizer.adapt(Deviation { ratio });
-        match adaptation {
-            Adaptation::Keep | Adaptation::Tune => {}
-            Adaptation::Redecide => {
-                // Re-rank with the learned corrections on the stored inspection.
-                let st = self.state.as_ref().unwrap();
-                let (scheme, raw_units) = self.decide(&st.inspection, domain);
-                let st = self.state.as_mut().unwrap();
-                st.scheme = scheme;
-                st.raw_units = raw_units;
-            }
-            Adaptation::Recharacterize => self.state = None,
+        // 4. Learn from the sample, in the scheme's raw model units, and
+        // judge its residual (against the estimate in force before it)
+        // for drift.
+        let ns = elapsed.as_nanos() as f64;
+        let residual = {
+            let mut cal = self.cal();
+            let raw_units = cal.model.predict(scheme, &st.input);
+            cal.observe(scheme, st.domain, false, raw_units, ns)
+        };
+        // The judgement is the entry's due mark: a step that rechecked a
+        // due entry either displaced it or cleared the mark.
+        let due = fx.marks_due(residual);
+        if due {
+            adaptation = Adaptation::Redecide;
         }
+        let runs = entry.runs + 1;
+        self.state.as_mut().unwrap().entry = Some(Entry { runs, due, ..entry });
         (
             out,
             InvocationLog {
@@ -250,22 +259,13 @@ mod tests {
         let mut ar = AdaptiveReduction::new(1, 4, false);
         let (_, first) = ar.execute(&pat, &body);
         assert!(first.characterized);
-        let mut recharacterizations = 0;
         for _ in 0..5 {
             let (_, log) = ar.execute(&pat, &body);
-            if log.characterized {
-                recharacterizations += 1;
-            }
+            // A clock deviation can only mark the decision due; only a
+            // drifted pattern re-characterizes.
+            assert!(!log.characterized, "stable pattern re-characterized");
             assert!(log.drift < 0.01, "identical pattern has no drift");
         }
-        // The deviation policy may escalate to re-characterization when
-        // wall-clock noise (e.g. co-scheduled test binaries) makes an
-        // execution read >2.5x its prediction, so allow isolated noise
-        // escalations — what must never happen is one per call.
-        assert!(
-            recharacterizations <= 2,
-            "stable pattern must not re-characterize every call"
-        );
         // Each clean execute is one accepted calibration sample.
         assert_eq!(ar.calibrator.lock().unwrap().calibration_updates(), 6);
     }

@@ -269,14 +269,6 @@ impl Calibrator {
             .map_or(0.0, |c| c.confidence())
     }
 
-    /// Whether measured *fused* evidence exists for a scheme in (or near)
-    /// a domain: the fusion gate requires this before trusting a
-    /// corrected fused prediction for schemes outside the analytically
-    /// validated `hash` regime.
-    pub fn fused_evidence(&self, scheme: Scheme, domain: DomainKey) -> bool {
-        self.confidence(scheme, domain, true) >= 0.5
-    }
-
     /// Fold one measured execution in: `predicted_units` is the **raw**
     /// analytic prediction at decision time, `measured_ns` the backend's
     /// cost sample (wall nanoseconds for software, simulated-machine
@@ -358,6 +350,7 @@ impl Calibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toolbox::MEASURED_CONFIDENCE;
     use smartapps_workloads::{Distribution, PatternChars, PatternSpec};
 
     fn domain() -> DomainKey {
@@ -498,11 +491,11 @@ mod tests {
         let fused = cal.estimate_ns(Scheme::Ll, d, true, 100.0).unwrap();
         assert!((split - fused).abs() < 1e-9);
         // But fused evidence is still absent until fused samples arrive.
-        assert!(!cal.fused_evidence(Scheme::Ll, d));
+        assert!(cal.confidence(Scheme::Ll, d, true) < MEASURED_CONFIDENCE);
         for _ in 0..8 {
             cal.observe(Scheme::Ll, d, true, 100.0, 150.0);
         }
-        assert!(cal.fused_evidence(Scheme::Ll, d));
+        assert!(cal.confidence(Scheme::Ll, d, true) >= MEASURED_CONFIDENCE);
         let fused = cal.estimate_ns(Scheme::Ll, d, true, 100.0).unwrap();
         assert!(fused < split, "fused samples must refine the prior");
     }
@@ -541,7 +534,7 @@ mod tests {
             (fresh.correction(Scheme::Sel, d, true) - cal.correction(Scheme::Sel, d, true)).abs()
                 < 1e-12
         );
-        assert!(fresh.fused_evidence(Scheme::Sel, d));
+        assert!(fresh.confidence(Scheme::Sel, d, true) >= MEASURED_CONFIDENCE);
         // Seeding with fewer samples never clobbers a warmer estimate.
         let warm = fresh.correction(Scheme::Sel, d, false);
         fresh.seed(

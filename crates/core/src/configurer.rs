@@ -14,14 +14,15 @@
 //!   `ConfigHardware()` call of Figure 5 talks to.
 //!
 //! A configurer is deliberately dumb: it applies a [`SystemConfig`] the
-//! Optimizer computed and reports what changed.  Policy lives in the
-//! Optimizer; mechanism lives here.
+//! application chose (for example by trying candidate configurations on
+//! its own loop and keeping the fastest) and reports what changed.
+//! Policy lives with the caller; mechanism lives here.
 
 use serde::{Deserialize, Serialize};
 use smartapps_sim::directory::PlacementPolicy;
 use smartapps_sim::{ControllerKind, MachineConfig};
 
-/// A target system configuration, as computed by the Optimizer.
+/// A target system configuration, as chosen by the application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     /// Worker threads the run-time library should use.

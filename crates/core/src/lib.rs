@@ -16,9 +16,10 @@
 //! * [`adaptive`] — the run-time feedback loop for reduction loops:
 //!   inspect → decide → execute → monitor → adapt, deciding from and
 //!   learning into a [`Calibrator`];
-//! * [`toolbox`] — the ToolBox: functioning domains, the evaluator and
-//!   the deviation-to-adaptation policy (small adaption = tuning, large
-//!   adaption = phase change);
+//! * [`toolbox`] — the ToolBox: functioning domains and the one
+//!   adaptation policy, [`toolbox::step`], that the runtime's dispatcher
+//!   and [`adaptive`] both call (keep, explore, recheck, fuse; a
+//!   drift-suspect sample re-decides, a phase change re-characterizes);
 //! * [`calibrate`] — the one learner: per-`(Scheme, DomainKey)` EWMA
 //!   corrections with confidence weighting that ground the analytic model
 //!   in measured cost samples (see `docs/MODEL.md`);
@@ -73,4 +74,4 @@ pub use monitor::PhaseDetector;
 pub use multiversion::{CompiledReduction, Inputs};
 pub use provenance::{CandidateCost, DecisionRecord, FeatureVector, GateVerdict};
 pub use recognize::{distribute_by_operator, recognize, LoopNest, Recognition, ReductionInfo};
-pub use toolbox::{Adaptation, Deviation, DomainKey, Optimizer};
+pub use toolbox::{Adaptation, DomainKey};

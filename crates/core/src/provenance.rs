@@ -26,7 +26,7 @@ use smartapps_reductions::{ModelInput, Scheme};
 
 /// The model inputs a decision was made from, flattened out of
 /// [`ModelInput`] (and its embedded `PatternChars`) into plain numbers.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FeatureVector {
     /// Total reduction references in the pattern.
     pub references: usize,
@@ -86,6 +86,12 @@ pub struct CandidateCost {
     /// feasibility declaration, `pclr`/`simd` need their backend and
     /// admission checks to pass).
     pub feasible: bool,
+    /// Calibration confidence behind `corrected`, what the adaptation
+    /// policy counts as measured evidence: the class level in the
+    /// table's domain for a single-job table (a scheme measured only in
+    /// other domains has none here), the fused side at the class level
+    /// or else the scheme's for a fused one.
+    pub confidence: f64,
 }
 
 /// What one dispatcher gate decided for the job.
@@ -172,6 +178,15 @@ pub struct DecisionRecord {
     pub flips: u64,
 }
 
+impl DecisionRecord {
+    /// The corrected cost of the first (so cheapest: rows are in ranked
+    /// order) candidate that `pick` accepts; infinite for none.
+    pub fn cheapest(&self, pick: impl Fn(&CandidateCost) -> bool) -> f64 {
+        let row = self.candidates.iter().find(|c| pick(c));
+        row.map_or(f64::INFINITY, |c| c.corrected)
+    }
+}
+
 impl Calibrator {
     /// Emit the decision record for one ranking: the feature vector and
     /// the full candidate table (analytic prior vs corrected cost, all
@@ -185,11 +200,16 @@ impl Calibrator {
             .chain([Scheme::Pclr, Scheme::Simd])
             .map(|scheme| {
                 let (analytic, corrected) = self.price(scheme, input, domain);
+                let confidence = match input.fanout > 1 {
+                    true => self.confidence(scheme, domain, true),
+                    false => self.class_confidence(scheme, domain, false),
+                };
                 CandidateCost {
                     scheme,
                     analytic,
                     corrected,
                     feasible: corrected.is_finite(),
+                    confidence,
                 }
             })
             .collect();
@@ -218,6 +238,7 @@ impl Calibrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::toolbox::MEASURED_CONFIDENCE;
     use smartapps_reductions::DecisionModel;
     use smartapps_workloads::{Distribution, PatternChars, PatternSpec};
 
@@ -310,5 +331,38 @@ mod tests {
         assert!(row(winner).corrected > row(winner).analytic);
         assert!(row(runner_up).corrected < row(runner_up).analytic);
         assert_ne!(rec.winner, winner, "measured evidence must flip the table");
+    }
+
+    #[test]
+    fn candidate_confidence_is_class_level_split_and_any_level_fused() {
+        // A scheme measured only in another functioning domain has no
+        // class-level evidence in this one (it may not displace or skip
+        // exploration here); the fused side counts its samples from any
+        // domain.
+        let mut cal = Calibrator::new(DecisionModel::default());
+        let (input, here) = input(false, false);
+        let elsewhere = DomainKey {
+            dim_bucket: here.dim_bucket + 1,
+            ..here
+        };
+        let ll = |cal: &Calibrator, fanout| {
+            let rec = cal.explain(&input.clone().with_fanout(fanout), here);
+            rec.candidates
+                .iter()
+                .find(|c| c.scheme == Scheme::Ll)
+                .unwrap()
+                .confidence
+        };
+        for fused in [false, true] {
+            for _ in 0..8 {
+                cal.observe(Scheme::Ll, elsewhere, fused, 100.0, 300.0);
+            }
+        }
+        assert_eq!(ll(&cal, 1), 0.0);
+        assert!(ll(&cal, 4) >= MEASURED_CONFIDENCE);
+        for _ in 0..8 {
+            cal.observe(Scheme::Ll, here, false, 100.0, 300.0);
+        }
+        assert!(ll(&cal, 1) >= MEASURED_CONFIDENCE);
     }
 }

@@ -612,6 +612,31 @@ mod tests {
     }
 
     #[test]
+    fn dense_groups_do_not_price_hash_first_at_fanout() {
+        // Dense cache-resident classes lose by fusing (K-fold private
+        // footprints): the runtime's dense fixtures, inspected and priced
+        // at K = 6, rank another scheme over `hash`, so the fusion gate
+        // has no trusted pick and, without fused evidence, declines them.
+        for seed in [63, 83] {
+            let pat = PatternSpec {
+                num_elements: 1500,
+                iterations: 3000,
+                refs_per_iter: 2,
+                coverage: 0.8,
+                dist: Distribution::Uniform,
+                seed,
+            }
+            .generate();
+            for threads in [2, 4] {
+                let insp = crate::Inspector::analyze(&pat, threads);
+                let fused = ModelInput::from_inspection(&insp, false).with_fanout(6);
+                let best = DecisionModel::default().decide(&fused).best();
+                assert_ne!(best, Scheme::Hash, "seed {seed} width {threads}");
+            }
+        }
+    }
+
+    #[test]
     fn pclr_joins_the_ranking_only_when_available() {
         let c = chars_for(50_000, 100_000, 2, 0.3);
         let m = DecisionModel::default();

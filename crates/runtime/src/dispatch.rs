@@ -14,7 +14,7 @@ use crate::queue::QueuedJob;
 use crate::runtime::Shared;
 use crate::stats::RuntimeStats;
 use crate::telemetry::{domain_label, scheme_code};
-use smartapps_core::toolbox::DomainKey;
+use smartapps_core::toolbox::{self, Ask, DomainKey, Effects, Entry, View};
 use smartapps_core::{CandidateCost, DecisionRecord, GateVerdict};
 use smartapps_reductions::{
     probe_uniform, recognize, run_fused_with, run_scan_group, CostGuard, DecisionModel, FusedBody,
@@ -24,23 +24,6 @@ use smartapps_telemetry::{TraceBackend, TraceError, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The calibrator's residual (measured over its pre-sample estimate)
-/// beyond which a judged profile hit is suspect of drift (a phase
-/// change): it marks the entry due, and the class's next decision
-/// rechecks it.  Only a recheck that displaces the entry evicts it, so a
-/// lone outlier costs one pricing, never an entry.
-const DRIFT_EVICT_RATIO: f64 = 4.0;
-
-/// Profile hits of entries with at least this many runs are judged: they
-/// learn (paying the allocation's inspection if nothing filled it yet)
-/// and their residual is checked for drift.
-pub(crate) const DRIFT_MIN_RUNS: u64 = 3;
-
-/// Hysteresis of the calibration recheck: a profiled scheme is displaced
-/// only when the corrected challenger undercuts it by at least this
-/// factor, so photo-finish classes do not flip-flop between rechecks.
-const RECHECK_MARGIN: f64 = 0.85;
 
 pub(crate) fn dispatcher_loop(shared: &Shared, id: usize) {
     while let Some(pop) = shared.queue.pop_batch_for(id, shared.max_batch) {
@@ -210,11 +193,9 @@ fn empty_output(body: &JobBody) -> JobOutput {
 pub(crate) struct BatchCtx {
     sig: PatternSignature,
     batched_with: usize,
-    /// The class's profile entry when the batch's single-job scheme came
-    /// from it (a profile hit neither explored nor displaced): what
-    /// members report as `profile_hit`, and whether their samples are
-    /// judged for drift.
-    profiled: Option<ProfileEntry>,
+    /// The class's profile entry at pop, as the adaptation policy reads
+    /// it.
+    entry: Option<Entry>,
     /// When the dispatcher popped this batch and when its single-job
     /// decision landed — the `queued`/`decided` timestamps of every
     /// member's trace event (`decided_at` is the pop instant until the
@@ -224,13 +205,15 @@ pub(crate) struct BatchCtx {
     /// Once one job of the batch evicts a dead entry, no later batch-mate
     /// may resurrect it and the logical eviction is counted once.
     evicted_this_batch: bool,
-    /// The batch's single-job decision: its scheme, whether that is an
-    /// exploration pick (feed the calibrator, never the profile store),
-    /// its priced record until a job commits it ([`commit`]), and
-    /// the record every job running it carries.
+    /// The batch's single-job decision: its scheme, the policy's effects
+    /// (whether the scheme is the entry's, kept — what members report as
+    /// `profile_hit`; an exploration pick feeds the calibrator, never the
+    /// profile store; a judged hit's samples are checked for drift), its
+    /// priced record until a job commits it ([`commit`]), and the record
+    /// every job running it carries.
     scheme: Scheme,
-    explored: bool,
-    single: Option<Decision>,
+    effects: Effects,
+    single: Option<(Scheme, Option<DecisionRecord>)>,
     record: Option<Arc<DecisionRecord>>,
     /// The cheapest software split (K = 1) cost of the class, once the
     /// batch priced it: the fusion gate's "fused < K × split" test reads
@@ -252,12 +235,12 @@ pub(crate) struct BatchCtx {
     pending: PendingDeliveries,
 }
 
-/// What one [`decide`] chose: the scheme its jobs run and, unless a
-/// profile hit kept the stored scheme without pricing anything, the
-/// record of the choice (candidate table, features at the decision's
-/// fanout, `winner`, `explored`, `rechecked`) that [`publish`] completes
-/// once the jobs run it.
-type Decision = (Scheme, Option<DecisionRecord>);
+/// What one [`decide`] chose: the scheme its jobs run; unless a profile
+/// hit kept the stored scheme without pricing anything, the record of the
+/// choice (candidate table, features at the decision's fanout, `winner`,
+/// `explored`, `rechecked`) that [`publish`] completes once the jobs run
+/// it; and the policy's effects.
+type Decision = (Scheme, Option<DecisionRecord>, Effects);
 
 /// Whether this tick of a `1 / every` cadence is due (`0` never is).
 fn due(ticks: &AtomicU64, every: usize) -> bool {
@@ -282,48 +265,22 @@ fn price(shared: &Shared, job: &QueuedJob, k: usize, mask: Option<Scheme>) -> De
         .explain(&input, DomainKey::of(&insp.chars))
 }
 
-/// The corrected cost of the first (so cheapest: rows are in ranked
-/// order) row of a priced table that `pick` accepts; infinite for none.
-fn cheapest(record: &DecisionRecord, pick: impl Fn(&CandidateCost) -> bool) -> f64 {
-    let row = record.candidates.iter().find(|c| pick(c));
-    row.map_or(f64::INFINITY, |c| c.corrected)
-}
-
 /// The one scheme decision of the dispatcher, over (class, fanout `k`,
-/// feasibility `mask`), for the jobs `lead` leads.  A decision prices the
-/// candidates once ([`Calibrator::explain`](smartapps_core::Calibrator::explain))
-/// and every choice below reads that table.
-///
-/// * **K = 1, no mask** — the batch's single-job decision, made once per
-///   batch at pop.  A profile hit runs the stored scheme with no
-///   inspection and no pricing; a miss pays one inspection and takes the
-///   (corrected) table's best.  Two calibration-driven detours, both off
-///   by default ([`CalibrationConfig`](crate::CalibrationConfig)):
-///   **exploration** — every `explore_every`-th batch picks the
-///   best-ranked feasible software scheme that still lacks measured
-///   evidence in this functioning domain (never the scheme that would run
-///   anyway), so corrections get the cross-scheme samples they need; and
-///   **recheck** — every `recheck_every`-th profile hit re-ranks, and a
-///   scheme measured in the class's functioning domain that beats the
-///   stored one by `RECHECK_MARGIN` displaces it (the paper's
-///   "Redecide", driven by calibration).  An entry a drift-suspect sample marked due
-///   (`DRIFT_EVICT_RATIO`) is rechecked the same way on its next hit,
-///   whatever the cadence.  The pick is counted and acted on only when a
-///   job runs it ([`commit`]).
-/// * **K ≥ 2** — the calibrated fusion gate.  A group of K same-pattern
-///   jobs fuses when the fanout-K table picks `hash` (analytically
-///   validated: one slot lookup feeds all K outputs), **or** when it
-///   picks another software scheme *and* measured fused-side evidence
-///   backs it *and* the fused cost beats K split traversals (priced by
-///   the batch when it can be, else here).  Declined groups occasionally
-///   run fused anyway as probes (`CalibrationConfig::probe_fused_every`)
-///   so the fused side of the `ll`/`rep` regimes can be measured at all.
-///   `None` when declined; the verdict lands in `ctx.fusion` either way
-///   (`docs/OBSERVABILITY.md` lists the reason vocabulary).
-/// * **A mask** — a job that cannot run the batch's single-job scheme
-///   (owner-computes where it is illegal, the hardware scheme with the
-///   backend disabled or the job over its admission cap) re-decides with
-///   that scheme infeasible.
+/// feasibility `mask`), for the jobs `lead` leads: one
+/// [`toolbox::step`] of the adaptation policy, with the view gathered
+/// here — the batch's profile entry, the cadences of
+/// [`CalibrationConfig`](crate::CalibrationConfig), the batch's split
+/// estimate — and each input the step asks for answered here.  A profile
+/// hit with nothing due prices nothing; a decision that prices does so
+/// once ([`price`]).  K = 1 with no mask is the batch's single-job
+/// decision, made once per batch at pop (a recheck displaces the entry
+/// only past [`toolbox::RECHECK_MARGIN`]); the pick is counted and acted
+/// on only when a job runs it ([`commit`]).  K ≥ 2 is the fusion gate:
+/// `None` when it declines, its verdict in `ctx.fusion` either way
+/// (`docs/OBSERVABILITY.md` lists the reason vocabulary).  A mask
+/// re-decides a job that cannot run the batch's scheme (owner-computes
+/// where it is illegal, the hardware scheme with the backend disabled or
+/// the job over its admission cap).
 fn decide(
     shared: &Shared,
     ctx: &mut BatchCtx,
@@ -331,75 +288,45 @@ fn decide(
     k: usize,
     mask: Option<Scheme>,
 ) -> Option<Decision> {
-    let single = k == 1 && mask.is_none();
-    let profiled = ctx.profiled.as_ref().filter(|_| single);
-    let explore_now = single && due(&shared.explore_ticks, shared.explore_every);
-    // Recheck cadence is per-entry (keyed on its recorded-run count):
-    // interleaved classes recheck independently instead of aliasing
-    // against a global counter.
-    let cadence =
-        |runs: u64| shared.recheck_every > 0 && runs.is_multiple_of(shared.recheck_every as u64);
-    let recheck_now = profiled.is_some_and(|e| e.due || cadence(e.runs));
-    if let Some(e) = profiled.filter(|_| !explore_now && !recheck_now) {
-        return Some((e.scheme, None));
-    }
-    let mut record = price(shared, lead, k, mask);
-    let domain = record.domain;
-    if single {
-        let cal = shared.calibrator();
-        ctx.split = Some(cheapest(&record, |c| c.scheme.is_software()));
-        let best = record.winner;
-        let would_run = profiled.map_or(best, |e| e.scheme);
-        // Class-level confidence is what counts as measured here: a scheme
-        // measured in *other* domains still lacks samples here, and
-        // corrections do not transfer across domains without them.  The
-        // exploration slot targets a scheme without it; a recheck is
-        // displaced only by a challenger with it.
-        let measured_here = |s: Scheme| cal.class_confidence(s, domain, false) >= 0.5;
-        let target = record.candidates.iter().find(|c| {
-            explore_now
-                && c.feasible
-                && c.scheme.is_software()
-                && c.scheme != would_run
-                && !measured_here(c.scheme)
-        });
-        record.explored = target.is_some();
-        record.rechecked = !record.explored
-            && recheck_now
-            && best != would_run
-            && measured_here(best)
-            && cheapest(&record, |c| c.scheme == best)
-                < RECHECK_MARGIN * cheapest(&record, |c| c.scheme == would_run);
-        let kept = if record.rechecked { best } else { would_run };
-        record.winner = target.map_or(kept, |c| c.scheme);
-    } else if k > 1 {
-        let software = |c: &&CandidateCost| c.feasible && c.scheme.is_software();
-        let Some(&best) = record.candidates.iter().find(software) else {
-            ctx.fusion = GateVerdict::declined("no-feasible-scheme");
-            return None;
-        };
-        record.winner = best.scheme;
-        let trusted = best.scheme == Scheme::Hash;
-        let evidenced = !trusted && shared.calibrator().fused_evidence(best.scheme, domain);
-        let measured = evidenced && {
-            let split = ctx.split.get_or_insert_with(|| {
-                cheapest(&price(shared, lead, 1, None), |c| c.scheme.is_software())
-            });
-            best.corrected < k as f64 * *split
-        };
-        let probe = !trusted && !measured && due(&shared.declined_fuses, shared.probe_fused_every);
-        RuntimeStats::add(&shared.stats.fuse_probes, probe as u64);
-        ctx.fusion = match (trusted, measured, probe) {
-            (true, ..) => GateVerdict::fired("hash-trusted"),
-            (_, true, _) => GateVerdict::fired("measured-evidence"),
-            (.., true) => GateVerdict::fired("probe"),
-            _ => GateVerdict::declined("no-fused-evidence"),
-        };
-        if !ctx.fusion.fired {
-            return None;
+    // The split cost (K = 1) the fusion gate's "fused < K × split" test
+    // reads: the cheapest software row of a single-job table.
+    let software = |c: &CandidateCost| c.scheme.is_software();
+    let mut view = View {
+        k,
+        mask,
+        entry: ctx.entry,
+        explore_due: k == 1 && mask.is_none() && due(&shared.explore_ticks, shared.explore_every),
+        recheck_every: shared.recheck_every,
+        ..View::default()
+    };
+    let mut table = None;
+    let (scheme, effects) = loop {
+        match toolbox::step(&view, table.as_ref()) {
+            Ok(done) => break done,
+            Err(Ask::Table) => table = Some(price(shared, lead, k, mask)),
+            Err(Ask::Split) => {
+                let split = || price(shared, lead, 1, None).cheapest(software);
+                view.split = Some(*ctx.split.get_or_insert_with(split));
+            }
+            Err(Ask::Probe) => {
+                view.probe_due = Some(due(&shared.declined_fuses, shared.probe_fused_every));
+            }
         }
+    };
+    if k > 1 {
+        RuntimeStats::add(&shared.stats.fuse_probes, effects.probe as u64);
+        ctx.fusion = effects.fusion;
+    } else if mask.is_none() {
+        ctx.split = table.as_ref().map(|t| t.cheapest(software)).or(ctx.split);
     }
-    Some((record.winner, Some(record)))
+    let scheme = scheme?;
+    let record = table.map(|mut record| {
+        record.winner = scheme;
+        record.explored = effects.explored;
+        record.rechecked = effects.evict;
+        record
+    });
+    Some((scheme, record, effects))
 }
 
 /// Publish a decision's record, completed with the verdicts of the gates
@@ -440,11 +367,11 @@ fn commit(shared: &Shared, ctx: &mut BatchCtx, job: &QueuedJob) -> Option<Arc<De
             Some(record)
         });
         if let Some(record) = priced {
-            RuntimeStats::add(&shared.stats.explored, record.explored as u64);
-            if record.rechecked {
+            RuntimeStats::add(&shared.stats.explored, ctx.effects.explored as u64);
+            if ctx.effects.evict {
                 shared.profile().evict(ctx.sig);
                 RuntimeStats::add(&shared.stats.evictions, 1);
-            } else if ctx.profiled.as_ref().is_some_and(|e| e.due) {
+            } else if ctx.effects.clear_due {
                 shared.profile().set_due(ctx.sig, false);
             }
             ctx.record = Some(publish(shared, ctx, record));
@@ -759,12 +686,12 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
     let mut ctx = BatchCtx {
         sig,
         batched_with: batch.len() - 1,
-        profiled: None,
+        entry: None,
         dequeued_at,
         decided_at: dequeued_at,
         evicted_this_batch: false,
         scheme: Scheme::Seq,
-        explored: false,
+        effects: Effects::default(),
         single: None,
         record: None,
         split: None,
@@ -784,8 +711,8 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
         return;
     }
 
-    ctx.profiled = shared.profile().get(sig).cloned();
-    RuntimeStats::add(&shared.stats.profile_hits, ctx.profiled.is_some() as u64);
+    ctx.entry = shared.profile().get(sig).map(ProfileEntry::policy);
+    RuntimeStats::add(&shared.stats.profile_hits, ctx.entry.is_some() as u64);
     let groups = fuse_groups(batch, shared.max_fuse);
 
     // The batch's single-job decision, from the calibrator's state at pop.
@@ -793,7 +720,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
     // fenced just like execution below.
     let decision = fenced(|| decide(shared, &mut ctx, &groups[0][0], 1, None));
     ctx.decided_at = Instant::now();
-    let Ok(Some((scheme, priced))) = decision else {
+    let Ok(Some((scheme, priced, effects))) = decision else {
         // The whole batch shares the poisoned decision input; fail it
         // (one poisoned decision = one strike against the class).
         shared.note_panic(sig);
@@ -805,12 +732,10 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
     // The decision latency belongs to the scheme it picked.
     let decide_ns = (ctx.decided_at - dequeued_at).as_nanos() as u64;
     shared.telemetry.record_decide(scheme, decide_ns);
-    // An exploration pick or a recheck did not come from the store, so
-    // neither may report `profile_hit` to clients or be measured against
-    // the entry.
-    ctx.explored = priced.as_ref().is_some_and(|r| r.explored);
-    let from_store = !priced.as_ref().is_some_and(|r| r.explored || r.rechecked);
-    ctx.profiled = ctx.profiled.take().filter(|_| from_store);
+    // An exploration pick or a recheck did not come from the store
+    // (`effects.kept` is off), so neither may report `profile_hit` to
+    // clients or be measured against the entry.
+    ctx.effects = effects;
     ctx.scheme = scheme;
     ctx.single = Some((scheme, priced));
     for group in groups {
@@ -827,7 +752,7 @@ fn process_batch(shared: &Shared, batch: Vec<QueuedJob>) {
         if group.len() > 1 {
             match fenced(|| decide(shared, &mut ctx, &group[0], group.len(), None)) {
                 Ok(None) => {}
-                Ok(Some((scheme, Some(record)))) => {
+                Ok(Some((scheme, Some(record), _))) => {
                     let kernel = GroupKernel::Fused(scheme, record);
                     match execute_group(shared, &mut ctx, group, kernel) {
                         Ok(()) => continue,
@@ -875,18 +800,12 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
     // store, so the entry would mask forever.  Evict it — the next batch
     // misses the profile and records an executable scheme.
     let dead_entry = matches!(mask, Some(Scheme::Pclr | Scheme::Simd));
-    if dead_entry && ctx.profiled.is_some() && !ctx.evicted_this_batch {
+    if dead_entry && ctx.effects.kept && !ctx.evicted_this_batch {
         shared.profile().evict(ctx.sig);
         RuntimeStats::add(&shared.stats.evictions, 1);
         ctx.evicted_this_batch = true;
     }
     let mut record = mask.is_none().then(|| commit(shared, ctx, &job)).flatten();
-    // A hit of an established entry is judged for drift, so it must learn:
-    // with no inspection of its allocation in this process (a restart, a
-    // new allocation of a known class) it pays one before its kernel,
-    // which reuses it.
-    let profiled = ctx.profiled.as_ref().filter(|_| mask.is_none());
-    let judged = profiled.is_some_and(|e| e.runs >= DRIFT_MIN_RUNS);
 
     // A panicking user body (or an inspector tripping over a malformed
     // pattern) becomes the job's error and the service keeps draining; it
@@ -897,11 +816,16 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
         // A re-decide under a feasibility mask is a decision of its own:
         // it publishes a record whose candidate table shows the offending
         // scheme as infeasible.
-        if let Some((picked, priced)) = mask.and_then(|_| decide(shared, ctx, &job, 1, mask)) {
+        if let Some((picked, priced, _)) = mask.and_then(|_| decide(shared, ctx, &job, 1, mask)) {
             record = priced.map(|r| publish(shared, ctx, r));
             scheme = picked;
         }
-        if judged {
+        // A hit of an established entry (at least
+        // `toolbox::DRIFT_MIN_RUNS` runs) is judged for drift, so it must
+        // learn: with no inspection of its allocation in this process (a
+        // restart, a new allocation of a known class) it pays one before
+        // its kernel, which reuses it.
+        if mask.is_none() && ctx.effects.judged {
             facts.inspection(&job.spec.pattern, &shared.stats);
         }
         let req = ExecRequest {
@@ -975,12 +899,13 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
 
         // Feed the profile only from non-substituted, non-exploration
         // executions (an exploration pick is a calibration sample, not
-        // the class's best-known scheme).  A judged hit measuring far over
-        // the calibrator's estimate marks its entry due for a recheck.
-        if mask.is_none() && !ctx.explored && !ctx.evicted_this_batch {
+        // the class's best-known scheme).  A judged hit measuring over
+        // `toolbox::DRIFT_EVICT_RATIO` times the calibrator's estimate
+        // marks its entry due for a recheck.
+        if mask.is_none() && !ctx.effects.explored && !ctx.evicted_this_batch {
             let mut store = shared.profile();
             store.record(ctx.sig, scheme, facts.threads, refs, elapsed);
-            if judged && residual.is_some_and(|r| r > DRIFT_EVICT_RATIO) {
+            if ctx.effects.marks_due(residual) {
                 store.set_due(ctx.sig, true);
             }
         }
@@ -997,7 +922,7 @@ fn execute_single(shared: &Shared, ctx: &mut BatchCtx, job: QueuedJob) {
             sim_cycles,
             // This job's decision came from the store only if it was not
             // re-decided under a feasibility mask.
-            profile_hit: ctx.profiled.is_some() && mask.is_none(),
+            profile_hit: ctx.effects.kept && mask.is_none(),
             error,
             group: 1,
             // Tagged from the backend that actually ran the job, so simd
@@ -1017,7 +942,7 @@ mod tests {
     use crate::registry::tests::unregistered;
     use crate::runtime::tests::{direct_uniform_i64, pattern, sparse_pattern, window_pattern};
     use crate::runtime::{Runtime, RuntimeConfig};
-    use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
+    use smartapps_workloads::pattern::sequential_reduce_i64;
     use smartapps_workloads::{
         contribution, contribution_i64, AccessPattern, Distribution, PatternSpec,
     };
@@ -1252,33 +1177,6 @@ mod tests {
             let r = h.wait();
             assert_eq!(r.output.as_i64().unwrap(), oracle);
             assert_eq!(r.fused_with, 0, "max_fuse 1 must never fuse");
-        }
-        assert_eq!(rt.stats().fused_sweeps, 0);
-    }
-
-    #[test]
-    fn dense_groups_do_not_pass_the_fusion_gate() {
-        // Dense cache-resident classes lose by fusing (K-fold private
-        // footprints); the gate must route them per-job even when the
-        // batch coalesces.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let pat = pattern(63);
-        let handles = rt.submit_batch(
-            (0..6)
-                .map(|_| JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)))
-                .collect(),
-        );
-        let oracle = sequential_reduce_i64(&pat);
-        for h in handles {
-            let r = h.wait();
-            assert_eq!(r.output.as_i64().unwrap(), oracle);
-            assert_eq!(r.fused_with, 0, "dense class must not fuse");
         }
         assert_eq!(rt.stats().fused_sweeps, 0);
     }
@@ -1528,38 +1426,5 @@ mod tests {
             // sweep, which was abandoned without touching the counters.
             assert_eq!(stats.fused_sweeps, 0);
         }
-    }
-
-    #[test]
-    fn dense_f64_groups_decline_fusion_without_fused_evidence() {
-        // The non-hash fused regimes need measured fused-side evidence
-        // before the gate admits them (probes are off by default), so a
-        // coalesced dense f64 group must route per-job with exact
-        // bookkeeping and per-member answers.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            max_batch: 32,
-            max_fuse: 8,
-            ..RuntimeConfig::default()
-        });
-        let pat = pattern(83);
-        let handles = rt.submit_batch(
-            (0..6)
-                .map(|_| JobSpec::f64(pat.clone(), |_i, r| contribution(r)))
-                .collect(),
-        );
-        let oracle = sequential_reduce(&pat);
-        for h in handles {
-            let r = h.wait();
-            assert!(r.error.is_none());
-            assert_eq!(r.fused_with, 0, "dense f64 class must not fuse");
-            for (a, b) in oracle.iter().zip(r.output.as_f64().unwrap()) {
-                assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0));
-            }
-        }
-        let stats = rt.stats();
-        assert_eq!(stats.fused_sweeps, 0);
-        assert_eq!(stats.fused_jobs, 0);
     }
 }

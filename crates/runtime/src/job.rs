@@ -297,10 +297,15 @@ impl PatternSignature {
     /// with the SPMD width the job will run at — schemes and calibrations
     /// measured at different widths must never share a profile entry.
     ///
-    /// This walks the sampled prefix (a truncated copy, a
-    /// `num_elements`-sized histogram, a sort per row), so the runtime
-    /// calls it once per pattern allocation and width and memoizes the
-    /// result; the memoized value is always the one this returns.
+    /// This copies the sampled prefix
+    /// ([`truncate_iterations`](AccessPattern::truncate_iterations): two
+    /// `to_vec`s), numbers its touched set with
+    /// [`LocalIndex::of`](smartapps_workloads::LocalIndex::of) (a
+    /// zero-initialized slot map of `num_elements` entries) and
+    /// characterizes it in one walk of the slot stream
+    /// ([`PatternChars::derive`], no sort), so the runtime calls it once
+    /// per pattern allocation and width and memoizes the result; the
+    /// memoized value is always the one this returns.
     pub fn of(pat: &AccessPattern, sample_iters: usize, threads: usize) -> Self {
         let chars = PatternChars::measure(&pat.truncate_iterations(sample_iters));
         let key = DomainKey::of(&chars);

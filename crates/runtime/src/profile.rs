@@ -42,7 +42,7 @@
 
 use crate::job::PatternSignature;
 use smartapps_core::calibrate::{CorrLevel, Correction};
-use smartapps_core::toolbox::DomainKey;
+use smartapps_core::toolbox::{DomainKey, Entry};
 use smartapps_reductions::Scheme;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -68,6 +68,17 @@ pub struct ProfileEntry {
     /// the next decision of the class rechecks the entry (transient —
     /// never persisted).
     pub(crate) due: bool,
+}
+
+impl ProfileEntry {
+    /// The adaptation policy's view of the entry.
+    pub(crate) fn policy(&self) -> Entry {
+        Entry {
+            scheme: self.scheme,
+            runs: self.runs,
+            due: self.due,
+        }
+    }
 }
 
 /// A serializable signature → [`ProfileEntry`] map, plus the calibration

@@ -834,12 +834,12 @@ impl Drop for Runtime {
 pub(crate) mod tests {
     use super::*;
     use crate::completion::Completion;
-    use crate::dispatch::DRIFT_MIN_RUNS;
     use crate::error::JobErrorKind;
     use crate::profile::ProfileEntry;
     use crate::registry::tests::unregistered;
-    use smartapps_core::{CandidateCost, GateVerdict};
-    use smartapps_reductions::{Inspector, ModelInput};
+    use smartapps_core::toolbox::DRIFT_MIN_RUNS;
+    use smartapps_core::GateVerdict;
+    use smartapps_reductions::Inspector;
     use smartapps_workloads::pattern::{sequential_reduce, sequential_reduce_i64};
     use smartapps_workloads::{contribution, contribution_i64, Distribution, PatternSpec};
     use std::time::Duration;
@@ -1173,8 +1173,11 @@ pub(crate) mod tests {
         rt.profile_snapshot().get(sig).cloned().unwrap()
     }
 
+    /// The service's half of the drift policy (the decisions themselves
+    /// are `smartapps_core::toolbox`'s step tables): what a due mark, a
+    /// recheck and a displacement price, publish, evict and count.
     #[test]
-    fn one_drift_suspect_sample_prices_one_recheck_and_evicts_nothing() {
+    fn a_drift_recheck_prices_once_and_a_displacing_one_evicts_once() {
         let (rt, costs) = scripted(CalibrationConfig::default(), None);
         let pat = pattern(41);
         let sig = rt.signature_of(&pat);
@@ -1184,80 +1187,48 @@ pub(crate) mod tests {
         }
         let before = rt.explain(sig).unwrap();
         // A rival that looks far cheaper, measured in another functioning
-        // domain only: no evidence here, so no recheck may act on it.
+        // domain only: no evidence here.
         let rival = rival_of(&before, stored);
         let elsewhere = DomainKey {
             dim_bucket: before.domain.dim_bucket + 1,
             ..before.domain
         };
         observe(&rt, &before, elsewhere, rival, 1_000.0, 8);
-        // One sample at 5x the calibrator's estimate: suspect, so the
-        // entry is due, and nothing is evicted.
-        costs
-            .lock()
-            .unwrap()
-            .insert(stored, Duration::from_micros(500));
+        // One sample at 5x the calibrator's estimate marks the entry due
+        // and prices nothing.
+        let set = |s: Scheme, us: u64| costs.lock().unwrap().insert(s, Duration::from_micros(us));
+        set(stored, 500);
         assert!(run_one(&rt, &pat).profile_hit);
         assert!(entry(&rt, sig).due, "a 5x residual marks the entry due");
         assert!(Arc::ptr_eq(&rt.explain(sig).unwrap(), &before));
-        costs.lock().unwrap().clear();
-        // The next hit rechecks: one pricing, published once.  The rival
-        // ranks first but has no evidence in this domain, so the entry
-        // stays and is no longer due.
+        set(stored, 100);
+        // The next hit rechecks: one pricing, published once; the entry
+        // stays, serves the hit and is no longer due.
         let r = run_one(&rt, &pat);
-        assert!(r.profile_hit, "a kept entry still serves the hit");
-        assert_eq!(r.scheme, stored);
+        assert!(r.profile_hit && r.scheme == stored, "{r:?}");
         let rechecked = rt.explain(sig).unwrap();
         assert!(!Arc::ptr_eq(&rechecked, &before), "the recheck priced");
-        assert_eq!(rechecked.candidates[0].scheme, rival, "{rechecked:?}");
-        assert!(!rechecked.rechecked, "{rechecked:?}");
-        assert!(!entry(&rt, sig).due);
+        assert_eq!(rechecked.candidates[0].scheme, rival, "it ranks first");
+        assert!(!rechecked.rechecked && !entry(&rt, sig).due);
         for _ in 0..3 {
             assert_eq!(run_one(&rt, &pat).scheme, stored);
         }
-        assert!(
-            Arc::ptr_eq(&rt.explain(sig).unwrap(), &rechecked),
-            "priced once"
-        );
+        let priced_once = Arc::ptr_eq(&rt.explain(sig).unwrap(), &rechecked);
+        assert!(priced_once, "priced once");
         let stats = rt.stats();
-        assert_eq!(stats.evictions, 0, "one outlier is noise, not drift");
-        assert_eq!(stats.inspections, 1);
-        assert_eq!(rt.explain(sig).unwrap().flips, 0);
-    }
-
-    #[test]
-    fn a_rival_with_evidence_past_the_margin_displaces_a_drifted_entry_once() {
-        let (rt, costs) = scripted(CalibrationConfig::default(), None);
-        let pat = pattern(43);
-        let sig = rt.signature_of(&pat);
-        let stored = run_one(&rt, &pat).scheme;
-        let rec = rt.explain(sig).unwrap();
-        let rival = rival_of(&rec, stored);
-        // The rival measured at a tenth of the stored scheme's cost, with
-        // evidence (eight samples in the class's domain).
-        observe(&rt, &rec, rec.domain, rival, 10_000.0, 8);
-        costs
-            .lock()
-            .unwrap()
-            .insert(rival, Duration::from_micros(10));
-        for _ in 0..DRIFT_MIN_RUNS {
-            assert_eq!(run_one(&rt, &pat).scheme, stored, "no recheck is due");
-        }
-        assert_eq!(rt.stats().evictions, 0);
-        costs
-            .lock()
-            .unwrap()
-            .insert(stored, Duration::from_millis(5));
+        assert_eq!((stats.evictions, stats.inspections), (0, 1), "no drift");
+        // The rival measured here at a tenth of the cost: the next drift
+        // recheck displaces the entry, evicted once, and the batch runs
+        // and records the rival (not from the store).
+        observe(&rt, &before, before.domain, rival, 10_000.0, 8);
+        set(rival, 10);
+        set(stored, 5_000);
         assert_eq!(run_one(&rt, &pat).scheme, stored);
         assert!(entry(&rt, sig).due);
-        // The recheck displaces the entry: evicted once, and the batch
-        // runs and records the rival (not from the store).
         let r = run_one(&rt, &pat);
-        assert_eq!(r.scheme, rival);
-        assert!(!r.profile_hit, "a displaced entry does not serve the hit");
-        let rechecked = rt.explain(sig).unwrap();
-        assert!(rechecked.rechecked && rechecked.winner == rival);
-        assert_eq!(rt.stats().evictions, 1);
+        assert!(r.scheme == rival && !r.profile_hit, "{r:?}");
+        let displaced = rt.explain(sig).unwrap();
+        assert!(displaced.rechecked && displaced.winner == rival);
         let e = entry(&rt, sig);
         assert_eq!((e.scheme, e.runs, e.due), (rival, 1, false));
         // The rival's entry holds: judged hits on target, no more flips.
@@ -1267,70 +1238,6 @@ pub(crate) mod tests {
         }
         assert_eq!(rt.stats().evictions, 1, "evicted exactly once");
         assert_eq!(rt.explain(sig).unwrap().flips, 1, "switched exactly once");
-    }
-
-    #[test]
-    fn schemes_alternating_inside_the_recheck_margin_never_flip() {
-        // Every hit rechecks (cadence 1), and the two schemes take turns,
-        // six rounds at a time, at being 10% cheaper: each turn moves the
-        // corrected ranking, never by the margin.
-        let calibration = CalibrationConfig {
-            recheck_every: 1,
-            ..Default::default()
-        };
-        let (rt, costs) = scripted(calibration, None);
-        let pat = pattern(47);
-        let sig = rt.signature_of(&pat);
-        let stored = run_one(&rt, &pat).scheme;
-        let rec = rt.explain(sig).unwrap();
-        let analytic = |s: Scheme| {
-            rec.candidates
-                .iter()
-                .find(|c| c.scheme == s)
-                .unwrap()
-                .analytic
-        };
-        let rival = rec
-            .candidates
-            .iter()
-            .filter(|c| c.feasible && c.scheme.is_software() && c.scheme != stored)
-            .min_by(|a, b| {
-                let gap = |c: &CandidateCost| (c.analytic / analytic(stored)).ln().abs();
-                gap(a).total_cmp(&gap(b))
-            })
-            .unwrap()
-            .scheme;
-        observe(&rt, &rec, rec.domain, rival, 100_000.0, 8);
-        let (mut rival_won, mut stored_won) = (0, 0);
-        for round in 0..24 {
-            let (mine, theirs) = if round / 6 % 2 == 0 {
-                (100, 90)
-            } else {
-                (90, 100)
-            };
-            costs
-                .lock()
-                .unwrap()
-                .insert(stored, Duration::from_micros(mine));
-            observe(&rt, &rec, rec.domain, rival, theirs as f64 * 1e3, 1);
-            let r = run_one(&rt, &pat);
-            assert_eq!(r.scheme, stored, "round {round}");
-            let priced = rt.explain(sig).unwrap();
-            let corrected = |s: Scheme| {
-                let row = priced.candidates.iter().find(|c| c.scheme == s).unwrap();
-                row.corrected
-            };
-            let ratio = corrected(rival) / corrected(stored);
-            assert!(ratio > 0.85, "round {round}: {ratio} is past the margin");
-            rival_won += (ratio < 1.0) as u32;
-            stored_won += (ratio > 1.0) as u32;
-        }
-        assert!(
-            rival_won > 0 && stored_won > 0,
-            "{rival_won} / {stored_won}"
-        );
-        assert_eq!(rt.stats().evictions, 0);
-        assert_eq!(rt.explain(sig).unwrap().flips, 0);
     }
 
     #[test]
@@ -1919,38 +1826,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn exploration_executes_the_runner_up_and_skips_the_profile() {
+    fn an_explored_batch_feeds_neither_the_profile_nor_a_hit() {
+        // Batch 1 decides and records the class; batch 2 takes the
+        // exploration slot (which scheme it picks is the step's).
         let rt = Runtime::new(RuntimeConfig {
             workers: 2,
             dispatchers: 1,
             calibration: CalibrationConfig {
-                explore_every: 1, // every batch explores
-                ..CalibrationConfig::default()
-            },
-            ..RuntimeConfig::default()
-        });
-        let pat = pattern(85);
-        let insp = Inspector::analyze(&pat, 2);
-        let input = ModelInput::from_inspection(&insp, false);
-        let analytic_best = DecisionModel::default().decide(&input).best();
-        let r = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
-        assert!(r.error.is_none());
-        assert_ne!(r.scheme, analytic_best, "explored run takes the runner-up");
-        assert_eq!(r.output.as_i64().unwrap(), sequential_reduce_i64(&pat));
-        assert_eq!(rt.stats().explored, 1);
-        assert!(
-            rt.profile_snapshot().is_empty(),
-            "exploration must not lock the class to the runner-up"
-        );
-
-        // On a *profiled* class, an explored batch neither reports a
-        // profile hit (the scheme did not come from the store) nor
-        // disturbs the entry.
-        let rt = Runtime::new(RuntimeConfig {
-            workers: 2,
-            dispatchers: 1,
-            calibration: CalibrationConfig {
-                explore_every: 2, // batch 1 decides+records, batch 2 explores
+                explore_every: 2,
                 ..CalibrationConfig::default()
             },
             ..RuntimeConfig::default()
@@ -1960,19 +1843,19 @@ pub(crate) mod tests {
         assert!(!first.profile_hit);
         let explored = rt.run(JobSpec::i64(pat.clone(), |_i, r| contribution_i64(r)));
         assert_eq!(rt.stats().explored, 1);
-        assert_ne!(
-            explored.scheme, first.scheme,
-            "slot runs an unmeasured scheme"
+        assert_eq!(
+            explored.output.as_i64().unwrap(),
+            sequential_reduce_i64(&pat)
         );
         assert!(
             !explored.profile_hit,
             "an explored pick must not claim to come from the store"
         );
-        let sig = PatternSignature::of(&pat, rt.shared.sample_iters, rt.width());
+        let e = entry(&rt, rt.signature_of(&pat));
         assert_eq!(
-            rt.profile_snapshot().get(sig).map(|e| e.scheme),
-            Some(first.scheme),
-            "the entry must keep the recorded scheme"
+            (e.scheme, e.runs),
+            (first.scheme, 1),
+            "the entry is not fed"
         );
     }
 

@@ -1,7 +1,8 @@
 //! The full SmartApp feedback loop end to end, starting from "compiler"
 //! IR: recognize the reduction, package multi-version code, execute with
-//! run-time inputs, and watch the ToolBox escalate adaptations when the
-//! functioning domain changes.
+//! run-time inputs, and watch the ToolBox's adaptation policy react: the
+//! `adaptation` column reads `Recharacterize` when the functioning domain
+//! changes, `Redecide` when a sample reads as drift, `Keep` otherwise.
 //!
 //! Run with: `cargo run --release --example adaptive_feedback`
 

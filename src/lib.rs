@@ -88,7 +88,7 @@ pub use smartapps_workloads as workloads;
 pub mod prelude {
     pub use smartapps_core::adaptive::{AdaptiveReduction, InvocationLog};
     pub use smartapps_core::multiversion::{CompiledReduction, Inputs};
-    pub use smartapps_core::toolbox::{Adaptation, Optimizer};
+    pub use smartapps_core::toolbox::Adaptation;
     pub use smartapps_reductions::{
         rank_schemes, run_scheme, run_scheme_on, DecisionModel, Inspector, ModelInput, Scheme,
         SpawnExecutor, SpmdExecutor,

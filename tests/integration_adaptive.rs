@@ -132,9 +132,9 @@ fn inspector_amortized_across_invocations() {
 
 /// Failure injection: the loop body's cost explodes mid-run (simulating
 /// external interference or a platform fault).  The feedback loop must
-/// escalate beyond `Keep` while the interference lasts — the "large
-/// adaption (failure, phase change)" arc of Figure 1 — and settle again
-/// after it clears.
+/// escalate beyond `Keep` while the interference lasts — a 30x sample is
+/// far past the drift ratio, so the adaptation policy marks the decision
+/// due (`Redecide`) — and settle again after it clears.
 #[test]
 fn interference_triggers_escalation_and_recovery() {
     let _serial = serial();
@@ -175,14 +175,14 @@ fn interference_triggers_escalation_and_recovery() {
     }
     assert!(escalated, "a 30x slowdown must not read as on-target");
     // Clear the fault: the loop keeps producing correct results throughout
-    // and returns to Keep/Tune.  One stray wall-clock outlier may still
+    // and returns to Keep.  One stray wall-clock outlier may still
     // escalate a run; a loop that has not settled escalates most of them.
     interfere.store(false, Ordering::Relaxed);
     let mut settled = 0;
     for _ in 0..6 {
         let (w, log) = smart.execute(&pat, &body);
         assert!(w.iter().all(|v| v.is_finite()));
-        settled += matches!(log.adaptation, Adaptation::Keep | Adaptation::Tune) as usize;
+        settled += (log.adaptation == Adaptation::Keep) as usize;
     }
     assert!(
         settled >= 4,
